@@ -25,7 +25,7 @@ from .errors import (
     WitnessNotFound,
     ZerodynError,
 )
-from .scalars import parse_fraction
+from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_REAL_TOL, parse_fraction
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -34,12 +34,12 @@ EXIT_INPUT = 2
 
 @dataclass(frozen=True)
 class RunConfig:
-    precision_bits: int = 256
-    real_tolerance: float = 1e-9
-    m_max: int = 200
-    d_cap: int = 40
-    out_format: str = "json"
-    output: str | None = None
+    precision_bits: int
+    real_tolerance: float
+    m_max: int
+    d_cap: int
+    out_format: str
+    output: str | None
 
     def validate(self):
         if self.precision_bits < 64:
@@ -72,26 +72,26 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--precision-bits",
         type=int,
-        default=_env_default("ZERODYN_PRECISION_BITS", int, 256),
-        help="binary working precision for floating paths (default 256)",
+        default=_env_default("ZERODYN_PRECISION_BITS", int, DEFAULT_PRECISION_BITS),
+        help="binary working precision for floating paths (default %(default)s)",
     )
     common.add_argument(
         "--real-tol",
         type=float,
-        default=_env_default("ZERODYN_REAL_TOL", float, 1e-9),
-        help="relative realness tolerance |Im r| <= tol(1+|r|) (default 1e-9)",
+        default=_env_default("ZERODYN_REAL_TOL", float, DEFAULT_REAL_TOL),
+        help="relative realness tolerance |Im r| <= tol(1+|r|) (default %(default)s)",
     )
     common.add_argument(
         "--m-max",
         type=int,
-        default=_env_default("ZERODYN_M_MAX", int, 200),
-        help="iterate sweep bound for onset scans (default 200)",
+        default=_env_default("ZERODYN_M_MAX", int, dynamics.DEFAULT_M_MAX),
+        help="iterate sweep bound for onset scans (default %(default)s)",
     )
     common.add_argument(
         "--d-cap",
         type=int,
-        default=_env_default("ZERODYN_D_CAP", int, 40),
-        help="degree cap for witness searches (default 40)",
+        default=_env_default("ZERODYN_D_CAP", int, construct_mod.DEFAULT_D_CAP),
+        help="degree cap for witness searches (default %(default)s)",
     )
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--output", help="write the report here instead of stdout")
@@ -309,7 +309,6 @@ def _run(args) -> int:
             f,
             _parse_m_list(args.m_list),
             args.epsilon,
-            cfg.real_tolerance,
             cfg.precision_bits,
         )
         _emit(

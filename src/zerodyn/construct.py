@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath as mp
 
@@ -27,20 +28,11 @@ from .errors import (
 )
 from .poly import Poly, apply_operator, derivative, monomial
 from .roots import count_nonreal, find_roots, roots_in_disk
-from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_REAL_TOL, as_fraction
-from .series import (
-    PowerSeries,
-    factor_out_zero,
-    polya_lp_test,
-    truncated_power,
-)
+from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_REAL_TOL, as_fraction, to_mp
+from .series import PowerSeries, factor_out_zero, truncated_power
 
 DEFAULT_D_CAP = 40
 DEFAULT_MAX_HALVINGS = 60
-
-
-def _to_mpf(x: Fraction):
-    return mp.mpf(x.numerator) / x.denominator
 
 
 @dataclass
@@ -64,11 +56,6 @@ class StagePlan:
     @property
     def stages_fixed(self) -> int:
         return len(self.gammas)
-
-    def disk(self, m: int, k: int):
-        """(center, radius) of the stage-(m,k) disk; needs gamma(k) fixed."""
-        center = self.targets[(m, k)] - 1 / _to_mpf(self.gammas[k - 1])
-        return center, self.radii[(m, k)]
 
 
 @dataclass
@@ -96,9 +83,6 @@ def find_degree_witnesses(
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    check = polya_lp_test(phi, d_cap)
-    if not check.obstructed:
-        raise WitnessNotFound(1, d_cap)
     _mu, psi = factor_out_zero(phi)
     degrees = []
     prev = 0
@@ -167,34 +151,81 @@ def _partial_product(degrees, gammas, upto: int) -> Poly:
     return acc
 
 
+def _check_disks(
+    psi,
+    plan: StagePlan,
+    gammas,
+    product: Poly,
+    M: int,
+    precision_bits: int,
+    count_totals: bool = False,
+):
+    """Check the persistence clauses of ``product`` for m = 1..M in turn.
+
+    With N = len(gammas), the m-th iterate must have a zero in each disk
+    D(a(m,k) - 1/gamma(k); r(m,k)), k = m..N.  Per m the clauses run in
+    the order off-axis, disjointness (of the closed disks), membership
+    and, with ``count_totals``, nonreal-total (at least N - m + 1
+    nonreal zeros).  The first failure raises VerificationFailed naming
+    its clause, before any later m is computed.  Returns (witnessed,
+    nonreal_totals, boundary_ties).
+    """
+    N = len(gammas)
+    witnessed = {}
+    nonreal_totals = {}
+    ties = []
+    with mp.workprec(precision_bits):
+        g_m = product
+        for m in range(1, M + 1):
+            g_m = apply_operator(psi, g_m)
+            disks = []
+            for k in range(m, N + 1):
+                c = plan.targets[(m, k)] - 1 / to_mp(gammas[k - 1], precision_bits)
+                r = plan.radii[(m, k)]
+                if not abs(c.imag) > r:
+                    raise VerificationFailed(
+                        "off-axis", f"disk (m={m}, k={k}) touches the real axis"
+                    )
+                disks.append((k, c, r))
+            for (k1, c1, r1), (k2, c2, r2) in combinations(disks, 2):
+                if abs(c1 - c2) <= r1 + r2:
+                    raise VerificationFailed(
+                        "disjointness",
+                        f"disks (m={m}, k={k1}) and (m={m}, k={k2}) overlap",
+                    )
+            rs = find_roots(g_m, precision_bits)
+            for k, c, r in disks:
+                if roots_in_disk(rs, c, r) < 1:
+                    raise VerificationFailed(
+                        "membership", f"no zero in disk (m={m}, k={k})"
+                    )
+                witnessed[(m, k)] = min(
+                    (root.location for root in rs.roots), key=lambda z: abs(z - c)
+                )
+            ties.extend(rs.diagnostics)
+            if count_totals:
+                nonreal_totals[m] = count_nonreal(
+                    g_m, precision_bits=precision_bits, rs=rs
+                ).nonreal_count
+                if nonreal_totals[m] < N - m + 1:
+                    raise VerificationFailed(
+                        "nonreal-total",
+                        f"iterate m={m} has {nonreal_totals[m]} nonreal zeros, "
+                        f"wanted >= {N - m + 1}",
+                    )
+    return witnessed, nonreal_totals, ties
+
+
 def _stage_predicate(psi, plan: StagePlan, gammas, k: int, precision_bits: int):
     """Persistence check for stages 1..k with the given gamma list.
 
-    For every m <= k the m-th iterate of the partial product must have a
-    zero in each disk D(a(m,j) - 1/gamma(j); r(m,j)), j = m..k, and the
-    closed disks must be pairwise disjoint and miss the real axis.
+    True iff the disk clauses of _check_disks hold for every m <= k.
     """
     product = _partial_product(plan.degrees, gammas, k)
-    with mp.workprec(precision_bits):
-        g_m = product
-        for m in range(1, k + 1):
-            g_m = apply_operator(psi, g_m)
-            disks = []
-            for j in range(m, k + 1):
-                c = plan.targets[(m, j)] - 1 / _to_mpf(gammas[j - 1])
-                r = plan.radii[(m, j)]
-                if not abs(c.imag) > r:
-                    return False
-                disks.append((c, r))
-            for i in range(len(disks)):
-                for jj in range(i + 1, len(disks)):
-                    (c1, r1), (c2, r2) = disks[i], disks[jj]
-                    if abs(c1 - c2) <= r1 + r2:
-                        return False
-            rs = find_roots(g_m, precision_bits)
-            for c, r in disks:
-                if roots_in_disk(rs, c, r) < 1:
-                    return False
+    try:
+        _check_disks(psi, plan, gammas[:k], product, k, precision_bits)
+    except VerificationFailed:
+        return False
     return True
 
 
@@ -301,50 +332,9 @@ def verify_counterexample(
     if derivative(f_n).coefficient(0) != expected:
         raise VerificationFailed("derivative-identity", "f_N'(0) != sum d(k)gamma(k)")
 
-    witnessed = {}
-    nonreal_totals = {}
-    ties = []
-    with mp.workprec(precision_bits):
-        g_m = f_n
-        for m in range(1, M + 1):
-            g_m = apply_operator(psi, g_m)
-            nonreal_totals[m] = count_nonreal(
-                g_m, precision_bits=precision_bits
-            ).nonreal_count
-            disks = []
-            for k in range(m, N + 1):
-                c, r = plan.disk(m, k)
-                if not abs(c.imag) > r:
-                    raise VerificationFailed(
-                        "off-axis", f"disk (m={m}, k={k}) touches the real axis"
-                    )
-                disks.append((k, c, r))
-            for i in range(len(disks)):
-                for j in range(i + 1, len(disks)):
-                    _, c1, r1 = disks[i]
-                    _, c2, r2 = disks[j]
-                    if abs(c1 - c2) <= r1 + r2:
-                        raise VerificationFailed(
-                            "disjointness",
-                            f"disks (m={m}, k={disks[i][0]}) and "
-                            f"(m={m}, k={disks[j][0]}) overlap",
-                        )
-            rs = find_roots(g_m, precision_bits)
-            for k, c, r in disks:
-                if roots_in_disk(rs, c, r) < 1:
-                    raise VerificationFailed(
-                        "membership", f"no zero in disk (m={m}, k={k})"
-                    )
-                witnessed[(m, k)] = min(
-                    (root.location for root in rs.roots), key=lambda z: abs(z - c)
-                )
-            ties.extend(rs.diagnostics)
-            if nonreal_totals[m] < N - m + 1:
-                raise VerificationFailed(
-                    "nonreal-total",
-                    f"iterate m={m} has {nonreal_totals[m]} nonreal zeros, "
-                    f"wanted >= {N - m + 1}",
-                )
+    witnessed, nonreal_totals, ties = _check_disks(
+        psi, plan, plan.gammas[:N], f_n, M, precision_bits, count_totals=True
+    )
     return CounterexampleReport(
         plan=plan,
         witnessed=witnessed,

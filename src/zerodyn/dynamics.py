@@ -32,7 +32,7 @@ from .errors import (
 )
 from .limits import exp_dp_monomial
 from .poly import Poly, apply_operator, rescale_iterate
-from .roots import _exact_profile, find_roots
+from .roots import count_nonreal, find_roots
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_REAL_TOL,
@@ -161,21 +161,12 @@ def onset_scan(
     g = f
     for m in range(1, m_max + 1):
         g = apply_operator(phi, g)
-        if g.is_exact and int(g.degree) <= 64:
-            _real, nonreal, squarefree = _exact_profile(g)
-        else:
-            rs = find_roots(g, precision_bits)
-            nonreal = sum(
-                r.multiplicity
-                for r in rs.roots
-                if abs(r.location.imag) > tol * (1 + abs(r.location))
-            )
-            squarefree = all(r.multiplicity == 1 for r in rs.roots)
-        trace.append((m, nonreal))
+        zc = count_nonreal(g, tol, precision_bits)
+        trace.append((m, zc.nonreal_count))
         if mode == "AllRealSimple":
-            ok.append(nonreal == 0 and squarefree)
+            ok.append(zc.nonreal_count == 0 and zc.squarefree)
         else:
-            ok.append(nonreal > 0)
+            ok.append(zc.nonreal_count > 0)
 
     m0 = None
     for i in range(m_max - 1, -1, -1):
@@ -333,7 +324,6 @@ def attractor_experiment(
     f: Poly,
     m_list,
     epsilon: float,
-    tol: float = DEFAULT_REAL_TOL,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> AttractorReport:
     """Pull the iterate's zeros back through the rescaling and measure fit.
@@ -380,11 +370,7 @@ def attractor_experiment(
                     worst_star = sd
             simple = None
             if d % p in (0, 1):
-                if g.is_exact and int(g.degree) <= 64:
-                    _r, _n, squarefree = _exact_profile(g)
-                    simple = squarefree
-                else:
-                    simple = all(r.multiplicity == 1 for r in rs.roots)
+                simple = count_nonreal(g, precision_bits=precision_bits, rs=rs).squarefree
             records.append(
                 AttractorRecord(
                     m=m,

@@ -231,12 +231,6 @@ def poly_payload(f: Poly):
     return out
 
 
-def series_payload(phi: PowerSeries):
-    if phi.is_exact:
-        return {"coeffs": [fraction_str(c) for c in phi.coeffs]}
-    return {"coeffs": [mpf_str(c) for c in phi.coeffs], "precision_bits": phi.precision}
-
-
 def operator_class_payload(cls: OperatorClass):
     out = {"form": cls.form}
     if cls.is_general:

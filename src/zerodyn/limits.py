@@ -18,10 +18,12 @@ from fractions import Fraction
 
 from .poly import Poly
 from .series import PowerSeries
-from .scalars import is_exact
+from .scalars import DEFAULT_PRECISION_BITS, is_exact
 
 
-def exp_dp_monomial(beta, p: int, d: int, precision_bits: int = 256) -> Poly:
+def exp_dp_monomial(
+    beta, p: int, d: int, precision_bits: int = DEFAULT_PRECISION_BITS
+) -> Poly:
     """exp(beta*D^p) applied to x^d; monic of degree d, exact for exact beta.
 
     ``precision_bits`` only matters when beta is a floating scalar.

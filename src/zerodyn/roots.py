@@ -10,9 +10,11 @@ Two routes, deliberately independent:
   chains on the square-free factors, multiplicities recovered from the
   repeated-gcd (Yun) decomposition.  No tolerances are involved.
 
-The exact route is preferred automatically up to degree 64; beyond that
-Sturm chains blow up in bit size and the floating route takes over with
-a warning.
+``count_nonreal`` is the one entry point for "how many nonreal zeros,
+and are all zeros simple" (``ZeroCount.squarefree``); every other
+caller in the library goes through it.  It prefers the exact route up
+to degree 64; beyond that Sturm chains blow up in bit size and the
+floating route takes over with a warning, whoever the caller is.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ class ZeroCount:
     real_count: int
     nonreal_count: int
     method: str  # "exact" | "floating"
+    squarefree: bool  # every zero has multiplicity 1
 
 
 def _eval_with_bound(coeffs, z):
@@ -398,34 +401,40 @@ def count_nonreal(
     f: Poly,
     tol: float = DEFAULT_REAL_TOL,
     precision_bits: int = DEFAULT_PRECISION_BITS,
+    rs: RootSet | None = None,
 ) -> ZeroCount:
-    """Count nonreal zeros with multiplicity.
+    """Count nonreal zeros with multiplicity and tell whether f is square-free.
 
     Rational coefficients up to degree 64 go through the exact route
     (Sturm chains + repeated gcd); no tolerance enters.  Otherwise roots
-    are located at ``precision_bits`` and a root r counts as real iff
-    |Im r| <= tol * (1 + |r|).
+    are located at ``precision_bits`` (or taken from ``rs``, a RootSet of
+    f the caller already holds), a root r counts as real iff
+    |Im r| <= tol * (1 + |r|), and f is square-free iff every merged
+    root has multiplicity 1.
     """
     if not f.is_real():
         raise ValueError("nonreal-zero counting is defined for real polynomials")
     deg = f.degree
     if deg < 1:
-        return ZeroCount(0, 0, 0, "exact")
+        return ZeroCount(0, 0, 0, "exact", True)
     deg = int(deg)
     if f.is_exact:
         if deg <= EXACT_DEGREE_LIMIT:
-            real, nonreal, _ = _exact_profile(f)
-            return ZeroCount(deg, real, nonreal, "exact")
+            real, nonreal, squarefree = _exact_profile(f)
+            return ZeroCount(deg, real, nonreal, "exact", squarefree)
         warnings.warn(
             f"degree {deg} > {EXACT_DEGREE_LIMIT}: falling back to floating count",
             stacklevel=2,
         )
-    rs = find_roots(f, precision_bits)
-    real = 0
-    for r in rs.roots:
-        if abs(r.location.imag) <= tol * (1 + abs(r.location)):
-            real += r.multiplicity
-    return ZeroCount(deg, real, deg - real, "floating")
+    if rs is None:
+        rs = find_roots(f, precision_bits)
+    real = sum(
+        r.multiplicity
+        for r in rs.roots
+        if abs(r.location.imag) <= tol * (1 + abs(r.location))
+    )
+    squarefree = all(r.multiplicity == 1 for r in rs.roots)
+    return ZeroCount(deg, real, deg - real, "floating", squarefree)
 
 
 def all_real_simple(
@@ -434,20 +443,8 @@ def all_real_simple(
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> bool:
     """True iff every zero of f is real and simple."""
-    if not f.is_real():
-        raise ValueError("defined for real polynomials")
-    if f.degree < 1:
-        return True
-    if f.is_exact and int(f.degree) <= EXACT_DEGREE_LIMIT:
-        _, nonreal, squarefree = _exact_profile(f)
-        return nonreal == 0 and squarefree
-    rs = find_roots(f, precision_bits)
-    for r in rs.roots:
-        if r.multiplicity != 1:
-            return False
-        if abs(r.location.imag) > tol * (1 + abs(r.location)):
-            return False
-    return True
+    zc = count_nonreal(f, tol, precision_bits)
+    return zc.nonreal_count == 0 and zc.squarefree
 
 
 def roots_in_disk(rs: RootSet, center, radius) -> int:

@@ -48,10 +48,6 @@ def to_mp(x, precision_bits: int):
         return mp.mpmathify(x)
 
 
-def scalar_is_zero(x) -> bool:
-    return x == 0
-
-
 def int_nth_root(n: int, p: int) -> int:
     """Floor of the p-th root of a nonnegative integer, exactly."""
     if n < 0:

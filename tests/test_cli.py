@@ -4,6 +4,9 @@ import json
 
 from zerodyn import Poly
 from zerodyn.cli import main
+from zerodyn.construct import DEFAULT_D_CAP
+from zerodyn.dynamics import DEFAULT_M_MAX
+from zerodyn.scalars import DEFAULT_PRECISION_BITS, DEFAULT_REAL_TOL
 from zerodyn.formats import parse_poly_inline
 
 
@@ -34,6 +37,19 @@ class TestClassify:
             capsys, "classify", "--series", "poly:1+x", "--precision-bits", "128"
         )
         assert doc["config"]["precision_bits"] == 128
+
+    def test_bare_config_is_library_defaults(self, capsys, monkeypatch):
+        for name in ("PRECISION_BITS", "REAL_TOL", "M_MAX", "D_CAP"):
+            monkeypatch.delenv(f"ZERODYN_{name}", raising=False)
+        doc = run_json(capsys, "classify", "--series", "poly:1+x")
+        assert doc["config"] == {
+            "precision_bits": DEFAULT_PRECISION_BITS,
+            "real_tolerance": DEFAULT_REAL_TOL,
+            "m_max": DEFAULT_M_MAX,
+            "d_cap": DEFAULT_D_CAP,
+            "out_format": "json",
+            "output": None,
+        }
 
 
 class TestIterate:

@@ -12,6 +12,7 @@ from zerodyn import (
     Poly,
     PowerSeries,
     StagePlan,
+    TruncationTooShort,
     VerificationFailed,
     WitnessNotFound,
     build_partial_product,
@@ -23,6 +24,8 @@ from zerodyn import (
     pick_targets,
     verify_counterexample,
 )
+from zerodyn.construct import _stage_predicate
+from zerodyn.series import factor_out_zero
 
 PHI = extend(PowerSeries([1, 1, 1]), 40)       # 1 + x + x^2
 PHI_LP = extend(PowerSeries([1, 1]), 40)       # 1 + x, never obstructed
@@ -43,6 +46,10 @@ class TestWitnesses:
     def test_negative_control(self):
         with pytest.raises(WitnessNotFound):
             find_degree_witnesses(PHI_LP, 1, 10)
+
+    def test_series_shorter_than_d_cap(self):
+        with pytest.raises(TruncationTooShort):
+            find_degree_witnesses(extend(PowerSeries([1, 1, 1]), 11), 1, 12)
 
     def test_monomial_factor_stripped(self):
         # x + x^3 behaves as its cofactor 1 + x^2
@@ -177,3 +184,37 @@ class TestVerify:
         plan = build_plan(PHI, 1, d_cap=12)
         with pytest.raises(ValueError):
             verify_counterexample(PHI, plan, 1, 2)
+
+
+class TestOneDiskChecker:
+    """The gamma-search predicate and the verifier apply the same disk clauses."""
+
+    @staticmethod
+    def _disk_clauses_pass(plan, n):
+        try:
+            verify_counterexample(PHI, plan, n, n)
+        except VerificationFailed as exc:
+            if exc.clause in ("off-axis", "disjointness", "membership"):
+                return False
+        return True
+
+    def _agree(self, plan, n):
+        _mu, psi = factor_out_zero(PHI)
+        predicate = _stage_predicate(psi, plan, plan.gammas, n, plan.precision_bits)
+        assert predicate is self._disk_clauses_pass(plan, n)
+        return predicate
+
+    def test_built_plan_passes_both(self):
+        assert self._agree(build_plan(PHI, 2, d_cap=12), 2) is True
+
+    def test_overlap_sabotage_fails_both(self):
+        bad = copy.deepcopy(build_plan(PHI, 2, d_cap=12))
+        bad.targets[(1, 2)] = bad.targets[(1, 1)] + mp.mpf("0.01")
+        bad.radii[(1, 2)] = bad.radii[(1, 1)]
+        bad.gammas = (bad.gammas[0], bad.gammas[0])
+        assert self._agree(bad, 2) is False
+
+    def test_off_axis_sabotage_fails_both(self):
+        bad = copy.deepcopy(build_plan(PHI, 1, d_cap=12))
+        bad.radii[(1, 1)] = bad.targets[(1, 1)].imag * 2
+        assert self._agree(bad, 1) is False

@@ -119,6 +119,7 @@ class TestCountNonreal:
         f = P(1, 0, 1) * P(1, 0, 1) * P(-1, 1) ** 3
         zc = count_nonreal(f)
         assert (zc.total, zc.real_count, zc.nonreal_count) == (7, 3, 4)
+        assert zc.squarefree is False
 
     def test_parity(self, rng):
         for _ in range(25):
@@ -141,6 +142,12 @@ class TestCountNonreal:
             floating = count_nonreal(f.to_floating(256), tol=1e-9)
             assert exact.method == "exact" and floating.method == "floating"
             assert exact.real_count == floating.real_count
+            assert exact.squarefree == floating.squarefree
+
+    def test_given_rootset_matches_fresh_solve(self, rng):
+        for _ in range(10):
+            f = random_poly(rng, rng.randint(1, 10)).to_floating(256)
+            assert count_nonreal(f, rs=find_roots(f)) == count_nonreal(f)
 
     def test_degree_above_exact_limit_warns(self):
         f = Poly([1] * 66)  # degree 65
