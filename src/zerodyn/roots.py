@@ -3,9 +3,15 @@
 Two routes, deliberately independent:
 
 * a floating route: deterministic simultaneous iteration (Aberth-Ehrlich)
-  at a stated binary precision, with guarded Newton polishing, cluster
-  merging for multiplicities, and a relative-residual certificate per
-  root;
+  run as a two-rung precision ladder.  The sweep first runs in Python
+  ``complex`` arithmetic from a root-bound circle; its converged
+  positions seed the same sweep at the working precision, where the
+  freeze test, Newton polishing and the relative-residual certificate
+  per root are applied.  When the coefficients leave the double range
+  or the double sweep stalls, the working-precision sweep starts from
+  the circle itself.  Rational input is first split into square-free
+  factors, so every root comes with its exact multiplicity; floating
+  input gets multiplicities from cluster merging;
 * an exact route for rational coefficients: real roots counted by Sturm
   chains on the square-free factors, multiplicities recovered from the
   repeated-gcd (Yun) decomposition.  No tolerances are involved.
@@ -19,6 +25,7 @@ floating route takes over with a warning, whoever the caller is.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,13 +39,19 @@ from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_REAL_TOL, to_mp
 EXACT_DEGREE_LIMIT = 64
 GUARD_BITS = 64
 MAX_SWEEPS = 400
+DOUBLE_SWEEPS = 100  # the double rung gives up (circle start) past this
 NEWTON_POLISH_STEPS = 2
+SQUAREFREE_PRIME = 2**61 - 1
+DOUBLE_EPS = 2.0**-53
+DOUBLE_MIN = 2.0**-1022  # smallest normal double
 
 
 def _work_precision(precision_bits: int) -> int:
-    # A multiplicity-k root scatters its cluster at radius ~2^(-work/k);
-    # doubling the precision keeps that inside the 2^(-prec/4) merge
-    # radius for every multiplicity up to 8.
+    # Rational input reaches the sweep as square-free factors, so this
+    # margin matters for floating input only: a multiplicity-k root
+    # scatters its cluster at radius ~2^(-work/k), and doubling the
+    # precision keeps that inside the 2^(-prec/4) merge radius for every
+    # multiplicity up to 8.
     return max(2 * precision_bits, precision_bits + GUARD_BITS)
 
 
@@ -78,30 +91,17 @@ class ZeroCount:
     squarefree: bool  # every zero has multiplicity 1
 
 
-def _eval_with_bound(coeffs, z):
-    """Horner value and the bound sum |c_i| |z|^i used for the noise floor."""
-    acc = mp.mpc(0)
-    bound = mp.mpf(0)
-    az = abs(z)
-    for c in reversed(coeffs):
+def _horner(coeffs, z):
+    """Value at z, in whatever number type ``coeffs`` and ``z`` carry."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
         acc = acc * z + c
-        bound = bound * az + abs(c)
-    return acc, bound
+    return acc
 
 
-def _aberth(coeffs, workprec):
-    """Simultaneous iteration on a polynomial with nonzero constant term.
-
-    ``coeffs`` is an ascending mpc list of degree n >= 1 with
-    coeffs[0] != 0 and coeffs[-1] != 0.  Returns (positions, converged):
-    a root freezes when its value reaches the evaluation noise floor.
-    Initial points sit on a root-bound circle with a fixed angular
-    offset; the whole schedule is deterministic.
-    """
+def _circle_start(coeffs):
+    """Initial points on a root-bound circle with a fixed angular offset."""
     n = len(coeffs) - 1
-    if n == 1:
-        return [-coeffs[0] / coeffs[1]], True
-    dcoeffs = [k * coeffs[k] for k in range(1, n + 1)]
     lead = abs(coeffs[-1])
     # Fujiwara root bound: 2 max_k |c_{n-k}/c_n|^(1/k); far tighter than
     # the Cauchy bound when the low-order coefficients are the huge ones.
@@ -111,31 +111,42 @@ def _aberth(coeffs, workprec):
         if coeffs[n - k] != 0
     )
     radius = max(radius, mp.mpf(1) / 2)
-    zs = [
+    return [
         radius * mp.expjpi(mp.mpf(2 * k) / n + mp.mpf(1) / (2 * n))
         for k in range(n)
     ]
-    eps = mp.mpf(2) ** (-workprec)
+
+
+def _sweep(coeffs, dcoeffs, zs, eps, max_sweeps):
+    """Aberth-Ehrlich sweeps on ``zs`` in place; True once converged.
+
+    Runs in the number type of its arguments, so the same loop serves
+    the double rung and the working-precision rung.  A root freezes when
+    its value reaches the evaluation noise floor eps (4n+4) sum |c_i| |z|^i;
+    the run has converged when every root is frozen or no step moves a
+    root by more than ``eps`` relative.
+    """
+    n = len(zs)
     tiny = eps * 16
+    acoeffs = [abs(c) for c in coeffs]
     frozen = [False] * n
-    converged = False
-    for _sweep in range(MAX_SWEEPS):
-        max_rel_step = mp.mpf(0)
+    for _sweep_no in range(max_sweeps):
+        max_rel_step = 0
         for k in range(n):
             if frozen[k]:
                 continue
             z = zs[k]
-            fval, bound = _eval_with_bound(coeffs, z)
-            if abs(fval) <= eps * (4 * n + 4) * bound:
+            fval = _horner(coeffs, z)
+            if abs(fval) <= eps * (4 * n + 4) * _horner(acoeffs, abs(z)):
                 frozen[k] = True
                 continue
-            dval, _ = _eval_with_bound(dcoeffs, z)
+            dval = _horner(dcoeffs, z)
             if dval == 0:
-                zs[k] = z + tiny * (1 + abs(z)) * mp.mpc(1, 1)
-                max_rel_step = mp.mpf(1)
+                zs[k] = z + tiny * (1 + abs(z)) * (1 + 1j)
+                max_rel_step = 1
                 continue
             newton = fval / dval
-            s = mp.mpc(0)
+            s = 0
             for j in range(n):
                 if j != k:
                     diff = z - zs[j]
@@ -148,18 +159,57 @@ def _aberth(coeffs, workprec):
             if rel > max_rel_step:
                 max_rel_step = rel
         if all(frozen) or max_rel_step <= eps:
-            converged = True
-            break
+            return True
+    return False
+
+
+def _double_seeds(coeffs, dcoeffs, start):
+    """Positions from the sweep run in double precision, or None.
+
+    None when a nonzero coefficient is not a normal double, or the
+    sweep stalls within ``DOUBLE_SWEEPS`` or leaves the finite doubles.
+    """
+    cs = [complex(c) for c in coeffs]
+    dcs = [complex(c) for c in dcoeffs]
+    for c, d in zip(coeffs + dcoeffs, cs + dcs):
+        if c != 0 and not DOUBLE_MIN <= abs(d) < math.inf:
+            return None
+    zs = [complex(z) for z in start]
+    if not _sweep(cs, dcs, zs, DOUBLE_EPS, DOUBLE_SWEEPS):
+        return None
+    if not all(math.isfinite(abs(z)) for z in zs):
+        return None
+    return zs
+
+
+def _aberth(coeffs, workprec):
+    """Simultaneous iteration on a polynomial with nonzero constant term.
+
+    ``coeffs`` is an ascending mpc list of degree n >= 1 with
+    coeffs[0] != 0 and coeffs[-1] != 0.  Returns (positions, converged).
+    The working-precision sweep starts from the double rung's positions
+    when it delivers them and from the root-bound circle otherwise; the
+    whole schedule is deterministic.
+    """
+    n = len(coeffs) - 1
+    if n == 1:
+        return [-coeffs[0] / coeffs[1]], True
+    dcoeffs = [k * coeffs[k] for k in range(1, n + 1)]
+    zs = _circle_start(coeffs)
+    seeds = _double_seeds(coeffs, dcoeffs, zs)
+    if seeds is not None:
+        zs = [mp.mpc(z) for z in seeds]
+    converged = _sweep(coeffs, dcoeffs, zs, mp.mpf(2) ** (-workprec), MAX_SWEEPS)
     for k in range(n):
         z = zs[k]
-        fz, _ = _eval_with_bound(coeffs, z)
+        fz = _horner(coeffs, z)
         best = abs(fz)
         for _ in range(NEWTON_POLISH_STEPS):
-            dz, _ = _eval_with_bound(dcoeffs, z)
+            dz = _horner(dcoeffs, z)
             if dz == 0:
                 break
             cand = z - fz / dz
-            fc, _ = _eval_with_bound(coeffs, cand)
+            fc = _horner(coeffs, cand)
             if abs(fc) < best:
                 z, fz, best = cand, fc, abs(fc)
             else:
@@ -192,12 +242,7 @@ def _merge_clusters(zs, precision_bits):
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(zs[i])
-    out = []
-    for members in groups.values():
-        centroid = sum(members) / len(members)
-        out.append((centroid, len(members)))
-    out.sort(key=lambda t: (t[0].real, t[0].imag))
-    return out
+    return [(sum(members) / len(members), len(members)) for members in groups.values()]
 
 
 def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet:
@@ -216,6 +261,9 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
     -------
     RootSet with sum of multiplicities equal to deg f and, per root,
     the relative residual |f(r)| / (||f||_inf * max(1,|r|)^deg).
+    Multiplicities of exact (rational) input are exact: each square-free
+    factor is solved on its own.  Floating input gets them from the
+    cluster merge.
 
     Raises
     ------
@@ -233,18 +281,24 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
         nzero = 0
         while coeffs[nzero] == 0:
             nzero += 1
-        body = [mp.mpc(c) for c in coeffs[nzero:]]
-        positions = []
-        converged = True
-        if len(body) > 1:
-            positions, converged = _aberth(body, workprec)
-        merged = _merge_clusters(positions, precision_bits) if positions else []
+        if f.is_exact:
+            located, converged = [], True
+            for factor, mult in _squarefree_split(f.coeffs[nzero:]):
+                body = [mp.mpc(to_mp(c, workprec)) for c in factor]
+                positions, ok = _aberth(body, workprec)
+                located += [(z, mult) for z in positions]
+                converged = converged and ok
+        else:
+            body = [mp.mpc(c) for c in coeffs[nzero:]]
+            positions, converged = _aberth(body, workprec) if len(body) > 1 else ([], True)
+            located = _merge_clusters(positions, precision_bits)
+        located.sort(key=lambda t: (t[0].real, t[0].imag))
         if nzero:
-            merged.insert(0, (mp.mpc(0), nzero))
+            located.insert(0, (mp.mpc(0), nzero))
         sup = max(abs(c) for c in coeffs)
         roots = []
-        for loc, mult in merged:
-            val, _ = _eval_with_bound(coeffs, loc)
+        for loc, mult in located:
+            val = _horner(coeffs, loc)
             rel = abs(val) / (sup * max(mp.mpf(1), abs(loc)) ** deg)
             roots.append(Root(location=loc, multiplicity=mult, residual=float(rel)))
         rs = RootSet(
@@ -348,6 +402,48 @@ def _yun_squarefree(f):
     return out
 
 
+def _certified_squarefree(c):
+    """True only if the rational polynomial ``c`` is square-free.
+
+    Computes gcd(F, F') over GF(p), p = SQUAREFREE_PRIME, for the
+    denominator-cleared integer multiple F of ``c``.  When p does not
+    divide lc(F), a repeated factor g of F over Q reduces to a repeated
+    factor of F mod p of the same degree, so a constant gcd certifies
+    that ``c`` is square-free.  False decides nothing.
+    """
+    p = SQUAREFREE_PRIME
+    den = math.lcm(*(x.denominator for x in c))
+    a = [x.numerator * (den // x.denominator) % p for x in c]
+    if a[-1] == 0:
+        return False
+    b = _fstrip([k * a[k] % p for k in range(1, len(a))])
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            t = a[-1] * inv % p
+            k = len(a) - len(b)
+            for i in range(len(b) - 1):
+                a[k + i] = (a[k + i] - t * b[i]) % p
+            a.pop()
+            a = _fstrip(a)
+        a, b = b, a
+    return len(a) == 1
+
+
+def _squarefree_split(c):
+    """Pairwise coprime square-free factors of ``c`` with multiplicities.
+
+    ``c`` itself when the modular certificate holds, the Yun
+    decomposition otherwise; a constant has no factors.
+    """
+    c = list(c)
+    if len(c) < 2:
+        return []
+    if _certified_squarefree(c):
+        return [(c, 1)]
+    return _yun_squarefree(c)
+
+
 def _zip_pad(a, b):
     n = max(len(a), len(b))
     for i in range(n):
@@ -409,8 +505,10 @@ def count_nonreal(
     (Sturm chains + repeated gcd); no tolerance enters.  Otherwise roots
     are located at ``precision_bits`` (or taken from ``rs``, a RootSet of
     f the caller already holds), a root r counts as real iff
-    |Im r| <= tol * (1 + |r|), and f is square-free iff every merged
-    root has multiplicity 1.
+    |Im r| <= tol * (1 + |r|), and f is square-free iff every root has
+    multiplicity 1.  Multiplicities from ``find_roots`` are exact for
+    rational input, so ``squarefree`` is exact at any degree there; only
+    floating input takes them from the cluster merge.
     """
     if not f.is_real():
         raise ValueError("nonreal-zero counting is defined for real polynomials")

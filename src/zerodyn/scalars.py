@@ -34,10 +34,15 @@ def is_exact(x) -> bool:
 
 
 def to_mp(x, precision_bits: int):
-    """Convert any supported scalar to mpf/mpc at the given precision."""
+    """Convert any supported scalar to mpf/mpc at the given precision.
+
+    Exact values are rounded to nearest.
+    """
     with mp.workprec(precision_bits):
         if isinstance(x, Fraction):
-            return mp.mpmathify(x)
+            return mp.make_mpf(mp.libmp.from_rational(
+                x.numerator, x.denominator, precision_bits, mp.libmp.round_nearest
+            ))
         if isinstance(x, int):
             return mp.mpf(x)
         if isinstance(x, (mp.mpf, float)):

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
+from zerodyn import roots
 from zerodyn import (
     DegreeZero,
     Poly,
@@ -14,7 +15,7 @@ from zerodyn import (
     find_roots,
     roots_in_disk,
 )
-from conftest import random_poly
+from conftest import make_rng, random_poly
 
 
 def P(*coeffs):
@@ -62,8 +63,25 @@ class TestFindRoots:
         rs = find_roots(P(1, 1) ** 8)
         assert len(rs.roots) == 1
         assert rs.roots[0].multiplicity == 8
-        # location accuracy at multiplicity k is limited to ~eps^(1/k)
-        assert abs(rs.roots[0].location + 1) < 1e-18
+        # located from the square-free factor x + 1, not from a cluster
+        assert abs(rs.roots[0].location + 1) < 1e-70
+
+    def test_multiplicity_beyond_cluster_merge(self):
+        rs = find_roots(P(1, 1) ** 12)
+        assert [r.multiplicity for r in rs.roots] == [12]
+        assert abs(rs.roots[0].location + 1) < 1e-70
+
+    def test_mixed_exact_multiplicities(self):
+        rs = find_roots(P(F(1, 3), 1) ** 9 * P(-2, 1))
+        assert [r.multiplicity for r in rs.roots] == [9, 1]
+        with mp.workprec(320):
+            assert abs(rs.roots[0].location + mp.mpf(1) / 3) < 1e-70
+            assert abs(rs.roots[1].location - 2) < 1e-70
+
+    def test_floating_input_merges_clusters(self):
+        rs = find_roots(P(1, 1).to_floating(256) ** 3)
+        assert [r.multiplicity for r in rs.roots] == [3]
+        assert abs(rs.roots[0].location + 1) < 1e-20
 
     def test_residuals_certified(self):
         for f in (P(2, 2, 1), P(-6, 0, 0, 1), P(1, 5, -3, 2, 7)):
@@ -97,6 +115,100 @@ class TestFindRoots:
     def test_degree_zero_rejected(self):
         with pytest.raises(DegreeZero):
             find_roots(P(7))
+
+
+def _record_seeds(monkeypatch):
+    """Record what the double rung returns on each solve."""
+    seen = []
+    real = roots._double_seeds
+
+    def recording(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(roots, "_double_seeds", recording)
+    return seen
+
+
+def _same_roots(a, b, tol):
+    assert [r.multiplicity for r in a.roots] == [r.multiplicity for r in b.roots]
+    with mp.workprec(600):
+        for r in a.roots:
+            d = min(abs(r.location - s.location) for s in b.roots)
+            assert d < tol * (1 + abs(r.location))
+
+
+class TestPrecisionLadder:
+    def test_out_of_double_range_takes_circle_start(self, monkeypatch):
+        f = P(3, -1, 4, -1, 5, 9)
+        seen = _record_seeds(monkeypatch)
+        base = find_roots(f)
+        assert seen[-1] is not None
+        for scale in (F(10) ** 400, F(1, 10**400)):
+            rs = find_roots(f.scale(scale))
+            assert seen[-1] is None
+            _same_roots(rs, base, 1e-70)
+
+    def test_stalled_double_rung_takes_circle_start(self, monkeypatch):
+        f = P(3, -1, 4, -1, 5, 9)
+        base = find_roots(f)
+        seen = _record_seeds(monkeypatch)
+        monkeypatch.setattr(roots, "DOUBLE_SWEEPS", 1)
+        _same_roots(find_roots(f), base, 1e-70)
+        assert seen == [None]
+
+    def test_certificate_inconclusive_takes_yun(self, monkeypatch):
+        p = roots.SQUAREFREE_PRIME
+        calls = []
+        real = roots._yun_squarefree
+        monkeypatch.setattr(
+            roots, "_yun_squarefree", lambda c: calls.append(1) or real(c)
+        )
+        # lc divisible by p: (p x - 1)(x + 2), then with (p x - 1) squared
+        rs = find_roots(P(-1, p) * P(2, 1))
+        assert [r.multiplicity for r in rs.roots] == [1, 1]
+        rs = find_roots(P(-1, p) ** 2 * P(2, 1))
+        assert [r.multiplicity for r in rs.roots] == [1, 2]
+        with mp.workprec(320):
+            assert abs(rs.roots[1].location - mp.mpf(1) / p) < 1e-90
+        # square-free over Q, but x^2 + p = x^2 mod p
+        rs = find_roots(P(p, 0, 1))
+        assert [r.multiplicity for r in rs.roots] == [1, 1]
+        assert len(calls) == 3
+
+    def test_certificate_matches_yun_on_small_input(self, rng):
+        for _ in range(30):
+            f = random_poly(rng, rng.randint(1, 8))
+            if rng.random() < 0.5:
+                f = f * random_poly(rng, rng.randint(1, 3)) ** 2
+            cs = list(f.coeffs)
+            squarefree = [m for _, m in roots._yun_squarefree(cs)] == [1]
+            assert roots._certified_squarefree(cs) == squarefree
+
+    def test_exact_input_never_merges(self, monkeypatch, rng):
+        def forbidden(*args):
+            raise AssertionError("cluster merge reached on exact input")
+
+        monkeypatch.setattr(roots, "_merge_clusters", forbidden)
+        for f in (P(1, 1) ** 12, P(F(1, 3), 1) ** 9 * P(-2, 1), random_poly(rng, 9)):
+            find_roots(f)
+
+    def test_agrees_with_mpmath_polyroots(self):
+        rng = make_rng(31)
+        for d in (2, 5, 9, 14, 20, 30):
+            f = random_poly(rng, d)
+            rs = find_roots(f, 128)
+            assert all(r.multiplicity == 1 for r in rs.roots)
+            with mp.workdps(2 * 39):
+                ref = mp.polyroots(
+                    [mp.mpf(c.numerator) / c.denominator for c in reversed(f.coeffs)],
+                    maxsteps=400,
+                    extraprec=2 * 128,
+                )
+                for r in rs.roots:
+                    d_min = min(abs(r.location - z) for z in ref)
+                    assert d_min < 1e-35 * (1 + abs(r.location))
+            assert len(rs.roots) == len(ref)
 
 
 class TestCountNonreal:
