@@ -12,14 +12,16 @@ Two routes, deliberately independent:
   the circle itself.  Rational input is first split into square-free
   factors, so every root comes with its exact multiplicity; floating
   input gets multiplicities from cluster merging;
-* an exact route for rational coefficients: real roots counted by Sturm
-  chains on the square-free factors, multiplicities recovered from the
-  repeated-gcd (Yun) decomposition.  No tolerances are involved.
+* an exact route for rational coefficients: the integer primitive
+  remainder sequence (PRS) of F and F' is a Sturm chain ending in
+  gcd(F, F'); a square-free F is answered from that one chain, repeated
+  factors rerun it on the gcd, and the Yun split of find_roots takes its
+  gcds from the same PRS.  No tolerances are involved.
 
 ``count_nonreal`` is the one entry point for "how many nonreal zeros,
 and are all zeros simple" (``ZeroCount.squarefree``); every other
 caller in the library goes through it.  It prefers the exact route up
-to degree 64; beyond that Sturm chains blow up in bit size and the
+to degree 64; beyond that PRS coefficients blow up in bit size and the
 floating route takes over with a warning, whoever the caller is.
 """
 
@@ -245,6 +247,26 @@ def _merge_clusters(zs, precision_bits):
     return [(sum(members) / len(members), len(members)) for members in groups.values()]
 
 
+def _pair_conjugates(located):
+    """Sorted (location, multiplicity) pairs, each conjugate pair adjacent.
+
+    Sorting alone lists either member of a pair first: their real parts
+    differ by noise.  z's partner is the root nearest conj(z) if nearer
+    than z, which a real root never finds; the lower member goes first.
+    """
+    rest, out = list(located), []
+    while rest:
+        z = rest.pop(0)
+        zc = z[0].conjugate()
+        w = min(rest, key=lambda t: abs(t[0] - zc), default=None)
+        if w is not None and abs(w[0] - zc) < abs(z[0] - zc):
+            rest.remove(w)
+            out += sorted([z, w], key=lambda t: t[0].imag)
+        else:
+            out.append(z)
+    return out
+
+
 def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet:
     """All complex roots of f with residual certificates.
 
@@ -263,7 +285,8 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
     the relative residual |f(r)| / (||f||_inf * max(1,|r|)^deg).
     Multiplicities of exact (rational) input are exact: each square-free
     factor is solved on its own.  Floating input gets them from the
-    cluster merge.
+    cluster merge.  Roots are listed by real part (a zero root first);
+    for real f each conjugate pair is adjacent, lower half-plane first.
 
     Raises
     ------
@@ -293,6 +316,8 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
             positions, converged = _aberth(body, workprec) if len(body) > 1 else ([], True)
             located = _merge_clusters(positions, precision_bits)
         located.sort(key=lambda t: (t[0].real, t[0].imag))
+        if f.is_real():
+            located = _pair_conjugates(located)
         if nzero:
             located.insert(0, (mp.mpc(0), nzero))
         sup = max(abs(c) for c in coeffs)
@@ -316,88 +341,95 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
 
 
 # ---------------------------------------------------------------------------
-# Exact machinery on Fraction coefficient lists (ascending, stripped).
+# Exact machinery on integer coefficient lists (ascending, stripped).
 
 
-def _fstrip(c):
-    c = list(c)
+def _strip(c):
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _fdeg(c):
-    return len(c) - 1
-
-
-def _fdiff(c):
+def _diff(c):
     return [k * c[k] for k in range(1, len(c))]
 
 
-def _fdivmod(a, b):
-    a = _fstrip(a)
-    b = _fstrip(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db, lb = _fdeg(b), b[-1]
-    if _fdeg(a) < db:
-        return [], a
-    q = [Fraction(0)] * (_fdeg(a) - db + 1)
+def _primitive(c):
+    """c divided by its positive content."""
+    g = math.gcd(*c)
+    return [x // g for x in c]
+
+
+def _integer_part(c):
+    """Primitive integer polynomial that is a positive multiple of rational ``c``."""
+    den = math.lcm(*(x.denominator for x in c))
+    return _primitive([x.numerator * (den // x.denominator) for x in c])
+
+
+def _pseudo_rem(a, b):
+    """Remainder of m*a divided by b for some integer m > 0."""
+    n = len(b) - 1
+    lb = abs(b[-1])
+    low = b[:-1] if b[-1] > 0 else [-x for x in b[:-1]]
     r = list(a)
-    while _fdeg(r) >= db:
-        k = _fdeg(r) - db
-        t = r[-1] / lb
-        q[k] = t
-        for i in range(db + 1):
+    while len(r) > n:
+        t = r.pop()
+        k = len(r) - n
+        r[:k] = [lb * x for x in r[:k]]
+        r[k:] = [lb * x - t * y for x, y in zip(r[k:], low)]
+        r = _strip(r)
+    return r
+
+
+def _exact_quo(a, b):
+    """a / b for b primitive and dividing a: integral by Gauss's lemma."""
+    n = len(b) - 1
+    r = list(a)
+    q = [0] * (len(a) - n)
+    for k in reversed(range(len(q))):
+        t = q[k] = r[k + n] // b[-1]
+        for i in range(n):
             r[k + i] -= t * b[i]
-        r = _fstrip(r)
-    return q, r
+    return q
 
 
-def _fnormalize_sign(c):
-    # scale by a positive constant: keeps Sturm signs, controls growth
-    if not c:
-        return c
-    m = abs(c[-1])
-    return [x / m for x in c]
+def _prs(a, b):
+    """Primitive remainder sequence a, b, -prem, ...; the last is gcd(a, b).
 
-
-def _fgcd(a, b):
-    a, b = _fstrip(a), _fstrip(b)
-    while b:
-        _, r = _fdivmod(a, b)
-        a, b = b, _fnormalize_sign(r)
-    if not a:
-        return []
-    lead = a[-1]
-    return [x / lead for x in a]
+    Every pseudo-remainder is negated and divided by its positive content,
+    so each element is a positive multiple of the Euclidean remainder's
+    negation: for b = a' this is a Sturm chain of a.
+    """
+    chain = [a, b]
+    while len(chain[-1]) > 1:
+        r = _pseudo_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(_primitive([-x for x in r]))
+    return chain
 
 
 def _yun_squarefree(f):
     """Square-free decomposition: list of (factor, multiplicity).
 
-    Only positive-degree factors are returned; each factor is monic and
-    square-free, and f equals (leading coeff) times the product of
-    factor^multiplicity.
+    ``f`` is a stripped rational coefficient list.  Only positive-degree factors
+    are returned; each factor is a monic ``Fraction`` list and square-free,
+    and f equals (leading coeff) times the product of factor^multiplicity.
+    The gcds are integer primitive remainder sequences; the monic factors
+    are unique, so they do not depend on how the gcds were scaled.
     """
-    f = _fstrip(f)
-    fp = _fdiff(f)
-    g = _fgcd(f, fp)
-    if _fdeg(g) == 0:
-        lead = f[-1]
-        return [([x / lead for x in f], 1)]
-    b, _ = _fdivmod(f, g)
-    c, _ = _fdivmod(fp, g)
-    d = _fstrip([cj - bj for cj, bj in _zip_pad(c, _fdiff(b))])
+    b = _integer_part(f)
+    c = _diff(b)
+    g = _primitive(_prs(b, c)[-1])
+    b, c = _exact_quo(b, g), _exact_quo(c, g)
     out = []
     i = 1
-    while _fdeg(b) > 0:
-        a = _fgcd(b, d)
-        if _fdeg(a) > 0:
-            out.append((a, i))
-        b, _ = _fdivmod(b, a)
-        c, _ = _fdivmod(d, a)
-        d = _fstrip([cj - bj for cj, bj in _zip_pad(c, _fdiff(b))])
+    while len(b) > 1:
+        d = _strip([x - y for x, y in zip(c, _diff(b), strict=True)])
+        a = _primitive(_prs(b, d)[-1]) if d else b
+        if len(a) > 1:
+            out.append(([Fraction(x, a[-1]) for x in a], i))
+        b, c = _exact_quo(b, a), _exact_quo(d, a)
         i += 1
     return out
 
@@ -405,28 +437,20 @@ def _yun_squarefree(f):
 def _certified_squarefree(c):
     """True only if the rational polynomial ``c`` is square-free.
 
-    Computes gcd(F, F') over GF(p), p = SQUAREFREE_PRIME, for the
-    denominator-cleared integer multiple F of ``c``.  When p does not
-    divide lc(F), a repeated factor g of F over Q reduces to a repeated
-    factor of F mod p of the same degree, so a constant gcd certifies
-    that ``c`` is square-free.  False decides nothing.
+    Computes gcd(F, F') over GF(p), p = SQUAREFREE_PRIME, by reduced
+    pseudo-remainders of the primitive integer multiple F of ``c``.  When
+    p does not divide lc(F), a repeated factor g of F over Q reduces to a
+    repeated factor of F mod p of the same degree, so a constant gcd
+    certifies that ``c`` is square-free.  False decides nothing.
     """
     p = SQUAREFREE_PRIME
-    den = math.lcm(*(x.denominator for x in c))
-    a = [x.numerator * (den // x.denominator) % p for x in c]
+    a = [x % p for x in _integer_part(c)]
     if a[-1] == 0:
         return False
-    b = _fstrip([k * a[k] % p for k in range(1, len(a))])
+    b = _strip([x % p for x in _diff(a)])
     while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            t = a[-1] * inv % p
-            k = len(a) - len(b)
-            for i in range(len(b) - 1):
-                a[k + i] = (a[k + i] - t * b[i]) % p
-            a.pop()
-            a = _fstrip(a)
-        a, b = b, a
+        # the multiplier is a power of lc(b), a unit mod p
+        a, b = b, _strip([x % p for x in _pseudo_rem(a, b)])
     return len(a) == 1
 
 
@@ -436,7 +460,6 @@ def _squarefree_split(c):
     ``c`` itself when the modular certificate holds, the Yun
     decomposition otherwise; a constant has no factors.
     """
-    c = list(c)
     if len(c) < 2:
         return []
     if _certified_squarefree(c):
@@ -444,53 +467,29 @@ def _squarefree_split(c):
     return _yun_squarefree(c)
 
 
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else Fraction(0),
-               b[i] if i < len(b) else Fraction(0))
-
-
 def _sign_variations(signs):
-    v = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            v += 1
-        prev = s
-    return v
-
-
-def _sturm_distinct_real(g):
-    """Number of distinct real roots of a square-free rational polynomial."""
-    g = _fstrip(g)
-    if _fdeg(g) <= 0:
-        return 0
-    chain = [g, _fstrip(_fdiff(g))]
-    while _fdeg(chain[-1]) > 0:
-        _, r = _fdivmod(chain[-2], chain[-1])
-        r = _fnormalize_sign([-x for x in r])
-        if not r:
-            break
-        chain.append(r)
-    sgn = lambda x: (x > 0) - (x < 0)
-    at_plus = [sgn(c[-1]) for c in chain if c]
-    at_minus = [sgn(c[-1]) * (-1) ** _fdeg(c) for c in chain if c]
-    return _sign_variations(at_minus) - _sign_variations(at_plus)
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def _exact_profile(f: Poly):
-    """(real_count_with_mult, nonreal_count, is_squarefree) for rational f."""
-    cs = _fstrip(f.coeffs)
-    total = _fdeg(cs)
-    if total <= 0:
-        return 0, 0, True
-    factors = _yun_squarefree(cs)
-    real = sum(i * _sturm_distinct_real(a) for a, i in factors)
-    squarefree = all(i == 1 for _, i in factors)
-    return real, total - real, squarefree
+    """(real_count_with_mult, nonreal_count, is_squarefree) for rational f.
+
+    F's Sturm chain counts its distinct real zeros and ends in G = gcd(F, F'),
+    which has every zero of F once less, so the real zeros with multiplicity
+    are the distinct ones of F, G, gcd(G, G'), ...: one chain if F is square-free.
+    """
+    total = len(f.coeffs) - 1  # count_nonreal answers degree < 1 itself
+    g = _integer_part(f.coeffs)
+    real, squarefree = 0, True
+    while True:
+        chain = _prs(g, _primitive(_diff(g)))
+        at_plus = [(c[-1] > 0) - (c[-1] < 0) for c in chain]
+        at_minus = [s * (-1) ** (len(c) - 1) for s, c in zip(at_plus, chain)]
+        real += _sign_variations(at_minus) - _sign_variations(at_plus)
+        g = _primitive(chain[-1])
+        if len(g) == 1:
+            return real, total - real, squarefree
+        squarefree = False
 
 
 def count_nonreal(
@@ -501,8 +500,9 @@ def count_nonreal(
 ) -> ZeroCount:
     """Count nonreal zeros with multiplicity and tell whether f is square-free.
 
-    Rational coefficients up to degree 64 go through the exact route
-    (Sturm chains + repeated gcd); no tolerance enters.  Otherwise roots
+    Rational coefficients up to degree 64 go through the exact route (one
+    integer primitive PRS of f and f', rerun on gcd(f, f') only for
+    repeated factors); no tolerance enters.  Otherwise roots
     are located at ``precision_bits`` (or taken from ``rs``, a RootSet of
     f the caller already holds), a root r counts as real iff
     |Im r| <= tol * (1 + |r|), and f is square-free iff every root has

@@ -104,6 +104,21 @@ class TestFindRoots:
                     match = min(abs(mp.conj(z) - w) for w, _ in locs)
                     assert match < 1e-40
 
+    def test_conjugate_pairs_listed_lower_first(self):
+        # the two real parts of a pair differ only in iteration noise
+        rng = make_rng(5)
+        pairs = 0
+        with mp.workprec(320):
+            for _ in range(30):
+                f = random_poly(rng, rng.randint(6, 16))
+                for g in (f, f.to_floating(128)):
+                    locs = find_roots(g, 128).locations()
+                    for k, z in enumerate(locs):
+                        if z.imag > 1e-20:
+                            pairs += 1
+                            assert k > 0 and abs(locs[k - 1] - mp.conj(z)) < 1e-30
+        assert pairs > 200
+
     def test_determinism(self):
         f = P(3, -1, 4, -1, 5, 9)
         a = find_roots(f)
@@ -184,6 +199,18 @@ class TestPrecisionLadder:
             cs = list(f.coeffs)
             squarefree = [m for _, m in roots._yun_squarefree(cs)] == [1]
             assert roots._certified_squarefree(cs) == squarefree
+
+    def test_yun_known_factors(self):
+        # (x^2 + 1/3)^2 (x - 2/5)^3 (3x + 1): the monic factors are unique,
+        # so find_roots solves the same Fraction lists however gcds scale
+        f = P(F(1, 3), 0, 1) ** 2 * P(F(-2, 5), 1) ** 3 * P(1, 3)
+        factors = roots._yun_squarefree(list(f.coeffs))
+        assert factors == [
+            ([F(1, 3), 1], 1),
+            ([F(1, 3), 0, 1], 2),
+            ([F(-2, 5), 1], 3),
+        ]
+        assert all(type(c) is F for g, _ in factors for c in g)
 
     def test_exact_input_never_merges(self, monkeypatch, rng):
         def forbidden(*args):
