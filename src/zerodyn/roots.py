@@ -2,16 +2,15 @@
 
 Two routes, deliberately independent:
 
-* a floating route: deterministic simultaneous iteration (Aberth-Ehrlich)
-  run as a two-rung precision ladder.  The sweep first runs in Python
-  ``complex`` arithmetic from a root-bound circle; its converged
-  positions seed the same sweep at the working precision, where the
-  freeze test, Newton polishing and the relative-residual certificate
-  per root are applied.  When the coefficients leave the double range
-  or the double sweep stalls, the working-precision sweep starts from
-  the circle itself.  Rational input is first split into square-free
-  factors, so every root comes with its exact multiplicity; floating
-  input gets multiplicities from cluster merging;
+* a floating route: Aberth-Ehrlich sweeps in Python ``complex``
+  arithmetic give seeds with inclusion disks; when the disks are
+  disjoint each holds one zero, refined from its seed by Newton at
+  rising precision and certified in its disk (real zeros of real input
+  in mpf, their nonreal zeros as exact conjugate pairs).  Otherwise the
+  sweep reruns at the working precision with Newton polishing.  Rational
+  input is first split into square-free factors, so every root comes
+  with its exact multiplicity; floating input gets multiplicities from
+  cluster merging;
 * an exact route for rational coefficients: the integer primitive
   remainder sequence (PRS) of F and F' is a Sturm chain ending in
   gcd(F, F'); a square-free F is answered from that one chain, repeated
@@ -27,6 +26,7 @@ floating route takes over with a warning, whoever the caller is.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -41,11 +41,12 @@ from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_REAL_TOL, to_mp
 EXACT_DEGREE_LIMIT = 64
 GUARD_BITS = 64
 MAX_SWEEPS = 400
-DOUBLE_SWEEPS = 100  # the double rung gives up (circle start) past this
 NEWTON_POLISH_STEPS = 2
 SQUAREFREE_PRIME = 2**61 - 1
 DOUBLE_EPS = 2.0**-53
 DOUBLE_MIN = 2.0**-1022  # smallest normal double
+# covers the rounding of the < 8n double operations per radius or distance, n < 2^29
+INCLUSION_SLACK = 1 + 2.0**-20
 
 
 def _work_precision(precision_bits: int) -> int:
@@ -101,38 +102,36 @@ def _horner(coeffs, z):
     return acc
 
 
-def _circle_start(coeffs):
-    """Initial points on a root-bound circle with a fixed angular offset."""
+def _circle_start(coeffs, m):
+    """Points on a root-bound circle, fixed offset; ``m`` is cmath or mpmath."""
     n = len(coeffs) - 1
     lead = abs(coeffs[-1])
     # Fujiwara root bound: 2 max_k |c_{n-k}/c_n|^(1/k); far tighter than
     # the Cauchy bound when the low-order coefficients are the huge ones.
     radius = 2 * max(
-        mp.root(abs(coeffs[n - k]) / lead, k)
-        for k in range(1, n + 1)
-        if coeffs[n - k] != 0
+        (abs(coeffs[n - k]) / lead) ** (1 / k) for k in range(1, n + 1) if coeffs[n - k]
     )
-    radius = max(radius, mp.mpf(1) / 2)
-    return [
-        radius * mp.expjpi(mp.mpf(2 * k) / n + mp.mpf(1) / (2 * n))
-        for k in range(n)
-    ]
+    radius = max(radius, 0.5)
+    return [radius * m.exp(1j * m.pi * (2 * k + 0.5) / n) for k in range(n)]
 
 
-def _sweep(coeffs, dcoeffs, zs, eps, max_sweeps):
+def _sweep(coeffs, dcoeffs, zs, eps, stall_stop=False):
     """Aberth-Ehrlich sweeps on ``zs`` in place; True once converged.
 
     Runs in the number type of its arguments, so the same loop serves
     the double rung and the working-precision rung.  A root freezes when
     its value reaches the evaluation noise floor eps (4n+4) sum |c_i| |z|^i;
     the run has converged when every root is frozen or no step moves a
-    root by more than ``eps`` relative.
+    root by more than ``eps`` relative.  It gives up after ``MAX_SWEEPS``,
+    or with ``stall_stop`` once a sweep does not shrink the largest step
+    below sqrt(eps): above that it can stay flat for a hundred sweeps.
     """
     n = len(zs)
     tiny = eps * 16
     acoeffs = [abs(c) for c in coeffs]
     frozen = [False] * n
-    for _sweep_no in range(max_sweeps):
+    last = math.inf
+    for _sweep_no in range(MAX_SWEEPS):
         max_rel_step = 0
         for k in range(n):
             if frozen[k]:
@@ -162,46 +161,142 @@ def _sweep(coeffs, dcoeffs, zs, eps, max_sweeps):
                 max_rel_step = rel
         if all(frozen) or max_rel_step <= eps:
             return True
+        if stall_stop and max_rel_step >= last:
+            return False
+        last = max_rel_step if max_rel_step**2 < eps else math.inf
     return False
 
 
-def _double_seeds(coeffs, dcoeffs, start):
-    """Positions from the sweep run in double precision, or None.
-
-    None when a nonzero coefficient is not a normal double, or the
-    sweep stalls within ``DOUBLE_SWEEPS`` or leaves the finite doubles.
-    """
+def _double_seeds(coeffs, dcoeffs):
+    """Positions the double sweep reaches from the circle, converged or not;
+    None when a coefficient is not a normal double or a position not finite."""
     cs = [complex(c) for c in coeffs]
     dcs = [complex(c) for c in dcoeffs]
     for c, d in zip(coeffs + dcoeffs, cs + dcs):
         if c != 0 and not DOUBLE_MIN <= abs(d) < math.inf:
             return None
-    zs = [complex(z) for z in start]
-    if not _sweep(cs, dcs, zs, DOUBLE_EPS, DOUBLE_SWEEPS):
+    zs = _circle_start(cs, cmath)
+    _sweep(cs, dcs, zs, DOUBLE_EPS, stall_stop=True)
+    return zs if all(math.isfinite(abs(z)) for z in zs) else None
+
+
+def _inclusion_radii(coeffs, zs):
+    """Radii r_i = n (|f(z_i)| + e_i) / (|a_n| prod_{j != i} |z_i - z_j|), or None.
+
+    In doubles, e_i the sweep's noise bound (|c_k| floored at DOUBLE_MIN
+    for underflow), times ``INCLUSION_SLACK``; None when a value leaves the
+    normal doubles.  The disks hold every zero, k per connected component
+    of k disks (Bini & Fiorentino 2000): one per disk if they are disjoint.
+    """
+    cs = [complex(c) for c in coeffs]
+    floor = [max(abs(c), DOUBLE_MIN) for c in cs]
+    n = len(zs)
+    radii = []
+    for i, z in enumerate(zs):
+        prod = abs(cs[-1])
+        for j, u in enumerate(zs):
+            if j != i:
+                prod *= abs(z - u)
+                if prod < DOUBLE_MIN:
+                    return None
+        err = DOUBLE_EPS * (4 * n + 4) * _horner(floor, abs(z))
+        r = INCLUSION_SLACK * n * (abs(_horner(cs, z)) + err) / prod
+        if not DOUBLE_MIN <= r < math.inf:
+            return None
+        radii.append(r)
+    return radii
+
+
+def _refine(coeffs, dcoeffs, z, center, radius, workprec):
+    """Newton from seed z, each step at 4x the bits the last one gained.
+
+    From 106 bits up to ``workprec``, then one certifying step w: a zero
+    lies within n|w| of z.  Returns z - w if that zero is in the disk
+    D(center, radius) and (n+1)|w| <= 2^(GUARD_BITS - 1 - workprec) (1+|z|),
+    so within 2^-precision_bits (1 + |z - w|) of it; None if f' vanishes,
+    a step gains no bits or a check fails.
+    """
+    n = len(coeffs) - 1
+    prec, bits, final = min(106, workprec), 0, False
+    while True:
+        with mp.workprec(prec):
+            dz = _horner(dcoeffs, z)
+            if dz == 0:
+                return None
+            w = _horner(coeffs, z) / dz
+            if final:
+                break
+            z = z - w
+        gained = mp.mag(1 + abs(z)) - mp.mag(w) if w else prec
+        if gained <= bits:
+            return None
+        final, bits = prec == workprec, gained
+        prec = min(4 * bits, workprec)
+    inside = abs(z - center) + n * abs(w) < radius
+    small = (n + 1) * abs(w) <= mp.ldexp(1 + abs(z), GUARD_BITS - 1 - workprec)
+    return z - w if inside and small else None
+
+
+def _newton_ladder(coeffs, dcoeffs, seeds, workprec):
+    """Each zero refined from its own isolated double seed, or None.
+
+    For real coefficients a disk meeting the axis needs an isolated
+    symmetric hull D(Re z, r + |Im z|): its one zero is its own conjugate,
+    so real (refined in mpf).  The other zeros are nonreal, and those in
+    the lower half-plane are the conjugates of the upper ones.
+    """
+    radii = _inclusion_radii(coeffs, seeds)
+    if radii is None:
         return None
-    if not all(math.isfinite(abs(z)) for z in zs):
+    disks = list(zip(seeds, radii))
+
+    def isolated(c, r, i):
+        others = disks[:i] + disks[i + 1 :]
+        return all(abs(c - z) > INCLUSION_SLACK * (r + s) for z, s in others)
+
+    if not all(isolated(z, r, i) for i, (z, r) in enumerate(disks)):
         return None
-    return zs
+    real = not any(c.imag for c in coeffs)
+    if real:
+        coeffs, dcoeffs = [c.real for c in coeffs], [c.real for c in dcoeffs]
+    out = []
+    for i, (z, r) in enumerate(disks):
+        if real and z.imag < -r:
+            continue
+        if real and abs(z.imag) <= r:
+            z, r = z.real, r + abs(z.imag)
+            if not isolated(z, r, i):
+                return None
+        u = _refine(coeffs, dcoeffs, mp.mpmathify(z), z, r, workprec)
+        if u is None:
+            return None
+        out.append(mp.mpc(u))
+        if real and z.imag > 0:
+            out.append(u.conjugate())
+    return out
 
 
 def _aberth(coeffs, workprec):
-    """Simultaneous iteration on a polynomial with nonzero constant term.
+    """All zeros of a polynomial with nonzero constant term; (positions, converged).
 
     ``coeffs`` is an ascending mpc list of degree n >= 1 with
-    coeffs[0] != 0 and coeffs[-1] != 0.  Returns (positions, converged).
-    The working-precision sweep starts from the double rung's positions
-    when it delivers them and from the root-bound circle otherwise; the
-    whole schedule is deterministic.
+    coeffs[0] != 0 and coeffs[-1] != 0.  The double seeds go to the Newton
+    ladder; failing that, the working-precision sweep starts from them
+    (from the circle if there are none), then guarded Newton polishing.
     """
     n = len(coeffs) - 1
     if n == 1:
         return [-coeffs[0] / coeffs[1]], True
     dcoeffs = [k * coeffs[k] for k in range(1, n + 1)]
-    zs = _circle_start(coeffs)
-    seeds = _double_seeds(coeffs, dcoeffs, zs)
-    if seeds is not None:
+    seeds = _double_seeds(coeffs, dcoeffs)
+    if seeds is None:
+        zs = _circle_start(coeffs, mp)
+    else:
+        located = _newton_ladder(coeffs, dcoeffs, seeds, workprec)
+        if located is not None:
+            return located, True
         zs = [mp.mpc(z) for z in seeds]
-    converged = _sweep(coeffs, dcoeffs, zs, mp.mpf(2) ** (-workprec), MAX_SWEEPS)
+    converged = _sweep(coeffs, dcoeffs, zs, mp.mpf(2) ** (-workprec))
     for k in range(n):
         z = zs[k]
         fz = _horner(coeffs, z)
@@ -282,7 +377,9 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
     Returns
     -------
     RootSet with sum of multiplicities equal to deg f and, per root,
-    the relative residual |f(r)| / (||f||_inf * max(1,|r|)^deg).
+    the relative residual |f(r)| / (||f||_inf * max(1,|r|)^deg).  Roots
+    from the Newton ladder are certified within 2^-precision_bits (1 + |r|)
+    of a zero; for real f its real roots have imaginary part exactly 0.
     Multiplicities of exact (rational) input are exact: each square-free
     factor is solved on its own.  Floating input gets them from the
     cluster merge.  Roots are listed by real part (a zero root first);

@@ -9,10 +9,13 @@ from zerodyn import roots
 from zerodyn import (
     DegreeZero,
     Poly,
+    PowerSeries,
     all_real_simple,
     count_nonreal,
     derivative,
+    extend,
     find_roots,
+    iterate_operator,
     roots_in_disk,
 )
 from conftest import make_rng, random_poly
@@ -132,16 +135,16 @@ class TestFindRoots:
             find_roots(P(7))
 
 
-def _record_seeds(monkeypatch):
-    """Record what the double rung returns on each solve."""
+def _record(monkeypatch, name):
+    """Record what the internal step ``roots.<name>`` returns on each call."""
     seen = []
-    real = roots._double_seeds
+    real = getattr(roots, name)
 
     def recording(*args):
         seen.append(real(*args))
         return seen[-1]
 
-    monkeypatch.setattr(roots, "_double_seeds", recording)
+    monkeypatch.setattr(roots, name, recording)
     return seen
 
 
@@ -153,10 +156,35 @@ def _same_roots(a, b, tol):
             assert d < tol * (1 + abs(r.location))
 
 
+def _agrees_with_polyroots(rs, f, bits):
+    """Each root of rational f within 2^(11 - bits) (1 + |r|) of mpmath's
+    roots at twice the precision."""
+    with mp.workprec(2 * bits):
+        ref = mp.polyroots(
+            [mp.mpf(c.numerator) / c.denominator for c in reversed(f.coeffs)],
+            maxsteps=400,
+            extraprec=2 * bits,
+        )
+        assert len(ref) == rs.total_multiplicity()
+        for r in rs.roots:
+            d_min = min(abs(r.location - z) for z in ref)
+            assert d_min < mp.ldexp(1 + abs(r.location), 11 - bits)
+
+
+def _from_roots(zs):
+    """Ascending coefficients of the monic polynomial with zeros zs."""
+    coeffs = [1]
+    for z in zs:
+        coeffs = [0] + coeffs
+        for k in range(len(coeffs) - 1):
+            coeffs[k] -= z * coeffs[k + 1]
+    return coeffs
+
+
 class TestPrecisionLadder:
     def test_out_of_double_range_takes_circle_start(self, monkeypatch):
         f = P(3, -1, 4, -1, 5, 9)
-        seen = _record_seeds(monkeypatch)
+        seen = _record(monkeypatch, "_double_seeds")
         base = find_roots(f)
         assert seen[-1] is not None
         for scale in (F(10) ** 400, F(1, 10**400)):
@@ -164,13 +192,26 @@ class TestPrecisionLadder:
             assert seen[-1] is None
             _same_roots(rs, base, 1e-70)
 
-    def test_stalled_double_rung_takes_circle_start(self, monkeypatch):
+    def test_stalled_double_rung_seeds_working_rung(self, monkeypatch):
         f = P(3, -1, 4, -1, 5, 9)
         base = find_roots(f)
-        seen = _record_seeds(monkeypatch)
-        monkeypatch.setattr(roots, "DOUBLE_SWEEPS", 1)
+        seen = _record(monkeypatch, "_double_seeds")
+        starts = []
+        real = roots._sweep
+
+        def stalling(coeffs, dcoeffs, zs, eps, stall_stop=False):
+            if stall_stop:  # the double rung gives up after one sweep
+                with monkeypatch.context() as m:
+                    m.setattr(roots, "MAX_SWEEPS", 1)
+                    return real(coeffs, dcoeffs, zs, eps, stall_stop)
+            starts.append(list(zs))
+            return real(coeffs, dcoeffs, zs, eps, stall_stop)
+
+        monkeypatch.setattr(roots, "_sweep", stalling)
         _same_roots(find_roots(f), base, 1e-70)
-        assert seen == [None]
+        # the working rung starts from the positions reached, not the circle
+        assert seen[-1] is not None
+        assert starts == [[mp.mpc(z) for z in seen[-1]]]
 
     def test_certificate_inconclusive_takes_yun(self, monkeypatch):
         p = roots.SQUAREFREE_PRIME
@@ -220,22 +261,125 @@ class TestPrecisionLadder:
         for f in (P(1, 1) ** 12, P(F(1, 3), 1) ** 9 * P(-2, 1), random_poly(rng, 9)):
             find_roots(f)
 
-    def test_agrees_with_mpmath_polyroots(self):
+    def test_agrees_with_mpmath_polyroots(self, monkeypatch):
+        ladder = _record(monkeypatch, "_newton_ladder")
         rng = make_rng(31)
         for d in (2, 5, 9, 14, 20, 30):
             f = random_poly(rng, d)
             rs = find_roots(f, 128)
             assert all(r.multiplicity == 1 for r in rs.roots)
-            with mp.workdps(2 * 39):
-                ref = mp.polyroots(
-                    [mp.mpf(c.numerator) / c.denominator for c in reversed(f.coeffs)],
-                    maxsteps=400,
-                    extraprec=2 * 128,
-                )
-                for r in rs.roots:
-                    d_min = min(abs(r.location - z) for z in ref)
-                    assert d_min < 1e-35 * (1 + abs(r.location))
-            assert len(rs.roots) == len(ref)
+            _agrees_with_polyroots(rs, f, 128)
+        assert None not in ladder
+
+    @pytest.mark.slow
+    def test_iterate_past_the_old_sweep_budget(self, monkeypatch):
+        # the tenth iterate of 1 + x/2 + 5x^2/8 at d = 48: the double rung
+        # needs more than 100 sweeps, and its positions still seed the ladder
+        phi = extend(PowerSeries([1, F(1, 2), F(5, 8)]), 48)
+        f = iterate_operator(phi, random_poly(make_rng(1), 48), 10)
+        seeds = _record(monkeypatch, "_double_seeds")
+        ladder = _record(monkeypatch, "_newton_ladder")
+        rs = find_roots(f, 256)
+        assert seeds[0] is not None and ladder[0] is not None
+        _agrees_with_polyroots(rs, f, 256)
+
+
+class TestNewtonLadder:
+    @pytest.mark.parametrize(
+        "bits, degrees", [(256, (3, 11, 19, 30)), (512, (4, 13, 24))]
+    )
+    def test_agrees_with_mpmath_polyroots(self, monkeypatch, bits, degrees):
+        ladder = _record(monkeypatch, "_newton_ladder")
+        rng = make_rng(bits)
+        for d in degrees:
+            f = random_poly(rng, d)
+            rs = find_roots(f, bits)
+            assert [r.multiplicity for r in rs.roots] == [1] * d
+            _agrees_with_polyroots(rs, f, bits)
+        assert None not in ladder
+
+    def test_real_roots_and_conjugate_pairs_are_exact(self, monkeypatch):
+        ladder = _record(monkeypatch, "_newton_ladder")
+        rng = make_rng(11)
+        for _ in range(20):
+            f = random_poly(rng, rng.randint(2, 16))
+            real_count = count_nonreal(f).real_count
+            for g in (f, f.to_floating(256)):
+                locs = find_roots(g).locations()
+                assert sum(z.imag == 0 for z in locs) == real_count
+                for k, z in enumerate(locs):
+                    if z.imag > 0:  # the lower member precedes, exactly conj(z)
+                        w = locs[k - 1]
+                        assert w.real == z.real and w.imag + z.imag == 0
+        assert len(ladder) > 0 and None not in ladder
+
+    def test_overlapping_disks_take_the_sweep(self, monkeypatch):
+        # 1 and 1 + 2^-60 are one double, so their disks overlap; the input
+        # is square-free and reaches _aberth whole
+        f = P(-1, 1) * P(-1 - F(1, 2**60), 1) * P(2, 0, 1)
+        ladder = _record(monkeypatch, "_newton_ladder")
+        rs = find_roots(f, 128)
+        assert ladder == [None]
+        with mp.workprec(320):
+            expected = [
+                mp.mpc(0, -mp.sqrt(2)),
+                mp.mpc(0, mp.sqrt(2)),
+                mp.mpf(1),
+                1 + mp.ldexp(1, -60),
+            ]
+            for r, z in zip(rs.roots, expected, strict=True):
+                assert r.multiplicity == 1
+                assert abs(r.location - z) < 1e-50
+
+    def test_complex_coefficients_take_the_mpc_branch(self, monkeypatch):
+        zeros = [mp.mpc(1, 2), mp.mpc(0, -0.5), mp.mpc(3), mp.mpc(-2, 0.25)]
+        f = Poly(_from_roots(zeros), 256)
+        assert not f.is_real()
+        ladder = _record(monkeypatch, "_newton_ladder")
+        rs = find_roots(f, 256)
+        assert len(ladder) == 1 and ladder[0] is not None
+        for z in zeros:
+            assert _locate(rs, z, 1e-140).multiplicity == 1
+
+    def test_seeds_sharing_a_zero_are_not_isolated(self):
+        # two seeds at the zero 1 and none at 2: each would refine to 1
+        with mp.workprec(256):
+            coeffs = [mp.mpc(c) for c in _from_roots([1, 2, 3j])]
+            dcoeffs = [k * coeffs[k] for k in range(1, 4)]
+            seeds = [1 + 1e-12, 1 - 1e-12, 3j]
+            assert roots._newton_ladder(coeffs, dcoeffs, seeds, 256) is None
+
+    def test_zero_outside_its_disk_takes_the_sweep(self, monkeypatch):
+        f = P(3, -1, 4, -1, 5, 9)
+        base = find_roots(f)
+        real = roots._inclusion_radii
+        # far below the seeds' error: every refined zero leaves its disk
+        monkeypatch.setattr(
+            roots, "_inclusion_radii", lambda c, zs: [r * 1e-30 for r in real(c, zs)]
+        )
+        ladder = _record(monkeypatch, "_newton_ladder")
+        _same_roots(find_roots(f), base, 1e-70)
+        assert ladder == [None]
+
+    def test_unmet_bound_takes_the_sweep(self, monkeypatch):
+        f = P(3, -1, 4, -1, 5, 9)
+        base = find_roots(f)
+        # the bound 2^(GUARD_BITS - 1 - workprec) now lies below the working
+        # precision's noise floor; the working precision itself is unchanged
+        monkeypatch.setattr(roots, "GUARD_BITS", -roots.GUARD_BITS)
+        ladder = _record(monkeypatch, "_newton_ladder")
+        _same_roots(find_roots(f), base, 1e-70)
+        assert ladder == [None]
+
+    def test_axis_disk_with_crowded_hull_is_not_certified(self):
+        # zeros 1 and 9/2 +- i/2; the seed 1 + i has radius 3, so its disk
+        # meets the axis and misses the other disks, but its symmetric hull
+        # D(1, 4) holds 9/2 - i/2: the zero in it is not proven real
+        with mp.workprec(256):
+            coeffs = [mp.mpc(c) for c in (-20.5, 29.5, -10, 1)]
+            dcoeffs = [k * coeffs[k] for k in range(1, 4)]
+            seeds = [1 + 1j, 4.5 + 0.5j, 4.5 - 0.5j]
+            assert roots._newton_ladder(coeffs, dcoeffs, seeds, 256) is None
 
 
 class TestCountNonreal:
