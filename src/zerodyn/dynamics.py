@@ -196,6 +196,7 @@ def convergence_experiment(
     if not ms or ms[0] < 1:
         raise ValueError("m_list must contain integers >= 1")
     limit = exp_dp_monomial(cls.beta, cls.p, d)
+    limit_floating = None  # converted once, when the first rescaling is floating
     samples = []
     g = f
     last = 0
@@ -204,7 +205,9 @@ def convergence_experiment(
             g = apply_operator(phi, g)
         last = m
         fm = rescale_iterate(cls, phi, f, m, precision_bits, _iterate=g)
-        err = (fm - limit).sup_norm()
+        if not fm.is_exact and limit_floating is None:
+            limit_floating = limit.to_floating(fm.precision)
+        err = (fm - (limit if fm.is_exact else limit_floating)).sup_norm()
         samples.append((m, err))
     slope = _fit_loglog_slope(samples)
     exact = all(e == 0 for _, e in samples)

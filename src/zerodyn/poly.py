@@ -2,15 +2,23 @@
 
 Polynomials are either exact (Fraction coefficients) or floating
 (mpmath values at a stated binary precision); exact values never degrade
-silently.  The only operation that can introduce irrational scalars is
-:func:`rescale_iterate`, which computes the iterate exactly first and
-converts once, coefficient by coefficient, at the end.
+silently, and floating arithmetic runs at the polynomial's own precision
+whatever the ambient mpmath precision.  The only operation that can
+introduce irrational scalars is :func:`rescale_iterate`, which computes
+the iterate exactly first and converts once, coefficient by coefficient,
+at the end.
+
+The exact operator layer (:func:`apply_operator`, :func:`translate`,
+``series.truncated_power``) runs on integer numerator vectors over one
+common denominator and builds each output ``Fraction`` once.
 """
 
 from __future__ import annotations
 
-import math
+from contextlib import nullcontext
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import mpmath as mp
 
@@ -23,6 +31,7 @@ from .errors import (
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     as_fraction,
+    common_denominator,
     exact_nth_root,
     is_exact,
     to_mp,
@@ -30,6 +39,11 @@ from .scalars import (
 from .series import OperatorClass, PowerSeries
 
 NEG_INF = float("-inf")
+
+
+def _working(precision):
+    """Run floating arithmetic at ``precision`` bits; exact (None) needs no context."""
+    return nullcontext() if precision is None else mp.workprec(precision)
 
 
 class Poly:
@@ -89,16 +103,20 @@ class Poly:
         """Max absolute Taylor coefficient: max_k |f^(k)(0)/k!| = max_k |c_k|."""
         if self.is_zero:
             return self._zero_scalar()
-        return max(abs(c) for c in self.coeffs)
+        with _working(self.precision):
+            return max(abs(c) for c in self.coeffs)
 
     def evaluate(self, x):
         """Horner evaluation; the scalar type follows the inputs."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        with _working(self.precision):
+            acc = 0 * x
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+            return acc
 
     def to_floating(self, precision_bits: int) -> "Poly":
+        if self.precision == precision_bits:
+            return self
         return Poly(self.coeffs, precision=precision_bits)
 
     def _coerce_pair(self, other: "Poly"):
@@ -112,13 +130,15 @@ class Poly:
             return NotImplemented
         a, b = self._coerce_pair(other)
         n = max(len(a.coeffs), len(b.coeffs))
-        return Poly(
-            (a.coefficient(k) + b.coefficient(k) for k in range(n)),
-            a.precision,
-        )
+        with _working(a.precision):
+            return Poly(
+                (a.coefficient(k) + b.coefficient(k) for k in range(n)),
+                a.precision,
+            )
 
     def __neg__(self):
-        return Poly((-c for c in self.coeffs), self.precision)
+        with _working(self.precision):
+            return Poly((-c for c in self.coeffs), self.precision)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -132,11 +152,12 @@ class Poly:
         if a.is_zero or b.is_zero:
             return Poly((), a.precision)
         out = [a._zero_scalar()] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, ca in enumerate(a.coeffs):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b.coeffs):
-                out[i + j] += ca * cb
+        with _working(a.precision):
+            for i, ca in enumerate(a.coeffs):
+                if ca == 0:
+                    continue
+                for j, cb in enumerate(b.coeffs):
+                    out[i + j] += ca * cb
         return Poly(out, a.precision)
 
     def __pow__(self, n: int):
@@ -158,7 +179,8 @@ class Poly:
             return Poly((a * c for a in self.coeffs), None)
         prec = self.precision or DEFAULT_PRECISION_BITS
         cc = to_mp(c, prec)
-        return Poly((to_mp(a, prec) * cc for a in self.coeffs), prec)
+        with mp.workprec(prec):
+            return Poly((to_mp(a, prec) * cc for a in self.coeffs), prec)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -209,11 +231,18 @@ def monomial(d: int) -> Poly:
 
 
 def derivative(f: Poly) -> Poly:
-    return Poly((k * c for k, c in enumerate(f.coeffs) if k > 0), f.precision)
+    with _working(f.precision):
+        return Poly((k * c for k, c in enumerate(f.coeffs) if k > 0), f.precision)
 
 
 def apply_operator(phi: PowerSeries, f: Poly) -> Poly:
-    """phi(D)f = sum_n alpha_n f^(n); the sum stops at n = deg f."""
+    """phi(D)f = sum_n alpha_n f^(n); the sum stops at n = deg f.
+
+    Coefficient j is sum_n alpha_n (j+n)!/j! c_(j+n).  Exact input runs
+    on integers: with alpha_n = A_n/L_a and k! c_k = C_k/L_c it is
+    (sum_n A_n C_(j+n)) / (j! L_a L_c).  Floating input (either side)
+    runs the same sums at the larger precision.
+    """
     if f.is_zero:
         return f
     d = int(f.degree)
@@ -222,17 +251,21 @@ def apply_operator(phi: PowerSeries, f: Poly) -> Poly:
             f"operator series truncated at {phi.truncation_order}, "
             f"polynomial degree is {d}"
         )
-    prec = None
-    if not (phi.is_exact and f.is_exact):
-        prec = max(phi.precision or 0, f.precision or 0) or DEFAULT_PRECISION_BITS
-    acc = f.scale(phi.taylor(0)) if prec is None else f.to_floating(prec).scale(phi.taylor(0))
-    der = f
-    for n in range(1, d + 1):
-        der = derivative(der)
-        a = phi.taylor(n)
-        if a != 0:
-            acc = acc + der.scale(a)
-    return acc
+    fact = list(accumulate(range(1, d + 1), mul, initial=1))
+    alpha = list(phi.coeffs[: d + 1])
+    while alpha[-1] == 0 and len(alpha) > 1:
+        alpha.pop()  # a zero tail adds nothing to any sum
+    if phi.is_exact and f.is_exact:
+        a, den_a = common_denominator(alpha)
+        c, den_c = common_denominator(f.coeffs)
+        c = list(map(mul, fact, c))
+        den = den_a * den_c
+        return Poly(Fraction(sum(map(mul, a, c[j:])), fact[j] * den) for j in range(d + 1))
+    prec = max(phi.precision or 0, f.precision or 0)
+    with mp.workprec(prec):
+        a = [to_mp(x, prec) for x in alpha]
+        c = [to_mp(x, prec) * k for k, x in zip(fact, f.coeffs)]
+        return Poly((sum(map(mul, a, c[j:])) / fact[j] for j in range(d + 1)), prec)
 
 
 def iterate_operator(phi: PowerSeries, f: Poly, m: int) -> Poly:
@@ -257,32 +290,44 @@ def dilate(f: Poly, c) -> Poly:
         prec = f.precision or DEFAULT_PRECISION_BITS
         c = to_mp(c, prec)
         f = f.to_floating(prec)
-    out = []
-    power = c**0
-    for a in f.coeffs:
-        out.append(a * power)
-        power = power * c
-    return Poly(out, prec)
+    with _working(prec):
+        out = []
+        power = c**0
+        for a in f.coeffs:
+            out.append(a * power)
+            power = power * c
+        return Poly(out, prec)
 
 
 def translate(f: Poly, c) -> Poly:
-    """(T^c f)(x) = f(x+c) by repeated synthetic division (Taylor shift)."""
+    """(T^c f)(x) = f(x+c) by repeated synthetic division (Taylor shift).
+
+    For exact f = (1/L) sum F_k x^k and c = P/Q the shift runs on
+    integers: g(y) = Q^n L f(y/Q) = sum F_k Q^(n-k) y^k is shifted by P,
+    and coefficient k of g(y+P) is divided by Q^(n-k) L.
+    """
     if f.is_zero or c == 0:
         return f
-    exact = f.is_exact and is_exact(c)
-    if exact:
+    if f.is_exact and is_exact(c):
         c = as_fraction(c)
-        prec = None
-    else:
-        prec = f.precision or DEFAULT_PRECISION_BITS
-        c = to_mp(c, prec)
-        f = f.to_floating(prec)
-    b = list(f.coeffs)
+        b, den = common_denominator(f.coeffs)
+        q_pow = list(accumulate([c.denominator] * (len(b) - 1), mul, initial=1))[::-1]
+        b = list(map(mul, b, q_pow))
+        _taylor_shift(b, c.numerator)
+        return Poly(Fraction(x, den * qk) for x, qk in zip(b, q_pow))
+    prec = f.precision or DEFAULT_PRECISION_BITS
+    with mp.workprec(prec):
+        b = list(f.to_floating(prec).coeffs)
+        _taylor_shift(b, to_mp(c, prec))
+        return Poly(b, prec)
+
+
+def _taylor_shift(b, c):
+    """Replace the coefficient list b of g(x) by that of g(x+c), in place."""
     n = len(b)
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
-            b[j] = b[j] + c * b[j + 1]
-    return Poly(b, prec)
+            b[j] += c * b[j + 1]
 
 
 def rescale_iterate(
@@ -338,6 +383,9 @@ def rescale_iterate(
             )
     with mp.workprec(precision_bits):
         scale = to_mp(m, precision_bits) ** (mp.mpf(1) / p)
-        gf = g.to_floating(precision_bits)
-        out = dilate(gf, scale)
-        return out.scale(scale ** (-d))
+        tail = scale ** (-d)
+        out, power = [], mp.mpf(1)
+        for c in g.coeffs:
+            out.append(to_mp(c, precision_bits) * power * tail)
+            power *= scale
+        return Poly(out, precision_bits)

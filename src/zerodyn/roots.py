@@ -36,7 +36,7 @@ import mpmath as mp
 
 from .errors import DegreeZero, NoConvergence
 from .poly import Poly
-from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_REAL_TOL, to_mp
+from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_REAL_TOL, common_denominator, to_mp
 
 EXACT_DEGREE_LIMIT = 64
 GUARD_BITS = 64
@@ -342,13 +342,26 @@ def _merge_clusters(zs, precision_bits):
     return [(sum(members) / len(members), len(members)) for members in groups.values()]
 
 
+def _conjugates_adjacent(zs):
+    """True if each nonreal z is followed by exactly conj(z) and lies below it."""
+    it = iter(zs)
+    for z in it:
+        if z.imag != 0 and not (z.imag < 0 and next(it, None) == z.conjugate()):
+            return False
+    return True
+
+
 def _pair_conjugates(located):
     """Sorted (location, multiplicity) pairs, each conjugate pair adjacent.
 
     Sorting alone lists either member of a pair first: their real parts
     differ by noise.  z's partner is the root nearest conj(z) if nearer
     than z, which a real root never finds; the lower member goes first.
+    Ladder output, whose pairs are exact conjugates, usually has this
+    order already and is returned as it is, without the quadratic search.
     """
+    if _conjugates_adjacent([t[0] for t in located]):
+        return located
     rest, out = list(located), []
     while rest:
         z = rest.pop(0)
@@ -459,8 +472,7 @@ def _primitive(c):
 
 def _integer_part(c):
     """Primitive integer polynomial that is a positive multiple of rational ``c``."""
-    den = math.lcm(*(x.denominator for x in c))
-    return _primitive([x.numerator * (den // x.denominator) for x in c])
+    return _primitive(common_denominator(c)[0])
 
 
 def _pseudo_rem(a, b):

@@ -8,14 +8,18 @@ stays in one place.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath import libmp
 
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_REAL_TOL = 1e-9
 
 EXACT_TYPES = (int, Fraction)
+
+_NEAREST = libmp.round_nearest
 
 
 def as_fraction(x) -> Fraction:
@@ -36,21 +40,36 @@ def is_exact(x) -> bool:
 def to_mp(x, precision_bits: int):
     """Convert any supported scalar to mpf/mpc at the given precision.
 
-    Exact values are rounded to nearest.
+    Every value (each part of a complex one) is rounded to nearest at
+    ``precision_bits``, whatever the ambient mpmath precision; a complex
+    value with zero imaginary part comes back as an mpf.
     """
-    with mp.workprec(precision_bits):
-        if isinstance(x, Fraction):
-            return mp.make_mpf(mp.libmp.from_rational(
-                x.numerator, x.denominator, precision_bits, mp.libmp.round_nearest
-            ))
-        if isinstance(x, int):
-            return mp.mpf(x)
-        if isinstance(x, (mp.mpf, float)):
-            return mp.mpf(x)
-        if isinstance(x, (mp.mpc, complex)):
-            z = mp.mpc(x)
-            return z.real if z.imag == 0 else z
-        return mp.mpmathify(x)
+    if isinstance(x, Fraction):
+        return mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, precision_bits, _NEAREST))
+    if isinstance(x, int):
+        return mp.make_mpf(libmp.from_int(x, precision_bits, _NEAREST))
+    if isinstance(x, mp.mpf):
+        return mp.make_mpf(libmp.mpf_pos(x._mpf_, precision_bits, _NEAREST))
+    if isinstance(x, float):
+        return mp.make_mpf(libmp.from_float(x, precision_bits, _NEAREST))
+    if isinstance(x, mp.mpc):
+        re, im = (libmp.mpf_pos(v, precision_bits, _NEAREST) for v in x._mpc_)
+    elif isinstance(x, complex):
+        re, im = (libmp.from_float(v, precision_bits, _NEAREST) for v in (x.real, x.imag))
+    else:
+        with mp.workprec(precision_bits):
+            return mp.mpmathify(x)
+    return mp.make_mpf(re) if im == libmp.fzero else mp.make_mpc((re, im))
+
+
+def common_denominator(values):
+    """(numerators, L) with values[k] == numerators[k] / L for exact ``values``.
+
+    L is the least common denominator (1 for no values), so the exact
+    kernels can run on integers and build each Fraction once, at the end.
+    """
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def int_nth_root(n: int, p: int) -> int:

@@ -20,9 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+
+import mpmath as mp
 
 from .errors import AllZeroSeries, TruncationTooShort, ZeroConstantTerm
-from .scalars import as_fraction, is_exact, to_mp
+from .scalars import as_fraction, common_denominator, is_exact, to_mp
 
 
 class PowerSeries:
@@ -152,33 +155,55 @@ def dilate_series(phi: PowerSeries, c, precision_bits: int | None = None) -> Pow
     return PowerSeries(coeffs, prec)
 
 
+def _cauchy(a, b, order):
+    """Coefficients 0..order of the product of two length order+1 lists."""
+    rb = b[::-1]
+    return [sum(map(mul, a[: n + 1], rb[order - n :])) for n in range(order + 1)]
+
+
 def truncated_product(phi: PowerSeries, psi: PowerSeries, order: int) -> PowerSeries:
-    """Cauchy product truncated at ``order``."""
+    """Cauchy product truncated at ``order``; exact factors multiply as integers."""
     if phi.truncation_order < order or psi.truncation_order < order:
         raise TruncationTooShort(
             f"need both factors to order {order}; have "
             f"{phi.truncation_order} and {psi.truncation_order}"
         )
-    a, b = phi.coeffs, psi.coeffs
-    out = []
-    for n in range(order + 1):
-        out.append(sum(a[i] * b[n - i] for i in range(n + 1)))
-    prec = None
-    if not (phi.is_exact and psi.is_exact):
-        prec = max(phi.precision or 0, psi.precision or 0)
-    return PowerSeries(out, prec)
+    a, b = phi.coeffs[: order + 1], psi.coeffs[: order + 1]
+    if phi.is_exact and psi.is_exact:
+        (a, den_a), (b, den_b) = common_denominator(a), common_denominator(b)
+        den = den_a * den_b
+        return PowerSeries(Fraction(x, den) for x in _cauchy(a, b, order))
+    prec = max(phi.precision or 0, psi.precision or 0)
+    with mp.workprec(prec):
+        return PowerSeries(_cauchy(a, b, order), prec)
 
 
 def truncated_power(phi: PowerSeries, m: int, order: int) -> PowerSeries:
-    """phi^m truncated at ``order`` (m >= 0); repeated Cauchy products."""
+    """phi^m truncated at ``order`` (m >= 0).
+
+    Exact phi = A/L is raised on integers by repeated squaring of Cauchy
+    products, over the one denominator L^m; floating phi multiplies m
+    times at its own precision.
+    """
     if m < 0:
         raise ValueError("negative power")
     if phi.truncation_order < order:
         raise TruncationTooShort(
             f"need order {order}, have {phi.truncation_order}"
         )
-    one = [Fraction(1)] + [Fraction(0)] * order
-    acc = PowerSeries(one, None if phi.is_exact else phi.precision)
+    one = [1] + [0] * order
+    if phi.is_exact:
+        base, den = common_denominator(phi.coeffs[: order + 1])
+        acc, k = one, m
+        while k:
+            if k & 1:
+                acc = _cauchy(acc, base, order)
+            k >>= 1
+            if k:
+                base = _cauchy(base, base, order)
+        den **= m
+        return PowerSeries(Fraction(x, den) for x in acc)
+    acc = PowerSeries(one, phi.precision)
     base = phi.truncated(order)
     for _ in range(m):
         acc = truncated_product(acc, base, order)

@@ -1,0 +1,342 @@
+"""Integer kernels of the exact operator layer against the Fraction formulas.
+
+The references below are the plain Fraction (or mpmath) formulas the
+kernels replaced: phi(D)f as a sum of repeated derivatives, the Taylor
+shift by synthetic division, and phi^m by repeated Cauchy products.
+"""
+
+from fractions import Fraction as F
+
+import mpmath as mp
+import pytest
+
+from zerodyn import (
+    Poly,
+    PowerSeries,
+    apply_operator,
+    dilate,
+    find_roots,
+    poly,
+    roots,
+    translate,
+    truncated_power,
+)
+from zerodyn.scalars import common_denominator, to_mp
+from conftest import make_rng, random_fraction, random_poly, random_series
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+MAX_DEGREE = 48
+
+
+def ref_apply(alpha, c):
+    """sum_n alpha_n f^(n), one derivative at a time."""
+    out = [alpha[0] * x for x in c]
+    der = list(c)
+    for n in range(1, len(c)):
+        der = [k * der[k] for k in range(1, len(der))]
+        for j, x in enumerate(der):
+            out[j] += alpha[n] * x
+    return out
+
+
+def ref_translate(c, shift):
+    b = list(c)
+    n = len(b)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            b[j] = b[j] + shift * b[j + 1]
+    return b
+
+
+def ref_power(alpha, m, order):
+    acc = [F(1)] + [F(0)] * order
+    for _ in range(m):
+        acc = [sum(acc[i] * alpha[n - i] for i in range(n + 1)) for n in range(order + 1)]
+    return acc
+
+
+def _trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _as_fraction(v):
+    sign, man, exp, _ = v._mpf_
+    return (-1) ** sign * F(man) * F(2) ** exp
+
+
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+coeff_lists = st.lists(fractions, min_size=1, max_size=MAX_DEGREE + 1).filter(
+    lambda c: c[-1] != 0
+)
+derandomized = hypothesis.settings(
+    max_examples=60, deadline=None, derandomize=True, database=None
+)
+
+
+class TestExactKernels:
+    @derandomized
+    @hypothesis.given(coeff_lists, st.lists(fractions, min_size=MAX_DEGREE + 1, max_size=MAX_DEGREE + 1))
+    def test_apply_operator_is_the_derivative_sum(self, c, alpha):
+        d = len(c) - 1
+        got = apply_operator(PowerSeries(alpha), Poly(c))
+        assert got.is_exact
+        assert list(got.coeffs) == _trim(ref_apply(alpha[: d + 1], c))
+
+    def test_apply_operator_sparse_and_dense_series(self):
+        rng = make_rng(7)
+        for d in (1, 2, 5, 16, 31, MAX_DEGREE):
+            f = random_poly(rng, d)
+            for phi in (random_series(rng, d), PowerSeries([1, F(1, 2), F(-3, 8)] + [0] * d)):
+                alpha = list(phi.coeffs[: d + 1])
+                assert list(apply_operator(phi, f).coeffs) == _trim(ref_apply(alpha, list(f.coeffs)))
+
+    def test_exact_apply_operator_never_differentiates(self, monkeypatch):
+        def forbidden(f):
+            raise AssertionError("derivative called on the exact path")
+
+        monkeypatch.setattr(poly, "derivative", forbidden)
+        rng = make_rng(3)
+        f = random_poly(rng, 20)
+        phi = random_series(rng, 20)
+        assert list(apply_operator(phi, f).coeffs) == _trim(
+            ref_apply(list(phi.coeffs), list(f.coeffs))
+        )
+
+    @derandomized
+    @hypothesis.given(coeff_lists, fractions)
+    def test_translate_is_synthetic_division(self, c, shift):
+        got = translate(Poly(c), shift)
+        assert got.is_exact
+        assert list(got.coeffs) == _trim(ref_translate(c, shift))
+
+    @derandomized
+    @hypothesis.given(
+        st.lists(fractions, min_size=1, max_size=13),
+        st.integers(0, 12),
+        st.integers(0, 12),
+    )
+    def test_truncated_power_is_repeated_cauchy(self, alpha, m, order):
+        alpha = alpha + [F(0)] * (order + 1 - len(alpha))
+        got = truncated_power(PowerSeries(alpha), m, order)
+        assert got.is_exact
+        assert list(got.coeffs) == ref_power(alpha, m, order)
+
+    def test_truncated_power_at_benchmark_size(self):
+        rng = make_rng(11)
+        phi = random_series(rng, 30)
+        for m in (1, 2, 20, 49):
+            assert list(truncated_power(phi, m, 30).coeffs) == ref_power(list(phi.coeffs), m, 30)
+
+
+class TestSympyShift:
+    def test_translate_matches_sympy_shift(self):
+        sp = pytest.importorskip("sympy")
+        x = sp.Symbol("x")
+        rng = make_rng(5)
+        for d in (1, 3, 9, 24, MAX_DEGREE):
+            f = random_poly(rng, d)
+            c = random_fraction(rng, nonzero=True)
+            desc = [sp.Rational(a.numerator, a.denominator) for a in reversed(f.coeffs)]
+            shifted = sp.Poly(desc, x, domain="QQ").shift(sp.Rational(c.numerator, c.denominator))
+            want = [F(int(a.p), int(a.q)) for a in reversed(shifted.all_coeffs())]
+            assert list(translate(f, c).coeffs) == want
+
+
+class TestFloatingKernels:
+    """Floating input takes the same sums at the polynomial's precision."""
+
+    @derandomized
+    @hypothesis.given(coeff_lists, st.lists(fractions, min_size=MAX_DEGREE + 1, max_size=MAX_DEGREE + 1))
+    def test_apply_operator_floating(self, c, alpha):
+        d = len(c) - 1
+        want = ref_apply(alpha[: d + 1], c)
+        got = apply_operator(PowerSeries(alpha).to_floating(256), Poly(c, precision=256))
+        scale = max(1, *(abs(x) for x in want))
+        for k, w in enumerate(want):
+            assert abs(_as_fraction(got.coefficient(k)) - w) <= F(2) ** -230 * scale
+
+    @derandomized
+    @hypothesis.given(coeff_lists, fractions)
+    def test_translate_floating(self, c, shift):
+        want = ref_translate(c, shift)
+        got = translate(Poly(c, precision=256), shift)
+        scale = max(1, *(abs(x) for x in ref_translate([abs(x) for x in c], abs(shift))))
+        for k, w in enumerate(want):
+            assert abs(_as_fraction(got.coefficient(k)) - w) <= F(2) ** -230 * scale
+
+    @derandomized
+    @hypothesis.given(
+        st.lists(fractions, min_size=1, max_size=13),
+        st.integers(0, 12),
+        st.integers(0, 12),
+    )
+    def test_truncated_power_floating(self, alpha, m, order):
+        alpha = alpha + [F(0)] * (order + 1 - len(alpha))
+        want = ref_power(alpha, m, order)
+        got = truncated_power(PowerSeries(alpha).to_floating(256), m, order)
+        scale = max(1, *ref_power([abs(x) for x in alpha], m, order))
+        for w, g in zip(want, got.coeffs, strict=True):
+            assert abs(_as_fraction(g) - w) <= F(2) ** -230 * scale
+
+
+class TestOwnPrecision:
+    """Floating Poly operations run at Poly.precision, not mpmath's ambient one."""
+
+    PREC = 512
+    BOUND = F(2) ** -500
+
+    def _close(self, got, want):
+        assert got.precision == self.PREC
+        assert len(got.coeffs) == len(want)
+        scale = max(1, *(abs(w) for w in want))
+        for g, w in zip(got.coeffs, want):
+            assert abs(_as_fraction(g) - w) <= self.BOUND * scale
+
+    def _cases(self):
+        rng = make_rng(13)
+        f = Poly([F(1, 3), F(-2, 7), F(5, 11), F(1, 9), F(-4, 3), F(2, 5), F(1)])
+        g = Poly([F(-1, 7), F(3, 13), F(1, 3)])
+        phi = random_series(rng, 6)
+        fl, gl = f.to_floating(self.PREC), g.to_floating(self.PREC)
+        c = F(1, 3)
+        yield translate(fl, c), translate(f, c).coeffs
+        yield dilate(fl, c), dilate(f, c).coeffs
+        yield fl.scale(c), f.scale(c).coeffs
+        yield fl + gl, (f + g).coeffs
+        yield fl - gl, (f - g).coeffs
+        yield fl * gl, (f * g).coeffs
+        yield poly.derivative(fl), poly.derivative(f).coeffs
+        yield apply_operator(phi.to_floating(self.PREC), f), apply_operator(phi, f).coeffs
+        yield apply_operator(phi, fl), apply_operator(phi, f).coeffs
+        ev = fl.evaluate(to_mp(c, self.PREC))
+        assert abs(_as_fraction(ev) - f.evaluate(c)) <= self.BOUND
+        assert abs(_as_fraction((fl - gl).sup_norm()) - (f - g).sup_norm()) <= self.BOUND
+
+    def test_without_enclosing_context(self):
+        assert mp.mp.prec == 53
+        for got, want in self._cases():
+            self._close(got, want)
+
+    @pytest.mark.parametrize("ambient", [64, 512, 2048])
+    def test_inside_an_enclosing_context(self, ambient):
+        with mp.workprec(ambient):
+            for got, want in self._cases():
+                self._close(got, want)
+
+
+class TestCommonDenominator:
+    def test_numerators_over_lcm(self):
+        nums, den = common_denominator([F(1, 6), F(-3, 4), F(0), F(5)])
+        assert den == 12
+        assert nums == [2, -9, 0, 60]
+        assert common_denominator([]) == ([], 1)
+
+    def test_integer_part_is_primitive(self):
+        assert roots._integer_part([F(2, 3), F(4, 9), F(-2)]) == [3, 2, -9]
+
+
+def _old_to_mp(x, precision_bits):
+    """The conversion to_mp made inside a per-scalar workprec context."""
+    with mp.workprec(precision_bits):
+        if isinstance(x, F):
+            return mp.make_mpf(mp.libmp.from_rational(
+                x.numerator, x.denominator, precision_bits, mp.libmp.round_nearest
+            ))
+        if isinstance(x, int):
+            return mp.mpf(x)
+        if isinstance(x, (mp.mpf, float)):
+            return mp.mpf(x)
+        if isinstance(x, (mp.mpc, complex)):
+            z = mp.mpc(x)
+            return z.real if z.imag == 0 else z
+        return mp.mpmathify(x)
+
+
+def _bits(v):
+    return (type(v), v._mpc_ if isinstance(v, mp.mpc) else v._mpf_)
+
+
+class TestToMpReference:
+    def _values(self):
+        inf, nan = float("inf"), float("nan")
+        with mp.workprec(30):
+            narrow = [mp.mpf(1) / 3, -mp.mpf(2) / 7, mp.mpf(10) ** 40 / 3]
+        with mp.workprec(1000):
+            wide = [mp.mpf(1) / 3, -mp.mpf(2) / 7, mp.pi, mp.mpf(2) ** -700 / 3]
+            wide_c = [mp.mpc(mp.mpf(1) / 3, mp.mpf(2) / 7), mp.mpc(mp.pi, 0)]
+        return [
+            F(1, 3), F(-1, 3), F(3**300 + 1, 7), F(5, 2**400 * 11), F(0), F(7, 1),
+            0, 1, -5, 2**1000 + 1, -(3**200), True,
+            *narrow, *wide,
+            mp.mpf(0), mp.inf, -mp.inf, mp.nan,
+            0.1, -0.0, 1e308, 5e-324, -2.5, inf, -inf, nan,
+            *wide_c, mp.mpc(1, 0), mp.mpc(0, -2), mp.mpc(1, mp.nan), mp.mpc(mp.inf, 1),
+            complex(0.1, -0.3), complex(1.5, 0), complex(nan, 0), complex(0, inf),
+            "0.1",
+        ]
+
+    @pytest.mark.parametrize("ambient", [10, 53, 300, 2000])
+    def test_bit_identical_to_workprec_conversion(self, ambient):
+        values = self._values()
+        with mp.workprec(ambient):
+            for prec in (24, 53, 64, 256, 512):
+                for x in values:
+                    assert _bits(to_mp(x, prec)) == _bits(_old_to_mp(x, prec)), (x, prec)
+
+
+def _pair_by_search(located):
+    """The quadratic nearest-conjugate search, for comparison."""
+    rest, out = list(located), []
+    while rest:
+        z = rest.pop(0)
+        zc = z[0].conjugate()
+        w = min(rest, key=lambda t: abs(t[0] - zc), default=None)
+        if w is not None and abs(w[0] - zc) < abs(z[0] - zc):
+            rest.remove(w)
+            out += sorted([z, w], key=lambda t: t[0].imag)
+        else:
+            out.append(z)
+    return out
+
+
+class TestPairConjugates:
+    def _located(self, rng, noisy):
+        out = []
+        for _ in range(rng.randint(1, 12)):
+            re = mp.mpf(rng.randint(-50, 50)) / 7
+            if rng.random() < 0.4:
+                out.append((mp.mpc(re, 0), rng.randint(1, 3)))
+            else:
+                im = mp.mpf(rng.randint(1, 50)) / 9
+                jitter = mp.mpf(rng.choice([-1, 1])) * 2**-200 if noisy else 0
+                m = rng.randint(1, 2)
+                out += [(mp.mpc(re, -im), m), (mp.mpc(re + jitter, im), m)]
+        out.sort(key=lambda t: (t[0].real, t[0].imag))
+        if rng.random() < 0.3:  # upper member first, or pairs split apart
+            i = rng.randrange(len(out))
+            out.insert(rng.randrange(len(out)), out.pop(i))
+        return out
+
+    def test_same_order_as_the_search(self):
+        rng = make_rng(17)
+        with mp.workprec(128):
+            for noisy in (False, True):
+                for _ in range(200):
+                    located = self._located(rng, noisy)
+                    assert roots._pair_conjugates(list(located)) == _pair_by_search(located)
+
+    def test_ladder_output_needs_no_search(self, monkeypatch):
+        seen = []
+        adjacent = roots._conjugates_adjacent
+        monkeypatch.setattr(
+            roots, "_conjugates_adjacent", lambda zs: seen.append(adjacent(zs)) or seen[-1]
+        )
+        rng = make_rng(19)
+        for d in (6, 10, 16):
+            find_roots(random_poly(rng, d), 128)
+        assert seen and all(seen)
