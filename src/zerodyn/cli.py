@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import construct as construct_mod
@@ -25,6 +24,7 @@ from .errors import (
     WitnessNotFound,
     ZerodynError,
 )
+from .records import Record
 from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_REAL_TOL, parse_fraction
 
 EXIT_OK = 0
@@ -32,8 +32,7 @@ EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     precision_bits: int
     real_tolerance: float
     m_max: int
@@ -214,7 +213,7 @@ def _emit(cfg: RunConfig, kind: str, payload, csv_text=None) -> None:
             raise ValueError(f"{kind} has no CSV schema; use --format json")
         text = csv_text
     else:
-        doc = {"tool": "zerodyn", "report": f"{kind} v1", "config": asdict(cfg)}
+        doc = {"tool": "zerodyn", "report": f"{kind} v1", "config": cfg._asdict()}
         doc.update(payload)
         text = formats.dump_json(doc)
     if cfg.output:

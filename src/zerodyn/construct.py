@@ -14,7 +14,6 @@ everything from scratch, independent of the search's own bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,6 +26,7 @@ from .errors import (
     WitnessNotFound,
 )
 from .poly import Poly, apply_operator, derivative, monomial
+from .records import Record
 from .roots import count_nonreal, find_roots, roots_in_disk
 from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_REAL_TOL, as_fraction, to_mp
 from .series import PowerSeries, factor_out_zero, truncated_power
@@ -35,8 +35,7 @@ DEFAULT_D_CAP = 40
 DEFAULT_MAX_HALVINGS = 60
 
 
-@dataclass
-class StagePlan:
+class StagePlan(Record, frozen=False):
     """Construction state: degrees, stage factors, target zeros and radii.
 
     targets[(m, k)] is the chosen upper-half-plane zero a(m,k) of the m-th
@@ -58,14 +57,13 @@ class StagePlan:
         return len(self.gammas)
 
 
-@dataclass
-class CounterexampleReport:
+class CounterexampleReport(Record, frozen=False):
     plan: StagePlan
     witnessed: dict  # (m, k) -> a zero of the m-th iterate inside disk (m,k)
     nonreal_totals: dict  # m -> nonreal-zero count of the m-th iterate
     product_coeffs: tuple
     derivative_identity_ok: bool
-    boundary_ties: list = field(default_factory=list)
+    boundary_ties: list = []
 
 
 def find_degree_witnesses(

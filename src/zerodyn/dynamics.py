@@ -17,8 +17,6 @@ the iterates themselves:
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -32,6 +30,7 @@ from .errors import (
 )
 from .limits import exp_dp_monomial
 from .poly import Poly, apply_operator, rescale_iterate
+from .records import Record
 from .roots import count_nonreal, find_roots
 from .scalars import (
     DEFAULT_PRECISION_BITS,
@@ -53,8 +52,7 @@ from .series import (
 DEFAULT_M_MAX = 200
 
 
-@dataclass(frozen=True)
-class OnsetReport:
+class OnsetReport(Record):
     mode: str  # "AllRealSimple" | "PersistentNonreal"
     m0: int | None  # None: not found within m_max
     m_max: int
@@ -65,8 +63,7 @@ class OnsetReport:
         return self.m0 is not None
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     p: int
     alpha: Fraction
     beta: Fraction
@@ -76,8 +73,7 @@ class ConvergenceReport:
     limit_poly: Poly
 
 
-@dataclass(frozen=True)
-class AttractorRecord:
+class AttractorRecord(Record):
     m: int
     max_scaled_star_distance: float
     containment_epsilon_needed: float
@@ -85,8 +81,7 @@ class AttractorRecord:
     all_simple: bool | None  # recorded only when d = 0 or 1 mod p
 
 
-@dataclass(frozen=True)
-class AttractorReport:
+class AttractorReport(Record):
     p: int
     alpha: Fraction
     beta: Fraction
@@ -234,6 +229,8 @@ def _fit_loglog_slope(samples):
         ys.append(math.log(ef))
     if len(xs) < 2 or len(set(xs)) < 2:
         return None
+    import statistics  # only converge fits a slope; kept off the import path
+
     return statistics.linear_regression(xs, ys).slope
 
 

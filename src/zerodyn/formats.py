@@ -17,7 +17,6 @@ per root for direct plotting, after a versioned comment line.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -366,6 +365,8 @@ def counterexample_payload(rep: CounterexampleReport):
 
 
 def _csv_text(kind: str, fieldnames, rows):
+    import csv  # only CSV output needs it; kept off the import path
+
     buf = io.StringIO()
     buf.write(f"{CSV_HEADER_PREFIX} {kind} 1\n")
     writer = csv.DictWriter(buf, fieldnames=fieldnames)

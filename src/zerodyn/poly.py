@@ -3,10 +3,11 @@
 Polynomials are either exact (Fraction coefficients) or floating
 (mpmath values at a stated binary precision); exact values never degrade
 silently, and floating arithmetic runs at the polynomial's own precision
-whatever the ambient mpmath precision.  The only operation that can
-introduce irrational scalars is :func:`rescale_iterate`, which computes
-the iterate exactly first and converts once, coefficient by coefficient,
-at the end.
+whatever the ambient mpmath precision; an exact polynomial meeting a
+floating scalar runs at the precision that scalar carries.  The only
+operation that can introduce irrational scalars is :func:`rescale_iterate`,
+which computes the iterate exactly first and converts once, coefficient
+by coefficient, at the end.
 
 The exact operator layer (:func:`apply_operator`, :func:`translate`,
 ``series.truncated_power``) runs on integer numerator vectors over one
@@ -31,6 +32,7 @@ from .errors import (
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     as_fraction,
+    carried_precision,
     common_denominator,
     exact_nth_root,
     is_exact,
@@ -108,7 +110,10 @@ class Poly:
 
     def evaluate(self, x):
         """Horner evaluation; the scalar type follows the inputs."""
-        with _working(self.precision):
+        prec = self.precision
+        if prec is None and not is_exact(x):
+            prec = carried_precision(x)
+        with _working(prec):
             acc = 0 * x
             for c in reversed(self.coeffs):
                 acc = acc * x + c
@@ -177,7 +182,7 @@ class Poly:
         if self.is_exact and is_exact(c):
             c = as_fraction(c)
             return Poly((a * c for a in self.coeffs), None)
-        prec = self.precision or DEFAULT_PRECISION_BITS
+        prec = self.precision or carried_precision(c)
         cc = to_mp(c, prec)
         with mp.workprec(prec):
             return Poly((to_mp(a, prec) * cc for a in self.coeffs), prec)
@@ -287,7 +292,7 @@ def dilate(f: Poly, c) -> Poly:
         c = as_fraction(c)
         prec = None
     else:
-        prec = f.precision or DEFAULT_PRECISION_BITS
+        prec = f.precision or carried_precision(c)
         c = to_mp(c, prec)
         f = f.to_floating(prec)
     with _working(prec):
@@ -315,7 +320,7 @@ def translate(f: Poly, c) -> Poly:
         b = list(map(mul, b, q_pow))
         _taylor_shift(b, c.numerator)
         return Poly(Fraction(x, den * qk) for x, qk in zip(b, q_pow))
-    prec = f.precision or DEFAULT_PRECISION_BITS
+    prec = f.precision or carried_precision(c)
     with mp.workprec(prec):
         b = list(f.to_floating(prec).coeffs)
         _taylor_shift(b, to_mp(c, prec))

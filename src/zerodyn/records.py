@@ -1,0 +1,67 @@
+"""Plain report records: fields from class annotations, no generated code.
+
+``class OnsetReport(Record):`` with annotated fields gives positional or
+keyword construction, field-wise equality between instances of the same
+class, ``Name(field=value, ...)`` repr and, unless ``frozen=False``,
+immutability and a hash of the field tuple.  A class attribute is the
+field's default; a list default is copied for every instance.
+"""
+
+
+class Record:
+    _fields: tuple = ()
+    _defaults: dict = {}
+    _frozen = True
+
+    def __init_subclass__(cls, frozen=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {n: getattr(cls, n) for n in cls._fields if hasattr(cls, n)}
+        cls._frozen = frozen
+        if not frozen:
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields or name in values:
+                raise TypeError(f"{type(self).__name__}: unknown or repeated field {name!r}")
+            values[name] = value
+        for name in fields:
+            if name not in values:
+                if name not in self._defaults:
+                    raise TypeError(f"{type(self).__name__}: missing field {name!r}")
+                default = self._defaults[name]
+                values[name] = list(default) if type(default) is list else default
+        self.__dict__.update(values)
+
+    def __setattr__(self, name, value):
+        if self._frozen:
+            raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if self._frozen:
+            raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+        object.__delattr__(self, name)
+
+    def _astuple(self):
+        return tuple(getattr(self, n) for n in self._fields)
+
+    def _asdict(self) -> dict:
+        return {n: getattr(self, n) for n in self._fields}
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({body})"

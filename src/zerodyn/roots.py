@@ -29,13 +29,13 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
 
 from .errors import DegreeZero, NoConvergence
 from .poly import Poly
+from .records import Record
 from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_REAL_TOL, common_denominator, to_mp
 
 EXACT_DEGREE_LIMIT = 64
@@ -58,15 +58,13 @@ def _work_precision(precision_bits: int) -> int:
     return max(2 * precision_bits, precision_bits + GUARD_BITS)
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(Record):
     location: object  # mpc
     multiplicity: int
     residual: float
 
 
-@dataclass
-class RootSet:
+class RootSet(Record, frozen=False):
     """All roots of one polynomial, with multiplicities and residuals.
 
     ``diagnostics`` collects soft events (disk-boundary ties) appended by
@@ -76,7 +74,7 @@ class RootSet:
     roots: tuple[Root, ...]
     source_degree: int
     precision_bits: int
-    diagnostics: list = field(default_factory=list)
+    diagnostics: list = []
 
     def total_multiplicity(self) -> int:
         return sum(r.multiplicity for r in self.roots)
@@ -85,8 +83,7 @@ class RootSet:
         return [r.location for r in self.roots]
 
 
-@dataclass(frozen=True)
-class ZeroCount:
+class ZeroCount(Record):
     total: int
     real_count: int
     nonreal_count: int
@@ -342,6 +339,26 @@ def _merge_clusters(zs, precision_bits):
     return [(sum(members) / len(members), len(members)) for members in groups.values()]
 
 
+def _sort_located(located, precision_bits):
+    """(location, multiplicity) pairs by real part, then imaginary part.
+
+    Real parts within 2^-precision_bits (1 + |z|) of their neighbour's
+    count as equal, so zeros on one vertical line (noise real parts)
+    are listed by imaginary part, not by the noise.
+    """
+    located = sorted(located, key=lambda t: t[0].real)
+    eps = mp.mpf(2) ** -precision_bits
+    out, line = [], []
+    for t in located:
+        if line:
+            z, prev = t[0], line[-1][0]
+            if abs(z.real - prev.real) > eps * (1 + max(abs(z), abs(prev))):
+                out += sorted(line, key=lambda u: u[0].imag)
+                line = []
+        line.append(t)
+    return out + sorted(line, key=lambda u: u[0].imag)
+
+
 def _conjugates_adjacent(zs):
     """True if each nonreal z is followed by exactly conj(z) and lies below it."""
     it = iter(zs)
@@ -395,8 +412,9 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
     of a zero; for real f its real roots have imaginary part exactly 0.
     Multiplicities of exact (rational) input are exact: each square-free
     factor is solved on its own.  Floating input gets them from the
-    cluster merge.  Roots are listed by real part (a zero root first);
-    for real f each conjugate pair is adjacent, lower half-plane first.
+    cluster merge.  Roots are listed by real part (a zero root first),
+    real parts within 2^-precision_bits (1 + |r|) by imaginary part; for
+    real f each conjugate pair is adjacent, lower half-plane first.
 
     Raises
     ------
@@ -425,7 +443,7 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
             body = [mp.mpc(c) for c in coeffs[nzero:]]
             positions, converged = _aberth(body, workprec) if len(body) > 1 else ([], True)
             located = _merge_clusters(positions, precision_bits)
-        located.sort(key=lambda t: (t[0].real, t[0].imag))
+        located = _sort_located(located, precision_bits)
         if f.is_real():
             located = _pair_conjugates(located)
         if nzero:

@@ -62,6 +62,18 @@ def to_mp(x, precision_bits: int):
     return mp.make_mpf(re) if im == libmp.fzero else mp.make_mpc((re, im))
 
 
+def carried_precision(x) -> int:
+    """Bits a floating scalar carries: its mantissa length (the larger over
+    the parts of an mpc), never below DEFAULT_PRECISION_BITS."""
+    if isinstance(x, mp.mpf):
+        parts = (x._mpf_,)
+    elif isinstance(x, mp.mpc):
+        parts = x._mpc_
+    else:
+        parts = ()
+    return max([DEFAULT_PRECISION_BITS, *(bc for _sign, _man, _exp, bc in parts)])
+
+
 def common_denominator(values):
     """(numerators, L) with values[k] == numerators[k] / L for exact ``values``.
 

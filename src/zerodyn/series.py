@@ -18,13 +18,13 @@ no dynamics), or the general form with invariants (p, alpha, beta)::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 import mpmath as mp
 
 from .errors import AllZeroSeries, TruncationTooShort, ZeroConstantTerm
+from .records import Record
 from .scalars import as_fraction, common_denominator, is_exact, to_mp
 
 
@@ -210,8 +210,7 @@ def truncated_power(phi: PowerSeries, m: int, order: int) -> PowerSeries:
     return acc
 
 
-@dataclass(frozen=True)
-class OperatorClass:
+class OperatorClass(Record):
     """Classification record; ``form`` selects which fields are meaningful.
 
     form == "ZeroConstant": mu (order of vanishing at 0).
@@ -285,8 +284,7 @@ def turan_expression(phi: PowerSeries):
     return phi.derivative_at_zero(2) * phi.constant - phi.derivative_at_zero(1) ** 2
 
 
-@dataclass(frozen=True)
-class LPObstructionResult:
+class LPObstructionResult(Record):
     """Outcome of the monomial-image test for Laguerre-Polya membership.
 
     ``nonreal_counts[i]`` is the nonreal-zero count of phi(D)M^d for

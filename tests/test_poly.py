@@ -1,5 +1,6 @@
 """Polynomial arithmetic, the operator action, and the affine transforms."""
 
+from contextlib import nullcontext
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -24,6 +25,7 @@ from zerodyn import (
     translate,
     truncated_power,
 )
+from zerodyn.scalars import DEFAULT_PRECISION_BITS, carried_precision
 from conftest import random_poly, random_series
 
 
@@ -249,3 +251,55 @@ class TestFloatingKind:
 
     def test_sup_norm(self):
         assert P(1, -7, 3).sup_norm() == 7
+
+
+def _exact(v):
+    """The value an mpf holds, as a Fraction."""
+    sign, man, exp, _ = v._mpf_
+    return (-1) ** sign * F(man) * F(2) ** exp
+
+
+class TestFloatingScalarOnExactPoly:
+    """An exact polynomial meeting an mpf runs at the bits the mpf carries."""
+
+    with mp.workprec(512):
+        X = mp.mpf(1) / 3
+    AMBIENT = [nullcontext, lambda: mp.workprec(64)]
+    BOUND = F(1, 2**500)
+
+    def test_carried_precision(self):
+        assert 500 < carried_precision(self.X) <= 512
+        assert carried_precision(mp.mpf(1) / 3) == DEFAULT_PRECISION_BITS
+        with mp.workprec(300):
+            lo = mp.mpf(1) / 7
+        with mp.workprec(512):
+            z, w = mp.mpc(lo, self.X), mp.mpc(self.X, 0)
+        assert carried_precision(z) == carried_precision(w) == carried_precision(self.X)
+        for x in (F(1, 3), 3, 0.5, 1j, mp.mpf(0)):
+            assert carried_precision(x) == DEFAULT_PRECISION_BITS
+
+    @pytest.mark.parametrize("ambient", AMBIENT, ids=["no-context", "workprec64"])
+    def test_translate(self, ambient):
+        x = _exact(self.X)
+        with ambient():
+            g = translate(P(1, 1), self.X)
+        assert g.precision == carried_precision(self.X)
+        assert abs(_exact(g.coeffs[0]) - (1 + x)) < self.BOUND
+        assert g.coeffs[1] == 1
+
+    @pytest.mark.parametrize("ambient", AMBIENT, ids=["no-context", "workprec64"])
+    def test_dilate_and_scale(self, ambient):
+        x = _exact(self.X)
+        with ambient():
+            g = dilate(P(1, 1, 1), self.X)
+            h = P(F(1, 3), 1).scale(self.X)
+        assert abs(_exact(g.coeffs[2]) - x * x) < self.BOUND
+        assert abs(_exact(h.coeffs[0]) - x / 3) < self.BOUND
+        assert g.precision == h.precision == carried_precision(self.X)
+
+    @pytest.mark.parametrize("ambient", AMBIENT, ids=["no-context", "workprec64"])
+    def test_evaluate(self, ambient):
+        x = _exact(self.X)
+        with ambient():
+            v = P(F(1, 3), 1).evaluate(self.X)
+        assert abs(_exact(v) - (F(1, 3) + x)) < self.BOUND

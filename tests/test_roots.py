@@ -13,6 +13,7 @@ from zerodyn import (
     all_real_simple,
     count_nonreal,
     derivative,
+    exp_dp_monomial,
     extend,
     find_roots,
     iterate_operator,
@@ -133,6 +134,25 @@ class TestFindRoots:
     def test_degree_zero_rejected(self):
         with pytest.raises(DegreeZero):
             find_roots(P(7))
+
+    def test_imaginary_axis_pairs_ordered_by_imaginary_part(self):
+        # exp(-D^4) x^20 has five conjugate pairs on the imaginary axis;
+        # their real parts are noise, so they must not decide the order.
+        rs = find_roots(exp_dp_monomial(F(-1), 4, 20), 256)
+        axis = [r.location for r in rs.roots if r.location.imag != 0]
+        assert len(axis) == 10
+        lower, upper = axis[0::2], axis[1::2]
+        assert all(u.real == z.real and u.imag + z.imag == 0 for z, u in zip(lower, upper))
+        heights = [abs(z.imag) for z in lower]
+        assert heights == sorted(heights, reverse=True) or heights == sorted(heights)
+
+    def test_noise_real_parts_do_not_decide_the_order(self):
+        eps = mp.mpf(2) ** -300
+        ims = [5, -1, 1, -5]
+        for noise in ([1, -1, 2, 0], [-2, 0, 1, 1], [0, 0, 0, 0]):
+            located = [(mp.mpc(n * eps, y), 1) for n, y in zip(noise, ims)]
+            ordered = roots._sort_located(located + [(mp.mpc(1, 0), 1)], 256)
+            assert [t[0].imag for t in ordered] == [-5, -1, 1, 5, 0]
 
 
 def _record(monkeypatch, name):

@@ -1,0 +1,176 @@
+"""Startup guard and report-record semantics.
+
+The CLI is a fresh process per job, so what ``import zerodyn.cli`` pulls
+in is paid on every run.  The first tests keep the modules that only some
+subcommands need (and the ``dataclasses`` machinery, which none needs)
+off that path; the rest pin down the ``Record`` behaviour that replaced
+``@dataclass`` on the report classes.
+"""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import mpmath as mp
+import pytest
+
+from zerodyn import Poly, PowerSeries
+from zerodyn.cli import RunConfig
+from zerodyn.construct import CounterexampleReport, StagePlan
+from zerodyn.dynamics import AttractorRecord, AttractorReport, ConvergenceReport, OnsetReport
+from zerodyn.records import Record
+from zerodyn.roots import Root, RootSet, ZeroCount
+from zerodyn.series import LPObstructionResult, OperatorClass
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+PACKAGE = os.path.join(SRC, "zerodyn")
+KEPT_OFF = ("dataclasses", "inspect", "statistics", "csv")
+
+
+def test_cli_import_leaves_out_unused_stdlib_modules():
+    probe = (
+        "import json, sys; before = set(sys.modules); import zerodyn.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    loaded = set(json.loads(out.stdout.splitlines()[-1]))
+    assert "zerodyn.cli" in loaded
+    assert loaded.isdisjoint(KEPT_OFF), sorted(loaded & set(KEPT_OFF))
+
+
+def test_package_source_does_not_mention_dataclass():
+    hits = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                hits += [f"{name}:{i}" for i, line in enumerate(fh, 1) if "dataclass" in line]
+    assert hits == []
+
+
+def _instances():
+    series = PowerSeries([1, 1, Fraction(1, 2)])
+    root = Root(mp.mpc(1, 2), 1, 1e-80)
+    record = AttractorRecord(1, 0.25, 0.5, True, None)
+    plan = StagePlan((3, 5), {(1, 1): mp.mpc(0, 1)}, {(1, 1): mp.mpf(0.5)}, (Fraction(1, 4),))
+    return [
+        RunConfig(256, 1e-9, 200, 40, "json", None),
+        plan,
+        CounterexampleReport(plan, {(1, 1): mp.mpc(0, 1)}, {1: 2}, (Fraction(1),), True),
+        OperatorClass("General", series, p=2, alpha=Fraction(1), beta=Fraction(-1, 2)),
+        LPObstructionResult(True, 3, 10, (0, 0, 2)),
+        OnsetReport("AllRealSimple", 3, 10, ((1, 2), (2, 0))),
+        ConvergenceReport(
+            2, Fraction(1), Fraction(-1, 2), ((1, 0.5),), -0.5, False, Poly([1, 0, 1])
+        ),
+        record,
+        AttractorReport(2, Fraction(1), Fraction(-1), mp.mpc(0, 1), 0.5, (record,)),
+        root,
+        RootSet((root,), 1, 256),
+        ZeroCount(4, 2, 2, "exact", True),
+    ]
+
+
+def test_every_report_class_is_a_record():
+    assert len({type(r) for r in _instances()}) == 12
+    assert all(isinstance(r, Record) for r in _instances())
+
+
+@pytest.mark.parametrize("rec", _instances(), ids=lambda r: type(r).__name__)
+def test_repr_matches_the_dataclass_form(rec):
+    cls = type(rec)
+    oracle = dataclasses.make_dataclass(cls.__name__, cls._fields)
+    assert repr(rec) == repr(oracle(*rec._astuple()))
+
+
+def test_fields_follow_annotation_order_with_defaults():
+    assert StagePlan._fields == (
+        "degrees", "targets", "radii", "gammas", "coefficient_bound_ok", "precision_bits",
+    )
+    plan = StagePlan((3,), {}, {})
+    assert (plan.gammas, plan.coefficient_bound_ok, plan.precision_bits) == ((), (), 256)
+    assert plan.stages_fixed == 0
+
+
+def test_frozen_assignment_raises():
+    rec = ZeroCount(4, 2, 2, "exact", True)
+    with pytest.raises(AttributeError):
+        rec.total = 5
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+    with pytest.raises(AttributeError):
+        del rec.total
+    assert rec.total == 4
+
+
+def test_mutable_records_allow_assignment():
+    plan = StagePlan((3,), {}, {})
+    plan.gammas = (Fraction(1, 2),)
+    assert plan.stages_fixed == 1
+
+
+def test_equality_requires_the_same_class():
+    a = AttractorRecord(1, 0.25, 0.5, True, None)
+    assert a == AttractorRecord(1, 0.25, 0.5, True, None)
+    assert a != AttractorRecord(2, 0.25, 0.5, True, None)
+    assert a != (1, 0.25, 0.5, True, None)
+
+    class Twin(Record):
+        m: int
+        max_scaled_star_distance: float
+        containment_epsilon_needed: float
+        contained: bool
+        all_simple: object
+
+    assert a != Twin(1, 0.25, 0.5, True, None)
+
+
+def test_frozen_records_hash_and_mutable_ones_do_not():
+    a = ZeroCount(4, 2, 2, "exact", True)
+    assert hash(a) == hash(ZeroCount(4, 2, 2, "exact", True))
+    assert hash(a) == hash((4, 2, 2, "exact", True))
+    assert len({a, ZeroCount(4, 2, 2, "exact", True)}) == 1
+    for rec in (StagePlan((3,), {}, {}), RootSet((), 1, 256)):
+        with pytest.raises(TypeError):
+            hash(rec)
+
+
+def test_list_defaults_are_not_shared():
+    a, b = RootSet((), 1, 256), RootSet((), 1, 256)
+    a.diagnostics.append("tie")
+    assert b.diagnostics == [] and RootSet.diagnostics == []
+    plan = StagePlan((3,), {}, {})
+    r1 = CounterexampleReport(plan, {}, {}, (), True)
+    r2 = CounterexampleReport(plan, {}, {}, (), True)
+    assert r1.boundary_ties is not r2.boundary_ties
+
+
+def test_positional_keyword_and_missing_fields():
+    pos = Root(mp.mpc(1), 2, 0.0)
+    kw = Root(residual=0.0, location=mp.mpc(1), multiplicity=2)
+    assert pos == kw and repr(pos) == repr(kw)
+    assert Root(mp.mpc(1), 2, residual=0.0) == pos
+    with pytest.raises(TypeError):
+        Root(mp.mpc(1), 2)
+    with pytest.raises(TypeError):
+        Root(mp.mpc(1), 2, 0.0, 1)
+    with pytest.raises(TypeError):
+        Root(mp.mpc(1), 2, 0.0, colour="red")
+    with pytest.raises(TypeError):
+        Root(mp.mpc(1), 2, 0.0, multiplicity=3)
+
+
+def test_run_config_dump_keeps_field_order():
+    cfg = RunConfig(256, 1e-9, 200, 40, "json", None)
+    assert cfg._asdict() == dataclasses.asdict(
+        dataclasses.make_dataclass("RunConfig", RunConfig._fields)(*cfg._astuple())
+    )
+    assert list(cfg._asdict()) == [
+        "precision_bits", "real_tolerance", "m_max", "d_cap", "out_format", "output",
+    ]
