@@ -55,7 +55,10 @@ def _env_default(name, cast, fallback):
     raw = os.environ.get(name)
     if raw is None:
         return fallback
-    return cast(raw)
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValueError(f"{name}={raw!r} is not a valid {cast.__name__}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,7 +373,11 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()  # reads the ZERODYN_* defaults
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -17,8 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-import mpmath as mp
-
 from .errors import (
     GammaSearchExhausted,
     NoNonrealZero,
@@ -28,7 +26,7 @@ from .errors import (
 from .poly import Poly, apply_operator, derivative, monomial
 from .records import Record
 from .roots import count_nonreal, find_roots, roots_in_disk
-from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_REAL_TOL, as_fraction, to_mp
+from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_REAL_TOL, as_fraction, mp, to_mp
 from .series import PowerSeries, factor_out_zero, truncated_power
 
 DEFAULT_D_CAP = 40

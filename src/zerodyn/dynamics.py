@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath as mp
-
 from .errors import (
     NonMonicInput,
     NotGeneralForm,
@@ -37,6 +35,7 @@ from .scalars import (
     DEFAULT_REAL_TOL,
     exact_nth_root,
     is_exact,
+    mp,
     to_mp,
 )
 from .series import (

@@ -23,14 +23,12 @@ import math
 import re
 from fractions import Fraction
 
-import mpmath as mp
-
 from .construct import CounterexampleReport, StagePlan
 from .dynamics import AttractorReport, ConvergenceReport, OnsetReport
 from .limits import ml_partial
 from .poly import Poly
 from .roots import RootSet
-from .scalars import fraction_str, parse_fraction
+from .scalars import fraction_str, mp, parse_fraction
 from .series import LPObstructionResult, OperatorClass, PowerSeries
 
 SERIES_HEADER = "# zerodyn series 1"

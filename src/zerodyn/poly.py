@@ -21,8 +21,6 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-import mpmath as mp
-
 from .errors import (
     NonMonicInput,
     NotGeneralForm,
@@ -36,6 +34,7 @@ from .scalars import (
     common_denominator,
     exact_nth_root,
     is_exact,
+    mp,
     to_mp,
 )
 from .series import OperatorClass, PowerSeries

@@ -7,10 +7,12 @@ Two routes, deliberately independent:
   disjoint each holds one zero, refined from its seed by Newton at
   rising precision and certified in its disk (real zeros of real input
   in mpf, their nonreal zeros as exact conjugate pairs).  Otherwise the
-  sweep reruns at the working precision with Newton polishing.  Rational
-  input is first split into square-free factors, so every root comes
-  with its exact multiplicity; floating input gets multiplicities from
-  cluster merging;
+  sweep reruns at the working precision with Newton polishing; for
+  rational input its positions must then pass a Newton-disk check against
+  the exact coefficients, or the factor is solved again at doubled
+  precision.  Rational input is first split into square-free factors, so
+  every root comes with its exact multiplicity; floating input gets
+  multiplicities from cluster merging;
 * an exact route for rational coefficients: the integer primitive
   remainder sequence (PRS) of F and F' is a Sturm chain ending in
   gcd(F, F'); a square-free F is answered from that one chain, repeated
@@ -31,16 +33,21 @@ import math
 import warnings
 from fractions import Fraction
 
-import mpmath as mp
-
 from .errors import DegreeZero, NoConvergence
 from .poly import Poly
 from .records import Record
-from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_REAL_TOL, common_denominator, to_mp
+from .scalars import (
+    DEFAULT_PRECISION_BITS,
+    DEFAULT_REAL_TOL,
+    common_denominator,
+    mp,
+    to_mp,
+)
 
 EXACT_DEGREE_LIMIT = 64
 GUARD_BITS = 64
 MAX_SWEEPS = 400
+MAX_PRECISION_DOUBLINGS = 3  # re-solves of an uncertified exact factor
 NEWTON_POLISH_STEPS = 2
 SQUAREFREE_PRIME = 2**61 - 1
 DOUBLE_EPS = 2.0**-53
@@ -274,16 +281,18 @@ def _newton_ladder(coeffs, dcoeffs, seeds, workprec):
 
 
 def _aberth(coeffs, workprec):
-    """All zeros of a polynomial with nonzero constant term; (positions, converged).
+    """All zeros of a polynomial with nonzero constant term;
+    (positions, converged, certified).
 
     ``coeffs`` is an ascending mpc list of degree n >= 1 with
     coeffs[0] != 0 and coeffs[-1] != 0.  The double seeds go to the Newton
-    ladder; failing that, the working-precision sweep starts from them
-    (from the circle if there are none), then guarded Newton polishing.
+    ladder, which certifies its positions; failing that, the
+    working-precision sweep starts from them (from the circle if there
+    are none), then guarded Newton polishing, and nothing is certified.
     """
     n = len(coeffs) - 1
     if n == 1:
-        return [-coeffs[0] / coeffs[1]], True
+        return [-coeffs[0] / coeffs[1]], True, True
     dcoeffs = [k * coeffs[k] for k in range(1, n + 1)]
     seeds = _double_seeds(coeffs, dcoeffs)
     if seeds is None:
@@ -291,7 +300,7 @@ def _aberth(coeffs, workprec):
     else:
         located = _newton_ladder(coeffs, dcoeffs, seeds, workprec)
         if located is not None:
-            return located, True
+            return located, True, True
         zs = [mp.mpc(z) for z in seeds]
     converged = _sweep(coeffs, dcoeffs, zs, mp.mpf(2) ** (-workprec))
     for k in range(n):
@@ -309,7 +318,64 @@ def _aberth(coeffs, workprec):
             else:
                 break
         zs[k] = z
-    return zs, converged
+    return zs, converged, False
+
+
+def _newton_disks_hold(factor, zs, precision_bits, evalprec):
+    """True if each z_i lies within 2^-precision_bits (1 + |z_i|) of its own
+    zero of the rational polynomial ``factor``, of degree n = len(zs).
+
+    The disk D(z, n |f(z) / f'(z)|) holds a zero of f, and n pairwise
+    disjoint such disks hold one each.  f and f' are evaluated at
+    ``evalprec`` bits; their rounding noise, bounded as in ``_sweep``,
+    widens each radius.
+    """
+    n = len(factor) - 1
+    with mp.workprec(evalprec):
+        noise = mp.ldexp(4 * n + 4, -evalprec)
+        coeffs = [mp.mpf(c) for c in common_denominator(factor)[0]]
+        dcoeffs = [k * coeffs[k] for k in range(1, n + 1)]
+        acoeffs, adcoeffs = [abs(c) for c in coeffs], [abs(c) for c in dcoeffs]
+        disks = []
+        for z in zs:
+            az = abs(z)
+            slope = abs(_horner(dcoeffs, z)) - noise * _horner(adcoeffs, az)
+            if slope <= 0:
+                return False
+            value = abs(_horner(coeffs, z)) + noise * _horner(acoeffs, az)
+            r = INCLUSION_SLACK * n * value / slope
+            if r > mp.ldexp(1 + az, -precision_bits):
+                return False
+            disks.append((z, r))
+        return all(
+            abs(z - u) > INCLUSION_SLACK * (r + s)
+            for i, (z, r) in enumerate(disks)
+            for u, s in disks[i + 1 :]
+        )
+
+
+def _exact_factor_roots(factor, precision_bits, workprec):
+    """Zeros of one square-free rational factor at ``workprec``; (positions, certified).
+
+    Certified positions lie within 2^-precision_bits (1 + |z|) of distinct
+    zeros.  The Newton ladder certifies its own; after the fallback sweep
+    the positions must pass ``_newton_disks_hold`` at twice the sweep's
+    precision.  A factor that fails is solved again at doubled precision,
+    at most ``MAX_PRECISION_DOUBLINGS`` times; past that the last
+    positions come back uncertified.
+    """
+    wp = workprec
+    for _ in range(MAX_PRECISION_DOUBLINGS + 1):
+        with mp.workprec(wp):
+            positions, _converged, certified = _aberth(
+                [mp.mpc(to_mp(c, wp)) for c in factor], wp
+            )
+        with mp.workprec(workprec):
+            positions = [+z for z in positions]
+        if certified or _newton_disks_hold(factor, positions, precision_bits, 2 * wp):
+            return positions, True
+        wp *= 2
+    return positions, False
 
 
 def _merge_clusters(zs, precision_bits):
@@ -408,8 +474,9 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
     -------
     RootSet with sum of multiplicities equal to deg f and, per root,
     the relative residual |f(r)| / (||f||_inf * max(1,|r|)^deg).  Roots
-    from the Newton ladder are certified within 2^-precision_bits (1 + |r|)
-    of a zero; for real f its real roots have imaginary part exactly 0.
+    of rational f, and all roots from the Newton ladder, are certified
+    within 2^-precision_bits (1 + |r|) of distinct zeros; for real f the
+    ladder's real roots have imaginary part exactly 0.
     Multiplicities of exact (rational) input are exact: each square-free
     factor is solved on its own.  Floating input gets them from the
     cluster merge.  Roots are listed by real part (a zero root first),
@@ -418,8 +485,10 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
 
     Raises
     ------
-    DegreeZero, NoConvergence (budget exhausted and certificates failed;
-    the best RootSet found rides on the exception).
+    DegreeZero, NoConvergence (rational f: a factor still uncertified at
+    2^MAX_PRECISION_DOUBLINGS times the working precision; floating f:
+    budget exhausted and residual certificates failed; the best RootSet
+    found rides on the exception).
     """
     if f.degree < 1:
         raise DegreeZero("root finding needs degree >= 1")
@@ -435,13 +504,14 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
         if f.is_exact:
             located, converged = [], True
             for factor, mult in _squarefree_split(f.coeffs[nzero:]):
-                body = [mp.mpc(to_mp(c, workprec)) for c in factor]
-                positions, ok = _aberth(body, workprec)
+                positions, ok = _exact_factor_roots(factor, precision_bits, workprec)
                 located += [(z, mult) for z in positions]
                 converged = converged and ok
         else:
             body = [mp.mpc(c) for c in coeffs[nzero:]]
-            positions, converged = _aberth(body, workprec) if len(body) > 1 else ([], True)
+            positions, converged = (
+                _aberth(body, workprec)[:2] if len(body) > 1 else ([], True)
+            )
             located = _merge_clusters(positions, precision_bits)
         located = _sort_located(located, precision_bits)
         if f.is_real():
@@ -461,7 +531,7 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
         )
         if not converged:
             cert = 2.0 ** (-(precision_bits // 2))
-            if any(r.residual > cert for r in rs.roots):
+            if f.is_exact or any(r.residual > cert for r in rs.roots):
                 raise NoConvergence(
                     "iteration budget exhausted before certification", best=rs
                 )

@@ -4,22 +4,49 @@ Exact values are `fractions.Fraction` (ints are coerced on the way in);
 floating values are mpmath mpf/mpc at an explicit binary precision.  All
 conversions from exact to floating happen here so the rounding boundary
 stays in one place.
+
+This module also owns the package's one binding of mpmath, ``mp``; every
+other module takes it from here.  The binding is lazy: ``import zerodyn``
+only finds mpmath, and its code runs on the first attribute access
+(``mp.mpf``, ``mp.workprec``, a call of ``to_mp``).  So the exact-only
+routes (zero profiles of rational input, ``lp-test``, onset scans) never
+execute it, and once loaded ``mp`` is the plain ``sys.modules["mpmath"]``
+module, with no proxy left on the floating route.  On Python < 3.12
+``importlib.util.LazyLoader`` is not safe against two threads making the
+first access at once; zerodyn starts no threads.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from fractions import Fraction
 
-import mpmath as mp
-from mpmath import libmp
+
+def _lazy_import(name):
+    """``sys.modules[name]`` if already imported, else a module that runs
+    its code on first attribute access and is a plain module from then on."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+mp = _lazy_import("mpmath")
 
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_REAL_TOL = 1e-9
 
 EXACT_TYPES = (int, Fraction)
 
-_NEAREST = libmp.round_nearest
+_NEAREST = "n"  # mpmath.libmp.round_nearest, spelled out so no import runs it
 
 
 def as_fraction(x) -> Fraction:
@@ -44,6 +71,7 @@ def to_mp(x, precision_bits: int):
     ``precision_bits``, whatever the ambient mpmath precision; a complex
     value with zero imaginary part comes back as an mpf.
     """
+    libmp = mp.libmp
     if isinstance(x, Fraction):
         return mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, precision_bits, _NEAREST))
     if isinstance(x, int):

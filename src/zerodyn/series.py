@@ -21,11 +21,9 @@ import math
 from fractions import Fraction
 from operator import mul
 
-import mpmath as mp
-
 from .errors import AllZeroSeries, TruncationTooShort, ZeroConstantTerm
 from .records import Record
-from .scalars import as_fraction, common_denominator, is_exact, to_mp
+from .scalars import as_fraction, common_denominator, is_exact, mp, to_mp
 
 
 class PowerSeries:

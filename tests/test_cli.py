@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from zerodyn import Poly
 from zerodyn.cli import main
 from zerodyn.construct import DEFAULT_D_CAP
@@ -219,3 +221,11 @@ class TestInputErrors:
         monkeypatch.setenv("ZERODYN_PRECISION_BITS", "128")
         doc = run_json(capsys, "classify", "--series", "poly:1+x")
         assert doc["config"]["precision_bits"] == 128
+
+    @pytest.mark.parametrize(
+        "name, raw", [("ZERODYN_PRECISION_BITS", "abc"), ("ZERODYN_REAL_TOL", "nan")]
+    )
+    def test_malformed_env_is_an_input_error(self, capsys, monkeypatch, name, raw):
+        monkeypatch.setenv(name, raw)
+        code, out, err = run_cli(capsys, "classify", "--series", "poly:1+x")
+        assert (code, out) == (2, "") and err.startswith("input error:")

@@ -8,6 +8,7 @@ import pytest
 from zerodyn import roots
 from zerodyn import (
     DegreeZero,
+    NoConvergence,
     Poly,
     PowerSeries,
     all_real_simple,
@@ -400,6 +401,82 @@ class TestNewtonLadder:
             dcoeffs = [k * coeffs[k] for k in range(1, 4)]
             seeds = [1 + 1j, 4.5 + 0.5j, 4.5 - 0.5j]
             assert roots._newton_ladder(coeffs, dcoeffs, seeds, 256) is None
+
+
+def _certified_against(rs, zeros, bits):
+    """Each root within 2^-bits (1 + |r|) of its own one of the distinct
+    rational ``zeros``, every zero matched once."""
+    matched = set()
+    with mp.workprec(4 * bits):
+        exact = [mp.mpf(z.numerator) / z.denominator for z in zeros]
+        for r in rs.roots:
+            d, k = min((abs(r.location - z), k) for k, z in enumerate(exact))
+            assert r.multiplicity == 1 and d <= mp.ldexp(1 + abs(r.location), -bits)
+            matched.add(k)
+    assert len(matched) == len(zeros)
+
+
+def _clustered_zeros(rng):
+    """3-10 distinct rationals, about 60 % of them within 50/10^s of one
+    base point, s in (3, 5, 7)."""
+    base = F(rng.randint(-2000, 2000), rng.randint(1, 200))
+    zeros = set()
+    for _ in range(rng.randint(3, 10)):
+        while True:
+            if rng.random() < 0.6:
+                z = base + F(rng.randint(-50, 50), rng.choice((10**3, 10**5, 10**7)))
+            else:
+                z = F(rng.randint(-2000, 2000), rng.randint(1, 200))
+            if z not in zeros:
+                zeros.add(z)
+                break
+    return sorted(zeros)
+
+
+class TestExactFallbackCertificate:
+    # six real zeros within 2e-6 of -9.7778: the ladder's double seeds are
+    # not isolated, and a bare working-precision sweep at 64 bits returns
+    # them as three conjugate pairs with |Im| ~ 7e-6
+    CLUSTER = [F(-97778, 10000) + F(k, 10**7) for k in (-20, -13, -5, 3, 11, 19)]
+
+    def test_tight_real_cluster_is_certified(self, monkeypatch):
+        ladder = _record(monkeypatch, "_newton_ladder")
+        rs = find_roots(Poly(_from_roots(self.CLUSTER)), 64)
+        assert ladder[0] is None
+        _certified_against(rs, self.CLUSTER, 64)
+
+    def test_uncertified_factor_is_resolved_then_rejected(self, monkeypatch):
+        precisions = []
+        real = roots._aberth
+
+        def recording(coeffs, workprec):
+            precisions.append(workprec)
+            return real(coeffs, workprec)
+
+        monkeypatch.setattr(roots, "_aberth", recording)
+        monkeypatch.setattr(roots, "_newton_disks_hold", lambda *args: False)
+        with pytest.raises(NoConvergence) as info:
+            find_roots(Poly(_from_roots(self.CLUSTER)), 64)
+        assert precisions == [128 << k for k in range(roots.MAX_PRECISION_DOUBLINGS + 1)]
+        assert info.value.best.total_multiplicity() == len(self.CLUSTER)
+
+    def test_floating_input_is_not_checked(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("Newton-disk check reached on floating input")
+
+        monkeypatch.setattr(roots, "_newton_disks_hold", forbidden)
+        rs = find_roots(Poly(_from_roots(self.CLUSTER)).to_floating(256), 64)
+        assert rs.total_multiplicity() == 6
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_clustered_products_are_certified(self, bits):
+        # the fallback sweep alone misplaces roots in 37 of these 150
+        # trials at 64 bits; with the certificate none is off, none raises
+        rng = make_rng(1)
+        for _ in range(150):
+            zeros = _clustered_zeros(rng)
+            _certified_against(find_roots(Poly(_from_roots(zeros)), bits), zeros, bits)
 
 
 class TestCountNonreal:

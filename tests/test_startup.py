@@ -3,8 +3,9 @@
 The CLI is a fresh process per job, so what ``import zerodyn.cli`` pulls
 in is paid on every run.  The first tests keep the modules that only some
 subcommands need (and the ``dataclasses`` machinery, which none needs)
-off that path; the rest pin down the ``Record`` behaviour that replaced
-``@dataclass`` on the report classes.
+off that path, and mpmath unexecuted until a floating route needs it;
+the rest pin down the ``Record`` behaviour that replaced ``@dataclass``
+on the report classes.
 """
 
 import dataclasses
@@ -12,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import mpmath as mp
@@ -27,31 +29,81 @@ from zerodyn.series import LPObstructionResult, OperatorClass
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 PACKAGE = os.path.join(SRC, "zerodyn")
-KEPT_OFF = ("dataclasses", "inspect", "statistics", "csv")
+# mpmath's submodules exist only once its package code has run
+KEPT_OFF = ("dataclasses", "inspect", "statistics", "csv", "mpmath.libmp", "mpmath.ctx_mp")
+
+
+def _fresh(probe, *argv):
+    """Last stdout line of ``probe`` run in a fresh interpreter, as JSON."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
 
 
 def test_cli_import_leaves_out_unused_stdlib_modules():
-    probe = (
+    loaded = set(_fresh(
         "import json, sys; before = set(sys.modules); import zerodyn.cli; "
         "print(json.dumps(sorted(set(sys.modules) - before)))"
-    )
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        check=True, timeout=60,
-    )
-    loaded = set(json.loads(out.stdout.splitlines()[-1]))
+    ))
     assert "zerodyn.cli" in loaded
     assert loaded.isdisjoint(KEPT_OFF), sorted(loaded & set(KEPT_OFF))
 
 
-def test_package_source_does_not_mention_dataclass():
+CLI_PROBE = (
+    "import json, sys, types; import zerodyn.cli, zerodyn.scalars as s; "
+    "rc = zerodyn.cli.main(sys.argv[1:] + ['--output', '/dev/null']); "
+    "print(json.dumps([rc, 'mpmath.ctx_mp' in sys.modules, "
+    "s.mp is sys.modules['mpmath'] and type(s.mp) is types.ModuleType]))"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["onset", "--series", "poly:1+x-x^2", "--poly", "x^2-2x+2", "--m-max", "20"],
+        ["lp-test", "--series", "poly:1+x+x^2", "--d-max", "5"],
+        ["iterate", "--series", "poly:1+x^2", "--poly", "x^3", "--m", "5",
+         "--op-count", "nonreal"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_exact_subcommands_leave_mpmath_unexecuted(argv):
+    assert _fresh(CLI_PROBE, *argv)[:2] == [0, False]
+
+
+def test_floating_subcommand_leaves_plain_mpmath_module():
+    assert _fresh(CLI_PROBE, "zeros", "--poly", "x^2+2x+2") == [0, True, True]
+
+
+def test_mpmath_imported_first_is_the_same_module():
+    assert _fresh(
+        "import json, types, mpmath, zerodyn.scalars as s; "
+        "print(json.dumps([s.mp is mpmath, type(s.mp) is types.ModuleType]))"
+    ) == [True, True]
+
+
+def _package_lines_with(*needles):
     hits = []
     for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py"):
             with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
-                hits += [f"{name}:{i}" for i, line in enumerate(fh, 1) if "dataclass" in line]
-    assert hits == []
+                hits += [
+                    f"{name}:{i}" for i, line in enumerate(fh, 1)
+                    if any(n in line for n in needles)
+                ]
+    return hits
+
+
+def test_package_source_does_not_mention_dataclass():
+    assert _package_lines_with("dataclass") == []
+
+
+def test_only_scalars_binds_mpmath():
+    hits = _package_lines_with("import mpmath", "from mpmath")
+    assert all(h.startswith("scalars.py:") for h in hits), hits
 
 
 def _instances():
