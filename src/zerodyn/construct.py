@@ -316,8 +316,8 @@ def verify_counterexample(
     positivity and the identity f_N'(0) = sum d(k) gamma(k).  Raises
     VerificationFailed naming the first violated clause.
     """
-    if M > N:
-        raise ValueError("need M <= N")
+    if not 1 <= M <= N:
+        raise ValueError(f"need 1 <= M <= N, got M = {M}, N = {N}")
     if N > plan.stages_fixed:
         raise VerificationFailed("stages", f"only {plan.stages_fixed} fixed, need {N}")
     _mu, psi = factor_out_zero(phi)

@@ -324,23 +324,45 @@ def plan_payload(plan: StagePlan):
     }
 
 
+def _plan_field(data, name, parse):
+    """parse(data[name]); a missing or malformed field is a ValueError naming it."""
+    try:
+        return parse(data[name])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        msg = f"plan field {name!r} is missing or malformed: {exc!r}"
+        raise ValueError(msg) from None
+
+
+def _stage_key(key):
+    m, k = key.split(",")
+    return int(m), int(k)
+
+
 def plan_from_payload(data) -> StagePlan:
-    prec = int(data["precision_bits"])
+    """The StagePlan ``plan_payload`` wrote; ValueError if a field is bad."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a plan is a JSON object, not {type(data).__name__}")
+    prec = _plan_field(data, "precision_bits", int)
+    if prec < 1:
+        raise ValueError(f"plan field 'precision_bits' must be positive, not {prec}")
     with mp.workprec(prec):
-        targets = {}
-        for key, (re_s, im_s) in data["targets"].items():
-            m, k = key.split(",")
-            targets[(int(m), int(k))] = mp.mpc(mp.mpf(re_s), mp.mpf(im_s))
-        radii = {}
-        for key, r_s in data["radii"].items():
-            m, k = key.split(",")
-            radii[(int(m), int(k))] = mp.mpf(r_s)
+        targets = _plan_field(data, "targets", lambda v: {
+            _stage_key(key): mp.mpc(mp.mpf(re_s), mp.mpf(im_s))
+            for key, (re_s, im_s) in v.items()
+        })
+        radii = _plan_field(data, "radii", lambda v: {
+            _stage_key(key): mp.mpf(r_s) for key, r_s in v.items()
+        })
     return StagePlan(
-        degrees=tuple(int(d) for d in data["degrees"]),
+        degrees=_plan_field(data, "degrees", lambda v: tuple(int(d) for d in v)),
         targets=targets,
         radii=radii,
-        gammas=tuple(parse_fraction(g) for g in data["gammas"]),
-        coefficient_bound_ok=tuple(bool(b) for b in data["coefficient_bound_ok"]),
+        gammas=_plan_field(
+            data, "gammas", lambda v: tuple(parse_fraction(g) for g in v)
+        ),
+        coefficient_bound_ok=_plan_field(
+            data, "coefficient_bound_ok", lambda v: tuple(bool(b) for b in v)
+        ),
         precision_bits=prec,
     )
 

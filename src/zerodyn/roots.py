@@ -2,17 +2,18 @@
 
 Two routes, deliberately independent:
 
-* a floating route: Aberth-Ehrlich sweeps in Python ``complex``
-  arithmetic give seeds with inclusion disks; when the disks are
-  disjoint each holds one zero, refined from its seed by Newton at
-  rising precision and certified in its disk (real zeros of real input
-  in mpf, their nonreal zeros as exact conjugate pairs).  Otherwise the
-  sweep reruns at the working precision with Newton polishing; for
-  rational input its positions must then pass a Newton-disk check against
-  the exact coefficients, or the factor is solved again at doubled
-  precision.  Rational input is first split into square-free factors, so
-  every root comes with its exact multiplicity; floating input gets
-  multiplicities from cluster merging;
+* a floating route: one precision ladder.  Aberth-Ehrlich sweeps in
+  Python ``complex`` arithmetic give seeds with inclusion disks; when
+  the disks are disjoint each holds one zero, refined from its seed by
+  Newton at rising precision and certified in its disk (real zeros of
+  real input in mpf, their nonreal zeros as exact conjugate pairs).
+  Otherwise the sweep runs at the working precision and the same Newton
+  ladder certifies its positions, with disks at that precision.  Rational
+  input is first split into square-free factors, so every root comes
+  with its exact multiplicity, and a factor its ladder does not certify
+  is swept again at doubled precision, up to ``MAX_PRECISION_DOUBLINGS``
+  times, before ``NoConvergence``.  Floating input stops after the
+  working precision and gets multiplicities from cluster merging;
 * an exact route for rational coefficients: the integer primitive
   remainder sequence (PRS) of F and F' is a Sturm chain ending in
   gcd(F, F'); a square-free F is answered from that one chain, repeated
@@ -21,16 +22,16 @@ Two routes, deliberately independent:
 
 ``count_nonreal`` is the one entry point for "how many nonreal zeros,
 and are all zeros simple" (``ZeroCount.squarefree``); every other
-caller in the library goes through it.  It prefers the exact route up
-to degree 64; beyond that PRS coefficients blow up in bit size and the
-floating route takes over with a warning, whoever the caller is.
+caller in the library goes through it.  It takes the exact route up to
+degree 64 (``EXACT_DEGREE_LIMIT``), where PRS coefficients start to blow
+up in bit size; above it a rational polynomial is counted from the
+certified roots, so the count stays exact.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from fractions import Fraction
 
 from .errors import DegreeZero, NoConvergence
@@ -47,8 +48,7 @@ from .scalars import (
 EXACT_DEGREE_LIMIT = 64
 GUARD_BITS = 64
 MAX_SWEEPS = 400
-MAX_PRECISION_DOUBLINGS = 3  # re-solves of an uncertified exact factor
-NEWTON_POLISH_STEPS = 2
+MAX_PRECISION_DOUBLINGS = 3  # sweep rungs past the working precision, rational input
 SQUAREFREE_PRIME = 2**61 - 1
 DOUBLE_EPS = 2.0**-53
 DOUBLE_MIN = 2.0**-1022  # smallest normal double
@@ -94,7 +94,7 @@ class ZeroCount(Record):
     total: int
     real_count: int
     nonreal_count: int
-    method: str  # "exact" | "floating"
+    method: str  # "exact" | "certified" | "floating"
     squarefree: bool  # every zero has multiplicity 1
 
 
@@ -184,16 +184,23 @@ def _double_seeds(coeffs, dcoeffs):
     return zs if all(math.isfinite(abs(z)) for z in zs) else None
 
 
-def _inclusion_radii(coeffs, zs):
+def _inclusion_radii(coeffs, zs, eps):
     """Radii r_i = n (|f(z_i)| + e_i) / (|a_n| prod_{j != i} |z_i - z_j|), or None.
 
-    In doubles, e_i the sweep's noise bound (|c_k| floored at DOUBLE_MIN
-    for underflow), times ``INCLUSION_SLACK``; None when a value leaves the
-    normal doubles.  The disks hold every zero, k per connected component
-    of k disks (Bini & Fiorentino 2000): one per disk if they are disjoint.
+    In the number type of the seeds: doubles with eps = DOUBLE_EPS, or
+    mpc at the ambient precision wp with eps = 2^-wp.  e_i is the sweep's
+    noise bound eps (4n+4) sum |c_k| |z_i|^k, and every radius is enlarged
+    by ``INCLUSION_SLACK``.  Doubles floor |c_k| at DOUBLE_MIN for
+    underflow and give None when a value leaves the normal doubles; mpc
+    gives None for coincident seeds.  The disks hold every zero, k per
+    connected component of k disks (Bini & Fiorentino 2000): one per disk
+    if they are disjoint.
     """
-    cs = [complex(c) for c in coeffs]
-    floor = [max(abs(c), DOUBLE_MIN) for c in cs]
+    if isinstance(eps, float):
+        cs, lo, hi = [complex(c) for c in coeffs], DOUBLE_MIN, math.inf
+    else:
+        cs, lo, hi = coeffs, 0, mp.inf
+    floor = [max(abs(c), lo) for c in cs]
     n = len(zs)
     radii = []
     for i, z in enumerate(zs):
@@ -201,27 +208,28 @@ def _inclusion_radii(coeffs, zs):
         for j, u in enumerate(zs):
             if j != i:
                 prod *= abs(z - u)
-                if prod < DOUBLE_MIN:
+                if prod < lo or not prod:
                     return None
-        err = DOUBLE_EPS * (4 * n + 4) * _horner(floor, abs(z))
+        err = eps * (4 * n + 4) * _horner(floor, abs(z))
         r = INCLUSION_SLACK * n * (abs(_horner(cs, z)) + err) / prod
-        if not DOUBLE_MIN <= r < math.inf:
+        if not lo <= r < hi:
             return None
         radii.append(r)
     return radii
 
 
-def _refine(coeffs, dcoeffs, z, center, radius, workprec):
-    """Newton from seed z, each step at 4x the bits the last one gained.
+def _refine(coeffs, dcoeffs, center, radius, start, cap, workprec):
+    """Newton from the seed ``center``, each step at 4x the bits the last one gained.
 
-    From 106 bits up to ``workprec``, then one certifying step w: a zero
-    lies within n|w| of z.  Returns z - w if that zero is in the disk
-    D(center, radius) and (n+1)|w| <= 2^(GUARD_BITS - 1 - workprec) (1+|z|),
-    so within 2^-precision_bits (1 + |z - w|) of it; None if f' vanishes,
-    a step gains no bits or a check fails.
+    From ``start`` bits up to ``cap``, then one certifying step w at
+    ``cap``: a zero lies within n|w| of z.  Returns z - w if that zero is
+    in the disk D(center, radius) and
+    (n+1)|w| <= 2^(GUARD_BITS - 1 - workprec) (1+|z|), so within
+    2^-precision_bits (1 + |z - w|) of it; None if f' vanishes, a step
+    gains no bits or a check fails.
     """
     n = len(coeffs) - 1
-    prec, bits, final = min(106, workprec), 0, False
+    z, prec, bits, final = mp.mpmathify(center), start, 0, False
     while True:
         with mp.workprec(prec):
             dz = _horner(dcoeffs, z)
@@ -234,22 +242,31 @@ def _refine(coeffs, dcoeffs, z, center, radius, workprec):
         gained = mp.mag(1 + abs(z)) - mp.mag(w) if w else prec
         if gained <= bits:
             return None
-        final, bits = prec == workprec, gained
-        prec = min(4 * bits, workprec)
+        final, bits = prec == cap, gained
+        prec = cap if final else min(4 * bits, cap)
     inside = abs(z - center) + n * abs(w) < radius
     small = (n + 1) * abs(w) <= mp.ldexp(1 + abs(z), GUARD_BITS - 1 - workprec)
     return z - w if inside and small else None
 
 
-def _newton_ladder(coeffs, dcoeffs, seeds, workprec):
-    """Each zero refined from its own isolated double seed, or None.
+def _newton_ladder(coeffs, dcoeffs, seeds, workprec, wp=None):
+    """Each zero refined from its own isolated seed, or None.
 
-    For real coefficients a disk meeting the axis needs an isolated
-    symmetric hull D(Re z, r + |Im z|): its one zero is its own conjugate,
-    so real (refined in mpf).  The other zeros are nonreal, and those in
-    the lower half-plane are the conjugates of the upper ones.
+    The seeds are doubles, refined from 106 bits up to ``workprec``, or,
+    given ``wp``, the positions of a sweep at wp bits, refined at wp:
+    inside a tight cluster, lower precision's noise over |f'| exceeds the
+    spacing of the zeros.  For real coefficients a disk meeting the axis
+    needs an isolated symmetric hull D(Re z, r + |Im z|): its one zero is
+    its own conjugate, so real (refined in mpf).  The other zeros are
+    nonreal, and those in the lower half-plane are the conjugates of the
+    upper ones.
     """
-    radii = _inclusion_radii(coeffs, seeds)
+    if wp is None:
+        radii = _inclusion_radii(coeffs, seeds, DOUBLE_EPS)
+        start, cap = min(106, workprec), workprec
+    else:
+        radii = _inclusion_radii(coeffs, seeds, mp.ldexp(1, -wp))
+        start = cap = wp
     if radii is None:
         return None
     disks = list(zip(seeds, radii))
@@ -271,7 +288,7 @@ def _newton_ladder(coeffs, dcoeffs, seeds, workprec):
             z, r = z.real, r + abs(z.imag)
             if not isolated(z, r, i):
                 return None
-        u = _refine(coeffs, dcoeffs, mp.mpmathify(z), z, r, workprec)
+        u = _refine(coeffs, dcoeffs, z, r, start, cap, workprec)
         if u is None:
             return None
         out.append(mp.mpc(u))
@@ -280,20 +297,33 @@ def _newton_ladder(coeffs, dcoeffs, seeds, workprec):
     return out
 
 
-def _aberth(coeffs, workprec):
+def _rounded(source, wp):
+    """The coefficients ``source`` as mpc rounded to wp bits, and those of f'."""
+    with mp.workprec(wp):
+        coeffs = [mp.mpc(to_mp(c, wp)) for c in source]
+        return coeffs, [k * coeffs[k] for k in range(1, len(coeffs))]
+
+
+def _aberth(source, workprec, doublings):
     """All zeros of a polynomial with nonzero constant term;
     (positions, converged, certified).
 
-    ``coeffs`` is an ascending mpc list of degree n >= 1 with
-    coeffs[0] != 0 and coeffs[-1] != 0.  The double seeds go to the Newton
-    ladder, which certifies its positions; failing that, the
-    working-precision sweep starts from them (from the circle if there
-    are none), then guarded Newton polishing, and nothing is certified.
+    ``source`` lists the ascending rational or floating coefficients, of
+    degree n >= 1 with source[0] != 0 and source[-1] != 0.  One ladder of
+    rungs, each starting from the previous rung's positions.  Rung 0 is
+    the double sweep from the circle and the Newton ladder on its seeds.
+    Then, for wp = workprec, 2 workprec, ..., 2^doublings workprec, the
+    coefficients rounded to wp bits, the Aberth sweep at wp and the Newton
+    ladder at wp on the swept positions.  The first rung the ladder
+    certifies returns its positions, which lie within
+    2^(GUARD_BITS - workprec) (1 + |z|) of distinct zeros.  Past the last
+    rung the swept positions come back uncertified, with the sweep's
+    convergence.
     """
-    n = len(coeffs) - 1
+    n = len(source) - 1
+    coeffs, dcoeffs = _rounded(source, workprec)
     if n == 1:
         return [-coeffs[0] / coeffs[1]], True, True
-    dcoeffs = [k * coeffs[k] for k in range(1, n + 1)]
     seeds = _double_seeds(coeffs, dcoeffs)
     if seeds is None:
         zs = _circle_start(coeffs, mp)
@@ -302,80 +332,14 @@ def _aberth(coeffs, workprec):
         if located is not None:
             return located, True, True
         zs = [mp.mpc(z) for z in seeds]
-    converged = _sweep(coeffs, dcoeffs, zs, mp.mpf(2) ** (-workprec))
-    for k in range(n):
-        z = zs[k]
-        fz = _horner(coeffs, z)
-        best = abs(fz)
-        for _ in range(NEWTON_POLISH_STEPS):
-            dz = _horner(dcoeffs, z)
-            if dz == 0:
-                break
-            cand = z - fz / dz
-            fc = _horner(coeffs, cand)
-            if abs(fc) < best:
-                z, fz, best = cand, fc, abs(fc)
-            else:
-                break
-        zs[k] = z
-    return zs, converged, False
-
-
-def _newton_disks_hold(factor, zs, precision_bits, evalprec):
-    """True if each z_i lies within 2^-precision_bits (1 + |z_i|) of its own
-    zero of the rational polynomial ``factor``, of degree n = len(zs).
-
-    The disk D(z, n |f(z) / f'(z)|) holds a zero of f, and n pairwise
-    disjoint such disks hold one each.  f and f' are evaluated at
-    ``evalprec`` bits; their rounding noise, bounded as in ``_sweep``,
-    widens each radius.
-    """
-    n = len(factor) - 1
-    with mp.workprec(evalprec):
-        noise = mp.ldexp(4 * n + 4, -evalprec)
-        coeffs = [mp.mpf(c) for c in common_denominator(factor)[0]]
-        dcoeffs = [k * coeffs[k] for k in range(1, n + 1)]
-        acoeffs, adcoeffs = [abs(c) for c in coeffs], [abs(c) for c in dcoeffs]
-        disks = []
-        for z in zs:
-            az = abs(z)
-            slope = abs(_horner(dcoeffs, z)) - noise * _horner(adcoeffs, az)
-            if slope <= 0:
-                return False
-            value = abs(_horner(coeffs, z)) + noise * _horner(acoeffs, az)
-            r = INCLUSION_SLACK * n * value / slope
-            if r > mp.ldexp(1 + az, -precision_bits):
-                return False
-            disks.append((z, r))
-        return all(
-            abs(z - u) > INCLUSION_SLACK * (r + s)
-            for i, (z, r) in enumerate(disks)
-            for u, s in disks[i + 1 :]
-        )
-
-
-def _exact_factor_roots(factor, precision_bits, workprec):
-    """Zeros of one square-free rational factor at ``workprec``; (positions, certified).
-
-    Certified positions lie within 2^-precision_bits (1 + |z|) of distinct
-    zeros.  The Newton ladder certifies its own; after the fallback sweep
-    the positions must pass ``_newton_disks_hold`` at twice the sweep's
-    precision.  A factor that fails is solved again at doubled precision,
-    at most ``MAX_PRECISION_DOUBLINGS`` times; past that the last
-    positions come back uncertified.
-    """
-    wp = workprec
-    for _ in range(MAX_PRECISION_DOUBLINGS + 1):
+    for wp in (workprec << k for k in range(doublings + 1)):
+        coeffs, dcoeffs = _rounded(source, wp)
         with mp.workprec(wp):
-            positions, _converged, certified = _aberth(
-                [mp.mpc(to_mp(c, wp)) for c in factor], wp
-            )
-        with mp.workprec(workprec):
-            positions = [+z for z in positions]
-        if certified or _newton_disks_hold(factor, positions, precision_bits, 2 * wp):
-            return positions, True
-        wp *= 2
-    return positions, False
+            converged = _sweep(coeffs, dcoeffs, zs, mp.ldexp(1, -wp))
+            located = _newton_ladder(coeffs, dcoeffs, zs, workprec, wp)
+        if located is not None:
+            return [+z for z in located], True, True
+    return [+z for z in zs], converged, False
 
 
 def _merge_clusters(zs, precision_bits):
@@ -473,11 +437,11 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
     Returns
     -------
     RootSet with sum of multiplicities equal to deg f and, per root,
-    the relative residual |f(r)| / (||f||_inf * max(1,|r|)^deg).  Roots
-    of rational f, and all roots from the Newton ladder, are certified
-    within 2^-precision_bits (1 + |r|) of distinct zeros; for real f the
-    ladder's real roots have imaginary part exactly 0.
-    Multiplicities of exact (rational) input are exact: each square-free
+    the relative residual |f(r)| / (||f||_inf * max(1,|r|)^deg).  Every
+    root of rational f, and every root of floating f that the Newton
+    ladder certifies, lies within 2^-precision_bits (1 + |r|) of its own
+    zero; for real f such a root is either real with imaginary part
+    exactly 0 or one of an exact conjugate pair.  Multiplicities of exact (rational) input are exact: each square-free
     factor is solved on its own.  Floating input gets them from the
     cluster merge.  Roots are listed by real part (a zero root first),
     real parts within 2^-precision_bits (1 + |r|) by imaginary part; for
@@ -485,10 +449,11 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
 
     Raises
     ------
-    DegreeZero, NoConvergence (rational f: a factor still uncertified at
-    2^MAX_PRECISION_DOUBLINGS times the working precision; floating f:
-    budget exhausted and residual certificates failed; the best RootSet
-    found rides on the exception).
+    DegreeZero, NoConvergence (rational f: the ladder certified a factor
+    on no rung up to 2^MAX_PRECISION_DOUBLINGS times the working
+    precision; floating f: not certified, the sweep did not converge and
+    a residual exceeds 2^-(precision_bits/2); the best RootSet found
+    rides on the exception).
     """
     if f.degree < 1:
         raise DegreeZero("root finding needs degree >= 1")
@@ -504,13 +469,15 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
         if f.is_exact:
             located, converged = [], True
             for factor, mult in _squarefree_split(f.coeffs[nzero:]):
-                positions, ok = _exact_factor_roots(factor, precision_bits, workprec)
+                positions, _, certified = _aberth(
+                    factor, workprec, MAX_PRECISION_DOUBLINGS
+                )
                 located += [(z, mult) for z in positions]
-                converged = converged and ok
+                converged = converged and certified
         else:
-            body = [mp.mpc(c) for c in coeffs[nzero:]]
+            body = coeffs[nzero:]
             positions, converged = (
-                _aberth(body, workprec)[:2] if len(body) > 1 else ([], True)
+                _aberth(body, workprec, 0)[:2] if len(body) > 1 else ([], True)
             )
             located = _merge_clusters(positions, precision_bits)
         located = _sort_located(located, precision_bits)
@@ -699,13 +666,14 @@ def count_nonreal(
 
     Rational coefficients up to degree 64 go through the exact route (one
     integer primitive PRS of f and f', rerun on gcd(f, f') only for
-    repeated factors); no tolerance enters.  Otherwise roots
-    are located at ``precision_bits`` (or taken from ``rs``, a RootSet of
-    f the caller already holds), a root r counts as real iff
-    |Im r| <= tol * (1 + |r|), and f is square-free iff every root has
-    multiplicity 1.  Multiplicities from ``find_roots`` are exact for
-    rational input, so ``squarefree`` is exact at any degree there; only
-    floating input takes them from the cluster merge.
+    repeated factors); no tolerance enters.  Otherwise roots are located
+    at ``precision_bits`` (or taken from ``rs``, a RootSet of f the caller
+    already holds).  Above degree 64 rational input is counted from the
+    certified roots of ``find_roots``, which are exactly real (imaginary
+    part 0) or nonreal; only floating input counts a root r as real iff
+    |Im r| <= tol * (1 + |r|).  Multiplicities from ``find_roots`` are
+    exact for rational input, so ``squarefree`` is exact at any degree
+    there; only floating input takes them from the cluster merge.
     """
     if not f.is_real():
         raise ValueError("nonreal-zero counting is defined for real polynomials")
@@ -713,23 +681,21 @@ def count_nonreal(
     if deg < 1:
         return ZeroCount(0, 0, 0, "exact", True)
     deg = int(deg)
-    if f.is_exact:
-        if deg <= EXACT_DEGREE_LIMIT:
-            real, nonreal, squarefree = _exact_profile(f)
-            return ZeroCount(deg, real, nonreal, "exact", squarefree)
-        warnings.warn(
-            f"degree {deg} > {EXACT_DEGREE_LIMIT}: falling back to floating count",
-            stacklevel=2,
-        )
+    if f.is_exact and deg <= EXACT_DEGREE_LIMIT:
+        real, nonreal, squarefree = _exact_profile(f)
+        return ZeroCount(deg, real, nonreal, "exact", squarefree)
     if rs is None:
         rs = find_roots(f, precision_bits)
+    if f.is_exact:
+        tol = 0  # a certified real root has imaginary part exactly 0
     real = sum(
         r.multiplicity
         for r in rs.roots
         if abs(r.location.imag) <= tol * (1 + abs(r.location))
     )
     squarefree = all(r.multiplicity == 1 for r in rs.roots)
-    return ZeroCount(deg, real, deg - real, "floating", squarefree)
+    method = "certified" if f.is_exact else "floating"
+    return ZeroCount(deg, real, deg - real, method, squarefree)
 
 
 def all_real_simple(

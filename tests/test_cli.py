@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from zerodyn import Poly
+from zerodyn import Poly, PowerSeries, build_plan, extend
 from zerodyn.cli import main
 from zerodyn.construct import DEFAULT_D_CAP
 from zerodyn.dynamics import DEFAULT_M_MAX
 from zerodyn.scalars import DEFAULT_PRECISION_BITS, DEFAULT_REAL_TOL
-from zerodyn.formats import parse_poly_inline
+from zerodyn.formats import dump_json, parse_poly_inline, plan_payload
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +187,36 @@ class TestConstructCLI:
             "--d-cap", "12",
         )
         assert doc2["nonreal_totals"] == doc["nonreal_totals"]
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [({"degrees": [1]}, "precision_bits"), ([1, 2], "JSON object")],
+    )
+    def test_malformed_plan_is_an_input_error(self, capsys, tmp_path, payload, named):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(payload))
+        code, out, err = run_cli(
+            capsys, "verify-construct", "--series", "poly:1+x+x^2",
+            "--plan", str(plan_path), "--d-cap", "12",
+        )
+        assert (code, out) == (2, "") and err.startswith("input error:")
+        assert named in err
+
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_m_below_one_is_an_input_error(self, capsys, tmp_path, m):
+        plan_path = tmp_path / "plan.json"
+        plan = build_plan(extend(PowerSeries([1, 1, 1]), 12), 1, d_cap=12)
+        plan_path.write_text(dump_json(plan_payload(plan)))
+        code, out, err = run_cli(
+            capsys, "verify-construct", "--series", "poly:1+x+x^2",
+            "--plan", str(plan_path), "--d-cap", "12", "--m", m,
+        )
+        assert (code, out) == (2, "") and "1 <= M <= N" in err
+        code, out, err = run_cli(
+            capsys, "construct", "--series", "poly:1+x+x^2", "--stages", "1",
+            "--d-cap", "12", "--m", m,
+        )
+        assert (code, out) == (2, "") and "1 <= M <= N" in err
 
     def test_negative_control_exit_code(self, capsys):
         code, _, err = run_cli(

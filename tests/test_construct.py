@@ -185,6 +185,13 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_counterexample(PHI, plan, 1, 2)
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_m_below_one_rejected(self, m):
+        # M < 1 would check no iterate at all and report success
+        plan = build_plan(PHI, 1, d_cap=12)
+        with pytest.raises(ValueError, match="1 <= M <= N"):
+            verify_counterexample(PHI, plan, 1, m)
+
 
 class TestOneDiskChecker:
     """The gamma-search predicate and the verifier apply the same disk clauses."""

@@ -1,5 +1,6 @@
 """Root finding, exact counting, and disk queries."""
 
+import warnings
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -202,6 +203,16 @@ def _from_roots(zs):
     return coeffs
 
 
+def _exactly_real_or_conjugate(locs, real_count):
+    """``real_count`` roots with imaginary part exactly 0, the rest exact
+    conjugate pairs, the lower member first."""
+    assert sum(z.imag == 0 for z in locs) == real_count
+    for k, z in enumerate(locs):
+        if z.imag > 0:
+            w = locs[k - 1]
+            assert w.real == z.real and w.imag + z.imag == 0
+
+
 class TestPrecisionLadder:
     def test_out_of_double_range_takes_circle_start(self, monkeypatch):
         f = P(3, -1, 4, -1, 5, 9)
@@ -326,21 +337,18 @@ class TestNewtonLadder:
             f = random_poly(rng, rng.randint(2, 16))
             real_count = count_nonreal(f).real_count
             for g in (f, f.to_floating(256)):
-                locs = find_roots(g).locations()
-                assert sum(z.imag == 0 for z in locs) == real_count
-                for k, z in enumerate(locs):
-                    if z.imag > 0:  # the lower member precedes, exactly conj(z)
-                        w = locs[k - 1]
-                        assert w.real == z.real and w.imag + z.imag == 0
+                _exactly_real_or_conjugate(find_roots(g).locations(), real_count)
         assert len(ladder) > 0 and None not in ladder
 
     def test_overlapping_disks_take_the_sweep(self, monkeypatch):
         # 1 and 1 + 2^-60 are one double, so their disks overlap; the input
-        # is square-free and reaches _aberth whole
+        # is square-free and reaches _aberth whole.  The ladder then
+        # certifies the swept positions at the working precision.
         f = P(-1, 1) * P(-1 - F(1, 2**60), 1) * P(2, 0, 1)
         ladder = _record(monkeypatch, "_newton_ladder")
         rs = find_roots(f, 128)
-        assert ladder == [None]
+        assert ladder[0] is None and ladder[1] is not None and len(ladder) == 2
+        _exactly_real_or_conjugate(rs.locations(), 2)
         with mp.workprec(320):
             expected = [
                 mp.mpc(0, -mp.sqrt(2)),
@@ -369,28 +377,41 @@ class TestNewtonLadder:
             dcoeffs = [k * coeffs[k] for k in range(1, 4)]
             seeds = [1 + 1e-12, 1 - 1e-12, 3j]
             assert roots._newton_ladder(coeffs, dcoeffs, seeds, 256) is None
+            # the same for positions of a sweep at 256 bits
+            swept = [1 + mp.ldexp(1, -200), 1 - mp.ldexp(1, -200), mp.mpc(0, 3)]
+            assert roots._newton_ladder(coeffs, dcoeffs, swept, 256, 256) is None
 
     def test_zero_outside_its_disk_takes_the_sweep(self, monkeypatch):
         f = P(3, -1, 4, -1, 5, 9)
         base = find_roots(f)
         real = roots._inclusion_radii
-        # far below the seeds' error: every refined zero leaves its disk
-        monkeypatch.setattr(
-            roots, "_inclusion_radii", lambda c, zs: [r * 1e-30 for r in real(c, zs)]
-        )
+
+        def shrunk(coeffs, zs, eps):
+            # far below the double seeds' error: every refined zero leaves
+            # its disk; the swept positions keep their true disks
+            radii = real(coeffs, zs, eps)
+            return [r * 1e-30 for r in radii] if eps == roots.DOUBLE_EPS else radii
+
+        monkeypatch.setattr(roots, "_inclusion_radii", shrunk)
         ladder = _record(monkeypatch, "_newton_ladder")
-        _same_roots(find_roots(f), base, 1e-70)
-        assert ladder == [None]
+        rs = find_roots(f)
+        _same_roots(rs, base, 1e-70)
+        assert ladder[0] is None and ladder[1] is not None and len(ladder) == 2
+        _exactly_real_or_conjugate(rs.locations(), 1)
 
     def test_unmet_bound_takes_the_sweep(self, monkeypatch):
         f = P(3, -1, 4, -1, 5, 9)
         base = find_roots(f)
         # the bound 2^(GUARD_BITS - 1 - workprec) now lies below the working
-        # precision's noise floor; the working precision itself is unchanged
+        # precision's noise floor, so only the rung at twice it meets the
+        # bound; the working precision itself is unchanged
         monkeypatch.setattr(roots, "GUARD_BITS", -roots.GUARD_BITS)
         ladder = _record(monkeypatch, "_newton_ladder")
-        _same_roots(find_roots(f), base, 1e-70)
-        assert ladder == [None]
+        rs = find_roots(f)
+        _same_roots(rs, base, 1e-70)
+        assert ladder[:2] == [None, None] and ladder[2] is not None
+        assert len(ladder) == 3
+        _exactly_real_or_conjugate(rs.locations(), 1)
 
     def test_axis_disk_with_crowded_hull_is_not_certified(self):
         # zeros 1 and 9/2 +- i/2; the seed 1 + i has radius 3, so its disk
@@ -446,37 +467,68 @@ class TestExactFallbackCertificate:
         _certified_against(rs, self.CLUSTER, 64)
 
     def test_uncertified_factor_is_resolved_then_rejected(self, monkeypatch):
-        precisions = []
-        real = roots._aberth
+        # the ladder certifies nothing after rung 0: the sweep climbs from
+        # the working precision W = 128 to 2^MAX_PRECISION_DOUBLINGS W
+        rungs, sweeps = [], []
+        ladder, sweep = roots._newton_ladder, roots._sweep
 
-        def recording(coeffs, workprec):
-            precisions.append(workprec)
-            return real(coeffs, workprec)
+        def failing(coeffs, dcoeffs, seeds, workprec, wp=None):
+            rungs.append(wp)
+            return ladder(coeffs, dcoeffs, seeds, workprec) if wp is None else None
 
-        monkeypatch.setattr(roots, "_aberth", recording)
-        monkeypatch.setattr(roots, "_newton_disks_hold", lambda *args: False)
+        def recording(coeffs, dcoeffs, zs, eps, stall_stop=False):
+            if not stall_stop:
+                sweeps.append(mp.mp.prec)
+            return sweep(coeffs, dcoeffs, zs, eps, stall_stop)
+
+        monkeypatch.setattr(roots, "_newton_ladder", failing)
+        monkeypatch.setattr(roots, "_sweep", recording)
+        seeds = _record(monkeypatch, "_double_seeds")
         with pytest.raises(NoConvergence) as info:
             find_roots(Poly(_from_roots(self.CLUSTER)), 64)
-        assert precisions == [128 << k for k in range(roots.MAX_PRECISION_DOUBLINGS + 1)]
+        climb = [128 << k for k in range(roots.MAX_PRECISION_DOUBLINGS + 1)]
+        assert sweeps == climb and rungs == [None] + climb
+        assert len(seeds) == 1
         assert info.value.best.total_multiplicity() == len(self.CLUSTER)
+        assert len(info.value.best.roots) == len(self.CLUSTER)
 
     def test_floating_input_is_not_checked(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("Newton-disk check reached on floating input")
+        # floating input is laddered once more, on the sweep at W = 128,
+        # and its coefficients are never rounded to another precision
+        rungs, rounded = [], []
+        ladder, rounding = roots._newton_ladder, roots._rounded
 
-        monkeypatch.setattr(roots, "_newton_disks_hold", forbidden)
+        def recording_ladder(*args):
+            rungs.append(args[4:])
+            return ladder(*args)
+
+        def recording_rounding(source, wp):
+            rounded.append(wp)
+            return rounding(source, wp)
+
+        monkeypatch.setattr(roots, "_newton_ladder", recording_ladder)
+        monkeypatch.setattr(roots, "_rounded", recording_rounding)
         rs = find_roots(Poly(_from_roots(self.CLUSTER)).to_floating(256), 64)
+        assert rungs == [(), (128,)]
+        assert set(rounded) == {128}
         assert rs.total_multiplicity() == 6
 
     @pytest.mark.slow
     @pytest.mark.parametrize("bits", [64, 128, 256])
-    def test_clustered_products_are_certified(self, bits):
+    def test_clustered_products_are_certified(self, monkeypatch, bits):
         # the fallback sweep alone misplaces roots in 37 of these 150
-        # trials at 64 bits; with the certificate none is off, none raises
+        # trials at 64 bits and leaves real zeros with nonzero imaginary
+        # parts in about 90; the ladder on its positions certifies them all
+        seeds = _record(monkeypatch, "_double_seeds")
         rng = make_rng(1)
         for _ in range(150):
             zeros = _clustered_zeros(rng)
-            _certified_against(find_roots(Poly(_from_roots(zeros)), bits), zeros, bits)
+            f = Poly(_from_roots(zeros))
+            rs = find_roots(f, bits)
+            _certified_against(rs, zeros, bits)
+            real = sum(r.multiplicity for r in rs.roots if r.location.imag == 0)
+            assert real == count_nonreal(f).real_count == len(zeros)
+        assert len(seeds) == 150  # once per product, each one square-free factor
 
 
 class TestCountNonreal:
@@ -529,12 +581,17 @@ class TestCountNonreal:
             f = random_poly(rng, rng.randint(1, 10)).to_floating(256)
             assert count_nonreal(f, rs=find_roots(f)) == count_nonreal(f)
 
-    def test_degree_above_exact_limit_warns(self):
-        f = Poly([1] * 66)  # degree 65
-        with pytest.warns(UserWarning):
+    def test_degree_above_exact_limit_is_certified(self):
+        # (x^66 - 1) / (x - 1): the 66th roots of unity but 1, of which
+        # only -1 is real
+        f = Poly([1] * 66)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             zc = count_nonreal(f)
-        assert zc.method == "floating"
-        assert zc.total == 65
+        assert zc == roots.ZeroCount(65, 1, 64, "certified", True)
+        # zeros +-10^-10 i, which the default tol = 1e-9 would call real
+        g = P(F(1, 10**20), 0, 1) * Poly([1] * 64)
+        assert count_nonreal(g) == roots.ZeroCount(65, 1, 64, "certified", True)
 
 
 class TestAllRealSimple:
