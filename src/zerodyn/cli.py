@@ -25,7 +25,7 @@ from .errors import (
     ZerodynError,
 )
 from .records import Record
-from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_REAL_TOL, parse_fraction
+from .scalars import DEFAULT_PRECISION_BITS, parse_fraction
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -34,7 +34,6 @@ EXIT_INPUT = 2
 
 class RunConfig(Record):
     precision_bits: int
-    real_tolerance: float
     m_max: int
     d_cap: int
     out_format: str
@@ -43,8 +42,6 @@ class RunConfig(Record):
     def validate(self):
         if self.precision_bits < 64:
             raise ValueError("precision-bits must be >= 64")
-        if not self.real_tolerance > 0:
-            raise ValueError("real tolerance must be positive")
         if self.m_max < 1 or self.d_cap < 1:
             raise ValueError("m-max and d-cap must be >= 1")
         if self.out_format not in ("json", "csv"):
@@ -76,12 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=_env_default("ZERODYN_PRECISION_BITS", int, DEFAULT_PRECISION_BITS),
         help="binary working precision for floating paths (default %(default)s)",
-    )
-    common.add_argument(
-        "--real-tol",
-        type=float,
-        default=_env_default("ZERODYN_REAL_TOL", float, DEFAULT_REAL_TOL),
-        help="relative realness tolerance |Im r| <= tol(1+|r|) (default %(default)s)",
     )
     common.add_argument(
         "--m-max",
@@ -178,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from(args) -> RunConfig:
     cfg = RunConfig(
         precision_bits=args.precision_bits,
-        real_tolerance=args.real_tol,
         m_max=args.m_max,
         d_cap=args.d_cap,
         out_format=args.format,
@@ -250,9 +240,8 @@ def _run(args) -> int:
         payload = {"poly": formats.format_poly_inline_exact(g) if g.is_exact else None}
         payload.update(formats.poly_payload(g))
         if cmd == "iterate" and args.op_count == "nonreal":
-            payload["nonreal"] = roots.count_nonreal(
-                g, cfg.real_tolerance, cfg.precision_bits
-            ).nonreal_count
+            zc = roots.count_nonreal(g, cfg.precision_bits)
+            payload["nonreal"] = zc.nonreal_count
         _emit(cfg, cmd, payload)
         return EXIT_OK
 
@@ -265,9 +254,7 @@ def _run(args) -> int:
     if cmd == "onset":
         f = formats.resolve_poly(args.poly)
         phi = formats.resolve_series(args.series, min_order=max(2, int(f.degree)))
-        rep = dynamics.onset_scan(
-            phi, f, cfg.m_max, cfg.real_tolerance, cfg.precision_bits
-        )
+        rep = dynamics.onset_scan(phi, f, cfg.m_max, cfg.precision_bits)
         _emit(cfg, "onset", formats.onset_payload(rep), formats.onset_csv(rep))
         return EXIT_OK
 
@@ -346,7 +333,6 @@ def _run(args) -> int:
             d_cap=cfg.d_cap,
             gamma0=parse_fraction(args.gamma0),
             precision_bits=cfg.precision_bits,
-            tol=cfg.real_tolerance,
         )
         report = construct_mod.verify_counterexample(
             phi, plan, n, m, cfg.precision_bits

@@ -26,7 +26,7 @@ from .errors import (
 from .poly import Poly, apply_operator, derivative, monomial
 from .records import Record
 from .roots import count_nonreal, find_roots, roots_in_disk
-from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_REAL_TOL, as_fraction, mp, to_mp
+from .scalars import DEFAULT_PRECISION_BITS, as_fraction, mp, to_mp
 from .series import PowerSeries, factor_out_zero, truncated_power
 
 DEFAULT_D_CAP = 40
@@ -101,13 +101,14 @@ def pick_targets(
     phi: PowerSeries,
     degrees,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    tol: float = DEFAULT_REAL_TOL,
 ) -> StagePlan:
     """Choose a(m,k) and r(m,k) = Im a(m,k)/2 for every m <= k <= N.
 
     a(m,k) is the upper-half-plane zero of the m-th iterate of x^d(k)
     with the largest imaginary part, ties broken by smallest real part —
-    a deterministic stand-in for the proof-side free choice.
+    a deterministic stand-in for the proof-side free choice.  Upper means
+    imaginary part > 0: find_roots returns real zeros with imaginary part
+    exactly 0.
     """
     _mu, psi = factor_out_zero(phi)
     degrees = [int(d) for d in degrees]
@@ -119,11 +120,7 @@ def pick_targets(
             for m in range(1, k + 1):
                 g_m = apply_operator(psi, g_m)
                 rs = find_roots(g_m, precision_bits)
-                upper = [
-                    r.location
-                    for r in rs.roots
-                    if r.location.imag > tol * (1 + abs(r.location))
-                ]
+                upper = [r.location for r in rs.roots if r.location.imag > 0]
                 if not upper:
                     raise NoNonrealZero(
                         f"iterate m={m} of x^{d} has no upper-half-plane zero"
@@ -291,11 +288,10 @@ def build_plan(
     gamma0=Fraction(1),
     max_halvings: int = DEFAULT_MAX_HALVINGS,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    tol: float = DEFAULT_REAL_TOL,
 ) -> StagePlan:
     """Full pipeline: witnesses, targets, then the stagewise gamma search."""
     degrees = find_degree_witnesses(phi, N, d_cap, precision_bits)
-    plan = pick_targets(phi, degrees, precision_bits, tol)
+    plan = pick_targets(phi, degrees, precision_bits)
     for k in range(1, N + 1):
         extend_plan(phi, plan, k, gamma0, max_halvings, precision_bits)
     return plan

@@ -30,14 +30,7 @@ from .limits import exp_dp_monomial
 from .poly import Poly, apply_operator, rescale_iterate
 from .records import Record
 from .roots import count_nonreal, find_roots
-from .scalars import (
-    DEFAULT_PRECISION_BITS,
-    DEFAULT_REAL_TOL,
-    exact_nth_root,
-    is_exact,
-    mp,
-    to_mp,
-)
+from .scalars import DEFAULT_PRECISION_BITS, exact_nth_root, is_exact, mp, to_mp
 from .series import (
     OperatorClass,
     PowerSeries,
@@ -115,7 +108,6 @@ def onset_scan(
     phi: PowerSeries,
     f: Poly,
     m_max: int = DEFAULT_M_MAX,
-    tol: float = DEFAULT_REAL_TOL,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> OnsetReport:
     """Scan m = 1..m_max for the onset of the terminal zero behavior.
@@ -155,7 +147,7 @@ def onset_scan(
     g = f
     for m in range(1, m_max + 1):
         g = apply_operator(phi, g)
-        zc = count_nonreal(g, tol, precision_bits)
+        zc = count_nonreal(g, precision_bits)
         trace.append((m, zc.nonreal_count))
         if mode == "AllRealSimple":
             ok.append(zc.nonreal_count == 0 and zc.squarefree)

@@ -353,16 +353,29 @@ def plan_from_payload(data) -> StagePlan:
         radii = _plan_field(data, "radii", lambda v: {
             _stage_key(key): mp.mpf(r_s) for key, r_s in v.items()
         })
+    degrees = _plan_field(data, "degrees", lambda v: tuple(int(d) for d in v))
+    gammas = _plan_field(data, "gammas", lambda v: tuple(parse_fraction(g) for g in v))
+    bound_ok = _plan_field(
+        data, "coefficient_bound_ok", lambda v: tuple(bool(b) for b in v)
+    )
+    if not len(gammas) == len(bound_ok) <= len(degrees):
+        raise ValueError(
+            f"plan fields disagree: {len(degrees)} degrees, {len(gammas)} gammas, "
+            f"{len(bound_ok)} coefficient_bound_ok entries"
+        )
+    stages = {(m, k) for k in range(1, len(degrees) + 1) for m in range(1, k + 1)}
+    for name, table in (("targets", targets), ("radii", radii)):
+        if set(table) != stages:
+            raise ValueError(
+                f"plan field {name!r} must hold the keys m,k for "
+                f"1 <= m <= k <= {len(degrees)}, not {sorted(table)}"
+            )
     return StagePlan(
-        degrees=_plan_field(data, "degrees", lambda v: tuple(int(d) for d in v)),
+        degrees=degrees,
         targets=targets,
         radii=radii,
-        gammas=_plan_field(
-            data, "gammas", lambda v: tuple(parse_fraction(g) for g in v)
-        ),
-        coefficient_bound_ok=_plan_field(
-            data, "coefficient_bound_ok", lambda v: tuple(bool(b) for b in v)
-        ),
+        gammas=gammas,
+        coefficient_bound_ok=bound_ok,
         precision_bits=prec,
     )
 
@@ -397,39 +410,20 @@ def _csv_text(kind: str, fieldnames, rows):
 
 
 def rootset_csv(rs: RootSet) -> str:
-    rows = [
-        {
-            "re": mpf_str(r.location.real),
-            "im": mpf_str(r.location.imag),
-            "multiplicity": r.multiplicity,
-            "residual": r.residual,
-        }
-        for r in rs.roots
-    ]
+    rows = rootset_payload(rs)["roots"]
     return _csv_text("roots", ["re", "im", "multiplicity", "residual"], rows)
 
 
 def onset_csv(rep: OnsetReport) -> str:
-    rows = [{"m": m, "nonreal": n} for m, n in rep.trace]
-    return _csv_text("onset", ["m", "nonreal"], rows)
+    return _csv_text("onset", ["m", "nonreal"], onset_payload(rep)["trace"])
 
 
 def convergence_csv(rep: ConvergenceReport) -> str:
-    rows = [{"m": m, "sup_norm_error": float(e)} for m, e in rep.samples]
+    rows = convergence_payload(rep)["samples"]
     return _csv_text("convergence", ["m", "sup_norm_error"], rows)
 
 
 def attractor_csv(rep: AttractorReport) -> str:
-    rows = [
-        {
-            "m": r.m,
-            "containment_epsilon_needed": r.containment_epsilon_needed,
-            "max_scaled_star_distance": r.max_scaled_star_distance,
-            "contained": r.contained,
-            "all_simple": "" if r.all_simple is None else r.all_simple,
-        }
-        for r in rep.records
-    ]
     return _csv_text(
         "attractor",
         [
@@ -439,7 +433,7 @@ def attractor_csv(rep: AttractorReport) -> str:
             "contained",
             "all_simple",
         ],
-        rows,
+        attractor_payload(rep)["records"],
     )
 
 

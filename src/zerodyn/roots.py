@@ -13,7 +13,8 @@ Two routes, deliberately independent:
   with its exact multiplicity, and a factor its ladder does not certify
   is swept again at doubled precision, up to ``MAX_PRECISION_DOUBLINGS``
   times, before ``NoConvergence``.  Floating input stops after the
-  working precision and gets multiplicities from cluster merging;
+  working precision, gets multiplicities from cluster merging, and, for
+  real input, has a root within 1e-9 (1 + |z|) of the axis returned real;
 * an exact route for rational coefficients: the integer primitive
   remainder sequence (PRS) of F and F' is a Sturm chain ending in
   gcd(F, F'); a square-free F is answered from that one chain, repeated
@@ -24,8 +25,9 @@ Two routes, deliberately independent:
 and are all zeros simple" (``ZeroCount.squarefree``); every other
 caller in the library goes through it.  It takes the exact route up to
 degree 64 (``EXACT_DEGREE_LIMIT``), where PRS coefficients start to blow
-up in bit size; above it a rational polynomial is counted from the
-certified roots, so the count stays exact.
+up in bit size; above it, and for floating input, it counts the roots
+with imaginary part exactly 0 as real.  For rational input those roots
+are certified, so the count stays exact.
 """
 
 from __future__ import annotations
@@ -37,13 +39,7 @@ from fractions import Fraction
 from .errors import DegreeZero, NoConvergence
 from .poly import Poly
 from .records import Record
-from .scalars import (
-    DEFAULT_PRECISION_BITS,
-    DEFAULT_REAL_TOL,
-    common_denominator,
-    mp,
-    to_mp,
-)
+from .scalars import DEFAULT_PRECISION_BITS, common_denominator, mp, to_mp
 
 EXACT_DEGREE_LIMIT = 64
 GUARD_BITS = 64
@@ -54,6 +50,9 @@ DOUBLE_EPS = 2.0**-53
 DOUBLE_MIN = 2.0**-1022  # smallest normal double
 # covers the rounding of the < 8n double operations per radius or distance, n < 2^29
 INCLUSION_SLACK = 1 + 2.0**-20
+# Floating input only: find_roots returns a root z of real f as real (imaginary
+# part 0) when |Im z| <= this * (1 + |z|); rational input needs no such rule.
+_FLOATING_REAL_TOL = 1e-9
 
 
 def _work_precision(precision_bits: int) -> int:
@@ -441,11 +440,16 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
     root of rational f, and every root of floating f that the Newton
     ladder certifies, lies within 2^-precision_bits (1 + |r|) of its own
     zero; for real f such a root is either real with imaginary part
-    exactly 0 or one of an exact conjugate pair.  Multiplicities of exact (rational) input are exact: each square-free
-    factor is solved on its own.  Floating input gets them from the
-    cluster merge.  Roots are listed by real part (a zero root first),
-    real parts within 2^-precision_bits (1 + |r|) by imaginary part; for
-    real f each conjugate pair is adjacent, lower half-plane first.
+    exactly 0 or one of an exact conjugate pair.  The positions of
+    floating f need not be certified, so a root r of real floating f
+    with |Im r| <= 1e-9 (1 + |r|) comes back with imaginary part exactly
+    0: for every real f, a root is real iff its imaginary part is 0, and
+    this is the library's one realness rule.  Multiplicities of exact
+    (rational) input are exact: each square-free factor is solved on its
+    own.  Floating input gets them from the cluster merge.  Roots are
+    listed by real part (a zero root first), real parts within
+    2^-precision_bits (1 + |r|) by imaginary part; for real f each
+    conjugate pair is adjacent, lower half-plane first.
 
     Raises
     ------
@@ -458,6 +462,7 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
     if f.degree < 1:
         raise DegreeZero("root finding needs degree >= 1")
     deg = int(f.degree)
+    real = f.is_real()
     workprec = _work_precision(precision_bits)
     with mp.workprec(workprec):
         coeffs = [to_mp(c, workprec) for c in f.coeffs]
@@ -480,8 +485,15 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
                 _aberth(body, workprec, 0)[:2] if len(body) > 1 else ([], True)
             )
             located = _merge_clusters(positions, precision_bits)
+            if real:
+                located = [
+                    (mp.mpc(z.real), k)
+                    if abs(z.imag) <= _FLOATING_REAL_TOL * (1 + abs(z))
+                    else (z, k)
+                    for z, k in located
+                ]
         located = _sort_located(located, precision_bits)
-        if f.is_real():
+        if real:
             located = _pair_conjugates(located)
         if nzero:
             located.insert(0, (mp.mpc(0), nzero))
@@ -658,7 +670,6 @@ def _exact_profile(f: Poly):
 
 def count_nonreal(
     f: Poly,
-    tol: float = DEFAULT_REAL_TOL,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     rs: RootSet | None = None,
 ) -> ZeroCount:
@@ -668,12 +679,14 @@ def count_nonreal(
     integer primitive PRS of f and f', rerun on gcd(f, f') only for
     repeated factors); no tolerance enters.  Otherwise roots are located
     at ``precision_bits`` (or taken from ``rs``, a RootSet of f the caller
-    already holds).  Above degree 64 rational input is counted from the
-    certified roots of ``find_roots``, which are exactly real (imaginary
-    part 0) or nonreal; only floating input counts a root r as real iff
-    |Im r| <= tol * (1 + |r|).  Multiplicities from ``find_roots`` are
-    exact for rational input, so ``squarefree`` is exact at any degree
-    there; only floating input takes them from the cluster merge.
+    already holds) and a root is real iff its imaginary part is exactly
+    0.  ``find_roots`` makes that the answer: above degree 64 rational
+    input is counted from certified roots (``method`` "certified"), and
+    floating input from roots that ``find_roots`` put on the real axis
+    when |Im r| <= 1e-9 (1 + |r|) (``method`` "floating").
+    Multiplicities from ``find_roots`` are exact for rational input, so
+    ``squarefree`` is exact at any degree there; only floating input
+    takes them from the cluster merge.
     """
     if not f.is_real():
         raise ValueError("nonreal-zero counting is defined for real polynomials")
@@ -686,25 +699,15 @@ def count_nonreal(
         return ZeroCount(deg, real, nonreal, "exact", squarefree)
     if rs is None:
         rs = find_roots(f, precision_bits)
-    if f.is_exact:
-        tol = 0  # a certified real root has imaginary part exactly 0
-    real = sum(
-        r.multiplicity
-        for r in rs.roots
-        if abs(r.location.imag) <= tol * (1 + abs(r.location))
-    )
+    real = sum(r.multiplicity for r in rs.roots if r.location.imag == 0)
     squarefree = all(r.multiplicity == 1 for r in rs.roots)
     method = "certified" if f.is_exact else "floating"
     return ZeroCount(deg, real, deg - real, method, squarefree)
 
 
-def all_real_simple(
-    f: Poly,
-    tol: float = DEFAULT_REAL_TOL,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> bool:
+def all_real_simple(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> bool:
     """True iff every zero of f is real and simple."""
-    zc = count_nonreal(f, tol, precision_bits)
+    zc = count_nonreal(f, precision_bits)
     return zc.nonreal_count == 0 and zc.squarefree
 
 

@@ -42,7 +42,6 @@ def _lazy_import(name):
 mp = _lazy_import("mpmath")
 
 DEFAULT_PRECISION_BITS = 256
-DEFAULT_REAL_TOL = 1e-9
 
 EXACT_TYPES = (int, Fraction)
 

@@ -40,12 +40,8 @@ def _gate(label, limit_s):
     return _Gate()
 
 
-def _real_roots(rs, tol=1e-9):
-    return [
-        (r.location.real, r.multiplicity)
-        for r in rs.roots
-        if abs(r.location.imag) <= tol * (1 + abs(r.location))
-    ]
+def _real_roots(rs):
+    return [(r.location.real, r.multiplicity) for r in rs.roots if r.location.imag == 0]
 
 
 def test_criterion_01_hermite_bridge():

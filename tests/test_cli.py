@@ -8,7 +8,7 @@ from zerodyn import Poly, PowerSeries, build_plan, extend
 from zerodyn.cli import main
 from zerodyn.construct import DEFAULT_D_CAP
 from zerodyn.dynamics import DEFAULT_M_MAX
-from zerodyn.scalars import DEFAULT_PRECISION_BITS, DEFAULT_REAL_TOL
+from zerodyn.scalars import DEFAULT_PRECISION_BITS
 from zerodyn.formats import dump_json, parse_poly_inline, plan_payload
 
 
@@ -41,12 +41,11 @@ class TestClassify:
         assert doc["config"]["precision_bits"] == 128
 
     def test_bare_config_is_library_defaults(self, capsys, monkeypatch):
-        for name in ("PRECISION_BITS", "REAL_TOL", "M_MAX", "D_CAP"):
+        for name in ("PRECISION_BITS", "M_MAX", "D_CAP"):
             monkeypatch.delenv(f"ZERODYN_{name}", raising=False)
         doc = run_json(capsys, "classify", "--series", "poly:1+x")
         assert doc["config"] == {
             "precision_bits": DEFAULT_PRECISION_BITS,
-            "real_tolerance": DEFAULT_REAL_TOL,
             "m_max": DEFAULT_M_MAX,
             "d_cap": DEFAULT_D_CAP,
             "out_format": "json",
@@ -202,6 +201,24 @@ class TestConstructCLI:
         assert (code, out) == (2, "") and err.startswith("input error:")
         assert named in err
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [("degrees", [2], "plan fields disagree"), ("targets", {}, "'targets'")],
+    )
+    def test_disagreeing_plan_fields_are_an_input_error(
+        self, capsys, tmp_path, field, value, named
+    ):
+        data = plan_payload(build_plan(extend(PowerSeries([1, 1, 1]), 12), 2, d_cap=12))
+        data[field] = value
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(dump_json(data))
+        code, out, err = run_cli(
+            capsys, "verify-construct", "--series", "poly:1+x+x^2",
+            "--plan", str(plan_path), "--d-cap", "12",
+        )
+        assert (code, out) == (2, "") and err.startswith("input error:")
+        assert named in err
+
     @pytest.mark.parametrize("m", ["0", "-3"])
     def test_m_below_one_is_an_input_error(self, capsys, tmp_path, m):
         plan_path = tmp_path / "plan.json"
@@ -253,7 +270,7 @@ class TestInputErrors:
         assert doc["config"]["precision_bits"] == 128
 
     @pytest.mark.parametrize(
-        "name, raw", [("ZERODYN_PRECISION_BITS", "abc"), ("ZERODYN_REAL_TOL", "nan")]
+        "name, raw", [("ZERODYN_PRECISION_BITS", "abc"), ("ZERODYN_M_MAX", "1.5")]
     )
     def test_malformed_env_is_an_input_error(self, capsys, monkeypatch, name, raw):
         monkeypatch.setenv(name, raw)

@@ -6,7 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from zerodyn import Poly, PowerSeries, build_plan, extend, find_roots
+from zerodyn.dynamics import AttractorRecord, AttractorReport
 from zerodyn.formats import (
+    attractor_csv,
     format_poly_inline_exact,
     format_poly_text,
     format_series_text,
@@ -121,3 +123,27 @@ class TestRootsetCSV:
         assert lines[0].startswith("# zerodyn csv roots")
         assert lines[1] == "re,im,multiplicity,residual"
         assert len(lines) == 4
+
+
+class TestAttractorCSV:
+    def test_rows_in_column_order_and_missing_simple_left_empty(self):
+        rep = AttractorReport(
+            p=2, alpha=F(1), beta=F(1, 2), gamma=1j, epsilon=0.5,
+            records=(
+                AttractorRecord(
+                    m=1, max_scaled_star_distance=0.25,
+                    containment_epsilon_needed=0.125, contained=True, all_simple=None,
+                ),
+                AttractorRecord(
+                    m=4, max_scaled_star_distance=1e-20,
+                    containment_epsilon_needed=0.75, contained=False, all_simple=True,
+                ),
+            ),
+        )
+        assert attractor_csv(rep) == (
+            "# zerodyn csv attractor 1\n"
+            "m,containment_epsilon_needed,max_scaled_star_distance,contained,"
+            "all_simple\r\n"
+            "1,0.125,0.25,True,\r\n"
+            "4,0.75,1e-20,False,True\r\n"
+        )

@@ -89,6 +89,17 @@ class TestFindRoots:
         assert [r.multiplicity for r in rs.roots] == [3]
         assert abs(rs.roots[0].location + 1) < 1e-20
 
+    def test_floating_cluster_comes_back_exactly_real(self):
+        # (x-1)^3 (x^2+1): the merged triple root's imaginary part is
+        # noise unless find_roots puts it on the axis
+        f = (P(-1, 1) ** 3 * P(1, 0, 1)).to_floating(256)
+        rs = find_roots(f, 256)
+        assert [r.multiplicity for r in rs.roots] == [1, 1, 3]
+        triple = rs.roots[2].location
+        assert triple.imag == 0 and abs(triple - 1) < 1e-20
+        assert all(abs(abs(r.location.imag) - 1) < 1e-20 for r in rs.roots[:2])
+        assert count_nonreal(f) == roots.ZeroCount(5, 3, 2, "floating", False)
+
     def test_residuals_certified(self):
         for f in (P(2, 2, 1), P(-6, 0, 0, 1), P(1, 5, -3, 2, 7)):
             rs = find_roots(f)
@@ -571,7 +582,7 @@ class TestCountNonreal:
         for _ in range(20):
             f = random_poly(rng, rng.randint(1, 12))
             exact = count_nonreal(f)
-            floating = count_nonreal(f.to_floating(256), tol=1e-9)
+            floating = count_nonreal(f.to_floating(256))
             assert exact.method == "exact" and floating.method == "floating"
             assert exact.real_count == floating.real_count
             assert exact.squarefree == floating.squarefree
@@ -589,7 +600,8 @@ class TestCountNonreal:
             warnings.simplefilter("error")
             zc = count_nonreal(f)
         assert zc == roots.ZeroCount(65, 1, 64, "certified", True)
-        # zeros +-10^-10 i, which the default tol = 1e-9 would call real
+        # zeros +-10^-10 i, which the floating rule (1e-9 relative) would
+        # call real
         g = P(F(1, 10**20), 0, 1) * Poly([1] * 64)
         assert count_nonreal(g) == roots.ZeroCount(65, 1, 64, "certified", True)
 

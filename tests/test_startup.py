@@ -112,7 +112,7 @@ def _instances():
     record = AttractorRecord(1, 0.25, 0.5, True, None)
     plan = StagePlan((3, 5), {(1, 1): mp.mpc(0, 1)}, {(1, 1): mp.mpf(0.5)}, (Fraction(1, 4),))
     return [
-        RunConfig(256, 1e-9, 200, 40, "json", None),
+        RunConfig(256, 200, 40, "json", None),
         plan,
         CounterexampleReport(plan, {(1, 1): mp.mpc(0, 1)}, {1: 2}, (Fraction(1),), True),
         OperatorClass("General", series, p=2, alpha=Fraction(1), beta=Fraction(-1, 2)),
@@ -219,10 +219,10 @@ def test_positional_keyword_and_missing_fields():
 
 
 def test_run_config_dump_keeps_field_order():
-    cfg = RunConfig(256, 1e-9, 200, 40, "json", None)
+    cfg = RunConfig(256, 200, 40, "json", None)
     assert cfg._asdict() == dataclasses.asdict(
         dataclasses.make_dataclass("RunConfig", RunConfig._fields)(*cfg._astuple())
     )
     assert list(cfg._asdict()) == [
-        "precision_bits", "real_tolerance", "m_max", "d_cap", "out_format", "output",
+        "precision_bits", "m_max", "d_cap", "out_format", "output",
     ]
