@@ -200,11 +200,9 @@ def _parse_m_list(spec: str):
     return out
 
 
-def _emit(cfg: RunConfig, kind: str, payload, csv_text=None) -> None:
+def _emit(cfg: RunConfig, kind: str, payload) -> None:
     if cfg.out_format == "csv":
-        if csv_text is None:
-            raise ValueError(f"{kind} has no CSV schema; use --format json")
-        text = csv_text
+        text = formats.csv_text(kind, payload)
     else:
         doc = {"tool": "zerodyn", "report": f"{kind} v1", "config": cfg._asdict()}
         doc.update(payload)
@@ -248,14 +246,14 @@ def _run(args) -> int:
     if cmd == "zeros":
         f = formats.resolve_poly(args.poly)
         rs = roots.find_roots(f, cfg.precision_bits)
-        _emit(cfg, "zeros", formats.rootset_payload(rs), formats.rootset_csv(rs))
+        _emit(cfg, "zeros", formats.rootset_payload(rs))
         return EXIT_OK
 
     if cmd == "onset":
         f = formats.resolve_poly(args.poly)
         phi = formats.resolve_series(args.series, min_order=max(2, int(f.degree)))
         rep = dynamics.onset_scan(phi, f, cfg.m_max, cfg.precision_bits)
-        _emit(cfg, "onset", formats.onset_payload(rep), formats.onset_csv(rep))
+        _emit(cfg, "onset", formats.onset_payload(rep))
         return EXIT_OK
 
     if cmd == "converge":
@@ -264,12 +262,7 @@ def _run(args) -> int:
         rep = dynamics.convergence_experiment(
             phi, f, _parse_m_list(args.m_list), cfg.precision_bits
         )
-        _emit(
-            cfg,
-            "converge",
-            formats.convergence_payload(rep),
-            formats.convergence_csv(rep),
-        )
+        _emit(cfg, "converge", formats.convergence_payload(rep))
         return EXIT_OK
 
     if cmd == "discrepancy":
@@ -300,9 +293,7 @@ def _run(args) -> int:
             args.epsilon,
             cfg.precision_bits,
         )
-        _emit(
-            cfg, "attractor", formats.attractor_payload(rep), formats.attractor_csv(rep)
-        )
+        _emit(cfg, "attractor", formats.attractor_payload(rep))
         return EXIT_OK
 
     if cmd == "limit-poly":

@@ -324,8 +324,11 @@ def attractor_experiment(
     from w to gamma * (zeros of exp(-D^p)x^d) (the epsilon needed for
     containment), the worst distance from w/gamma to the star of p rays,
     and — when d = 0 or 1 mod p, where the limit zeros are simple —
-    whether the iterate's zeros are all simple.
+    whether the iterate's zeros are all simple.  ``epsilon`` must be
+    finite and positive (ValueError otherwise).
     """
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, not {epsilon}")
     cls = _require_general(phi)
     if not f.is_monic() or f.degree < 1:
         raise ValueError("f must be monic of degree >= 1")

@@ -394,47 +394,41 @@ def counterexample_payload(rep: CounterexampleReport):
 
 
 # ---------------------------------------------------------------------------
-# CSV emitters: one row per m or per root
+# CSV: one row per m or per root, taken from the JSON payload
 
-
-def _csv_text(kind: str, fieldnames, rows):
-    import csv  # only CSV output needs it; kept off the import path
-
-    buf = io.StringIO()
-    buf.write(f"{CSV_HEADER_PREFIX} {kind} 1\n")
-    writer = csv.DictWriter(buf, fieldnames=fieldnames)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def rootset_csv(rs: RootSet) -> str:
-    rows = rootset_payload(rs)["roots"]
-    return _csv_text("roots", ["re", "im", "multiplicity", "residual"], rows)
-
-
-def onset_csv(rep: OnsetReport) -> str:
-    return _csv_text("onset", ["m", "nonreal"], onset_payload(rep)["trace"])
-
-
-def convergence_csv(rep: ConvergenceReport) -> str:
-    rows = convergence_payload(rep)["samples"]
-    return _csv_text("convergence", ["m", "sup_norm_error"], rows)
-
-
-def attractor_csv(rep: AttractorReport) -> str:
-    return _csv_text(
+# CLI report kind -> (CSV kind, payload key of the rows, columns)
+_CSV_TABLES = {
+    "zeros": ("roots", "roots", ("re", "im", "multiplicity", "residual")),
+    "onset": ("onset", "trace", ("m", "nonreal")),
+    "converge": ("convergence", "samples", ("m", "sup_norm_error")),
+    "attractor": (
         "attractor",
-        [
+        "records",
+        (
             "m",
             "containment_epsilon_needed",
             "max_scaled_star_distance",
             "contained",
             "all_simple",
-        ],
-        attractor_payload(rep)["records"],
-    )
+        ),
+    ),
+}
+
+
+def csv_text(kind: str, payload) -> str:
+    """The CSV form of the ``kind`` report whose JSON payload is ``payload``;
+    ValueError for a kind with no CSV schema."""
+    if kind not in _CSV_TABLES:
+        raise ValueError(f"{kind} has no CSV schema; use --format json")
+    import csv  # only CSV output needs it; kept off the import path
+
+    name, key, columns = _CSV_TABLES[kind]
+    buf = io.StringIO()
+    buf.write(f"{CSV_HEADER_PREFIX} {name} 1\n")
+    writer = csv.DictWriter(buf, fieldnames=columns)
+    writer.writeheader()
+    writer.writerows(payload[key])
+    return buf.getvalue()
 
 
 def dump_json(payload) -> str:

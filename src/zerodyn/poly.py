@@ -35,6 +35,7 @@ from .scalars import (
     exact_nth_root,
     is_exact,
     mp,
+    mpf_to_fraction,
     to_mp,
 )
 from .series import OperatorClass, PowerSeries
@@ -122,6 +123,14 @@ class Poly:
         if self.precision == precision_bits:
             return self
         return Poly(self.coeffs, precision=precision_bits)
+
+    def to_exact(self) -> "Poly":
+        """The exact polynomial a real floating one stands for: each mpf
+        coefficient is the dyadic rational m 2^e.  ``self`` if exact;
+        ValueError for a nonreal or nonfinite coefficient."""
+        if self.is_exact:
+            return self
+        return Poly(mpf_to_fraction(c) for c in self.coeffs)
 
     def _coerce_pair(self, other: "Poly"):
         if self.is_exact and other.is_exact:

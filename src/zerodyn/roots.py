@@ -1,33 +1,34 @@
 """Complex root finding with certification and exact nonreal-zero counting.
 
-Two routes, deliberately independent:
+Every input is real and rational: a floating coefficient is an mpf, which
+is exactly a dyadic rational m 2^e, so ``Poly.to_exact`` turns floating
+input into the rational polynomial it stands for, and both entry points
+below see rational coefficients only.  Two routes, deliberately
+independent:
 
-* a floating route: one precision ladder.  Aberth-Ehrlich sweeps in
-  Python ``complex`` arithmetic give seeds with inclusion disks; when
-  the disks are disjoint each holds one zero, refined from its seed by
-  Newton at rising precision and certified in its disk (real zeros of
-  real input in mpf, their nonreal zeros as exact conjugate pairs).
-  Otherwise the sweep runs at the working precision and the same Newton
-  ladder certifies its positions, with disks at that precision.  Rational
-  input is first split into square-free factors, so every root comes
-  with its exact multiplicity, and a factor its ladder does not certify
-  is swept again at doubled precision, up to ``MAX_PRECISION_DOUBLINGS``
-  times, before ``NoConvergence``.  Floating input stops after the
-  working precision, gets multiplicities from cluster merging, and, for
-  real input, has a root within 1e-9 (1 + |z|) of the axis returned real;
-* an exact route for rational coefficients: the integer primitive
-  remainder sequence (PRS) of F and F' is a Sturm chain ending in
-  gcd(F, F'); a square-free F is answered from that one chain, repeated
-  factors rerun it on the gcd, and the Yun split of find_roots takes its
-  gcds from the same PRS.  No tolerances are involved.
+* a certified root finder: one precision ladder.  The input is split
+  into square-free factors, so every root comes with its exact
+  multiplicity.  For each factor, Aberth-Ehrlich sweeps in Python
+  ``complex`` arithmetic give seeds with inclusion disks; when the disks
+  are disjoint each holds one zero, refined from its seed by Newton at
+  rising precision and certified in its disk (real zeros in mpf, nonreal
+  zeros as exact conjugate pairs).  Otherwise the sweep runs at the
+  working precision and the same Newton ladder certifies its positions,
+  with disks at that precision; a factor it does not certify is swept
+  again at doubled precision, up to ``MAX_PRECISION_DOUBLINGS`` times,
+  before ``NoConvergence``;
+* an exact route: the integer primitive remainder sequence (PRS) of F and
+  F' is a Sturm chain ending in gcd(F, F'); a square-free F is answered
+  from that one chain, repeated factors rerun it on the gcd, and the Yun
+  split of find_roots takes its gcds from the same PRS.  No tolerances
+  are involved.
 
 ``count_nonreal`` is the one entry point for "how many nonreal zeros,
 and are all zeros simple" (``ZeroCount.squarefree``); every other
 caller in the library goes through it.  It takes the exact route up to
 degree 64 (``EXACT_DEGREE_LIMIT``), where PRS coefficients start to blow
-up in bit size; above it, and for floating input, it counts the roots
-with imaginary part exactly 0 as real.  For rational input those roots
-are certified, so the count stays exact.
+up in bit size; above it, it counts the certified roots with imaginary
+part exactly 0 as real, so the count stays exact.
 """
 
 from __future__ import annotations
@@ -44,23 +45,20 @@ from .scalars import DEFAULT_PRECISION_BITS, common_denominator, mp, to_mp
 EXACT_DEGREE_LIMIT = 64
 GUARD_BITS = 64
 MAX_SWEEPS = 400
-MAX_PRECISION_DOUBLINGS = 3  # sweep rungs past the working precision, rational input
+MAX_PRECISION_DOUBLINGS = 3  # sweep rungs past the working precision
 SQUAREFREE_PRIME = 2**61 - 1
 DOUBLE_EPS = 2.0**-53
 DOUBLE_MIN = 2.0**-1022  # smallest normal double
 # covers the rounding of the < 8n double operations per radius or distance, n < 2^29
 INCLUSION_SLACK = 1 + 2.0**-20
-# Floating input only: find_roots returns a root z of real f as real (imaginary
-# part 0) when |Im z| <= this * (1 + |z|); rational input needs no such rule.
-_FLOATING_REAL_TOL = 1e-9
 
 
 def _work_precision(precision_bits: int) -> int:
-    # Rational input reaches the sweep as square-free factors, so this
-    # margin matters for floating input only: a multiplicity-k root
-    # scatters its cluster at radius ~2^(-work/k), and doubling the
-    # precision keeps that inside the 2^(-prec/4) merge radius for every
-    # multiplicity up to 8.
+    # p + GUARD_BITS already meets the 2^-p certificate.  Twice p (for
+    # p >= GUARD_BITS) returns each root within 2^(GUARD_BITS - 2p)
+    # (1 + |z|), about p - 64 bits inside that promise, and tests rely on
+    # that margin: the overlapping-disk test pins 1e-50 at p = 128, which
+    # W = p + GUARD_BITS misses (1.76e-40).
     return max(2 * precision_bits, precision_bits + GUARD_BITS)
 
 
@@ -93,7 +91,7 @@ class ZeroCount(Record):
     total: int
     real_count: int
     nonreal_count: int
-    method: str  # "exact" | "certified" | "floating"
+    method: str  # "exact" (Sturm chain, degree <= 64) | "certified" (find_roots)
     squarefree: bool  # every zero has multiplicity 1
 
 
@@ -254,11 +252,11 @@ def _newton_ladder(coeffs, dcoeffs, seeds, workprec, wp=None):
     The seeds are doubles, refined from 106 bits up to ``workprec``, or,
     given ``wp``, the positions of a sweep at wp bits, refined at wp:
     inside a tight cluster, lower precision's noise over |f'| exceeds the
-    spacing of the zeros.  For real coefficients a disk meeting the axis
-    needs an isolated symmetric hull D(Re z, r + |Im z|): its one zero is
-    its own conjugate, so real (refined in mpf).  The other zeros are
-    nonreal, and those in the lower half-plane are the conjugates of the
-    upper ones.
+    spacing of the zeros.  The coefficients are real, so a disk meeting
+    the axis needs an isolated symmetric hull D(Re z, r + |Im z|): its one
+    zero is its own conjugate, so real (refined in mpf).  The other zeros
+    are nonreal, and those in the lower half-plane are the conjugates of
+    the upper ones.
     """
     if wp is None:
         radii = _inclusion_radii(coeffs, seeds, DOUBLE_EPS)
@@ -276,14 +274,11 @@ def _newton_ladder(coeffs, dcoeffs, seeds, workprec, wp=None):
 
     if not all(isolated(z, r, i) for i, (z, r) in enumerate(disks)):
         return None
-    real = not any(c.imag for c in coeffs)
-    if real:
-        coeffs, dcoeffs = [c.real for c in coeffs], [c.real for c in dcoeffs]
     out = []
     for i, (z, r) in enumerate(disks):
-        if real and z.imag < -r:
+        if z.imag < -r:
             continue
-        if real and abs(z.imag) <= r:
+        if abs(z.imag) <= r:
             z, r = z.real, r + abs(z.imag)
             if not isolated(z, r, i):
                 return None
@@ -291,81 +286,53 @@ def _newton_ladder(coeffs, dcoeffs, seeds, workprec, wp=None):
         if u is None:
             return None
         out.append(mp.mpc(u))
-        if real and z.imag > 0:
+        if z.imag > 0:
             out.append(u.conjugate())
     return out
 
 
 def _rounded(source, wp):
-    """The coefficients ``source`` as mpc rounded to wp bits, and those of f'."""
+    """The coefficients ``source`` as mpf rounded to wp bits, and those of f'."""
     with mp.workprec(wp):
-        coeffs = [mp.mpc(to_mp(c, wp)) for c in source]
+        coeffs = [to_mp(c, wp) for c in source]
         return coeffs, [k * coeffs[k] for k in range(1, len(coeffs))]
 
 
-def _aberth(source, workprec, doublings):
-    """All zeros of a polynomial with nonzero constant term;
-    (positions, converged, certified).
+def _aberth(source, workprec):
+    """All zeros of a square-free polynomial with nonzero constant term;
+    (positions, certified).
 
-    ``source`` lists the ascending rational or floating coefficients, of
-    degree n >= 1 with source[0] != 0 and source[-1] != 0.  One ladder of
-    rungs, each starting from the previous rung's positions.  Rung 0 is
-    the double sweep from the circle and the Newton ladder on its seeds.
-    Then, for wp = workprec, 2 workprec, ..., 2^doublings workprec, the
-    coefficients rounded to wp bits, the Aberth sweep at wp and the Newton
-    ladder at wp on the swept positions.  The first rung the ladder
-    certifies returns its positions, which lie within
+    ``source`` lists the ascending rational coefficients, of degree
+    n >= 1 with source[0] != 0 and source[-1] != 0.  One ladder of rungs,
+    each starting from the previous rung's positions.  Rung 0 is the
+    double sweep from the circle and the Newton ladder on its seeds.
+    Then, for wp = workprec, 2 workprec, ..., 2^MAX_PRECISION_DOUBLINGS
+    workprec, the coefficients rounded to wp bits, the Aberth sweep at wp
+    and the Newton ladder at wp on the swept positions.  The first rung
+    the ladder certifies returns its positions, which lie within
     2^(GUARD_BITS - workprec) (1 + |z|) of distinct zeros.  Past the last
-    rung the swept positions come back uncertified, with the sweep's
-    convergence.
+    rung the swept positions come back uncertified.
     """
     n = len(source) - 1
     coeffs, dcoeffs = _rounded(source, workprec)
     if n == 1:
-        return [-coeffs[0] / coeffs[1]], True, True
+        return [mp.mpc(-coeffs[0] / coeffs[1])], True
     seeds = _double_seeds(coeffs, dcoeffs)
     if seeds is None:
         zs = _circle_start(coeffs, mp)
     else:
         located = _newton_ladder(coeffs, dcoeffs, seeds, workprec)
         if located is not None:
-            return located, True, True
+            return located, True
         zs = [mp.mpc(z) for z in seeds]
-    for wp in (workprec << k for k in range(doublings + 1)):
+    for wp in (workprec << k for k in range(MAX_PRECISION_DOUBLINGS + 1)):
         coeffs, dcoeffs = _rounded(source, wp)
         with mp.workprec(wp):
-            converged = _sweep(coeffs, dcoeffs, zs, mp.ldexp(1, -wp))
+            _sweep(coeffs, dcoeffs, zs, mp.ldexp(1, -wp))
             located = _newton_ladder(coeffs, dcoeffs, zs, workprec, wp)
         if located is not None:
-            return [+z for z in located], True, True
-    return [+z for z in zs], converged, False
-
-
-def _merge_clusters(zs, precision_bits):
-    """Single-linkage merge within the quarter-precision radius.
-
-    Returns (centroid, size) pairs; the centroid averages out the
-    symmetric scatter a multiple root induces on its cluster.
-    """
-    n = len(zs)
-    thr = mp.mpf(2) ** (-(precision_bits // 4))
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            scale = 1 + (abs(zs[i]) + abs(zs[j])) / 2
-            if abs(zs[i] - zs[j]) <= thr * scale:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(zs[i])
-    return [(sum(members) / len(members), len(members)) for members in groups.values()]
+            return [+z for z in located], True
+    return [+z for z in zs], False
 
 
 def _sort_located(located, precision_bits):
@@ -422,99 +389,63 @@ def _pair_conjugates(located):
 
 
 def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet:
-    """All complex roots of f with residual certificates.
+    """All complex roots of real f, certified, with exact multiplicities.
 
     Parameters
     ----------
     f : Poly
-        Degree >= 1; exact or floating coefficients.
+        Degree >= 1; real exact or floating coefficients.  Floating f is
+        solved as the rational polynomial ``f.to_exact()`` it stands for.
     precision_bits : int
-        Stated precision of the result.  Internally the iteration runs
-        with guard bits so cluster merging at 2^(-precision_bits/4)
-        separates genuine multiplicity from iteration noise.
+        Stated precision of the result.
 
     Returns
     -------
     RootSet with sum of multiplicities equal to deg f and, per root,
     the relative residual |f(r)| / (||f||_inf * max(1,|r|)^deg).  Every
-    root of rational f, and every root of floating f that the Newton
-    ladder certifies, lies within 2^-precision_bits (1 + |r|) of its own
-    zero; for real f such a root is either real with imaginary part
-    exactly 0 or one of an exact conjugate pair.  The positions of
-    floating f need not be certified, so a root r of real floating f
-    with |Im r| <= 1e-9 (1 + |r|) comes back with imaginary part exactly
-    0: for every real f, a root is real iff its imaginary part is 0, and
-    this is the library's one realness rule.  Multiplicities of exact
-    (rational) input are exact: each square-free factor is solved on its
-    own.  Floating input gets them from the cluster merge.  Roots are
-    listed by real part (a zero root first), real parts within
-    2^-precision_bits (1 + |r|) by imaginary part; for real f each
-    conjugate pair is adjacent, lower half-plane first.
+    root lies within 2^-precision_bits (1 + |r|) of its own zero, and is
+    either real with imaginary part exactly 0 or one of an exact
+    conjugate pair: a root is real iff its imaginary part is 0.
+    Multiplicities are exact: each square-free factor is solved on its
+    own.  Roots are listed by real part (a zero root first), real parts
+    within 2^-precision_bits (1 + |r|) by imaginary part; each conjugate
+    pair is adjacent, lower half-plane first.
 
     Raises
     ------
-    DegreeZero, NoConvergence (rational f: the ladder certified a factor
-    on no rung up to 2^MAX_PRECISION_DOUBLINGS times the working
-    precision; floating f: not certified, the sweep did not converge and
-    a residual exceeds 2^-(precision_bits/2); the best RootSet found
-    rides on the exception).
+    ValueError (a nonreal or nonfinite coefficient), DegreeZero,
+    NoConvergence (the ladder certified a factor on no rung up to
+    2^MAX_PRECISION_DOUBLINGS times the working precision; the best
+    RootSet found rides on the exception).
     """
+    f = f.to_exact()
     if f.degree < 1:
         raise DegreeZero("root finding needs degree >= 1")
     deg = int(f.degree)
-    real = f.is_real()
     workprec = _work_precision(precision_bits)
     with mp.workprec(workprec):
-        coeffs = [to_mp(c, workprec) for c in f.coeffs]
-        if coeffs[-1] == 0:
-            raise DegreeZero("leading coefficient vanishes at working precision")
         nzero = 0
-        while coeffs[nzero] == 0:
+        while f.coeffs[nzero] == 0:
             nzero += 1
-        if f.is_exact:
-            located, converged = [], True
-            for factor, mult in _squarefree_split(f.coeffs[nzero:]):
-                positions, _, certified = _aberth(
-                    factor, workprec, MAX_PRECISION_DOUBLINGS
-                )
-                located += [(z, mult) for z in positions]
-                converged = converged and certified
-        else:
-            body = coeffs[nzero:]
-            positions, converged = (
-                _aberth(body, workprec, 0)[:2] if len(body) > 1 else ([], True)
-            )
-            located = _merge_clusters(positions, precision_bits)
-            if real:
-                located = [
-                    (mp.mpc(z.real), k)
-                    if abs(z.imag) <= _FLOATING_REAL_TOL * (1 + abs(z))
-                    else (z, k)
-                    for z, k in located
-                ]
-        located = _sort_located(located, precision_bits)
-        if real:
-            located = _pair_conjugates(located)
+        located, certified = [], True
+        for factor, mult in _squarefree_split(f.coeffs[nzero:]):
+            positions, ok = _aberth(factor, workprec)
+            located += [(z, mult) for z in positions]
+            certified = certified and ok
+        located = _pair_conjugates(_sort_located(located, precision_bits))
         if nzero:
             located.insert(0, (mp.mpc(0), nzero))
+        coeffs = [to_mp(c, workprec) for c in f.coeffs]
         sup = max(abs(c) for c in coeffs)
         roots = []
         for loc, mult in located:
             val = _horner(coeffs, loc)
             rel = abs(val) / (sup * max(mp.mpf(1), abs(loc)) ** deg)
             roots.append(Root(location=loc, multiplicity=mult, residual=float(rel)))
-        rs = RootSet(
-            roots=tuple(roots),
-            source_degree=deg,
-            precision_bits=precision_bits,
-        )
-        if not converged:
-            cert = 2.0 ** (-(precision_bits // 2))
-            if f.is_exact or any(r.residual > cert for r in rs.roots):
-                raise NoConvergence(
-                    "iteration budget exhausted before certification", best=rs
-                )
-        return rs
+    rs = RootSet(roots=tuple(roots), source_degree=deg, precision_bits=precision_bits)
+    if not certified:
+        raise NoConvergence("iteration budget exhausted before certification", best=rs)
+    return rs
 
 
 # ---------------------------------------------------------------------------
@@ -675,34 +606,31 @@ def count_nonreal(
 ) -> ZeroCount:
     """Count nonreal zeros with multiplicity and tell whether f is square-free.
 
-    Rational coefficients up to degree 64 go through the exact route (one
-    integer primitive PRS of f and f', rerun on gcd(f, f') only for
-    repeated factors); no tolerance enters.  Otherwise roots are located
-    at ``precision_bits`` (or taken from ``rs``, a RootSet of f the caller
-    already holds) and a root is real iff its imaginary part is exactly
-    0.  ``find_roots`` makes that the answer: above degree 64 rational
-    input is counted from certified roots (``method`` "certified"), and
-    floating input from roots that ``find_roots`` put on the real axis
-    when |Im r| <= 1e-9 (1 + |r|) (``method`` "floating").
-    Multiplicities from ``find_roots`` are exact for rational input, so
-    ``squarefree`` is exact at any degree there; only floating input
-    takes them from the cluster merge.
+    f is real; floating f is counted as the rational polynomial
+    ``f.to_exact()`` it stands for, and a nonreal or nonfinite
+    coefficient is a ValueError.  Up to degree 64 the count takes the
+    exact route (one integer primitive PRS of f and f', rerun on
+    gcd(f, f') only for repeated factors; ``method`` "exact"); no
+    tolerance enters.  Above it, roots are located at ``precision_bits``
+    (or taken from ``rs``, a RootSet of f the caller already holds) and
+    counted from ``find_roots``' certificate: a root is real iff its
+    imaginary part is exactly 0 (``method`` "certified").  Multiplicities
+    from ``find_roots`` are exact, so ``squarefree`` is exact at any
+    degree.
     """
-    if not f.is_real():
-        raise ValueError("nonreal-zero counting is defined for real polynomials")
+    f = f.to_exact()
     deg = f.degree
     if deg < 1:
         return ZeroCount(0, 0, 0, "exact", True)
     deg = int(deg)
-    if f.is_exact and deg <= EXACT_DEGREE_LIMIT:
+    if deg <= EXACT_DEGREE_LIMIT:
         real, nonreal, squarefree = _exact_profile(f)
         return ZeroCount(deg, real, nonreal, "exact", squarefree)
     if rs is None:
         rs = find_roots(f, precision_bits)
     real = sum(r.multiplicity for r in rs.roots if r.location.imag == 0)
     squarefree = all(r.multiplicity == 1 for r in rs.roots)
-    method = "certified" if f.is_exact else "floating"
-    return ZeroCount(deg, real, deg - real, method, squarefree)
+    return ZeroCount(deg, real, deg - real, "certified", squarefree)
 
 
 def all_real_simple(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> bool:
@@ -714,17 +642,18 @@ def all_real_simple(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> bo
 def roots_in_disk(rs: RootSet, center, radius) -> int:
     """Roots (with multiplicity) strictly inside the open disk.
 
-    A root within the location-uncertainty band of the boundary counts
-    as inside and the tie is recorded in ``rs.diagnostics``; persistence
-    checks downstream prefer a false positive that later re-verification
-    can reject over a silently dropped witness.
+    A root within its certificate, 2^-precision_bits (1 + |r|), of the
+    boundary counts as inside and the tie is recorded in
+    ``rs.diagnostics``; persistence checks downstream prefer a false
+    positive that later re-verification can reject over a silently
+    dropped witness.
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
     with mp.workprec(rs.precision_bits + GUARD_BITS):
         c = mp.mpc(center)
         rad = mp.mpf(radius)
-        band_scale = mp.mpf(2) ** (-(rs.precision_bits // 4))
+        band_scale = mp.ldexp(1, -rs.precision_bits)
         count = 0
         for r in rs.roots:
             dist = abs(r.location - c)

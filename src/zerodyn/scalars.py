@@ -2,8 +2,8 @@
 
 Exact values are `fractions.Fraction` (ints are coerced on the way in);
 floating values are mpmath mpf/mpc at an explicit binary precision.  All
-conversions from exact to floating happen here so the rounding boundary
-stays in one place.
+conversions between exact and floating happen here so the rounding
+boundary stays in one place.
 
 This module also owns the package's one binding of mpmath, ``mp``; every
 other module takes it from here.  The binding is lazy: ``import zerodyn``
@@ -87,6 +87,19 @@ def to_mp(x, precision_bits: int):
         with mp.workprec(precision_bits):
             return mp.mpmathify(x)
     return mp.make_mpf(re) if im == libmp.fzero else mp.make_mpc((re, im))
+
+
+def mpf_to_fraction(x) -> Fraction:
+    """The dyadic rational m 2^e a finite mpf stands for, exactly.
+
+    Read from ``x._mpf_``, so nothing is rounded at the ambient precision;
+    ValueError for an mpc or a nonfinite value.
+    """
+    if not isinstance(x, mp.mpf) or not mp.isfinite(x):
+        raise ValueError(f"not a finite real floating scalar: {x!r}")
+    sign, man, exp, _bc = x._mpf_
+    man = -int(man) if sign else int(man)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def carried_precision(x) -> int:

@@ -160,6 +160,19 @@ class TestExperimentsviaCLI:
         )
         assert all(rec["contained"] for rec in doc["records"])
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
+    def test_meaningless_epsilon_is_an_input_error(self, capsys, epsilon):
+        code, _, err = run_cli(
+            capsys,
+            "attractor",
+            "--series", "poly:1+x^2",
+            "--poly", "x^3",
+            "--m-list", "1",
+            "--epsilon", epsilon,
+        )
+        assert code == 2
+        assert "input error" in err and "epsilon" in err
+
     def test_limit_poly(self, capsys):
         doc = run_json(capsys, "limit-poly", "--beta", "-1", "--p", "2", "--d", "4")
         assert doc["coeffs"] == ["12", "0", "-12", "0", "1"]

@@ -8,7 +8,8 @@ import pytest
 from zerodyn import Poly, PowerSeries, build_plan, extend, find_roots
 from zerodyn.dynamics import AttractorRecord, AttractorReport
 from zerodyn.formats import (
-    attractor_csv,
+    attractor_payload,
+    csv_text,
     format_poly_inline_exact,
     format_poly_text,
     format_series_text,
@@ -19,7 +20,7 @@ from zerodyn.formats import (
     plan_payload,
     resolve_poly,
     resolve_series,
-    rootset_csv,
+    rootset_payload,
 )
 
 
@@ -118,7 +119,7 @@ class TestPlanRoundTrip:
 class TestRootsetCSV:
     def test_versioned_header_and_rows(self):
         rs = find_roots(Poly([2, 2, 1]))
-        text = rootset_csv(rs)
+        text = csv_text("zeros", rootset_payload(rs))
         lines = text.strip().splitlines()
         assert lines[0].startswith("# zerodyn csv roots")
         assert lines[1] == "re,im,multiplicity,residual"
@@ -140,7 +141,7 @@ class TestAttractorCSV:
                 ),
             ),
         )
-        assert attractor_csv(rep) == (
+        assert csv_text("attractor", attractor_payload(rep)) == (
             "# zerodyn csv attractor 1\n"
             "m,containment_epsilon_needed,max_scaled_star_distance,contained,"
             "all_simple\r\n"

@@ -252,6 +252,21 @@ class TestFloatingKind:
     def test_sup_norm(self):
         assert P(1, -7, 3).sup_norm() == 7
 
+    def test_to_exact_keeps_every_bit(self):
+        # 1/3 at 256 bits; re-rounding at mpmath's default 53 bits loses 203
+        g = P(F(1, 3), -2).to_floating(256)
+        q = g.to_exact()
+        assert q.is_exact and list(q.coeffs) == [_exact(c) for c in g.coeffs]
+        assert 0 < abs(q.coeffs[0] - F(1, 3)) < F(1, 2**256)
+        assert q.to_floating(256) == g
+        f = P(1, 2)
+        assert f.to_exact() is f
+
+    @pytest.mark.parametrize("c", [1j, mp.inf, mp.nan])
+    def test_to_exact_rejects_nonreal_and_nonfinite(self, c):
+        with pytest.raises(ValueError):
+            Poly([c, 1], 128).to_exact()
+
 
 def _exact(v):
     """The value an mpf holds, as a Fraction."""

@@ -90,15 +90,32 @@ class TestFindRoots:
         assert abs(rs.roots[0].location + 1) < 1e-20
 
     def test_floating_cluster_comes_back_exactly_real(self):
-        # (x-1)^3 (x^2+1): the merged triple root's imaginary part is
-        # noise unless find_roots puts it on the axis
+        # (x-1)^3 (x^2+1) at 256 bits is exact: its triple root is certified
+        # from the square-free factor x - 1, so it lies on the axis
         f = (P(-1, 1) ** 3 * P(1, 0, 1)).to_floating(256)
         rs = find_roots(f, 256)
         assert [r.multiplicity for r in rs.roots] == [1, 1, 3]
         triple = rs.roots[2].location
         assert triple.imag == 0 and abs(triple - 1) < 1e-20
         assert all(abs(abs(r.location.imag) - 1) < 1e-20 for r in rs.roots[:2])
-        assert count_nonreal(f) == roots.ZeroCount(5, 3, 2, "floating", False)
+        assert count_nonreal(f) == roots.ZeroCount(5, 3, 2, "exact", False)
+
+    def test_rounded_double_root_is_two_simple_zeros(self):
+        # (x - 1/3)^2 rounded to 128 bits stands for a square-free dyadic
+        # polynomial: two simple zeros about 2^-64 apart, not one double zero
+        f = (P(F(-1, 3), 1) ** 2).to_floating(128)
+        rs = find_roots(f)
+        assert [r.multiplicity for r in rs.roots] == [1, 1]
+        with mp.workprec(320):
+            assert all(abs(r.location - mp.mpf(1) / 3) < 1e-15 for r in rs.roots)
+        zc = count_nonreal(f)
+        assert zc == count_nonreal(f.to_exact())
+        assert zc.method == "exact" and zc.squarefree
+        assert zc.real_count == sum(r.location.imag == 0 for r in rs.roots)
+
+    def test_nonreal_coefficients_rejected(self):
+        with pytest.raises(ValueError):
+            find_roots(Poly([1j, 0, 1], 256))
 
     def test_residuals_certified(self):
         for f in (P(2, 2, 1), P(-6, 0, 0, 1), P(1, 5, -3, 2, 7)):
@@ -296,14 +313,6 @@ class TestPrecisionLadder:
         ]
         assert all(type(c) is F for g, _ in factors for c in g)
 
-    def test_exact_input_never_merges(self, monkeypatch, rng):
-        def forbidden(*args):
-            raise AssertionError("cluster merge reached on exact input")
-
-        monkeypatch.setattr(roots, "_merge_clusters", forbidden)
-        for f in (P(1, 1) ** 12, P(F(1, 3), 1) ** 9 * P(-2, 1), random_poly(rng, 9)):
-            find_roots(f)
-
     def test_agrees_with_mpmath_polyroots(self, monkeypatch):
         ladder = _record(monkeypatch, "_newton_ladder")
         rng = make_rng(31)
@@ -371,25 +380,17 @@ class TestNewtonLadder:
                 assert r.multiplicity == 1
                 assert abs(r.location - z) < 1e-50
 
-    def test_complex_coefficients_take_the_mpc_branch(self, monkeypatch):
-        zeros = [mp.mpc(1, 2), mp.mpc(0, -0.5), mp.mpc(3), mp.mpc(-2, 0.25)]
-        f = Poly(_from_roots(zeros), 256)
-        assert not f.is_real()
-        ladder = _record(monkeypatch, "_newton_ladder")
-        rs = find_roots(f, 256)
-        assert len(ladder) == 1 and ladder[0] is not None
-        for z in zeros:
-            assert _locate(rs, z, 1e-140).multiplicity == 1
-
     def test_seeds_sharing_a_zero_are_not_isolated(self):
         # two seeds at the zero 1 and none at 2: each would refine to 1
         with mp.workprec(256):
-            coeffs = [mp.mpc(c) for c in _from_roots([1, 2, 3j])]
-            dcoeffs = [k * coeffs[k] for k in range(1, 4)]
-            seeds = [1 + 1e-12, 1 - 1e-12, 3j]
+            coeffs = [mp.mpf(c.real) for c in _from_roots([1, 2, 3j, -3j])]
+            dcoeffs = [k * coeffs[k] for k in range(1, 5)]
+            seeds = [1 + 1e-12, 1 - 1e-12, 3j, -3j]
             assert roots._newton_ladder(coeffs, dcoeffs, seeds, 256) is None
             # the same for positions of a sweep at 256 bits
-            swept = [1 + mp.ldexp(1, -200), 1 - mp.ldexp(1, -200), mp.mpc(0, 3)]
+            swept = [
+                1 + mp.ldexp(1, -200), 1 - mp.ldexp(1, -200), mp.mpc(0, 3), mp.mpc(0, -3)
+            ]
             assert roots._newton_ladder(coeffs, dcoeffs, swept, 256, 256) is None
 
     def test_zero_outside_its_disk_takes_the_sweep(self, monkeypatch):
@@ -503,27 +504,6 @@ class TestExactFallbackCertificate:
         assert info.value.best.total_multiplicity() == len(self.CLUSTER)
         assert len(info.value.best.roots) == len(self.CLUSTER)
 
-    def test_floating_input_is_not_checked(self, monkeypatch):
-        # floating input is laddered once more, on the sweep at W = 128,
-        # and its coefficients are never rounded to another precision
-        rungs, rounded = [], []
-        ladder, rounding = roots._newton_ladder, roots._rounded
-
-        def recording_ladder(*args):
-            rungs.append(args[4:])
-            return ladder(*args)
-
-        def recording_rounding(source, wp):
-            rounded.append(wp)
-            return rounding(source, wp)
-
-        monkeypatch.setattr(roots, "_newton_ladder", recording_ladder)
-        monkeypatch.setattr(roots, "_rounded", recording_rounding)
-        rs = find_roots(Poly(_from_roots(self.CLUSTER)).to_floating(256), 64)
-        assert rungs == [(), (128,)]
-        assert set(rounded) == {128}
-        assert rs.total_multiplicity() == 6
-
     @pytest.mark.slow
     @pytest.mark.parametrize("bits", [64, 128, 256])
     def test_clustered_products_are_certified(self, monkeypatch, bits):
@@ -583,7 +563,7 @@ class TestCountNonreal:
             f = random_poly(rng, rng.randint(1, 12))
             exact = count_nonreal(f)
             floating = count_nonreal(f.to_floating(256))
-            assert exact.method == "exact" and floating.method == "floating"
+            assert exact.method == "exact" and floating.method == "exact"
             assert exact.real_count == floating.real_count
             assert exact.squarefree == floating.squarefree
 
@@ -600,7 +580,7 @@ class TestCountNonreal:
             warnings.simplefilter("error")
             zc = count_nonreal(f)
         assert zc == roots.ZeroCount(65, 1, 64, "certified", True)
-        # zeros +-10^-10 i, which the floating rule (1e-9 relative) would
+        # zeros +-10^-10 i, which a 1e-9 relative realness band would
         # call real
         g = P(F(1, 10**20), 0, 1) * Poly([1] * 64)
         assert count_nonreal(g) == roots.ZeroCount(65, 1, 64, "certified", True)
@@ -635,6 +615,14 @@ class TestRootsInDisk:
         n = roots_in_disk(rs, -1, 1.0)
         assert n == 2
         assert any(ev["event"] == "boundary-tie" for ev in rs.diagnostics)
+
+    def test_band_is_the_certificate(self):
+        # at 256 bits a root 2^-100 inside the boundary is inside, no tie
+        rs = find_roots(P(-1, 1), 256)
+        with mp.workprec(256):
+            radius = 1 + mp.ldexp(1, -100)
+        assert roots_in_disk(rs, 0, radius) == 1
+        assert rs.diagnostics == []
 
     def test_radius_must_be_positive(self):
         rs = find_roots(P(2, 2, 1))

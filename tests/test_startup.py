@@ -78,6 +78,16 @@ def test_floating_subcommand_leaves_plain_mpmath_module():
     assert _fresh(CLI_PROBE, "zeros", "--poly", "x^2+2x+2") == [0, True, True]
 
 
+def test_json_report_leaves_csv_unimported():
+    probe = (
+        "import json, sys, zerodyn.cli; "
+        "rc = zerodyn.cli.main(sys.argv[1:] + ['--output', '/dev/null']); "
+        "print(json.dumps([rc, 'csv' in sys.modules]))"
+    )
+    argv = ["onset", "--series", "poly:1+x-x^2", "--poly", "x^2-2x+2", "--m-max", "20"]
+    assert _fresh(probe, *argv) == [0, False]
+
+
 def test_mpmath_imported_first_is_the_same_module():
     assert _fresh(
         "import json, types, mpmath, zerodyn.scalars as s; "
