@@ -30,12 +30,11 @@ from .limits import exp_dp_monomial
 from .poly import Poly, apply_operator, rescale_iterate
 from .records import Record
 from .roots import count_nonreal, find_roots
-from .scalars import DEFAULT_PRECISION_BITS, exact_nth_root, is_exact, mp, to_mp
+from .scalars import DEFAULT_PRECISION_BITS, exact_nth_root, mp, mpf_to_fraction, to_mp
 from .series import (
     OperatorClass,
     PowerSeries,
     classify,
-    dilate_series,
     truncated_power,
     truncated_product,
     turan_expression,
@@ -237,8 +236,11 @@ def operator_discrepancy(
     Builds the composite series exp(-m^(1-1/p) alpha x) * phi(m^(-1/p) x)^m
     truncated at order d, subtracts exp(beta x^p), applies the difference
     to every monomial x^j (j <= d) and returns the largest sup-norm.
-    Exact when phi is exact and m is a perfect p-th power; otherwise
-    computed at ``precision_bits``.  Identically zero for d < p.
+    The composite is E(cx), with c = m^(-1/p) and the series
+    E = exp(-m alpha x) * phi(x)^m computed exactly.  Exact when m is a
+    perfect p-th power; otherwise c is rounded once at ``precision_bits``,
+    the gap is computed exactly from that c and rounded once to
+    ``precision_bits``.  Identically zero for d < p.
     """
     if not cls.is_general:
         raise NotGeneralForm(f"need General form, got {cls.form}")
@@ -248,49 +250,28 @@ def operator_discrepancy(
         raise TruncationTooShort(
             f"need truncation order {d}, have {phi.truncation_order}"
         )
-    p, alpha, beta = cls.p, cls.alpha, cls.beta
-    norm = cls.normalized_from
+    p = cls.p
+    shift = _exp_monomial_series(-m * cls.alpha, 1, d)
+    powered = truncated_power(cls.normalized_from, m, d)
+    composite = truncated_product(shift, powered, d)
+    target = _exp_monomial_series(cls.beta, p, d)
     root = exact_nth_root(m, p)
-    if norm.is_exact and root is not None:
-        inv = Fraction(1, root)
-        shift_c = -Fraction(m, root) * alpha
-        dilated = dilate_series(norm.truncated(d), inv)
-        powered = truncated_power(dilated, m, d)
-        shift = _exp_monomial_series(shift_c, 1, d)
-        composite = truncated_product(shift, powered, d)
-        target = _exp_monomial_series(beta, p, d)
-        diff = [a - b for a, b in zip(composite.coeffs, target.coeffs)]
-        return _max_monomial_image_norm(diff, d)
-    with mp.workprec(precision_bits):
-        mroot = to_mp(m, precision_bits) ** (mp.mpf(1) / p)
-        inv = 1 / mroot
-        shift_c = -(to_mp(m, precision_bits) / mroot) * to_mp(alpha, precision_bits)
-        base = norm.truncated(d).to_floating(precision_bits)
-        dilated = dilate_series(base, inv, precision_bits)
-        powered = truncated_power(dilated, m, d)
-        shift = _exp_monomial_series(shift_c, 1, d, precision_bits)
-        composite = truncated_product(shift, powered, d)
-        target = _exp_monomial_series(to_mp(beta, precision_bits), p, d, precision_bits)
-        diff = [a - b for a, b in zip(composite.coeffs, target.coeffs)]
-        return _max_monomial_image_norm(diff, d)
+    if root is not None:
+        c = Fraction(1, root)
+    else:
+        with mp.workprec(precision_bits):
+            c = mpf_to_fraction(mp.root(m, -p))
+    diff = [c**n * e - t for n, (e, t) in enumerate(zip(composite.coeffs, target.coeffs))]
+    gap = _max_monomial_image_norm(diff, d)
+    return gap if root is not None else to_mp(gap, precision_bits)
 
 
-def _exp_monomial_series(c, j: int, order: int, precision_bits=None) -> PowerSeries:
-    """exp(c * x^j) truncated at ``order``."""
-    exact = is_exact(c) and precision_bits is None
-    prec = None if exact else (precision_bits or DEFAULT_PRECISION_BITS)
-    zero = Fraction(0) if exact else to_mp(0, prec)
-    coeffs = [zero] * (order + 1)
-    term = c**0
-    k = 0
-    while j * k <= order:
-        if exact:
-            coeffs[j * k] = term * Fraction(1, math.factorial(k))
-        else:
-            coeffs[j * k] = term / math.factorial(k)
-        term = term * c
-        k += 1
-    return PowerSeries(coeffs, prec)
+def _exp_monomial_series(c, j: int, order: int) -> PowerSeries:
+    """exp(c * x^j) truncated at ``order``, for a Fraction c."""
+    coeffs = [Fraction(0)] * (order + 1)
+    for k in range(order // j + 1):
+        coeffs[j * k] = c**k / math.factorial(k)
+    return PowerSeries(coeffs)
 
 
 def _max_monomial_image_norm(diff_coeffs, d: int):

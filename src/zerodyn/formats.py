@@ -88,8 +88,6 @@ def parse_series_text(text: str) -> PowerSeries:
 
 
 def format_series_text(phi: PowerSeries) -> str:
-    if not phi.is_exact:
-        raise ValueError("series files store exact rationals only")
     body = "\n".join(fraction_str(c) for c in phi.coeffs)
     return f"{SERIES_HEADER}\n{body}\n"
 
@@ -358,6 +356,15 @@ def plan_from_payload(data) -> StagePlan:
     bound_ok = _plan_field(
         data, "coefficient_bound_ok", lambda v: tuple(bool(b) for b in v)
     )
+    for name, values, ok, what in (
+        ("degrees", degrees, lambda d: d >= 1, "at least 1"),
+        ("gammas", gammas, lambda g: g > 0, "positive"),
+        ("radii", radii.values(), lambda r: mp.isfinite(r) and r > 0, "finite and positive"),
+        ("targets", targets.values(), mp.isfinite, "finite"),
+    ):
+        bad = [v for v in values if not ok(v)]
+        if bad:
+            raise ValueError(f"plan field {name!r} entries must be {what}, not {bad[0]}")
     if not len(gammas) == len(bound_ok) <= len(degrees):
         raise ValueError(
             f"plan fields disagree: {len(degrees)} degrees, {len(gammas)} gammas, "

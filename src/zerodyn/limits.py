@@ -18,32 +18,22 @@ from fractions import Fraction
 
 from .poly import Poly
 from .series import PowerSeries
-from .scalars import DEFAULT_PRECISION_BITS, is_exact
+from .scalars import as_fraction
 
 
-def exp_dp_monomial(
-    beta, p: int, d: int, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> Poly:
-    """exp(beta*D^p) applied to x^d; monic of degree d, exact for exact beta.
-
-    ``precision_bits`` only matters when beta is a floating scalar.
-    """
+def exp_dp_monomial(beta, p: int, d: int) -> Poly:
+    """exp(beta*D^p) applied to x^d for an exact beta; monic of degree d."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if d < 0:
         raise ValueError("d must be >= 0")
-    exact = is_exact(beta)
-    coeffs = [Fraction(0)] * (d + 1) if exact else [0 * beta] * (d + 1)
-    bpow = beta**0
+    beta = as_fraction(beta)
+    coeffs = [Fraction(0)] * (d + 1)
     for k in range(d // p + 1):
         num = math.factorial(d)
         den = math.factorial(k) * math.factorial(d - p * k)
-        if exact:
-            coeffs[d - p * k] = Fraction(num, den) * bpow
-        else:
-            coeffs[d - p * k] = bpow * num / den
-        bpow = bpow * beta
-    return Poly(coeffs, None if exact else precision_bits)
+        coeffs[d - p * k] = Fraction(num, den) * beta**k
+    return Poly(coeffs)
 
 
 def hermite(d: int) -> Poly:
@@ -95,7 +85,4 @@ def jensen_of_series(phi: PowerSeries, q: int) -> Poly:
         from .errors import TruncationTooShort
 
         raise TruncationTooShort(f"need order {q}, have {phi.truncation_order}")
-    return Poly(
-        (math.comb(q, k) * phi.derivative_at_zero(k) for k in range(q + 1)),
-        phi.precision,
-    )
+    return Poly(math.comb(q, k) * phi.derivative_at_zero(k) for k in range(q + 1))

@@ -253,8 +253,8 @@ def apply_operator(phi: PowerSeries, f: Poly) -> Poly:
 
     Coefficient j is sum_n alpha_n (j+n)!/j! c_(j+n).  Exact input runs
     on integers: with alpha_n = A_n/L_a and k! c_k = C_k/L_c it is
-    (sum_n A_n C_(j+n)) / (j! L_a L_c).  Floating input (either side)
-    runs the same sums at the larger precision.
+    (sum_n A_n C_(j+n)) / (j! L_a L_c).  Floating f runs the same sums
+    at its own precision.
     """
     if f.is_zero:
         return f
@@ -268,13 +268,13 @@ def apply_operator(phi: PowerSeries, f: Poly) -> Poly:
     alpha = list(phi.coeffs[: d + 1])
     while alpha[-1] == 0 and len(alpha) > 1:
         alpha.pop()  # a zero tail adds nothing to any sum
-    if phi.is_exact and f.is_exact:
+    if f.is_exact:
         a, den_a = common_denominator(alpha)
         c, den_c = common_denominator(f.coeffs)
         c = list(map(mul, fact, c))
         den = den_a * den_c
         return Poly(Fraction(sum(map(mul, a, c[j:])), fact[j] * den) for j in range(d + 1))
-    prec = max(phi.precision or 0, f.precision or 0)
+    prec = f.precision
     with mp.workprec(prec):
         a = [to_mp(x, prec) for x in alpha]
         c = [to_mp(x, prec) * k for k, x in zip(fact, f.coeffs)]

@@ -1,7 +1,7 @@
 """Truncated formal power series and operator classification.
 
 A series phi(x) = sum alpha_n x^n is stored by its Taylor coefficients
-alpha_n = phi^(n)(0)/n!, exactly (Fraction) by default.  The truncation
+alpha_n = phi^(n)(0)/n!, exactly (Fraction).  The truncation
 order is explicit and operations fail loudly when it is too short; a
 polynomial's known zero tail can be declared with :func:`extend`.
 
@@ -23,24 +23,19 @@ from operator import mul
 
 from .errors import AllZeroSeries, TruncationTooShort, ZeroConstantTerm
 from .records import Record
-from .scalars import as_fraction, common_denominator, is_exact, mp, to_mp
+from .scalars import as_fraction, common_denominator
 
 
 class PowerSeries:
     """Truncated power series; index n of ``coeffs`` holds alpha_n."""
 
-    __slots__ = ("coeffs", "precision")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, precision=None):
-        coeffs = tuple(coeffs)
+    def __init__(self, coeffs):
+        coeffs = tuple(as_fraction(c) for c in coeffs)
         if not coeffs:
             raise ValueError("a series needs at least the constant term")
-        if precision is None:
-            coeffs = tuple(as_fraction(c) for c in coeffs)
-        else:
-            coeffs = tuple(to_mp(c, precision) for c in coeffs)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "precision", precision)
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
@@ -48,10 +43,6 @@ class PowerSeries:
     @property
     def truncation_order(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def is_exact(self) -> bool:
-        return self.precision is None
 
     def taylor(self, n):
         """alpha_n (0 beyond the truncation is *not* assumed; raises)."""
@@ -78,10 +69,7 @@ class PowerSeries:
             raise TruncationTooShort(
                 f"have order {self.truncation_order}, asked to keep {order}"
             )
-        return PowerSeries(self.coeffs[: order + 1], self.precision)
-
-    def to_floating(self, precision_bits: int) -> "PowerSeries":
-        return PowerSeries(self.coeffs, precision=precision_bits)
+        return PowerSeries(self.coeffs[: order + 1])
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
@@ -103,9 +91,7 @@ def extend(phi: PowerSeries, order: int) -> PowerSeries:
     """
     if order <= phi.truncation_order:
         return phi
-    zero = Fraction(0) if phi.is_exact else to_mp(0, phi.precision)
-    pad = (zero,) * (order - phi.truncation_order)
-    return PowerSeries(phi.coeffs + pad, phi.precision)
+    return PowerSeries(phi.coeffs + (Fraction(0),) * (order - phi.truncation_order))
 
 
 def normalize(phi: PowerSeries) -> PowerSeries:
@@ -115,7 +101,7 @@ def normalize(phi: PowerSeries) -> PowerSeries:
         raise ZeroConstantTerm("phi(0) = 0; use factor_out_zero first")
     if c == 1:
         return phi
-    return PowerSeries((a / c for a in phi.coeffs), phi.precision)
+    return PowerSeries(a / c for a in phi.coeffs)
 
 
 def factor_out_zero(phi: PowerSeries):
@@ -125,32 +111,15 @@ def factor_out_zero(phi: PowerSeries):
         mu += 1
     if mu > phi.truncation_order:
         raise AllZeroSeries("every stored coefficient is zero")
-    return mu, PowerSeries(phi.coeffs[mu:], phi.precision)
+    return mu, PowerSeries(phi.coeffs[mu:])
 
 
-def dilate_series(phi: PowerSeries, c, precision_bits: int | None = None) -> PowerSeries:
-    """phi(c*x): multiply alpha_n by c^n.  Exact when phi and c both are.
-
-    When c is a floating scalar the result is floating at
-    ``precision_bits`` (required in that case unless phi already is).
-    """
+def dilate_series(phi: PowerSeries, c) -> PowerSeries:
+    """phi(c*x): multiply alpha_n by c^n, for an exact nonzero c."""
     if c == 0:
         raise ValueError("series dilation by zero")
-    exact = phi.is_exact and is_exact(c)
-    if exact:
-        c = as_fraction(c)
-        prec = None
-    else:
-        prec = precision_bits or phi.precision
-        if prec is None:
-            raise ValueError("floating dilation scalar needs precision_bits")
-        c = to_mp(c, prec)
-    coeffs = []
-    power = c**0
-    for a in phi.coeffs:
-        coeffs.append(a * power)
-        power = power * c
-    return PowerSeries(coeffs, prec)
+    c = as_fraction(c)
+    return PowerSeries(a * c**n for n, a in enumerate(phi.coeffs))
 
 
 def _cauchy(a, b, order):
@@ -160,28 +129,23 @@ def _cauchy(a, b, order):
 
 
 def truncated_product(phi: PowerSeries, psi: PowerSeries, order: int) -> PowerSeries:
-    """Cauchy product truncated at ``order``; exact factors multiply as integers."""
+    """Cauchy product truncated at ``order``, multiplied on integers."""
     if phi.truncation_order < order or psi.truncation_order < order:
         raise TruncationTooShort(
             f"need both factors to order {order}; have "
             f"{phi.truncation_order} and {psi.truncation_order}"
         )
-    a, b = phi.coeffs[: order + 1], psi.coeffs[: order + 1]
-    if phi.is_exact and psi.is_exact:
-        (a, den_a), (b, den_b) = common_denominator(a), common_denominator(b)
-        den = den_a * den_b
-        return PowerSeries(Fraction(x, den) for x in _cauchy(a, b, order))
-    prec = max(phi.precision or 0, psi.precision or 0)
-    with mp.workprec(prec):
-        return PowerSeries(_cauchy(a, b, order), prec)
+    a, den_a = common_denominator(phi.coeffs[: order + 1])
+    b, den_b = common_denominator(psi.coeffs[: order + 1])
+    den = den_a * den_b
+    return PowerSeries(Fraction(x, den) for x in _cauchy(a, b, order))
 
 
 def truncated_power(phi: PowerSeries, m: int, order: int) -> PowerSeries:
     """phi^m truncated at ``order`` (m >= 0).
 
-    Exact phi = A/L is raised on integers by repeated squaring of Cauchy
-    products, over the one denominator L^m; floating phi multiplies m
-    times at its own precision.
+    phi = A/L is raised on integers by repeated squaring of Cauchy
+    products, over the one denominator L^m.
     """
     if m < 0:
         raise ValueError("negative power")
@@ -189,23 +153,16 @@ def truncated_power(phi: PowerSeries, m: int, order: int) -> PowerSeries:
         raise TruncationTooShort(
             f"need order {order}, have {phi.truncation_order}"
         )
-    one = [1] + [0] * order
-    if phi.is_exact:
-        base, den = common_denominator(phi.coeffs[: order + 1])
-        acc, k = one, m
-        while k:
-            if k & 1:
-                acc = _cauchy(acc, base, order)
-            k >>= 1
-            if k:
-                base = _cauchy(base, base, order)
-        den **= m
-        return PowerSeries(Fraction(x, den) for x in acc)
-    acc = PowerSeries(one, phi.precision)
-    base = phi.truncated(order)
-    for _ in range(m):
-        acc = truncated_product(acc, base, order)
-    return acc
+    base, den = common_denominator(phi.coeffs[: order + 1])
+    acc, k = [1] + [0] * order, m
+    while k:
+        if k & 1:
+            acc = _cauchy(acc, base, order)
+        k >>= 1
+        if k:
+            base = _cauchy(base, base, order)
+    den **= m
+    return PowerSeries(Fraction(x, den) for x in acc)
 
 
 class OperatorClass(Record):
@@ -259,8 +216,7 @@ def classify(phi: PowerSeries) -> OperatorClass:
     for n in range(2, norm.truncation_order + 1):
         deriv = norm.derivative_at_zero(n)
         if deriv != alpha**n:
-            gap = deriv - alpha**n
-            beta = Fraction(gap, math.factorial(n)) if is_exact(gap) else gap / math.factorial(n)
+            beta = (deriv - alpha**n) / math.factorial(n)
             return OperatorClass(
                 form="General", normalized_from=norm, p=n, alpha=alpha, beta=beta
             )

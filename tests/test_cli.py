@@ -216,7 +216,27 @@ class TestConstructCLI:
 
     @pytest.mark.parametrize(
         "field, value, named",
-        [("degrees", [2], "plan fields disagree"), ("targets", {}, "'targets'")],
+        [
+            ("degrees", [2], "plan fields disagree"),
+            ("targets", {}, "'targets'"),
+            ("gammas", ["0", "1/16"], "'gammas' entries must be positive"),
+            ("gammas", ["1", "-1/16"], "'gammas' entries must be positive"),
+            ("degrees", [0, 3], "'degrees' entries must be at least 1"),
+            ("radii", {"1,1": "nan", "1,2": "1", "2,2": "1"}, "'radii' entries must be finite"),
+            ("radii", {"1,1": "1", "1,2": "inf", "2,2": "1"}, "'radii' entries must be finite"),
+            ("radii", {"1,1": "1", "1,2": "1", "2,2": "-1"}, "'radii' entries must be finite"),
+            ("radii", {"1,1": "0", "1,2": "1", "2,2": "1"}, "'radii' entries must be finite"),
+            (
+                "targets",
+                {"1,1": ["nan", "1"], "1,2": ["0", "1"], "2,2": ["0", "1"]},
+                "'targets' entries must be finite",
+            ),
+            (
+                "targets",
+                {"1,1": ["0", "1"], "1,2": ["0", "-inf"], "2,2": ["0", "1"]},
+                "'targets' entries must be finite",
+            ),
+        ],
     )
     def test_disagreeing_plan_fields_are_an_input_error(
         self, capsys, tmp_path, field, value, named

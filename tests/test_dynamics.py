@@ -176,6 +176,51 @@ class TestDiscrepancy:
             assert b < a / 1.9  # decays at least like m^(-1/2)
 
 
+def reference_discrepancy(phi, d, m, prec=1024):
+    """exp(-m^(1-1/p) alpha x) * phi(m^(-1/p) x)^m - exp(beta x^p), built
+    in mpmath at ``prec`` bits by m plain multiplications; returns the
+    largest sup-norm of its images of x^j, j <= d (the x^d image)."""
+    cls = classify(phi)
+    with mp.workprec(prec):
+        c = mp.mpf(m) ** (-mp.mpf(1) / cls.p)
+        scaled = [mp.mpf(a.numerator) / a.denominator * c**n
+                  for n, a in enumerate(cls.normalized_from.coeffs[: d + 1])]
+
+        def times(u, v):
+            return [mp.fsum(u[i] * v[n - i] for i in range(n + 1)) for n in range(d + 1)]
+
+        composite = [mp.mpf(1)] + [mp.mpf(0)] * d
+        for _ in range(m):
+            composite = times(composite, scaled)
+        a = -m * c * mp.mpf(cls.alpha.numerator) / cls.alpha.denominator
+        composite = times([a**k / mp.factorial(k) for k in range(d + 1)], composite)
+        beta = mp.mpf(cls.beta.numerator) / cls.beta.denominator
+        for k in range(d // cls.p + 1):
+            composite[cls.p * k] -= beta**k / mp.factorial(k)
+        return max(abs(x) * mp.factorial(d) / mp.factorial(d - n)
+                   for n, x in enumerate(composite))
+
+
+class TestDiscrepancyOracle:
+    @pytest.mark.parametrize(
+        "coeffs, d, m",
+        [
+            ([1, 0, 0, F(1, 2)], 30, 20),           # disc-d30-p3 shape
+            ([1, F(1, 2), F(1, 8), F(-1, 3)], 12, 7),
+            ([1, -1, F(1, 4)], 30, 50),
+            ([1, 1, F(3, 4)], 9, 3),
+        ],
+    )
+    def test_rounded_value_against_1024_bit_composite(self, coeffs, d, m):
+        phi = extend(PowerSeries(coeffs), d)
+        got = operator_discrepancy(classify(phi), phi, d, m, 256)
+        assert isinstance(got, mp.mpf)
+        want = reference_discrepancy(phi, d, m)
+        with mp.workprec(1024):
+            assert want > 0
+            assert abs(got - want) <= mp.ldexp(want, -200)
+
+
 class TestAttractor:
     def test_exact_coincidence_family(self):
         rep = attractor_experiment(PHI_A, monomial(3), [1, 2, 5, 10], 0.1)

@@ -123,7 +123,7 @@ class TestExactKernels:
     def test_truncated_power_is_repeated_cauchy(self, alpha, m, order):
         alpha = alpha + [F(0)] * (order + 1 - len(alpha))
         got = truncated_power(PowerSeries(alpha), m, order)
-        assert got.is_exact
+        assert all(type(c) is F for c in got.coeffs)
         assert list(got.coeffs) == ref_power(alpha, m, order)
 
     def test_truncated_power_at_benchmark_size(self):
@@ -148,14 +148,14 @@ class TestSympyShift:
 
 
 class TestFloatingKernels:
-    """Floating input takes the same sums at the polynomial's precision."""
+    """Floating polynomials take the same sums at their own precision."""
 
     @derandomized
     @hypothesis.given(coeff_lists, st.lists(fractions, min_size=MAX_DEGREE + 1, max_size=MAX_DEGREE + 1))
     def test_apply_operator_floating(self, c, alpha):
         d = len(c) - 1
         want = ref_apply(alpha[: d + 1], c)
-        got = apply_operator(PowerSeries(alpha).to_floating(256), Poly(c, precision=256))
+        got = apply_operator(PowerSeries(alpha), Poly(c, precision=256))
         scale = max(1, *(abs(x) for x in want))
         for k, w in enumerate(want):
             assert abs(_as_fraction(got.coefficient(k)) - w) <= F(2) ** -230 * scale
@@ -168,20 +168,6 @@ class TestFloatingKernels:
         scale = max(1, *(abs(x) for x in ref_translate([abs(x) for x in c], abs(shift))))
         for k, w in enumerate(want):
             assert abs(_as_fraction(got.coefficient(k)) - w) <= F(2) ** -230 * scale
-
-    @derandomized
-    @hypothesis.given(
-        st.lists(fractions, min_size=1, max_size=13),
-        st.integers(0, 12),
-        st.integers(0, 12),
-    )
-    def test_truncated_power_floating(self, alpha, m, order):
-        alpha = alpha + [F(0)] * (order + 1 - len(alpha))
-        want = ref_power(alpha, m, order)
-        got = truncated_power(PowerSeries(alpha).to_floating(256), m, order)
-        scale = max(1, *ref_power([abs(x) for x in alpha], m, order))
-        for w, g in zip(want, got.coeffs, strict=True):
-            assert abs(_as_fraction(g) - w) <= F(2) ** -230 * scale
 
 
 class TestOwnPrecision:
@@ -211,7 +197,6 @@ class TestOwnPrecision:
         yield fl - gl, (f - g).coeffs
         yield fl * gl, (f * g).coeffs
         yield poly.derivative(fl), poly.derivative(f).coeffs
-        yield apply_operator(phi.to_floating(self.PREC), f), apply_operator(phi, f).coeffs
         yield apply_operator(phi, fl), apply_operator(phi, f).coeffs
         ev = fl.evaluate(to_mp(c, self.PREC))
         assert abs(_as_fraction(ev) - f.evaluate(c)) <= self.BOUND

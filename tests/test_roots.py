@@ -72,7 +72,7 @@ class TestFindRoots:
         # located from the square-free factor x + 1, not from a cluster
         assert abs(rs.roots[0].location + 1) < 1e-70
 
-    def test_multiplicity_beyond_cluster_merge(self):
+    def test_twelvefold_root_has_its_yun_multiplicity(self):
         rs = find_roots(P(1, 1) ** 12)
         assert [r.multiplicity for r in rs.roots] == [12]
         assert abs(rs.roots[0].location + 1) < 1e-70
@@ -84,7 +84,7 @@ class TestFindRoots:
             assert abs(rs.roots[0].location + mp.mpf(1) / 3) < 1e-70
             assert abs(rs.roots[1].location - 2) < 1e-70
 
-    def test_floating_input_merges_clusters(self):
+    def test_floating_exact_cube_has_its_yun_multiplicity(self):
         rs = find_roots(P(1, 1).to_floating(256) ** 3)
         assert [r.multiplicity for r in rs.roots] == [3]
         assert abs(rs.roots[0].location + 1) < 1e-20

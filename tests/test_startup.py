@@ -67,6 +67,8 @@ CLI_PROBE = (
         ["lp-test", "--series", "poly:1+x+x^2", "--d-max", "5"],
         ["iterate", "--series", "poly:1+x^2", "--poly", "x^3", "--m", "5",
          "--op-count", "nonreal"],
+        ["discrepancy", "--series", "poly:1-x^2", "--d", "4", "--m", "100"],
+        ["converge", "--series", "poly:1-x^2", "--poly", "x^4", "--m-list", "1,4,9"],
     ],
     ids=lambda argv: argv[0],
 )
