@@ -11,12 +11,15 @@ independent:
   multiplicity.  For each factor, Aberth-Ehrlich sweeps in Python
   ``complex`` arithmetic give seeds with inclusion disks; when the disks
   are disjoint each holds one zero, refined from its seed by Newton at
-  rising precision and certified in its disk (real zeros in mpf, nonreal
-  zeros as exact conjugate pairs).  Otherwise the sweep runs at the
-  working precision and the same Newton ladder certifies its positions,
-  with disks at that precision; a factor it does not certify is swept
-  again at doubled precision, up to ``MAX_PRECISION_DOUBLINGS`` times,
-  before ``NoConvergence``;
+  rising precision and certified in its disk (real zeros in the real
+  form, nonreal zeros as exact conjugate pairs).  Newton runs in fixed
+  point on Python ints, on the factor's primitive integer multiple F,
+  with a proven bound on the truncation error, so the certificate covers
+  the exact rational factor; mpmath only carries the results.  Otherwise
+  the sweep runs at the working precision and the same Newton ladder
+  certifies its positions, with disks at that precision; a factor it
+  does not certify is swept again at doubled precision, up to
+  ``MAX_PRECISION_DOUBLINGS`` times, before ``NoConvergence``;
 * an exact route: the integer primitive remainder sequence (PRS) of F and
   F' is a Sturm chain ending in gcd(F, F'); a square-free F is answered
   from that one chain, repeated factors rerun it on the gcd, and the Yun
@@ -215,48 +218,162 @@ def _inclusion_radii(coeffs, zs, eps):
     return radii
 
 
-def _refine(coeffs, dcoeffs, center, radius, start, cap, workprec):
-    """Newton from the seed ``center``, each step at 4x the bits the last one gained.
+def _mantissa(v):
+    """(m, e) with v = m 2^e exactly, for a double, an mpf or a raw mpf."""
+    if isinstance(v, float):
+        v = mp.libmp.from_float(v)
+    elif not isinstance(v, tuple):
+        v = v._mpf_
+    sign, man, exp, _bc = v
+    return -int(man) if sign else int(man), exp
 
-    From ``start`` bits up to ``cap``, then one certifying step w at
-    ``cap``: a zero lies within n|w| of z.  Returns z - w if that zero is
-    in the disk D(center, radius) and
-    (n+1)|w| <= 2^(GUARD_BITS - 1 - workprec) (1+|z|), so within
-    2^-precision_bits (1 + |z - w|) of it; None if f' vanishes, a step
-    gains no bits or a check fails.
+
+def _at(m, e, k):
+    """m 2^e times 2^k as an int, floored when it has fractional bits."""
+    return m << (e + k) if e + k >= 0 else m >> -(e + k)
+
+
+def _norm(x, y):
+    """Floor of |x + iy|."""
+    return math.isqrt(x * x + y * y) if y else abs(x)
+
+
+def _ceil_sqrt(n):
+    r = math.isqrt(n)
+    return r + (r * r < n)
+
+
+def _horner_fixed(F, x, y, k):
+    """Integer F at z = (x + iy)/2^k in fixed point; real z (y = 0) takes
+    the real form.
+
+    Each product is truncated to k fractional bits, so (a, b) with a + ib
+    within ``_horner_noise(len(F) - 1, x, y, k)`` of F(z) 2^k; b is 0 for
+    real z.
     """
-    n = len(coeffs) - 1
-    z, prec, bits, final = mp.mpmathify(center), start, 0, False
+    a = F[-1] << k
+    if not y:
+        for c in reversed(F[:-1]):
+            a = (a * x >> k) + (c << k)
+        return a, 0
+    b = 0
+    for c in reversed(F[:-1]):
+        a, b = ((a * x - b * y) >> k) + (c << k), (a * y + b * x) >> k
+    return a, b
+
+
+def _horner_noise(n, x, y, k):
+    """Bound, in units of 2^-k, on the error of ``_horner_fixed`` for a
+    polynomial of degree n at z = (x + iy)/2^k.
+
+    Each of the n truncations costs less than one unit (less than sqrt 2
+    for complex z), and each later step multiplies that error by |z|: so
+    sum_{j<n} rho^j units, twice that for complex z, with rho >= |z| an
+    upper bound held with 32 fractional bits.
+    """
+    sq = x * x + y * y
+    t = 2 * (k - 32)
+    rho = _ceil_sqrt(-(-sq >> t) if t >= 0 else sq << -t)
+    s = 0
+    for _ in range(n):
+        s = -(-s * rho >> 32) + (1 << 32)
+    bound = -(-s >> 32)
+    return 2 * bound if y else bound
+
+
+def _refine(F, dF, center, radius, start, cap, workprec):
+    """Newton on the integer F from the seed ``center``, each step at 4x the
+    bits the last one gained; the zero, rounded to ``cap`` bits, or None.
+
+    The iterate is the dyadic point z = (x + iy)/2^k with k = prec + s
+    fractional bits at prec bits (s > 0 keeps prec significant bits when
+    |center| < 1).  F(z) and F'(z) come from ``_horner_fixed``, which
+    takes its real form for a real ``center`` (a double or mpf): y stays
+    0.  From ``start`` bits up to ``cap``, then one certifying step w at
+    k = cap + s plus the bits of the evaluation noise bound plus 4.  With
+    A, B the computed values and e_A, e_B their noise bounds,
+    |F(z)/F'(z)| <= |w|* = (|A| + e_A)/(|B| - e_B), so a zero of F lies
+    within n|w|* of z.  For u, z - w rounded to cap bits, accepted if
+    D(z, n|w|*) lies in the disk D(center, radius) and
+    |u - z| + n|w|* <= 2^(GUARD_BITS - 1 - workprec) (1 + |z|), so that u
+    lies within 2^-precision_bits (1 + |u|) of that zero.  Both checks
+    compare exact integers.  None if F' vanishes, a step gains no bits or
+    a check fails.
+    """
+    n = len(F) - 1
+    cx, cy = _mantissa(center.real), _mantissa(center.imag)
+    s = max(0, 1 - max((m.bit_length() + e for m, e in (cx, cy) if m), default=1))
+    k = start + s
+    x, y = _at(*cx, k), _at(*cy, k)
+    prec, bits, final = start, 0, False
     while True:
-        with mp.workprec(prec):
-            dz = _horner(dcoeffs, z)
-            if dz == 0:
-                return None
-            w = _horner(coeffs, z) / dz
-            if final:
-                break
-            z = z - w
-        gained = mp.mag(1 + abs(z)) - mp.mag(w) if w else prec
+        a, b = _horner_fixed(F, x, y, k)
+        c, d = _horner_fixed(dF, x, y, k)
+        if d:
+            sq = c * c + d * d
+            wx, wy = ((a * c + b * d) << k) // sq, ((b * c - a * d) << k) // sq
+        elif c:
+            wx, wy = (a << k) // c, (b << k) // c
+        else:
+            return None
+        if final:
+            break
+        x, y = x - wx, y - wy
+        if wx or wy:
+            size = (1 << k) + _norm(x, y)
+            mag_w = max(abs(wx).bit_length(), abs(wy).bit_length()) + bool(wx and wy)
+            gained = size.bit_length() - mag_w
+        else:
+            gained = prec
         if gained <= bits:
             return None
         final, bits = prec == cap, gained
         prec = cap if final else min(4 * bits, cap)
-    inside = abs(z - center) + n * abs(w) < radius
-    small = (n + 1) * abs(w) <= mp.ldexp(1 + abs(z), GUARD_BITS - 1 - workprec)
-    return z - w if inside and small else None
+        shift = prec + s - k
+        if final:
+            noise = _horner_noise(n, x, y, k)
+            shift += noise.bit_length() + 4
+        x, y = (x << shift, y << shift) if shift >= 0 else (x >> -shift, y >> -shift)
+        k += shift
+    # n|w|* = num/den: a zero of F lies within it of z
+    e_b = _horner_noise(n - 1, x, y, k)
+    den = _norm(c, d) - e_b
+    if den <= 0:
+        return None
+    num = n * (_ceil_sqrt(a * a + b * b) + noise)
+    # inside: |z - center| + n|w|* < radius, all on the grid 2^-g
+    rad = _mantissa(radius)
+    g = max(k, -cx[1], -cy[1], -rad[1])
+    dx, dy = (x << (g - k)) - _at(*cx, g), (y << (g - k)) - _at(*cy, g)
+    slack = _at(*rad, g) * den - (num << g)
+    if slack <= 0 or (dx * dx + dy * dy) * den * den >= slack * slack:
+        return None
+    # small: |u - z| + n|w|* <= 2^(GUARD_BITS - 1 - workprec) (1 + |z|)
+    ux = mp.libmp.from_man_exp(x - wx, -k, cap, "n")
+    uy = mp.libmp.from_man_exp(y - wy, -k, cap, "n")
+    sx, sy = x - _at(*_mantissa(ux), k), y - _at(*_mantissa(uy), k)
+    lhs = _ceil_sqrt(sx * sx + sy * sy) * den + (num << k)
+    rhs = ((1 << k) + _norm(x, y)) * den
+    e = workprec + 1 - GUARD_BITS
+    if lhs << max(e, 0) > rhs << max(-e, 0):
+        return None
+    return mp.make_mpc((ux, uy))
 
 
-def _newton_ladder(coeffs, dcoeffs, seeds, workprec, wp=None):
+def _newton_ladder(coeffs, F, seeds, workprec, wp=None):
     """Each zero refined from its own isolated seed, or None.
 
-    The seeds are doubles, refined from 106 bits up to ``workprec``, or,
-    given ``wp``, the positions of a sweep at wp bits, refined at wp:
-    inside a tight cluster, lower precision's noise over |f'| exceeds the
-    spacing of the zeros.  The coefficients are real, so a disk meeting
-    the axis needs an isolated symmetric hull D(Re z, r + |Im z|): its one
-    zero is its own conjugate, so real (refined in mpf).  The other zeros
-    are nonreal, and those in the lower half-plane are the conjugates of
-    the upper ones.
+    ``coeffs`` (mpf) give the inclusion disks; Newton runs on ``F``, the
+    primitive integer polynomial with the same zeros, so the certificate
+    covers the exact rational polynomial, not its rounding.  The seeds
+    are doubles, refined from 106 bits up to ``workprec``, or, given
+    ``wp``, the positions of a sweep at wp bits, refined at wp: inside a
+    tight cluster, lower precision's noise over |f'| exceeds the spacing
+    of the zeros.  The coefficients are real, so a disk meeting the axis
+    needs an isolated symmetric hull D(Re z, r + |Im z|): its one zero is
+    its own conjugate, so real (refined in the real form).  The other
+    zeros are nonreal, and those in the lower half-plane are the
+    conjugates of the upper ones.
     """
     if wp is None:
         radii = _inclusion_radii(coeffs, seeds, DOUBLE_EPS)
@@ -274,6 +391,7 @@ def _newton_ladder(coeffs, dcoeffs, seeds, workprec, wp=None):
 
     if not all(isolated(z, r, i) for i, (z, r) in enumerate(disks)):
         return None
+    dF = _diff(F)
     out = []
     for i, (z, r) in enumerate(disks):
         if z.imag < -r:
@@ -282,10 +400,10 @@ def _newton_ladder(coeffs, dcoeffs, seeds, workprec, wp=None):
             z, r = z.real, r + abs(z.imag)
             if not isolated(z, r, i):
                 return None
-        u = _refine(coeffs, dcoeffs, z, r, start, cap, workprec)
+        u = _refine(F, dF, z, r, start, cap, workprec)
         if u is None:
             return None
-        out.append(mp.mpc(u))
+        out.append(u)
         if z.imag > 0:
             out.append(u.conjugate())
     return out
@@ -308,20 +426,24 @@ def _aberth(source, workprec):
     double sweep from the circle and the Newton ladder on its seeds.
     Then, for wp = workprec, 2 workprec, ..., 2^MAX_PRECISION_DOUBLINGS
     workprec, the coefficients rounded to wp bits, the Aberth sweep at wp
-    and the Newton ladder at wp on the swept positions.  The first rung
-    the ladder certifies returns its positions, which lie within
-    2^(GUARD_BITS - workprec) (1 + |z|) of distinct zeros.  Past the last
-    rung the swept positions come back uncertified.
+    and the Newton ladder at wp on the swept positions.  The sweeps and
+    the inclusion disks use the rounded coefficients; Newton runs on the
+    primitive integer multiple F = ``_integer_part(source)``, so the
+    first rung the ladder certifies returns positions within
+    2^(GUARD_BITS - workprec) (1 + |z|) of distinct zeros of ``source``
+    itself.  Past the last rung the swept positions come back
+    uncertified.
     """
     n = len(source) - 1
     coeffs, dcoeffs = _rounded(source, workprec)
     if n == 1:
         return [mp.mpc(-coeffs[0] / coeffs[1])], True
+    F = _integer_part(source)
     seeds = _double_seeds(coeffs, dcoeffs)
     if seeds is None:
         zs = _circle_start(coeffs, mp)
     else:
-        located = _newton_ladder(coeffs, dcoeffs, seeds, workprec)
+        located = _newton_ladder(coeffs, F, seeds, workprec)
         if located is not None:
             return located, True
         zs = [mp.mpc(z) for z in seeds]
@@ -329,7 +451,7 @@ def _aberth(source, workprec):
         coeffs, dcoeffs = _rounded(source, wp)
         with mp.workprec(wp):
             _sweep(coeffs, dcoeffs, zs, mp.ldexp(1, -wp))
-            located = _newton_ladder(coeffs, dcoeffs, zs, workprec, wp)
+            located = _newton_ladder(coeffs, F, zs, workprec, wp)
         if located is not None:
             return [+z for z in located], True
     return [+z for z in zs], False
@@ -388,6 +510,16 @@ def _pair_conjugates(located):
     return out
 
 
+def _modulus(F, z, k):
+    """|F(z)| for an mpc z, by ``_horner_fixed`` at k bits or at the
+    fractional bits of z, whichever is more; rounded at the ambient
+    precision."""
+    (xm, xe), (ym, ye) = (_mantissa(t) for t in z._mpc_)
+    k = max(k, -xe, -ye)
+    a, b = _horner_fixed(F, _at(xm, xe, k), _at(ym, ye, k), k)
+    return mp.ldexp(mp.sqrt(a * a + b * b), -k)
+
+
 def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet:
     """All complex roots of real f, certified, with exact multiplicities.
 
@@ -397,7 +529,7 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
         Degree >= 1; real exact or floating coefficients.  Floating f is
         solved as the rational polynomial ``f.to_exact()`` it stands for.
     precision_bits : int
-        Stated precision of the result.
+        Stated precision of the result, at least 1.
 
     Returns
     -------
@@ -413,11 +545,14 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
 
     Raises
     ------
-    ValueError (a nonreal or nonfinite coefficient), DegreeZero,
+    ValueError (``precision_bits`` not an int >= 1, a nonreal or
+    nonfinite coefficient), DegreeZero,
     NoConvergence (the ladder certified a factor on no rung up to
     2^MAX_PRECISION_DOUBLINGS times the working precision; the best
     RootSet found rides on the exception).
     """
+    if type(precision_bits) is not int or precision_bits < 1:
+        raise ValueError(f"precision_bits must be an int >= 1, not {precision_bits!r}")
     f = f.to_exact()
     if f.degree < 1:
         raise DegreeZero("root finding needs degree >= 1")
@@ -435,12 +570,11 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
         located = _pair_conjugates(_sort_located(located, precision_bits))
         if nzero:
             located.insert(0, (mp.mpc(0), nzero))
-        coeffs = [to_mp(c, workprec) for c in f.coeffs]
-        sup = max(abs(c) for c in coeffs)
+        F = _integer_part(f.coeffs)
+        sup = max(abs(c) for c in F)
         roots = []
         for loc, mult in located:
-            val = _horner(coeffs, loc)
-            rel = abs(val) / (sup * max(mp.mpf(1), abs(loc)) ** deg)
+            rel = _modulus(F, loc, workprec) / (sup * max(mp.mpf(1), abs(loc)) ** deg)
             roots.append(Root(location=loc, multiplicity=mult, residual=float(rel)))
     rs = RootSet(roots=tuple(roots), source_degree=deg, precision_bits=precision_bits)
     if not certified:
@@ -616,7 +750,8 @@ def count_nonreal(
     counted from ``find_roots``' certificate: a root is real iff its
     imaginary part is exactly 0 (``method`` "certified").  Multiplicities
     from ``find_roots`` are exact, so ``squarefree`` is exact at any
-    degree.
+    degree.  Solving there at a ``precision_bits`` below 1 is
+    ``find_roots``' ValueError.
     """
     f = f.to_exact()
     deg = f.degree
@@ -646,13 +781,16 @@ def roots_in_disk(rs: RootSet, center, radius) -> int:
     boundary counts as inside and the tie is recorded in
     ``rs.diagnostics``; persistence checks downstream prefer a false
     positive that later re-verification can reject over a silently
-    dropped witness.
+    dropped witness.  A nonfinite center, or a radius that is not finite
+    and positive, is a ValueError.
     """
-    if not radius > 0:
-        raise ValueError("radius must be positive")
     with mp.workprec(rs.precision_bits + GUARD_BITS):
         c = mp.mpc(center)
         rad = mp.mpf(radius)
+        if not mp.isfinite(c):
+            raise ValueError("center must be finite")
+        if not (mp.isfinite(rad) and rad > 0):
+            raise ValueError("radius must be finite and positive")
         band_scale = mp.ldexp(1, -rs.precision_bits)
         count = 0
         for r in rs.roots:

@@ -2,7 +2,9 @@
 
 The references below are the plain Fraction (or mpmath) formulas the
 kernels replaced: phi(D)f as a sum of repeated derivatives, the Taylor
-shift by synthetic division, and phi^m by repeated Cauchy products.
+shift by synthetic division, and phi^m by repeated Cauchy products.  The
+root finder's fixed-point Horner is checked against exact Gaussian-integer
+evaluation.
 """
 
 from fractions import Fraction as F
@@ -325,3 +327,49 @@ class TestPairConjugates:
         for d in (6, 10, 16):
             find_roots(random_poly(rng, d), 128)
         assert seen and all(seen)
+
+
+@st.composite
+def fixed_points(draw):
+    """(F, x, y, k): integer F of degree 1-40 with about a quarter of its
+    coefficients 0, and z = (x + iy)/2^k, 64 <= k <= 1100, with |z| between
+    2^-30 and 2^11; y = 0 for real z.  The bits come from a seeded Random,
+    so the products do not come out exact."""
+    rnd = draw(st.randoms(use_true_random=False))
+    n, k = draw(st.integers(1, 40)), draw(st.integers(64, 1100))
+    mag = draw(st.integers(-30, 10))
+
+    def part():
+        return rnd.choice((-1, 1)) * (rnd.getrandbits(k + mag) | 1 << (k + mag - 1))
+
+    F = [0 if rnd.random() < 0.25 else rnd.randint(-(2**40), 2**40) for _ in range(n)]
+    F.append(rnd.choice((-1, 1)) * rnd.randint(1, 2**40))
+    return F, part(), part() if draw(st.booleans()) else 0, k
+
+
+def _exact_scaled(F, x, y, k):
+    """F(z) 2^(kn) for z = (x + iy)/2^k, n = deg F, as a Gaussian integer."""
+    re, im = F[-1], 0
+    for t, c in enumerate(reversed(F[:-1]), start=1):
+        re, im = re * x - im * y + (c << (k * t)), re * y + im * x
+    return re, im
+
+
+class TestFixedPointHorner:
+    """The Newton ladder's fixed-point Horner against exact evaluation: the
+    error stays within the bound ``_horner_noise`` returns."""
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(fixed_points())
+    def test_error_within_the_bound(self, point):
+        F, x, y, k = point
+        for G in (F, roots._diff(F)):
+            n = len(G) - 1
+            a, b = roots._horner_fixed(G, x, y, k)
+            bound = roots._horner_noise(n, x, y, k)
+            # a + ib against F(z) 2^k, both times 2^(k n)
+            re, im = _exact_scaled(G, x, y, k)
+            dre, dim = (a << k * n) - (re << k), (b << k * n) - (im << k)
+            assert dre * dre + dim * dim <= (bound << k * n) ** 2
+            if not y:
+                assert b == 0

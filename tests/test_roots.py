@@ -161,6 +161,19 @@ class TestFindRoots:
             str(r.location) for r in b.roots
         ]
 
+    @pytest.mark.parametrize("bits", [0, -5, 1.5, True, "256"])
+    def test_precision_below_one_rejected(self, bits):
+        # 2^-p (1 + |r|) would promise nothing for p < 1
+        with pytest.raises(ValueError, match="precision_bits"):
+            find_roots(P(-2, 0, 1), bits)
+
+    def test_precision_one_is_accepted(self):
+        rs = find_roots(P(-2, 0, 1), 1)
+        assert [r.location.imag for r in rs.roots] == [0, 0]
+        assert [float(r.location.real) for r in rs.roots] == pytest.approx(
+            [-(2**0.5), 2**0.5]
+        )
+
     def test_degree_zero_rejected(self):
         with pytest.raises(DegreeZero):
             find_roots(P(7))
@@ -350,6 +363,25 @@ class TestNewtonLadder:
             _agrees_with_polyroots(rs, f, bits)
         assert None not in ladder
 
+    @pytest.mark.parametrize("bits", [128, 512])
+    def test_rung_zero_evaluates_on_ints(self, monkeypatch, bits):
+        # certified at rung 0, Newton and the residuals run on Python ints:
+        # the mpmath Horner is only ever handed doubles
+        kinds = set()
+        horner = roots._horner
+
+        def recording(coeffs, z):
+            kinds.update(type(v).__name__ for v in (*coeffs, z))
+            return horner(coeffs, z)
+
+        monkeypatch.setattr(roots, "_horner", recording)
+        ladder = _record(monkeypatch, "_newton_ladder")
+        rng = make_rng(bits + 1)
+        for _ in range(8):
+            find_roots(random_poly(rng, rng.randint(6, 24)), bits)
+        assert len(ladder) == 8 and None not in ladder
+        assert kinds and kinds <= {"float", "complex"}
+
     def test_real_roots_and_conjugate_pairs_are_exact(self, monkeypatch):
         ladder = _record(monkeypatch, "_newton_ladder")
         rng = make_rng(11)
@@ -382,16 +414,16 @@ class TestNewtonLadder:
 
     def test_seeds_sharing_a_zero_are_not_isolated(self):
         # two seeds at the zero 1 and none at 2: each would refine to 1
+        F = [18, -27, 11, -3, 1]  # (x - 1)(x - 2)(x^2 + 9)
         with mp.workprec(256):
-            coeffs = [mp.mpf(c.real) for c in _from_roots([1, 2, 3j, -3j])]
-            dcoeffs = [k * coeffs[k] for k in range(1, 5)]
+            coeffs = [mp.mpf(c) for c in F]
             seeds = [1 + 1e-12, 1 - 1e-12, 3j, -3j]
-            assert roots._newton_ladder(coeffs, dcoeffs, seeds, 256) is None
+            assert roots._newton_ladder(coeffs, F, seeds, 256) is None
             # the same for positions of a sweep at 256 bits
             swept = [
                 1 + mp.ldexp(1, -200), 1 - mp.ldexp(1, -200), mp.mpc(0, 3), mp.mpc(0, -3)
             ]
-            assert roots._newton_ladder(coeffs, dcoeffs, swept, 256, 256) is None
+            assert roots._newton_ladder(coeffs, F, swept, 256, 256) is None
 
     def test_zero_outside_its_disk_takes_the_sweep(self, monkeypatch):
         f = P(3, -1, 4, -1, 5, 9)
@@ -429,19 +461,21 @@ class TestNewtonLadder:
         # zeros 1 and 9/2 +- i/2; the seed 1 + i has radius 3, so its disk
         # meets the axis and misses the other disks, but its symmetric hull
         # D(1, 4) holds 9/2 - i/2: the zero in it is not proven real
+        F = [-41, 59, -20, 2]  # 2 (x^3 - 10x^2 + 29.5x - 20.5)
         with mp.workprec(256):
-            coeffs = [mp.mpc(c) for c in (-20.5, 29.5, -10, 1)]
-            dcoeffs = [k * coeffs[k] for k in range(1, 4)]
+            coeffs = [mp.mpf(c) / 2 for c in F]
             seeds = [1 + 1j, 4.5 + 0.5j, 4.5 - 0.5j]
-            assert roots._newton_ladder(coeffs, dcoeffs, seeds, 256) is None
+            assert roots._newton_ladder(coeffs, F, seeds, 256) is None
 
 
 def _certified_against(rs, zeros, bits):
     """Each root within 2^-bits (1 + |r|) of its own one of the distinct
-    rational ``zeros``, every zero matched once."""
+    ``zeros``, every zero matched once.  A zero is a rational, or a
+    Gaussian rational a + ib given as the pair (a, b)."""
     matched = set()
     with mp.workprec(4 * bits):
-        exact = [mp.mpf(z.numerator) / z.denominator for z in zeros]
+        parts = [z if isinstance(z, tuple) else (z,) for z in zeros]
+        exact = [mp.mpc(*(mp.mpf(q.numerator) / q.denominator for q in p)) for p in parts]
         for r in rs.roots:
             d, k = min((abs(r.location - z), k) for k, z in enumerate(exact))
             assert r.multiplicity == 1 and d <= mp.ldexp(1 + abs(r.location), -bits)
@@ -511,6 +545,15 @@ class TestExactFallbackCertificate:
         # trials at 64 bits and leaves real zeros with nonzero imaginary
         # parts in about 90; the ladder on its positions certifies them all
         seeds = _record(monkeypatch, "_double_seeds")
+        sweeps = []
+        sweep = roots._sweep
+
+        def recording(coeffs, dcoeffs, zs, eps, stall_stop=False):
+            if not stall_stop:
+                sweeps.append(mp.mp.prec)
+            return sweep(coeffs, dcoeffs, zs, eps, stall_stop)
+
+        monkeypatch.setattr(roots, "_sweep", recording)
         rng = make_rng(1)
         for _ in range(150):
             zeros = _clustered_zeros(rng)
@@ -520,6 +563,29 @@ class TestExactFallbackCertificate:
             real = sum(r.multiplicity for r in rs.roots if r.location.imag == 0)
             assert real == count_nonreal(f).real_count == len(zeros)
         assert len(seeds) == 150  # once per product, each one square-free factor
+        if bits >= 128:
+            # Newton on the exact integer polynomial, its noise bounded:
+            # every factor the working-precision sweep takes is certified there
+            assert sweeps and set(sweeps) == {roots._work_precision(bits)}
+
+
+class TestExactPolynomialIsCertified:
+    # zeros that no binary fraction holds: thirds and sevenths, and
+    # Gaussian-rational pairs a +- ib, roots of x^2 - 2ax + a^2 + b^2
+    REAL = [F(1, 3), F(-2, 7), F(5, 3), F(-13, 7)]
+    PAIRS = [(F(1, 3), F(2, 7)), (F(-5, 7), F(1, 3)), (F(5, 3), F(1, 21))]
+
+    @pytest.mark.parametrize("bits", [64, 128, 512])
+    @pytest.mark.parametrize("cluster", [False, True], ids=["spread", "cluster"])
+    def test_non_dyadic_zeros(self, bits, cluster):
+        reals = self.REAL + (TestExactFallbackCertificate.CLUSTER if cluster else [])
+        f = Poly(_from_roots(reals))
+        for a, b in self.PAIRS:
+            f = f * P(a * a + b * b, -2 * a, 1)
+        rs = find_roots(f, bits)
+        pairs = [(a, s * b) for a, b in self.PAIRS for s in (1, -1)]
+        _certified_against(rs, reals + pairs, bits)
+        _exactly_real_or_conjugate(rs.locations(), len(reals))
 
 
 class TestCountNonreal:
@@ -571,6 +637,12 @@ class TestCountNonreal:
         for _ in range(10):
             f = random_poly(rng, rng.randint(1, 10)).to_floating(256)
             assert count_nonreal(f, rs=find_roots(f)) == count_nonreal(f)
+
+    def test_precision_below_one_rejected_above_exact_limit(self):
+        f = P(*([1] * 66))  # degree 65: counted from find_roots
+        for bits in (0, -5):
+            with pytest.raises(ValueError, match="precision_bits"):
+                count_nonreal(f, bits)
 
     def test_degree_above_exact_limit_is_certified(self):
         # (x^66 - 1) / (x - 1): the 66th roots of unity but 1, of which
@@ -628,3 +700,17 @@ class TestRootsInDisk:
         rs = find_roots(P(2, 2, 1))
         with pytest.raises(ValueError):
             roots_in_disk(rs, 0, 0)
+
+    @pytest.mark.parametrize("radius", [float("inf"), float("nan"), mp.inf])
+    def test_radius_must_be_finite(self, radius):
+        rs = find_roots(P(2, 2, 1))
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            roots_in_disk(rs, 0, radius)
+
+    @pytest.mark.parametrize(
+        "center", [complex("nan"), complex(0, float("inf")), mp.mpc(mp.inf, 1)]
+    )
+    def test_center_must_be_finite(self, center):
+        rs = find_roots(P(2, 2, 1))
+        with pytest.raises(ValueError, match="center"):
+            roots_in_disk(rs, center, 1)
