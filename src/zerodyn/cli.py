@@ -232,10 +232,10 @@ def _run(args) -> int:
 
     if cmd in ("apply", "iterate"):
         f = formats.resolve_poly(args.poly)
-        phi = formats.resolve_series(args.series, min_order=max(0, int(f.degree)))
+        phi = formats.resolve_series(args.series, min_order=max(0, f.degree))
         m = 1 if cmd == "apply" else args.m
         g = poly.iterate_operator(phi, f, m)
-        payload = {"poly": formats.format_poly_inline_exact(g) if g.is_exact else None}
+        payload = {"poly": formats.format_poly_inline_exact(g)}
         payload.update(formats.poly_payload(g))
         if cmd == "iterate" and args.op_count == "nonreal":
             zc = roots.count_nonreal(g, cfg.precision_bits)
@@ -251,14 +251,14 @@ def _run(args) -> int:
 
     if cmd == "onset":
         f = formats.resolve_poly(args.poly)
-        phi = formats.resolve_series(args.series, min_order=max(2, int(f.degree)))
+        phi = formats.resolve_series(args.series, min_order=max(2, f.degree))
         rep = dynamics.onset_scan(phi, f, cfg.m_max, cfg.precision_bits)
         _emit(cfg, "onset", formats.onset_payload(rep))
         return EXIT_OK
 
     if cmd == "converge":
         f = formats.resolve_poly(args.poly)
-        phi = formats.resolve_series(args.series, min_order=max(2, int(f.degree)))
+        phi = formats.resolve_series(args.series, min_order=max(2, f.degree))
         rep = dynamics.convergence_experiment(
             phi, f, _parse_m_list(args.m_list), cfg.precision_bits
         )
@@ -285,7 +285,7 @@ def _run(args) -> int:
 
     if cmd == "attractor":
         f = formats.resolve_poly(args.poly)
-        phi = formats.resolve_series(args.series, min_order=max(2, int(f.degree)))
+        phi = formats.resolve_series(args.series, min_order=max(2, f.degree))
         rep = dynamics.attractor_experiment(
             phi,
             f,

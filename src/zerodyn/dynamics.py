@@ -58,7 +58,7 @@ class ConvergenceReport(Record):
     p: int
     alpha: Fraction
     beta: Fraction
-    samples: tuple  # (m, sup_norm_error) pairs, m ascending
+    samples: tuple  # (m, sup_norm_error) pairs, m ascending; errors are Fractions
     fitted_slope: float | None  # None when every error is exactly zero
     exact_convergence: bool
     limit_poly: Poly
@@ -117,8 +117,6 @@ def onset_scan(
     least m0 past which nonreal zeros never disappear.  The full
     (m, nonreal count) trace is always reported.
     """
-    if not f.is_real():
-        raise ValueError("f must be a real polynomial")
     if f.degree < 1:
         raise ValueError("f must be nonconstant")
     if phi.constant == 0:
@@ -169,19 +167,18 @@ def convergence_experiment(
 ) -> ConvergenceReport:
     """Sup-norm error of the rescaled iterates against the limit polynomial.
 
-    Errors are exact rationals whenever the rescaling is (see
-    rescale_iterate); exact zeros are excluded from the log-log fit and
+    Every error is an exact rational: the sup-norm of the rescaled
+    iterate minus the limit.  Where the scale m^(1/p) is irrational it is
+    the exact error of the iterate whose coefficients ``rescale_iterate``
+    rounded once.  Exact zeros are excluded from the log-log fit and
     reported as exact convergence when they are all there is.
     """
     cls = _require_general(phi)
     if not f.is_monic() or f.degree < 1:
         raise NonMonicInput("f must be monic of degree >= 1")
     d = int(f.degree)
-    ms = sorted(set(int(m) for m in m_list))
-    if not ms or ms[0] < 1:
-        raise ValueError("m_list must contain integers >= 1")
+    ms = _m_values(m_list)
     limit = exp_dp_monomial(cls.beta, cls.p, d)
-    limit_floating = None  # converted once, when the first rescaling is floating
     samples = []
     g = f
     last = 0
@@ -190,10 +187,7 @@ def convergence_experiment(
             g = apply_operator(phi, g)
         last = m
         fm = rescale_iterate(cls, phi, f, m, precision_bits, _iterate=g)
-        if not fm.is_exact and limit_floating is None:
-            limit_floating = limit.to_floating(fm.precision)
-        err = (fm - (limit if fm.is_exact else limit_floating)).sup_norm()
-        samples.append((m, err))
+        samples.append((m, (fm - limit).sup_norm()))
     slope = _fit_loglog_slope(samples)
     exact = all(e == 0 for _, e in samples)
     return ConvergenceReport(
@@ -205,6 +199,15 @@ def convergence_experiment(
         exact_convergence=exact,
         limit_poly=limit,
     )
+
+
+def _m_values(m_list):
+    """The distinct entries of m_list, ascending; ValueError unless every
+    entry is an int >= 1."""
+    ms = list(m_list)
+    if not ms or any(type(m) is not int or m < 1 for m in ms):
+        raise ValueError("m_list must contain integers >= 1")
+    return sorted(set(ms))
 
 
 def _fit_loglog_slope(samples):
@@ -315,9 +318,7 @@ def attractor_experiment(
         raise ValueError("f must be monic of degree >= 1")
     d = int(f.degree)
     p, alpha, beta = cls.p, cls.alpha, cls.beta
-    ms = sorted(set(int(m) for m in m_list))
-    if not ms or ms[0] < 1:
-        raise ValueError("m_list must contain integers >= 1")
+    ms = _m_values(m_list)
     with mp.workprec(precision_bits):
         gamma = mp.root(-to_mp(beta, precision_bits), p)
         base = exp_dp_monomial(Fraction(-1), p, d)

@@ -54,12 +54,6 @@ def mpc_pair(z):
     return [mpf_str(mp.re(z)), mpf_str(mp.im(z))]
 
 
-def _coeff_strings(f: Poly):
-    if f.is_exact:
-        return [fraction_str(c) for c in f.coeffs]
-    return [mpf_str(c) for c in f.coeffs]
-
-
 # ---------------------------------------------------------------------------
 # coefficient files
 
@@ -97,8 +91,6 @@ def parse_poly_text(text: str) -> Poly:
 
 
 def format_poly_text(f: Poly) -> str:
-    if not f.is_exact:
-        raise ValueError("polynomial files store exact rationals only")
     body = "\n".join(fraction_str(c) for c in f.coeffs) if f.coeffs else "0"
     return f"{POLY_HEADER}\n{body}\n"
 
@@ -185,8 +177,7 @@ def resolve_series(spec: str, min_order: int = 0) -> PowerSeries:
         return ml_partial(int(p), int(k))
     if spec.startswith("poly:"):
         f = parse_poly_inline(spec.split(":", 1)[1])
-        phi = PowerSeries(f.coefficient(k) for k in range(int(f.degree) + 1))
-        return extend(phi, min_order)
+        return extend(PowerSeries(f.coeffs), min_order)
     try:
         fh = open(spec, "r", encoding="utf-8")
     except OSError as exc:
@@ -218,12 +209,10 @@ def resolve_poly(spec: str) -> Poly:
 
 
 def poly_payload(f: Poly):
-    out = {"coeffs": _coeff_strings(f)}
-    if f.is_exact:
-        out["inline"] = format_poly_inline_exact(f)
-    else:
-        out["precision_bits"] = f.precision
-    return out
+    return {
+        "coeffs": [fraction_str(c) for c in f.coeffs],
+        "inline": format_poly_inline_exact(f),
+    }
 
 
 def operator_class_payload(cls: OperatorClass):

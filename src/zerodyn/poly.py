@@ -1,13 +1,12 @@
-"""Dense univariate polynomials and the operator action phi(D)f.
+"""Dense univariate polynomials with rational coefficients, and the
+operator action phi(D)f.
 
-Polynomials are either exact (Fraction coefficients) or floating
-(mpmath values at a stated binary precision); exact values never degrade
-silently, and floating arithmetic runs at the polynomial's own precision
-whatever the ambient mpmath precision; an exact polynomial meeting a
-floating scalar runs at the precision that scalar carries.  The only
-operation that can introduce irrational scalars is :func:`rescale_iterate`,
-which computes the iterate exactly first and converts once, coefficient
-by coefficient, at the end.
+Coefficients are ``Fraction``s, and every scalar applied to a polynomial
+(``scale``, ``dilate``, ``translate``, ``evaluate``) is taken exactly
+through ``as_fraction``: a float, mpf or mpc is a TypeError, as it is for
+a coefficient.  The only operation that meets an irrational scalar is
+:func:`rescale_iterate`, which computes the iterate exactly, rounds each
+rescaled coefficient once and returns the dyadic rational it rounded to.
 
 The exact operator layer (:func:`apply_operator`, :func:`translate`,
 ``series.truncated_power``) runs on integer numerator vectors over one
@@ -16,7 +15,6 @@ common denominator and builds each output ``Fraction`` once.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -30,10 +28,8 @@ from .errors import (
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     as_fraction,
-    carried_precision,
     common_denominator,
     exact_nth_root,
-    is_exact,
     mp,
     mpf_to_fraction,
     to_mp,
@@ -41,27 +37,23 @@ from .scalars import (
 from .series import OperatorClass, PowerSeries
 
 NEG_INF = float("-inf")
-
-
-def _working(precision):
-    """Run floating arithmetic at ``precision`` bits; exact (None) needs no context."""
-    return nullcontext() if precision is None else mp.workprec(precision)
+ZERO = Fraction(0)
 
 
 class Poly:
     """Dense polynomial; ``coeffs[k]`` is the coefficient of x^k."""
 
-    __slots__ = ("coeffs", "precision")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, precision=None):
-        if precision is None:
-            cs = [as_fraction(c) for c in coeffs]
-        else:
-            cs = [to_mp(c, precision) for c in coeffs]
+    # Constants read only by the benchmark tracer, perfbench/spans.py.
+    precision = None
+    is_exact = True
+
+    def __init__(self, coeffs):
+        cs = [as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "precision", precision)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -75,83 +67,38 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def is_exact(self) -> bool:
-        return self.precision is None
-
-    def _zero_scalar(self):
-        return Fraction(0) if self.is_exact else to_mp(0, self.precision)
-
     def coefficient(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return self._zero_scalar()
+        return ZERO
 
     @property
     def leading(self):
-        if self.is_zero:
-            return self._zero_scalar()
-        return self.coeffs[-1]
+        return self.coeffs[-1] if self.coeffs else ZERO
 
     def is_monic(self) -> bool:
-        return not self.is_zero and self.leading == 1
-
-    def is_real(self) -> bool:
-        if self.is_exact:
-            return True
-        return all(getattr(c, "imag", 0) == 0 for c in self.coeffs)
+        return self.leading == 1
 
     def sup_norm(self):
         """Max absolute Taylor coefficient: max_k |f^(k)(0)/k!| = max_k |c_k|."""
-        if self.is_zero:
-            return self._zero_scalar()
-        with _working(self.precision):
-            return max(abs(c) for c in self.coeffs)
+        return max(map(abs, self.coeffs), default=ZERO)
 
     def evaluate(self, x):
-        """Horner evaluation; the scalar type follows the inputs."""
-        prec = self.precision
-        if prec is None and not is_exact(x):
-            prec = carried_precision(x)
-        with _working(prec):
-            acc = 0 * x
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-
-    def to_floating(self, precision_bits: int) -> "Poly":
-        if self.precision == precision_bits:
-            return self
-        return Poly(self.coeffs, precision=precision_bits)
-
-    def to_exact(self) -> "Poly":
-        """The exact polynomial a real floating one stands for: each mpf
-        coefficient is the dyadic rational m 2^e.  ``self`` if exact;
-        ValueError for a nonreal or nonfinite coefficient."""
-        if self.is_exact:
-            return self
-        return Poly(mpf_to_fraction(c) for c in self.coeffs)
-
-    def _coerce_pair(self, other: "Poly"):
-        if self.is_exact and other.is_exact:
-            return self, other
-        prec = max(self.precision or 0, other.precision or 0)
-        return self.to_floating(prec), other.to_floating(prec)
+        """Horner evaluation at the exact scalar x."""
+        x = as_fraction(x)
+        acc = ZERO
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._coerce_pair(other)
-        n = max(len(a.coeffs), len(b.coeffs))
-        with _working(a.precision):
-            return Poly(
-                (a.coefficient(k) + b.coefficient(k) for k in range(n)),
-                a.precision,
-            )
+        n = max(len(self.coeffs), len(other.coeffs))
+        return Poly(self.coefficient(k) + other.coefficient(k) for k in range(n))
 
     def __neg__(self):
-        with _working(self.precision):
-            return Poly((-c for c in self.coeffs), self.precision)
+        return Poly(-c for c in self.coeffs)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -161,22 +108,20 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._coerce_pair(other)
-        if a.is_zero or b.is_zero:
-            return Poly((), a.precision)
-        out = [a._zero_scalar()] * (len(a.coeffs) + len(b.coeffs) - 1)
-        with _working(a.precision):
-            for i, ca in enumerate(a.coeffs):
-                if ca == 0:
-                    continue
-                for j, cb in enumerate(b.coeffs):
-                    out[i + j] += ca * cb
-        return Poly(out, a.precision)
+        if self.is_zero or other.is_zero:
+            return Poly(())
+        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, ca in enumerate(self.coeffs):
+            if ca == 0:
+                continue
+            for j, cb in enumerate(other.coeffs):
+                out[i + j] += ca * cb
+        return Poly(out)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        acc = Poly([1], self.precision)
+        acc = Poly([1])
         base = self
         while n:
             if n & 1:
@@ -186,14 +131,9 @@ class Poly:
         return acc
 
     def scale(self, c) -> "Poly":
-        """Multiply every coefficient by the scalar c."""
-        if self.is_exact and is_exact(c):
-            c = as_fraction(c)
-            return Poly((a * c for a in self.coeffs), None)
-        prec = self.precision or carried_precision(c)
-        cc = to_mp(c, prec)
-        with mp.workprec(prec):
-            return Poly((to_mp(a, prec) * cc for a in self.coeffs), prec)
+        """Multiply every coefficient by the exact scalar c."""
+        c = as_fraction(c)
+        return Poly(a * c for a in self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -211,7 +151,7 @@ class Poly:
 
 
 def format_poly_inline(f: Poly) -> str:
-    """Human form like ``x^3+6x``; exact rationals printed as fractions."""
+    """Human form like ``x^3+6x``; rationals printed as fractions."""
     if f.is_zero:
         return "0"
     parts = []
@@ -228,7 +168,7 @@ def format_poly_inline(f: Poly) -> str:
             elif c == -1:
                 term = f"-{x}"
             else:
-                term = f"{c}*{x}" if not is_exact(c) or as_fraction(c).denominator != 1 else f"{c}{x}"
+                term = f"{c}*{x}" if c.denominator != 1 else f"{c}{x}"
         if parts and not term.startswith("-"):
             parts.append("+" + term)
         else:
@@ -244,17 +184,15 @@ def monomial(d: int) -> Poly:
 
 
 def derivative(f: Poly) -> Poly:
-    with _working(f.precision):
-        return Poly((k * c for k, c in enumerate(f.coeffs) if k > 0), f.precision)
+    return Poly(k * c for k, c in enumerate(f.coeffs) if k > 0)
 
 
 def apply_operator(phi: PowerSeries, f: Poly) -> Poly:
     """phi(D)f = sum_n alpha_n f^(n); the sum stops at n = deg f.
 
-    Coefficient j is sum_n alpha_n (j+n)!/j! c_(j+n).  Exact input runs
-    on integers: with alpha_n = A_n/L_a and k! c_k = C_k/L_c it is
-    (sum_n A_n C_(j+n)) / (j! L_a L_c).  Floating f runs the same sums
-    at its own precision.
+    Coefficient j is sum_n alpha_n (j+n)!/j! c_(j+n), computed on
+    integers: with alpha_n = A_n/L_a and k! c_k = C_k/L_c it is
+    (sum_n A_n C_(j+n)) / (j! L_a L_c).
     """
     if f.is_zero:
         return f
@@ -268,17 +206,11 @@ def apply_operator(phi: PowerSeries, f: Poly) -> Poly:
     alpha = list(phi.coeffs[: d + 1])
     while alpha[-1] == 0 and len(alpha) > 1:
         alpha.pop()  # a zero tail adds nothing to any sum
-    if f.is_exact:
-        a, den_a = common_denominator(alpha)
-        c, den_c = common_denominator(f.coeffs)
-        c = list(map(mul, fact, c))
-        den = den_a * den_c
-        return Poly(Fraction(sum(map(mul, a, c[j:])), fact[j] * den) for j in range(d + 1))
-    prec = f.precision
-    with mp.workprec(prec):
-        a = [to_mp(x, prec) for x in alpha]
-        c = [to_mp(x, prec) * k for k, x in zip(fact, f.coeffs)]
-        return Poly((sum(map(mul, a, c[j:])) / fact[j] for j in range(d + 1)), prec)
+    a, den_a = common_denominator(alpha)
+    c, den_c = common_denominator(f.coeffs)
+    c = list(map(mul, fact, c))
+    den = den_a * den_c
+    return Poly(Fraction(sum(map(mul, a, c[j:])), fact[j] * den) for j in range(d + 1))
 
 
 def iterate_operator(phi: PowerSeries, f: Poly, m: int) -> Poly:
@@ -293,46 +225,27 @@ def iterate_operator(phi: PowerSeries, f: Poly, m: int) -> Poly:
 
 def dilate(f: Poly, c) -> Poly:
     """(Delta_c f)(x) = f(cx): coefficient k picks up c^k."""
+    c = as_fraction(c)
     if c == 0:
         raise ZeroDilation("dilation scalar must be nonzero")
-    exact = f.is_exact and is_exact(c)
-    if exact:
-        c = as_fraction(c)
-        prec = None
-    else:
-        prec = f.precision or carried_precision(c)
-        c = to_mp(c, prec)
-        f = f.to_floating(prec)
-    with _working(prec):
-        out = []
-        power = c**0
-        for a in f.coeffs:
-            out.append(a * power)
-            power = power * c
-        return Poly(out, prec)
+    powers = accumulate([c] * (len(f.coeffs) - 1), mul, initial=Fraction(1))
+    return Poly(map(mul, f.coeffs, powers))
 
 
 def translate(f: Poly, c) -> Poly:
     """(T^c f)(x) = f(x+c) by repeated synthetic division (Taylor shift).
 
-    For exact f = (1/L) sum F_k x^k and c = P/Q the shift runs on
-    integers: g(y) = Q^n L f(y/Q) = sum F_k Q^(n-k) y^k is shifted by P,
+    For f = (1/L) sum F_k x^k and c = P/Q the shift runs on integers: g(y) = Q^n L f(y/Q) = sum F_k Q^(n-k) y^k is shifted by P,
     and coefficient k of g(y+P) is divided by Q^(n-k) L.
     """
+    c = as_fraction(c)
     if f.is_zero or c == 0:
         return f
-    if f.is_exact and is_exact(c):
-        c = as_fraction(c)
-        b, den = common_denominator(f.coeffs)
-        q_pow = list(accumulate([c.denominator] * (len(b) - 1), mul, initial=1))[::-1]
-        b = list(map(mul, b, q_pow))
-        _taylor_shift(b, c.numerator)
-        return Poly(Fraction(x, den * qk) for x, qk in zip(b, q_pow))
-    prec = f.precision or carried_precision(c)
-    with mp.workprec(prec):
-        b = list(f.to_floating(prec).coeffs)
-        _taylor_shift(b, to_mp(c, prec))
-        return Poly(b, prec)
+    b, den = common_denominator(f.coeffs)
+    q_pow = list(accumulate([c.denominator] * (len(b) - 1), mul, initial=1))[::-1]
+    b = list(map(mul, b, q_pow))
+    _taylor_shift(b, c.numerator)
+    return Poly(Fraction(x, den * qk) for x, qk in zip(b, q_pow))
 
 
 def _taylor_shift(b, c):
@@ -355,9 +268,11 @@ def rescale_iterate(
 
     The pre-transform iterate is computed exactly; the affine rescaling
     multiplies coefficient k by m^((k-d)/p), which is rational whenever
-    (k-d) is a multiple of p or m is a perfect p-th power.  The result
-    stays exact when every nonzero coefficient gets a rational factor,
-    and otherwise converts once at ``precision_bits``.
+    (k-d) is a multiple of p or m is a perfect p-th power.  When every
+    nonzero coefficient gets a rational factor the result is the exact
+    rescaled iterate.  Otherwise each coefficient is rounded once, at
+    ``precision_bits``, and the result holds the dyadic rationals it
+    rounded to.
 
     ``_iterate`` lets sweep drivers pass in an already-computed
     phi(D)^m f instead of recomputing it from scratch.
@@ -376,24 +291,10 @@ def rescale_iterate(
     g = translate(g, -m * cls.alpha)
 
     root = exact_nth_root(m, p)
-    if g.is_exact:
-        factors = {}
-        exact_ok = True
-        for k, c in enumerate(g.coeffs):
-            if c == 0:
-                continue
-            e = k - d
-            if root is not None:
-                factors[k] = Fraction(root) ** e
-            elif e % p == 0:
-                factors[k] = Fraction(m) ** (e // p)
-            else:
-                exact_ok = False
-                break
-        if exact_ok:
-            return Poly(
-                (c * factors[k] if c != 0 else c for k, c in enumerate(g.coeffs))
-            )
+    if root is not None:
+        return Poly(c * Fraction(root) ** (k - d) for k, c in enumerate(g.coeffs))
+    if all(c == 0 or (k - d) % p == 0 for k, c in enumerate(g.coeffs)):
+        return Poly(c * Fraction(m) ** ((k - d) // p) for k, c in enumerate(g.coeffs))
     with mp.workprec(precision_bits):
         scale = to_mp(m, precision_bits) ** (mp.mpf(1) / p)
         tail = scale ** (-d)
@@ -401,4 +302,4 @@ def rescale_iterate(
         for c in g.coeffs:
             out.append(to_mp(c, precision_bits) * power * tail)
             power *= scale
-        return Poly(out, precision_bits)
+    return Poly(map(mpf_to_fraction, out))

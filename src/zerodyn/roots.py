@@ -1,10 +1,7 @@
 """Complex root finding with certification and exact nonreal-zero counting.
 
-Every input is real and rational: a floating coefficient is an mpf, which
-is exactly a dyadic rational m 2^e, so ``Poly.to_exact`` turns floating
-input into the rational polynomial it stands for, and both entry points
-below see rational coefficients only.  Two routes, deliberately
-independent:
+Every input is a polynomial with rational coefficients (a ``Poly``).
+Two routes, deliberately independent:
 
 * a certified root finder: one precision ladder.  The input is split
   into square-free factors, so every root comes with its exact
@@ -526,8 +523,7 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
     Parameters
     ----------
     f : Poly
-        Degree >= 1; real exact or floating coefficients.  Floating f is
-        solved as the rational polynomial ``f.to_exact()`` it stands for.
+        Degree >= 1; rational coefficients.
     precision_bits : int
         Stated precision of the result, at least 1.
 
@@ -545,15 +541,13 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
 
     Raises
     ------
-    ValueError (``precision_bits`` not an int >= 1, a nonreal or
-    nonfinite coefficient), DegreeZero,
+    ValueError (``precision_bits`` not an int >= 1), DegreeZero,
     NoConvergence (the ladder certified a factor on no rung up to
     2^MAX_PRECISION_DOUBLINGS times the working precision; the best
     RootSet found rides on the exception).
     """
     if type(precision_bits) is not int or precision_bits < 1:
         raise ValueError(f"precision_bits must be an int >= 1, not {precision_bits!r}")
-    f = f.to_exact()
     if f.degree < 1:
         raise DegreeZero("root finding needs degree >= 1")
     deg = int(f.degree)
@@ -740,11 +734,10 @@ def count_nonreal(
 ) -> ZeroCount:
     """Count nonreal zeros with multiplicity and tell whether f is square-free.
 
-    f is real; floating f is counted as the rational polynomial
-    ``f.to_exact()`` it stands for, and a nonreal or nonfinite
-    coefficient is a ValueError.  Up to degree 64 the count takes the
-    exact route (one integer primitive PRS of f and f', rerun on
-    gcd(f, f') only for repeated factors; ``method`` "exact"); no
+    f has rational coefficients; a constant, the zero polynomial too, has
+    no zeros (Z_C(0) = 0).  Up to degree 64 the count takes the exact
+    route (one integer primitive PRS of f and f', rerun on gcd(f, f')
+    only for repeated factors; ``method`` "exact"); no
     tolerance enters.  Above it, roots are located at ``precision_bits``
     (or taken from ``rs``, a RootSet of f the caller already holds) and
     counted from ``find_roots``' certificate: a root is real iff its
@@ -753,7 +746,6 @@ def count_nonreal(
     degree.  Solving there at a ``precision_bits`` below 1 is
     ``find_roots``' ValueError.
     """
-    f = f.to_exact()
     deg = f.degree
     if deg < 1:
         return ZeroCount(0, 0, 0, "exact", True)

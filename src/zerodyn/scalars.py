@@ -43,8 +43,6 @@ mp = _lazy_import("mpmath")
 
 DEFAULT_PRECISION_BITS = 256
 
-EXACT_TYPES = (int, Fraction)
-
 _NEAREST = "n"  # mpmath.libmp.round_nearest, spelled out so no import runs it
 
 
@@ -57,10 +55,6 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r} ({type(x).__name__})")
-
-
-def is_exact(x) -> bool:
-    return isinstance(x, EXACT_TYPES)
 
 
 def to_mp(x, precision_bits: int):
@@ -100,18 +94,6 @@ def mpf_to_fraction(x) -> Fraction:
     sign, man, exp, _bc = x._mpf_
     man = -int(man) if sign else int(man)
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
-def carried_precision(x) -> int:
-    """Bits a floating scalar carries: its mantissa length (the larger over
-    the parts of an mpc), never below DEFAULT_PRECISION_BITS."""
-    if isinstance(x, mp.mpf):
-        parts = (x._mpf_,)
-    elif isinstance(x, mp.mpc):
-        parts = x._mpc_
-    else:
-        parts = ()
-    return max([DEFAULT_PRECISION_BITS, *(bc for _sign, _man, _exp, bc in parts)])
 
 
 def common_denominator(values):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from zerodyn import Poly, PowerSeries
+from zerodyn.scalars import mpf_to_fraction, to_mp
 
 
 def make_rng(seed):
@@ -30,6 +31,12 @@ def random_poly(rng, degree, monic=False):
     coeffs = [random_fraction(rng) for _ in range(degree + 1)]
     coeffs[-1] = Fraction(1) if monic else random_fraction(rng, nonzero=True)
     return Poly(coeffs)
+
+
+def dyadic(f, bits):
+    """f with every coefficient rounded to nearest at ``bits`` bits, read
+    back as the dyadic rational the rounded value stands for."""
+    return Poly(mpf_to_fraction(to_mp(c, bits)) for c in f.coeffs)
 
 
 @pytest.fixture

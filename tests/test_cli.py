@@ -277,6 +277,39 @@ class TestConstructCLI:
         assert "verification failure" in err
 
 
+class TestZeroPolynomial:
+    """The zero polynomial has degree -inf; Z_C(0) = 0."""
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("apply", ()), ("iterate", ("--m", "3", "--op-count", "nonreal"))],
+    )
+    def test_iterates_to_zero(self, capsys, command, extra):
+        doc = run_json(capsys, command, "--series", "poly:1+x^2", "--poly", "0", *extra)
+        assert (doc["poly"], doc["coeffs"], doc["inline"]) == ("0", [], "0")
+        assert doc.get("nonreal", 0) == 0
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("onset", ()),
+            ("converge", ("--m-list", "1,2")),
+            ("attractor", ("--m-list", "1,2", "--epsilon", "0.1")),
+        ],
+    )
+    def test_experiments_reject_it(self, capsys, command, extra):
+        code, out, err = run_cli(
+            capsys, command, "--series", "poly:1+x^2", "--poly", "0", *extra
+        )
+        assert (code, out) == (2, "") and err.startswith("input error:")
+
+    def test_zero_series_is_an_input_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "iterate", "--series", "poly:0", "--poly", "x^2", "--m", "1"
+        )
+        assert (code, out) == (2, "") and err.startswith("input error:")
+
+
 class TestInputErrors:
     def test_unreadable_series(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--series", "/nonexistent/x.txt")

@@ -139,6 +139,26 @@ class TestConvergence:
         with pytest.raises(NotGeneralForm):
             convergence_experiment(phi, monomial(3), [1, 2])
 
+    def test_rounded_scale_errors_are_exact(self):
+        # 2, 3, 8 are not squares: x^3 + 1/3 is rescaled by rounding, and
+        # the error is that of the rounded iterate, computed exactly
+        f = P(F(1, 3), 0, 0, 1)
+        cls = classify(PHI_B)
+        rep = convergence_experiment(PHI_B, f, [2, 3, 8])
+        for m, err in rep.samples:
+            assert type(err) is F
+            assert err == (rescale_iterate(cls, PHI_B, f, m) - rep.limit_poly).sup_norm()
+
+
+@pytest.mark.parametrize("m_list", [[2.5, 3.9], [1.0], [0], [-1, 2], [], [2, "3"], [True]])
+@pytest.mark.parametrize("experiment", ["converge", "attractor"])
+def test_m_list_must_hold_ints_at_least_one(experiment, m_list):
+    with pytest.raises(ValueError, match="m_list must contain integers >= 1"):
+        if experiment == "converge":
+            convergence_experiment(PHI_B, monomial(2), m_list)
+        else:
+            attractor_experiment(PHI_B, monomial(2), m_list, 0.1)
+
 
 class TestDiscrepancy:
     def test_exact_ratio_between_sample_points(self):

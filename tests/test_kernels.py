@@ -16,9 +16,12 @@ from zerodyn import (
     Poly,
     PowerSeries,
     apply_operator,
-    dilate,
+    classify,
+    extend,
     find_roots,
+    iterate_operator,
     poly,
+    rescale_iterate,
     roots,
     translate,
     truncated_power,
@@ -66,11 +69,6 @@ def _trim(c):
     return c
 
 
-def _as_fraction(v):
-    sign, man, exp, _ = v._mpf_
-    return (-1) ** sign * F(man) * F(2) ** exp
-
-
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 coeff_lists = st.lists(fractions, min_size=1, max_size=MAX_DEGREE + 1).filter(
     lambda c: c[-1] != 0
@@ -86,7 +84,6 @@ class TestExactKernels:
     def test_apply_operator_is_the_derivative_sum(self, c, alpha):
         d = len(c) - 1
         got = apply_operator(PowerSeries(alpha), Poly(c))
-        assert got.is_exact
         assert list(got.coeffs) == _trim(ref_apply(alpha[: d + 1], c))
 
     def test_apply_operator_sparse_and_dense_series(self):
@@ -113,7 +110,6 @@ class TestExactKernels:
     @hypothesis.given(coeff_lists, fractions)
     def test_translate_is_synthetic_division(self, c, shift):
         got = translate(Poly(c), shift)
-        assert got.is_exact
         assert list(got.coeffs) == _trim(ref_translate(c, shift))
 
     @derandomized
@@ -149,71 +145,36 @@ class TestSympyShift:
             assert list(translate(f, c).coeffs) == want
 
 
-class TestFloatingKernels:
-    """Floating polynomials take the same sums at their own precision."""
-
-    @derandomized
-    @hypothesis.given(coeff_lists, st.lists(fractions, min_size=MAX_DEGREE + 1, max_size=MAX_DEGREE + 1))
-    def test_apply_operator_floating(self, c, alpha):
-        d = len(c) - 1
-        want = ref_apply(alpha[: d + 1], c)
-        got = apply_operator(PowerSeries(alpha), Poly(c, precision=256))
-        scale = max(1, *(abs(x) for x in want))
-        for k, w in enumerate(want):
-            assert abs(_as_fraction(got.coefficient(k)) - w) <= F(2) ** -230 * scale
-
-    @derandomized
-    @hypothesis.given(coeff_lists, fractions)
-    def test_translate_floating(self, c, shift):
-        want = ref_translate(c, shift)
-        got = translate(Poly(c, precision=256), shift)
-        scale = max(1, *(abs(x) for x in ref_translate([abs(x) for x in c], abs(shift))))
-        for k, w in enumerate(want):
-            assert abs(_as_fraction(got.coefficient(k)) - w) <= F(2) ** -230 * scale
-
-
 class TestOwnPrecision:
-    """Floating Poly operations run at Poly.precision, not mpmath's ambient one."""
+    """The one rounding of the polynomial layer, rescale_iterate at an
+    irrational scale, runs at its stated precision, not mpmath's ambient one."""
 
     PREC = 512
-    BOUND = F(2) ** -500
+    PHI = extend(PowerSeries([1, 1, -1]), 8)  # p = 2, alpha = 1
+    F3 = Poly([F(1, 3), F(-2, 7), 0, 1])
 
-    def _close(self, got, want):
-        assert got.precision == self.PREC
-        assert len(got.coeffs) == len(want)
-        scale = max(1, *(abs(w) for w in want))
-        for g, w in zip(got.coeffs, want):
-            assert abs(_as_fraction(g) - w) <= self.BOUND * scale
+    def _rescaled(self):
+        return rescale_iterate(classify(self.PHI), self.PHI, self.F3, 8, self.PREC)
 
-    def _cases(self):
-        rng = make_rng(13)
-        f = Poly([F(1, 3), F(-2, 7), F(5, 11), F(1, 9), F(-4, 3), F(2, 5), F(1)])
-        g = Poly([F(-1, 7), F(3, 13), F(1, 3)])
-        phi = random_series(rng, 6)
-        fl, gl = f.to_floating(self.PREC), g.to_floating(self.PREC)
-        c = F(1, 3)
-        yield translate(fl, c), translate(f, c).coeffs
-        yield dilate(fl, c), dilate(f, c).coeffs
-        yield fl.scale(c), f.scale(c).coeffs
-        yield fl + gl, (f + g).coeffs
-        yield fl - gl, (f - g).coeffs
-        yield fl * gl, (f * g).coeffs
-        yield poly.derivative(fl), poly.derivative(f).coeffs
-        yield apply_operator(phi, fl), apply_operator(phi, f).coeffs
-        ev = fl.evaluate(to_mp(c, self.PREC))
-        assert abs(_as_fraction(ev) - f.evaluate(c)) <= self.BOUND
-        assert abs(_as_fraction((fl - gl).sup_norm()) - (f - g).sup_norm()) <= self.BOUND
+    def _check(self, got):
+        # coefficient k of g = phi(D)^8 f (x - 8), times 8^((k-3)/2)
+        g = translate(iterate_operator(self.PHI, self.F3, 8), -8)
+        assert len(got.coeffs) == len(g.coeffs)
+        with mp.workprec(2 * self.PREC):
+            for k, (c, gk) in enumerate(zip(got.coeffs, g.coeffs)):
+                want = mp.mpf(8) ** (mp.mpf(k - 3) / 2) * to_mp(gk, 2 * self.PREC)
+                assert abs(to_mp(c, 2 * self.PREC) - want) <= mp.ldexp(abs(want), 8 - self.PREC)
 
     def test_without_enclosing_context(self):
         assert mp.mp.prec == 53
-        for got, want in self._cases():
-            self._close(got, want)
+        self._check(self._rescaled())
 
     @pytest.mark.parametrize("ambient", [64, 512, 2048])
     def test_inside_an_enclosing_context(self, ambient):
         with mp.workprec(ambient):
-            for got, want in self._cases():
-                self._close(got, want)
+            got = self._rescaled()
+        assert got == self._rescaled()
+        self._check(got)
 
 
 class TestCommonDenominator:

@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction as F
 
-import mpmath as mp
 import pytest
 
 from zerodyn import (
@@ -48,14 +47,12 @@ class TestExpDpMonomial:
                 assert lhs == rhs
 
     def test_positive_beta_scaling_relation(self):
-        # exp(-b D^p)x^d == b^(d/p) exp(-D^p)x^d (x / b^(1/p)) at 256 bits
-        with mp.workprec(256):
-            for p, d, b in [(2, 6, F(3, 2)), (3, 9, F(2)), (2, 20, F(1, 3))]:
-                lhs = exp_dp_monomial(-b, p, d).to_floating(256)
-                broot = mp.root(mp.mpmathify(b), p)
-                base = exp_dp_monomial(F(-1), p, d).to_floating(256)
-                rhs = dilate(base, 1 / broot).scale(broot**d)
-                assert (lhs - rhs).sup_norm() < mp.mpf(10) ** -30
+        # exp(-b D^p)x^d == b^(d/p) exp(-D^p)x^d (x / b^(1/p)), exactly for
+        # b = r^p a perfect p-th power
+        for p, d, r in [(2, 6, F(3, 2)), (3, 9, F(2)), (2, 20, F(1, 3))]:
+            lhs = exp_dp_monomial(-(r**p), p, d)
+            base = exp_dp_monomial(F(-1), p, d)
+            assert lhs == dilate(base, 1 / r).scale(r**d)
 
 
 class TestHermite:

@@ -1,6 +1,5 @@
 """Polynomial arithmetic, the operator action, and the affine transforms."""
 
-from contextlib import nullcontext
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -25,7 +24,7 @@ from zerodyn import (
     translate,
     truncated_power,
 )
-from zerodyn.scalars import DEFAULT_PRECISION_BITS, carried_precision
+from zerodyn.scalars import to_mp
 from conftest import random_poly, random_series
 
 
@@ -196,7 +195,6 @@ class TestRescaleIterate:
         cls = classify(PHI_A)
         out = rescale_iterate(cls, PHI_A, monomial(3), 4)
         assert out == P(0, 6, 0, 1)
-        assert out.is_exact
 
     def test_exact_with_translation(self):
         cls = classify(PHI_B)
@@ -207,24 +205,37 @@ class TestRescaleIterate:
         cls = classify(PHI_C)
         out = rescale_iterate(cls, PHI_C, monomial(4), 10)
         assert out == P(12 - F(12, 10), 0, -12, 0, 1)
-        assert out.is_exact
+
+    def test_perfect_square_m_is_exact_dilation(self):
+        # x^3 + 1/3: support not aligned with p = 2.  m = 9 is a perfect
+        # square, so the rescaling is the exact dilation by 3
+        cls = classify(PHI_B)
+        f = P(F(1, 3), 0, 0, 1)
+        g9 = translate(iterate_operator(PHI_B, f, 9), -9)
+        assert rescale_iterate(cls, PHI_B, f, 9) == dilate(g9, 3).scale(F(1, 27))
 
     def test_floating_path_agrees_with_exact(self):
-        # m a perfect square: exact; perturbed f forces the floating path
+        # m = 8 is not a square: coefficient k of g = phi(D)^8 f (x - 8) is
+        # multiplied by 8^((k-3)/2), rounded once at 256 bits
         cls = classify(PHI_B)
-        f = P(F(1, 3), 0, 0, 1)  # x^3 + 1/3, support not aligned with p=2
-        exact9 = rescale_iterate(cls, PHI_B, f, 9)
-        assert exact9.is_exact
-        floating = rescale_iterate(cls, PHI_B, f, 8)
-        assert not floating.is_exact
-        # cross-check the floating transform against a direct evaluation
-        g = iterate_operator(PHI_B, f, 8)
-        with mp.workprec(256):
-            s = mp.sqrt(mp.mpf(8))
-            x = mp.mpf("0.37")
-            want = mp.mpf(8) ** mp.mpf(-1.5) * g.evaluate(s * x - 8)
-            got = floating.evaluate(x)
-            assert abs(want - got) < mp.mpf(2) ** -200
+        f = P(F(1, 3), 0, 0, 1)
+        bits, d, m = 256, 3, 8
+        got = rescale_iterate(cls, PHI_B, f, m, bits)
+        iterate = iterate_operator(PHI_B, f, m)
+        g = translate(iterate, -m)
+        assert len(got.coeffs) == len(g.coeffs)
+        with mp.workprec(2 * bits):
+            for k, (c, gk) in enumerate(zip(got.coeffs, g.coeffs)):
+                assert c.denominator & (c.denominator - 1) == 0
+                want = mp.mpf(m) ** (mp.mpf(k - d) / 2) * to_mp(gk, 2 * bits)
+                assert abs(to_mp(c, 2 * bits) - want) <= mp.ldexp(abs(want), 8 - bits)
+            # against a direct evaluation of m^(-d/2) iterate(sqrt(m) x - m)
+            x = F(37, 100)
+            at = mp.sqrt(m) * to_mp(x, 2 * bits) - m
+            direct = mp.mpf(m) ** (-mp.mpf(d) / 2) * mp.polyval(
+                [to_mp(c, 2 * bits) for c in reversed(iterate.coeffs)], at
+            )
+            assert abs(to_mp(got.evaluate(x), 2 * bits) - direct) < mp.ldexp(1, -200)
 
     def test_rejects_non_general(self):
         import math
@@ -242,79 +253,25 @@ class TestRescaleIterate:
 class TestFloatingKind:
     def test_exact_never_degrades_silently(self):
         f = P(1, 2) + P(0, 0, 1)
-        assert f.is_exact
-
-    def test_mixed_arithmetic_goes_floating(self):
-        f = P(1, 1)
-        g = Poly([1, 1], precision=128)
-        assert not (f + g).is_exact
+        assert all(type(c) is F for c in f.coeffs)
 
     def test_sup_norm(self):
         assert P(1, -7, 3).sup_norm() == 7
 
-    def test_to_exact_keeps_every_bit(self):
-        # 1/3 at 256 bits; re-rounding at mpmath's default 53 bits loses 203
-        g = P(F(1, 3), -2).to_floating(256)
-        q = g.to_exact()
-        assert q.is_exact and list(q.coeffs) == [_exact(c) for c in g.coeffs]
-        assert 0 < abs(q.coeffs[0] - F(1, 3)) < F(1, 2**256)
-        assert q.to_floating(256) == g
-        f = P(1, 2)
-        assert f.to_exact() is f
 
-    @pytest.mark.parametrize("c", [1j, mp.inf, mp.nan])
-    def test_to_exact_rejects_nonreal_and_nonfinite(self, c):
-        with pytest.raises(ValueError):
-            Poly([c, 1], 128).to_exact()
+class TestExactScalars:
+    """Every scalar applied to a polynomial is taken exactly; a floating
+    one is the constructor's TypeError."""
 
+    OPS = {
+        "scale": lambda f, c: f.scale(c),
+        "dilate": dilate,
+        "translate": translate,
+        "evaluate": lambda f, c: f.evaluate(c),
+    }
 
-def _exact(v):
-    """The value an mpf holds, as a Fraction."""
-    sign, man, exp, _ = v._mpf_
-    return (-1) ** sign * F(man) * F(2) ** exp
-
-
-class TestFloatingScalarOnExactPoly:
-    """An exact polynomial meeting an mpf runs at the bits the mpf carries."""
-
-    with mp.workprec(512):
-        X = mp.mpf(1) / 3
-    AMBIENT = [nullcontext, lambda: mp.workprec(64)]
-    BOUND = F(1, 2**500)
-
-    def test_carried_precision(self):
-        assert 500 < carried_precision(self.X) <= 512
-        assert carried_precision(mp.mpf(1) / 3) == DEFAULT_PRECISION_BITS
-        with mp.workprec(300):
-            lo = mp.mpf(1) / 7
-        with mp.workprec(512):
-            z, w = mp.mpc(lo, self.X), mp.mpc(self.X, 0)
-        assert carried_precision(z) == carried_precision(w) == carried_precision(self.X)
-        for x in (F(1, 3), 3, 0.5, 1j, mp.mpf(0)):
-            assert carried_precision(x) == DEFAULT_PRECISION_BITS
-
-    @pytest.mark.parametrize("ambient", AMBIENT, ids=["no-context", "workprec64"])
-    def test_translate(self, ambient):
-        x = _exact(self.X)
-        with ambient():
-            g = translate(P(1, 1), self.X)
-        assert g.precision == carried_precision(self.X)
-        assert abs(_exact(g.coeffs[0]) - (1 + x)) < self.BOUND
-        assert g.coeffs[1] == 1
-
-    @pytest.mark.parametrize("ambient", AMBIENT, ids=["no-context", "workprec64"])
-    def test_dilate_and_scale(self, ambient):
-        x = _exact(self.X)
-        with ambient():
-            g = dilate(P(1, 1, 1), self.X)
-            h = P(F(1, 3), 1).scale(self.X)
-        assert abs(_exact(g.coeffs[2]) - x * x) < self.BOUND
-        assert abs(_exact(h.coeffs[0]) - x / 3) < self.BOUND
-        assert g.precision == h.precision == carried_precision(self.X)
-
-    @pytest.mark.parametrize("ambient", AMBIENT, ids=["no-context", "workprec64"])
-    def test_evaluate(self, ambient):
-        x = _exact(self.X)
-        with ambient():
-            v = P(F(1, 3), 1).evaluate(self.X)
-        assert abs(_exact(v) - (F(1, 3) + x)) < self.BOUND
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("c", [0.5, mp.mpf(1) / 3, mp.mpc(1, 2)], ids=["float", "mpf", "mpc"])
+    def test_floating_scalar_rejected(self, op, c):
+        with pytest.raises(TypeError):
+            self.OPS[op](P(F(1, 3), 1, 1), c)

@@ -21,7 +21,7 @@ from zerodyn import (
     iterate_operator,
     roots_in_disk,
 )
-from conftest import make_rng, random_poly
+from conftest import dyadic, make_rng, random_poly
 
 
 def P(*coeffs):
@@ -85,14 +85,14 @@ class TestFindRoots:
             assert abs(rs.roots[1].location - 2) < 1e-70
 
     def test_floating_exact_cube_has_its_yun_multiplicity(self):
-        rs = find_roots(P(1, 1).to_floating(256) ** 3)
+        rs = find_roots(dyadic(P(1, 1), 256) ** 3)
         assert [r.multiplicity for r in rs.roots] == [3]
         assert abs(rs.roots[0].location + 1) < 1e-20
 
     def test_floating_cluster_comes_back_exactly_real(self):
         # (x-1)^3 (x^2+1) at 256 bits is exact: its triple root is certified
         # from the square-free factor x - 1, so it lies on the axis
-        f = (P(-1, 1) ** 3 * P(1, 0, 1)).to_floating(256)
+        f = dyadic(P(-1, 1) ** 3 * P(1, 0, 1), 256)
         rs = find_roots(f, 256)
         assert [r.multiplicity for r in rs.roots] == [1, 1, 3]
         triple = rs.roots[2].location
@@ -103,19 +103,18 @@ class TestFindRoots:
     def test_rounded_double_root_is_two_simple_zeros(self):
         # (x - 1/3)^2 rounded to 128 bits stands for a square-free dyadic
         # polynomial: two simple zeros about 2^-64 apart, not one double zero
-        f = (P(F(-1, 3), 1) ** 2).to_floating(128)
+        f = dyadic(P(F(-1, 3), 1) ** 2, 128)
         rs = find_roots(f)
         assert [r.multiplicity for r in rs.roots] == [1, 1]
         with mp.workprec(320):
             assert all(abs(r.location - mp.mpf(1) / 3) < 1e-15 for r in rs.roots)
         zc = count_nonreal(f)
-        assert zc == count_nonreal(f.to_exact())
         assert zc.method == "exact" and zc.squarefree
         assert zc.real_count == sum(r.location.imag == 0 for r in rs.roots)
 
     def test_nonreal_coefficients_rejected(self):
-        with pytest.raises(ValueError):
-            find_roots(Poly([1j, 0, 1], 256))
+        with pytest.raises(TypeError):
+            Poly([1j, 0, 1])
 
     def test_residuals_certified(self):
         for f in (P(2, 2, 1), P(-6, 0, 0, 1), P(1, 5, -3, 2, 7)):
@@ -145,7 +144,7 @@ class TestFindRoots:
         with mp.workprec(320):
             for _ in range(30):
                 f = random_poly(rng, rng.randint(6, 16))
-                for g in (f, f.to_floating(128)):
+                for g in (f, dyadic(f, 128)):
                     locs = find_roots(g, 128).locations()
                     for k, z in enumerate(locs):
                         if z.imag > 1e-20:
@@ -388,7 +387,7 @@ class TestNewtonLadder:
         for _ in range(20):
             f = random_poly(rng, rng.randint(2, 16))
             real_count = count_nonreal(f).real_count
-            for g in (f, f.to_floating(256)):
+            for g in (f, dyadic(f, 256)):
                 _exactly_real_or_conjugate(find_roots(g).locations(), real_count)
         assert len(ladder) > 0 and None not in ladder
 
@@ -628,14 +627,14 @@ class TestCountNonreal:
         for _ in range(20):
             f = random_poly(rng, rng.randint(1, 12))
             exact = count_nonreal(f)
-            floating = count_nonreal(f.to_floating(256))
+            floating = count_nonreal(dyadic(f, 256))
             assert exact.method == "exact" and floating.method == "exact"
             assert exact.real_count == floating.real_count
             assert exact.squarefree == floating.squarefree
 
     def test_given_rootset_matches_fresh_solve(self, rng):
         for _ in range(10):
-            f = random_poly(rng, rng.randint(1, 10)).to_floating(256)
+            f = dyadic(random_poly(rng, rng.randint(1, 10)), 256)
             assert count_nonreal(f, rs=find_roots(f)) == count_nonreal(f)
 
     def test_precision_below_one_rejected_above_exact_limit(self):
@@ -667,7 +666,7 @@ class TestAllRealSimple:
     def test_floating_route_matches_exact(self, rng):
         for _ in range(15):
             f = random_poly(rng, rng.randint(1, 8))
-            assert all_real_simple(f) == all_real_simple(f.to_floating(256))
+            assert all_real_simple(f) == all_real_simple(dyadic(f, 256))
 
 
 class TestRootsInDisk:
