@@ -23,6 +23,7 @@ from .errors import (
     ZeroDilation,
     ZerodynError,
 )
+from .scalars import Point
 from .series import (
     LPObstructionResult,
     OperatorClass,

@@ -58,7 +58,29 @@ def _env_default(name, cast, fallback):
         raise ValueError(f"{name}={raw!r} is not a valid {cast.__name__}") from None
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: its ``add_argument`` calls are stored and made
+    on first use, so a run builds only the subcommand it names."""
+
+    def add_argument(self, *args, **kwargs):
+        vars(self).setdefault("_pending", []).append((args, kwargs))
+
+    def parse_known_args(self, args=None, namespace=None):
+        for a, kw in vars(self).pop("_pending", ()):
+            super().add_argument(*a, **kw)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; a malformed ZERODYN_* default is a ValueError here."""
+    int_options = [  # (flag, default, help) of every subcommand
+        ("--precision-bits", _env_default("ZERODYN_PRECISION_BITS", int, DEFAULT_PRECISION_BITS),
+         "binary working precision for floating paths"),
+        ("--m-max", _env_default("ZERODYN_M_MAX", int, dynamics.DEFAULT_M_MAX),
+         "iterate sweep bound for onset scans"),
+        ("--d-cap", _env_default("ZERODYN_D_CAP", int, construct_mod.DEFAULT_D_CAP),
+         "degree cap for witness searches"),
+    ]
     parser = argparse.ArgumentParser(
         prog="zerodyn",
         description=(
@@ -67,32 +89,17 @@ def build_parser() -> argparse.ArgumentParser:
             "products."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--precision-bits",
-        type=int,
-        default=_env_default("ZERODYN_PRECISION_BITS", int, DEFAULT_PRECISION_BITS),
-        help="binary working precision for floating paths (default %(default)s)",
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
     )
-    common.add_argument(
-        "--m-max",
-        type=int,
-        default=_env_default("ZERODYN_M_MAX", int, dynamics.DEFAULT_M_MAX),
-        help="iterate sweep bound for onset scans (default %(default)s)",
-    )
-    common.add_argument(
-        "--d-cap",
-        type=int,
-        default=_env_default("ZERODYN_D_CAP", int, construct_mod.DEFAULT_D_CAP),
-        help="degree cap for witness searches (default %(default)s)",
-    )
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--output", help="write the report here instead of stdout")
 
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, help_text, **kwargs):
-        return sub.add_parser(name, parents=[common], help=help_text, **kwargs)
+    def cmd(name, help_text):
+        p = sub.add_parser(name, help=help_text)
+        for flag, default, text in int_options:
+            p.add_argument(flag, type=int, default=default, help=text + " (default %(default)s)")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--output", help="write the report here instead of stdout")
+        return p
 
     p = cmd("classify", "classify an operator series")
     p.add_argument("--series", required=True)
@@ -175,6 +182,8 @@ def _config_from(args) -> RunConfig:
         output=args.output,
     )
     cfg.validate()
+    if cfg.out_format == "csv":
+        formats.csv_table(args.command)  # before any work, not after it
     return cfg
 
 
@@ -214,96 +223,57 @@ def _emit(cfg: RunConfig, kind: str, payload) -> None:
         sys.stdout.write(text)
 
 
-def _run(args) -> int:
-    cfg = _config_from(args)
+def _payload(args, cfg: RunConfig):
+    """The report the subcommand ``args.command`` asks for, as its JSON payload."""
     cmd = args.command
 
     if cmd == "classify":
         phi = formats.resolve_series(args.series)
-        cls = series.classify(phi)
-        _emit(cfg, "classify", formats.operator_class_payload(cls))
-        return EXIT_OK
+        return formats.operator_class_payload(series.classify(phi))
 
     if cmd == "lp-test":
         phi = formats.resolve_series(args.series, min_order=args.d_max)
-        res = series.polya_lp_test(phi, args.d_max)
-        _emit(cfg, "lp-test", formats.lp_result_payload(res))
-        return EXIT_OK
+        return formats.lp_result_payload(series.polya_lp_test(phi, args.d_max))
 
     if cmd in ("apply", "iterate"):
         f = formats.resolve_poly(args.poly)
         phi = formats.resolve_series(args.series, min_order=max(0, f.degree))
-        m = 1 if cmd == "apply" else args.m
-        g = poly.iterate_operator(phi, f, m)
-        payload = {"poly": formats.format_poly_inline_exact(g)}
-        payload.update(formats.poly_payload(g))
+        g = poly.iterate_operator(phi, f, 1 if cmd == "apply" else args.m)
+        payload = {"poly": str(g), **formats.poly_payload(g)}
         if cmd == "iterate" and args.op_count == "nonreal":
-            zc = roots.count_nonreal(g, cfg.precision_bits)
-            payload["nonreal"] = zc.nonreal_count
-        _emit(cfg, cmd, payload)
-        return EXIT_OK
+            payload["nonreal"] = roots.count_nonreal(g, cfg.precision_bits).nonreal_count
+        return payload
 
     if cmd == "zeros":
         f = formats.resolve_poly(args.poly)
-        rs = roots.find_roots(f, cfg.precision_bits)
-        _emit(cfg, "zeros", formats.rootset_payload(rs))
-        return EXIT_OK
+        return formats.rootset_payload(roots.find_roots(f, cfg.precision_bits))
 
-    if cmd == "onset":
+    if cmd in ("onset", "converge", "attractor"):
         f = formats.resolve_poly(args.poly)
         phi = formats.resolve_series(args.series, min_order=max(2, f.degree))
-        rep = dynamics.onset_scan(phi, f, cfg.m_max, cfg.precision_bits)
-        _emit(cfg, "onset", formats.onset_payload(rep))
-        return EXIT_OK
-
-    if cmd == "converge":
-        f = formats.resolve_poly(args.poly)
-        phi = formats.resolve_series(args.series, min_order=max(2, f.degree))
-        rep = dynamics.convergence_experiment(
-            phi, f, _parse_m_list(args.m_list), cfg.precision_bits
-        )
-        _emit(cfg, "converge", formats.convergence_payload(rep))
-        return EXIT_OK
+        if cmd == "onset":
+            rep = dynamics.onset_scan(phi, f, cfg.m_max, cfg.precision_bits)
+            return formats.onset_payload(rep)
+        ms = _parse_m_list(args.m_list)
+        if cmd == "converge":
+            rep = dynamics.convergence_experiment(phi, f, ms, cfg.precision_bits)
+            return formats.convergence_payload(rep)
+        rep = dynamics.attractor_experiment(phi, f, ms, args.epsilon, cfg.precision_bits)
+        return formats.attractor_payload(rep)
 
     if cmd == "discrepancy":
         phi = formats.resolve_series(args.series, min_order=args.d)
         cls = series.classify(phi)
-        value = dynamics.operator_discrepancy(
-            cls, phi, args.d, args.m, cfg.precision_bits
-        )
-        _emit(
-            cfg,
-            "discrepancy",
-            {
-                "d": args.d,
-                "m": args.m,
-                "discrepancy": float(value),
-                "exact": str(value) if isinstance(value, Fraction) else None,
-            },
-        )
-        return EXIT_OK
-
-    if cmd == "attractor":
-        f = formats.resolve_poly(args.poly)
-        phi = formats.resolve_series(args.series, min_order=max(2, f.degree))
-        rep = dynamics.attractor_experiment(
-            phi,
-            f,
-            _parse_m_list(args.m_list),
-            args.epsilon,
-            cfg.precision_bits,
-        )
-        _emit(cfg, "attractor", formats.attractor_payload(rep))
-        return EXIT_OK
+        value = dynamics.operator_discrepancy(cls, phi, args.d, args.m, cfg.precision_bits)
+        exact = str(value) if isinstance(value, Fraction) else None
+        return {"d": args.d, "m": args.m, "discrepancy": float(value), "exact": exact}
 
     if cmd == "limit-poly":
         g = limits.exp_dp_monomial(parse_fraction(args.beta), args.p, args.d)
-        _emit(cfg, "limit-poly", formats.poly_payload(g))
-        return EXIT_OK
+        return formats.poly_payload(g)
 
     if cmd == "hermite":
-        _emit(cfg, "hermite", formats.poly_payload(limits.hermite(args.d)))
-        return EXIT_OK
+        return formats.poly_payload(limits.hermite(args.d))
 
     if cmd == "jensen":
         g = limits.jensen_ml(args.p, args.q)
@@ -311,42 +281,36 @@ def _run(args) -> int:
         if args.roots:
             rs = roots.find_roots(g, cfg.precision_bits)
             payload["roots"] = formats.rootset_payload(rs)["roots"]
-        _emit(cfg, "jensen", payload)
-        return EXIT_OK
+        return payload
 
-    if cmd == "construct":
+    if cmd in ("construct", "verify-construct"):
         phi = formats.resolve_series(args.series, min_order=cfg.d_cap)
-        n = args.stages
-        m = args.m if args.m is not None else n
-        plan = construct_mod.build_plan(
-            phi,
-            n,
-            d_cap=cfg.d_cap,
-            gamma0=parse_fraction(args.gamma0),
-            precision_bits=cfg.precision_bits,
-        )
-        report = construct_mod.verify_counterexample(
-            phi, plan, n, m, cfg.precision_bits
-        )
-        if args.plan_out:
-            with open(args.plan_out, "w", encoding="utf-8") as fh:
-                fh.write(formats.dump_json(formats.plan_payload(plan)))
-        _emit(cfg, "construct", formats.counterexample_payload(report))
-        return EXIT_OK
-
-    if cmd == "verify-construct":
-        phi = formats.resolve_series(args.series, min_order=cfg.d_cap)
-        with open(args.plan, "r", encoding="utf-8") as fh:
-            plan = formats.plan_from_payload(json.load(fh))
+        if cmd == "construct":
+            plan = construct_mod.build_plan(
+                phi,
+                args.stages,
+                d_cap=cfg.d_cap,
+                gamma0=parse_fraction(args.gamma0),
+                precision_bits=cfg.precision_bits,
+            )
+        else:
+            with open(args.plan, "r", encoding="utf-8") as fh:
+                plan = formats.plan_from_payload(json.load(fh))
         n = plan.stages_fixed
         m = args.m if args.m is not None else n
-        report = construct_mod.verify_counterexample(
-            phi, plan, n, m, cfg.precision_bits
-        )
-        _emit(cfg, "verify-construct", formats.counterexample_payload(report))
-        return EXIT_OK
+        report = construct_mod.verify_counterexample(phi, plan, n, m, cfg.precision_bits)
+        if cmd == "construct" and args.plan_out:
+            with open(args.plan_out, "w", encoding="utf-8") as fh:
+                fh.write(formats.dump_json(formats.plan_payload(plan)))
+        return formats.counterexample_payload(report)
 
     raise ValueError(f"unknown command {cmd!r}")
+
+
+def _run(args) -> int:
+    cfg = _config_from(args)
+    _emit(cfg, args.command, _payload(args, cfg))
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -10,6 +10,9 @@ disjoint closed disks D(a(m,k) - 1/gamma(k); r(m,k)), k = m..N.
 The stage factors gamma(k) come from a halving search validated against
 that persistence predicate; verify_counterexample then recomputes
 everything from scratch, independent of the search's own bookkeeping.
+Targets, radii and disk centers are exact (``Point``s and ``Fraction``s
+built from the certified roots), so every disk clause is decided
+exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (
 from .poly import Poly, apply_operator, derivative, monomial
 from .records import Record
 from .roots import count_nonreal, find_roots, roots_in_disk
-from .scalars import DEFAULT_PRECISION_BITS, as_fraction, mp, to_mp
+from .scalars import DEFAULT_PRECISION_BITS, Point, as_fraction, on_grid
 from .series import PowerSeries, factor_out_zero, truncated_power
 
 DEFAULT_D_CAP = 40
@@ -37,8 +40,9 @@ class StagePlan(Record, frozen=False):
     """Construction state: degrees, stage factors, target zeros and radii.
 
     targets[(m, k)] is the chosen upper-half-plane zero a(m,k) of the m-th
-    iterate applied to x^d(k); radii[(m, k)] = Im a(m,k) / 2, so every
-    disk D(a(m,k) - c; r(m,k)) with real c misses the real axis.
+    iterate applied to x^d(k), an exact ``Point``; radii[(m, k)] =
+    Im a(m,k) / 2, a ``Fraction``, so every disk D(a(m,k) - c; r(m,k))
+    with real c misses the real axis.
     ``coefficient_bound_ok[k-1]`` records the stage-k positivity witness:
     all partial-product coefficients positive and f_k'(0) = sum d gamma.
     """
@@ -55,13 +59,13 @@ class StagePlan(Record, frozen=False):
         return len(self.gammas)
 
 
-class CounterexampleReport(Record, frozen=False):
+class CounterexampleReport(Record):
     plan: StagePlan
     witnessed: dict  # (m, k) -> a zero of the m-th iterate inside disk (m,k)
     nonreal_totals: dict  # m -> nonreal-zero count of the m-th iterate
     product_coeffs: tuple
     derivative_identity_ok: bool
-    boundary_ties: list = []
+    boundary_ties: tuple = ()
 
 
 def find_degree_witnesses(
@@ -114,21 +118,17 @@ def pick_targets(
     degrees = [int(d) for d in degrees]
     targets = {}
     radii = {}
-    with mp.workprec(precision_bits):
-        for k, d in enumerate(degrees, start=1):
-            g_m = monomial(d)
-            for m in range(1, k + 1):
-                g_m = apply_operator(psi, g_m)
-                rs = find_roots(g_m, precision_bits)
-                upper = [r.location for r in rs.roots if r.location.imag > 0]
-                if not upper:
-                    raise NoNonrealZero(
-                        f"iterate m={m} of x^{d} has no upper-half-plane zero"
-                    )
-                upper.sort(key=lambda z: (-z.imag, z.real))
-                a = upper[0]
-                targets[(m, k)] = a
-                radii[(m, k)] = a.imag / 2
+    for k, d in enumerate(degrees, start=1):
+        g_m = monomial(d)
+        for m in range(1, k + 1):
+            g_m = apply_operator(psi, g_m)
+            rs = find_roots(g_m, precision_bits)
+            upper = [r.location for r in rs.roots if r.location.imag > 0]
+            if not upper:
+                raise NoNonrealZero(f"iterate m={m} of x^{d} has no upper-half-plane zero")
+            a = min(upper, key=lambda z: (-z.imag, z.real))
+            targets[(m, k)] = a
+            radii[(m, k)] = a.imag / 2
     return StagePlan(
         degrees=tuple(degrees),
         targets=targets,
@@ -167,46 +167,49 @@ def _check_disks(
     witnessed = {}
     nonreal_totals = {}
     ties = []
-    with mp.workprec(precision_bits):
-        g_m = product
-        for m in range(1, M + 1):
-            g_m = apply_operator(psi, g_m)
-            disks = []
-            for k in range(m, N + 1):
-                c = plan.targets[(m, k)] - 1 / to_mp(gammas[k - 1], precision_bits)
-                r = plan.radii[(m, k)]
-                if not abs(c.imag) > r:
-                    raise VerificationFailed(
-                        "off-axis", f"disk (m={m}, k={k}) touches the real axis"
-                    )
-                disks.append((k, c, r))
-            for (k1, c1, r1), (k2, c2, r2) in combinations(disks, 2):
-                if abs(c1 - c2) <= r1 + r2:
-                    raise VerificationFailed(
-                        "disjointness",
-                        f"disks (m={m}, k={k1}) and (m={m}, k={k2}) overlap",
-                    )
-            rs = find_roots(g_m, precision_bits)
-            for k, c, r in disks:
-                if roots_in_disk(rs, c, r) < 1:
-                    raise VerificationFailed(
-                        "membership", f"no zero in disk (m={m}, k={k})"
-                    )
-                witnessed[(m, k)] = min(
-                    (root.location for root in rs.roots), key=lambda z: abs(z - c)
+    g_m = product
+    for m in range(1, M + 1):
+        g_m = apply_operator(psi, g_m)
+        disks = []
+        for k in range(m, N + 1):
+            a = plan.targets[(m, k)]
+            c = Point(a.real - 1 / as_fraction(gammas[k - 1]), a.imag)
+            r = plan.radii[(m, k)]
+            if not abs(c.imag) > r:
+                raise VerificationFailed(
+                    "off-axis", f"disk (m={m}, k={k}) touches the real axis"
                 )
-            ties.extend(rs.diagnostics)
-            if count_totals:
-                nonreal_totals[m] = count_nonreal(
-                    g_m, precision_bits=precision_bits, rs=rs
-                ).nonreal_count
-                if nonreal_totals[m] < N - m + 1:
-                    raise VerificationFailed(
-                        "nonreal-total",
-                        f"iterate m={m} has {nonreal_totals[m]} nonreal zeros, "
-                        f"wanted >= {N - m + 1}",
-                    )
+            disks.append((k, c, r))
+        for (k1, c1, r1), (k2, c2, r2) in combinations(disks, 2):
+            if (c1.real - c2.real) ** 2 + (c1.imag - c2.imag) ** 2 <= (r1 + r2) ** 2:
+                raise VerificationFailed(
+                    "disjointness",
+                    f"disks (m={m}, k={k1}) and (m={m}, k={k2}) overlap",
+                )
+        rs = find_roots(g_m, precision_bits)
+        for k, c, r in disks:
+            if roots_in_disk(rs, c, r) < 1:
+                raise VerificationFailed("membership", f"no zero in disk (m={m}, k={k})")
+            witnessed[(m, k)] = _nearest(rs, c)
+        ties.extend(rs.diagnostics)
+        if count_totals:
+            nonreal_totals[m] = count_nonreal(
+                g_m, precision_bits=precision_bits, rs=rs
+            ).nonreal_count
+            if nonreal_totals[m] < N - m + 1:
+                raise VerificationFailed(
+                    "nonreal-total",
+                    f"iterate m={m} has {nonreal_totals[m]} nonreal zeros, "
+                    f"wanted >= {N - m + 1}",
+                )
     return witnessed, nonreal_totals, ties
+
+
+def _nearest(rs, c: Point) -> Point:
+    """The root of ``rs`` nearest c, by squared distance on one integer grid."""
+    xs, ys, _den = on_grid([c] + rs.locations())
+    i = min(range(1, len(xs)), key=lambda i: (xs[i] - xs[0]) ** 2 + (ys[i] - ys[0]) ** 2)
+    return rs.roots[i - 1].location
 
 
 def _stage_predicate(psi, plan: StagePlan, gammas, k: int, precision_bits: int):
@@ -333,5 +336,5 @@ def verify_counterexample(
         nonreal_totals=nonreal_totals,
         product_coeffs=f_n.coeffs,
         derivative_identity_ok=True,
-        boundary_ties=ties,
+        boundary_ties=tuple(ties),
     )

@@ -323,7 +323,7 @@ def attractor_experiment(
         gamma = mp.root(-to_mp(beta, precision_bits), p)
         base = exp_dp_monomial(Fraction(-1), p, d)
         base_roots = find_roots(base, precision_bits)
-        limit_pts = [gamma * r.location for r in base_roots.roots]
+        limit_pts = [gamma * to_mp(r.location, precision_bits) for r in base_roots.roots]
         alpha_mp = to_mp(alpha, precision_bits)
         records = []
         g = f
@@ -337,7 +337,7 @@ def attractor_experiment(
             worst_eps = mp.mpf(0)
             worst_star = mp.mpf(0)
             for r in rs.roots:
-                w = (r.location + m * alpha_mp) / scale
+                w = (to_mp(r.location, precision_bits) + m * alpha_mp) / scale
                 dmin = min(abs(w - q) for q in limit_pts)
                 if dmin > worst_eps:
                     worst_eps = dmin

@@ -9,7 +9,7 @@ File formats are versioned with a leading comment line:
 
 Inline polynomial shorthand accepts integer-coefficient expressions
 like ``x^3+6x`` or ``-2x^2+x-1``; the parser also takes rational
-coefficients ("1/2x^2") so emitted values round-trip.
+coefficients ("1/2x^2"), so ``str`` of a ``Poly`` round-trips.
 
 JSON reports embed the run configuration; CSV emits one row per m or
 per root for direct plotting, after a versioned comment line.
@@ -28,14 +28,14 @@ from .dynamics import AttractorReport, ConvergenceReport, OnsetReport
 from .limits import ml_partial
 from .poly import Poly
 from .roots import RootSet
-from .scalars import fraction_str, mp, parse_fraction
+from .scalars import Point, fraction_str, mp, parse_fraction, to_mp
 from .series import LPObstructionResult, OperatorClass, PowerSeries
 
 SERIES_HEADER = "# zerodyn series 1"
 POLY_HEADER = "# zerodyn poly 1"
 CSV_HEADER_PREFIX = "# zerodyn csv"
 
-MP_DIGITS = 40  # serialized digits for floating values; plenty to resume from
+MP_DIGITS = 40  # serialized digits of roots and other floating values
 
 
 # ---------------------------------------------------------------------------
@@ -43,15 +43,16 @@ MP_DIGITS = 40  # serialized digits for floating values; plenty to resume from
 
 
 def mpf_str(x) -> str:
-    if not isinstance(x, mp.mpf):
-        x = mp.mpf(x)  # ints/floats convert exactly at any working precision
+    """MP_DIGITS decimal digits of an mpf or a Fraction: a dyadic Fraction
+    (a root) converts exactly, any other is rounded far below the last digit."""
+    if isinstance(x, Fraction):
+        x = to_mp(x, max(x.numerator.bit_length(), 4 * MP_DIGITS))
     return mp.nstr(x, MP_DIGITS, strip_zeros=True)
 
 
 def mpc_pair(z):
-    if not isinstance(z, (mp.mpc, mp.mpf)):
-        z = mp.mpc(z)
-    return [mpf_str(mp.re(z)), mpf_str(mp.im(z))]
+    """[re, im] decimal strings of an mpf, mpc or ``Point``."""
+    return [mpf_str(z.real), mpf_str(z.imag)]
 
 
 # ---------------------------------------------------------------------------
@@ -135,25 +136,6 @@ def parse_poly_inline(text: str) -> Poly:
     return Poly([terms.get(k, Fraction(0)) for k in range(deg + 1)])
 
 
-def format_poly_inline_exact(f: Poly) -> str:
-    """Inline form that parse_poly_inline reads back identically."""
-    if f.is_zero:
-        return "0"
-    parts = []
-    for k in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeffs[k]
-        if c == 0:
-            continue
-        mag = abs(c)
-        x = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-        if k > 0 and mag == 1:
-            body = x
-        else:
-            body = f"{fraction_str(mag)}{x}"
-        parts.append(("-" if c < 0 else ("+" if parts else "")) + body)
-    return "".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # series presets
 
@@ -177,6 +159,8 @@ def resolve_series(spec: str, min_order: int = 0) -> PowerSeries:
         return ml_partial(int(p), int(k))
     if spec.startswith("poly:"):
         f = parse_poly_inline(spec.split(":", 1)[1])
+        if f.is_zero:
+            raise ValueError(f"{spec!r} is the zero series, not an operator series")
         return extend(PowerSeries(f.coeffs), min_order)
     try:
         fh = open(spec, "r", encoding="utf-8")
@@ -211,7 +195,7 @@ def resolve_poly(spec: str) -> Poly:
 def poly_payload(f: Poly):
     return {
         "coeffs": [fraction_str(c) for c in f.coeffs],
-        "inline": format_poly_inline_exact(f),
+        "inline": str(f),
     }
 
 
@@ -301,10 +285,11 @@ def plan_payload(plan: StagePlan):
         "degrees": list(plan.degrees),
         "gammas": [fraction_str(g) for g in plan.gammas],
         "targets": {
-            f"{m},{k}": mpc_pair(a) for (m, k), a in sorted(plan.targets.items())
+            f"{m},{k}": [fraction_str(a.real), fraction_str(a.imag)]
+            for (m, k), a in sorted(plan.targets.items())
         },
         "radii": {
-            f"{m},{k}": mpf_str(r) for (m, k), r in sorted(plan.radii.items())
+            f"{m},{k}": fraction_str(r) for (m, k), r in sorted(plan.radii.items())
         },
         "coefficient_bound_ok": list(plan.coefficient_bound_ok),
         "precision_bits": plan.precision_bits,
@@ -326,20 +311,24 @@ def _stage_key(key):
 
 
 def plan_from_payload(data) -> StagePlan:
-    """The StagePlan ``plan_payload`` wrote; ValueError if a field is bad."""
+    """The StagePlan ``plan_payload`` wrote; ValueError if a field is bad.
+
+    Targets and radii are exact rationals ("num/den"; a decimal string
+    reads as the rational it spells), so the plan checks exactly the disks
+    the construction built.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"a plan is a JSON object, not {type(data).__name__}")
     prec = _plan_field(data, "precision_bits", int)
     if prec < 1:
         raise ValueError(f"plan field 'precision_bits' must be positive, not {prec}")
-    with mp.workprec(prec):
-        targets = _plan_field(data, "targets", lambda v: {
-            _stage_key(key): mp.mpc(mp.mpf(re_s), mp.mpf(im_s))
-            for key, (re_s, im_s) in v.items()
-        })
-        radii = _plan_field(data, "radii", lambda v: {
-            _stage_key(key): mp.mpf(r_s) for key, r_s in v.items()
-        })
+    targets = _plan_field(data, "targets", lambda v: {
+        _stage_key(key): Point(parse_fraction(re_s), parse_fraction(im_s))
+        for key, (re_s, im_s) in v.items()
+    })
+    radii = _plan_field(data, "radii", lambda v: {
+        _stage_key(key): parse_fraction(r_s) for key, r_s in v.items()
+    })
     degrees = _plan_field(data, "degrees", lambda v: tuple(int(d) for d in v))
     gammas = _plan_field(data, "gammas", lambda v: tuple(parse_fraction(g) for g in v))
     bound_ok = _plan_field(
@@ -348,8 +337,7 @@ def plan_from_payload(data) -> StagePlan:
     for name, values, ok, what in (
         ("degrees", degrees, lambda d: d >= 1, "at least 1"),
         ("gammas", gammas, lambda g: g > 0, "positive"),
-        ("radii", radii.values(), lambda r: mp.isfinite(r) and r > 0, "finite and positive"),
-        ("targets", targets.values(), mp.isfinite, "finite"),
+        ("radii", radii.values(), lambda r: r > 0, "positive"),
     ):
         bad = [v for v in values if not ok(v)]
         if bad:
@@ -411,14 +399,20 @@ _CSV_TABLES = {
 }
 
 
-def csv_text(kind: str, payload) -> str:
-    """The CSV form of the ``kind`` report whose JSON payload is ``payload``;
+def csv_table(kind: str):
+    """(CSV kind, payload key of the rows, columns) of the ``kind`` report;
     ValueError for a kind with no CSV schema."""
     if kind not in _CSV_TABLES:
         raise ValueError(f"{kind} has no CSV schema; use --format json")
+    return _CSV_TABLES[kind]
+
+
+def csv_text(kind: str, payload) -> str:
+    """The CSV form of the ``kind`` report whose JSON payload is ``payload``;
+    ValueError for a kind with no CSV schema."""
+    name, key, columns = csv_table(kind)
     import csv  # only CSV output needs it; kept off the import path
 
-    name, key, columns = _CSV_TABLES[kind]
     buf = io.StringIO()
     buf.write(f"{CSV_HEADER_PREFIX} {name} 1\n")
     writer = csv.DictWriter(buf, fieldnames=columns)

@@ -30,6 +30,7 @@ from .scalars import (
     as_fraction,
     common_denominator,
     exact_nth_root,
+    fraction_str,
     mp,
     mpf_to_fraction,
     to_mp,
@@ -151,7 +152,8 @@ class Poly:
 
 
 def format_poly_inline(f: Poly) -> str:
-    """Human form like ``x^3+6x``; rationals printed as fractions."""
+    """Inline form like ``x^3+6x`` or ``1/2x^2-1``, which
+    ``formats.parse_poly_inline`` reads back identically."""
     if f.is_zero:
         return "0"
     parts = []
@@ -159,20 +161,9 @@ def format_poly_inline(f: Poly) -> str:
         c = f.coeffs[k]
         if c == 0:
             continue
-        if k == 0:
-            term = f"{c}"
-        else:
-            x = "x" if k == 1 else f"x^{k}"
-            if c == 1:
-                term = x
-            elif c == -1:
-                term = f"-{x}"
-            else:
-                term = f"{c}*{x}" if c.denominator != 1 else f"{c}{x}"
-        if parts and not term.startswith("-"):
-            parts.append("+" + term)
-        else:
-            parts.append(term)
+        x = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
+        body = x if k > 0 and abs(c) == 1 else f"{fraction_str(abs(c))}{x}"
+        parts.append(("-" if c < 0 else ("+" if parts else "")) + body)
     return "".join(parts)
 
 

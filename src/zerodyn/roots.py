@@ -12,7 +12,10 @@ Two routes, deliberately independent:
   form, nonreal zeros as exact conjugate pairs).  Newton runs in fixed
   point on Python ints, on the factor's primitive integer multiple F,
   with a proven bound on the truncation error, so the certificate covers
-  the exact rational factor; mpmath only carries the results.  Otherwise
+  the exact rational factor.  Each certified root is the exact dyadic
+  ``Point`` its certificate covers, and everything that reads roots
+  (ordering, conjugate pairing, residuals, disk queries) compares
+  integers, with no mpmath.  Otherwise
   the sweep runs at the working precision and the same Newton ladder
   certifies its positions, with disks at that precision; a factor it
   does not certify is swept again at doubled precision, up to
@@ -40,7 +43,8 @@ from fractions import Fraction
 from .errors import DegreeZero, NoConvergence
 from .poly import Poly
 from .records import Record
-from .scalars import DEFAULT_PRECISION_BITS, common_denominator, mp, to_mp
+from .scalars import DEFAULT_PRECISION_BITS, Point, as_fraction, common_denominator
+from .scalars import mp, mpf_to_fraction, on_grid, to_mp
 
 EXACT_DEGREE_LIMIT = 64
 GUARD_BITS = 64
@@ -51,6 +55,7 @@ DOUBLE_EPS = 2.0**-53
 DOUBLE_MIN = 2.0**-1022  # smallest normal double
 # covers the rounding of the < 8n double operations per radius or distance, n < 2^29
 INCLUSION_SLACK = 1 + 2.0**-20
+ZERO = Fraction(0)
 
 
 def _work_precision(precision_bits: int) -> int:
@@ -63,7 +68,7 @@ def _work_precision(precision_bits: int) -> int:
 
 
 class Root(Record):
-    location: object  # mpc
+    location: Point
     multiplicity: int
     residual: float
 
@@ -216,12 +221,8 @@ def _inclusion_radii(coeffs, zs, eps):
 
 
 def _mantissa(v):
-    """(m, e) with v = m 2^e exactly, for a double, an mpf or a raw mpf."""
-    if isinstance(v, float):
-        v = mp.libmp.from_float(v)
-    elif not isinstance(v, tuple):
-        v = v._mpf_
-    sign, man, exp, _bc = v
+    """(m, e) with v = m 2^e exactly, for a double or an mpf."""
+    sign, man, exp, _bc = mp.libmp.from_float(v) if isinstance(v, float) else v._mpf_
     return -int(man) if sign else int(man), exp
 
 
@@ -278,9 +279,16 @@ def _horner_noise(n, x, y, k):
     return 2 * bound if y else bound
 
 
+def _round_bits(m, bits):
+    """The int m rounded to nearest at ``bits`` significant bits, ties to even."""
+    n = max(abs(m).bit_length() - bits, 0)
+    return round(Fraction(m, 1 << n)) << n
+
+
 def _refine(F, dF, center, radius, start, cap, workprec):
     """Newton on the integer F from the seed ``center``, each step at 4x the
-    bits the last one gained; the zero, rounded to ``cap`` bits, or None.
+    bits the last one gained; the zero as a ``Point`` rounded to ``cap``
+    bits, or None.
 
     The iterate is the dyadic point z = (x + iy)/2^k with k = prec + s
     fractional bits at prec bits (s > 0 keeps prec significant bits when
@@ -346,15 +354,13 @@ def _refine(F, dF, center, radius, start, cap, workprec):
     if slack <= 0 or (dx * dx + dy * dy) * den * den >= slack * slack:
         return None
     # small: |u - z| + n|w|* <= 2^(GUARD_BITS - 1 - workprec) (1 + |z|)
-    ux = mp.libmp.from_man_exp(x - wx, -k, cap, "n")
-    uy = mp.libmp.from_man_exp(y - wy, -k, cap, "n")
-    sx, sy = x - _at(*_mantissa(ux), k), y - _at(*_mantissa(uy), k)
-    lhs = _ceil_sqrt(sx * sx + sy * sy) * den + (num << k)
+    ux, uy = _round_bits(x - wx, cap), _round_bits(y - wy, cap)
+    lhs = _ceil_sqrt((x - ux) ** 2 + (y - uy) ** 2) * den + (num << k)
     rhs = ((1 << k) + _norm(x, y)) * den
     e = workprec + 1 - GUARD_BITS
     if lhs << max(e, 0) > rhs << max(-e, 0):
         return None
-    return mp.make_mpc((ux, uy))
+    return Point(Fraction(ux, 1 << k), Fraction(uy, 1 << k))
 
 
 def _newton_ladder(coeffs, F, seeds, workprec, wp=None):
@@ -428,17 +434,18 @@ def _aberth(source, workprec):
     primitive integer multiple F = ``_integer_part(source)``, so the
     first rung the ladder certifies returns positions within
     2^(GUARD_BITS - workprec) (1 + |z|) of distinct zeros of ``source``
-    itself.  Past the last rung the swept positions come back
-    uncertified.
+    itself, as exact ``Point``s; degree 1 gives its exact zero.  Past the
+    last rung the swept positions come back uncertified, read exactly as
+    the dyadic rationals they stand for.
     """
-    n = len(source) - 1
+    if len(source) == 2:
+        return [Point(-source[0] / source[1], ZERO)], True
     coeffs, dcoeffs = _rounded(source, workprec)
-    if n == 1:
-        return [mp.mpc(-coeffs[0] / coeffs[1])], True
     F = _integer_part(source)
     seeds = _double_seeds(coeffs, dcoeffs)
     if seeds is None:
-        zs = _circle_start(coeffs, mp)
+        with mp.workprec(workprec):
+            zs = _circle_start(coeffs, mp)
     else:
         located = _newton_ladder(coeffs, F, seeds, workprec)
         if located is not None:
@@ -450,8 +457,8 @@ def _aberth(source, workprec):
             _sweep(coeffs, dcoeffs, zs, mp.ldexp(1, -wp))
             located = _newton_ladder(coeffs, F, zs, workprec, wp)
         if located is not None:
-            return [+z for z in located], True
-    return [+z for z in zs], False
+            return located, True
+    return [Point(mpf_to_fraction(z.real), mpf_to_fraction(z.imag)) for z in zs], False
 
 
 def _sort_located(located, precision_bits):
@@ -459,19 +466,21 @@ def _sort_located(located, precision_bits):
 
     Real parts within 2^-precision_bits (1 + |z|) of their neighbour's
     count as equal, so zeros on one vertical line (noise real parts)
-    are listed by imaginary part, not by the noise.
+    are listed by imaginary part, not by the noise.  On the grid 1/L
+    they differ by more iff t = |x - x'| 2^precision_bits - L > 0 and
+    t^2 > max(x^2 + y^2, x'^2 + y'^2).
     """
-    located = sorted(located, key=lambda t: t[0].real)
-    eps = mp.mpf(2) ** -precision_bits
+    xs, ys, den = on_grid([t[0] for t in located])
     out, line = [], []
-    for t in located:
+    for i in sorted(range(len(located)), key=xs.__getitem__):
         if line:
-            z, prev = t[0], line[-1][0]
-            if abs(z.real - prev.real) > eps * (1 + max(abs(z), abs(prev))):
-                out += sorted(line, key=lambda u: u[0].imag)
+            j = line[-1]
+            t = (abs(xs[i] - xs[j]) << precision_bits) - den
+            if t > 0 and t * t > max(xs[i] ** 2 + ys[i] ** 2, xs[j] ** 2 + ys[j] ** 2):
+                out += sorted(line, key=ys.__getitem__)
                 line = []
-        line.append(t)
-    return out + sorted(line, key=lambda u: u[0].imag)
+        line.append(i)
+    return [located[i] for i in out + sorted(line, key=ys.__getitem__)]
 
 
 def _conjugates_adjacent(zs):
@@ -494,27 +503,35 @@ def _pair_conjugates(located):
     """
     if _conjugates_adjacent([t[0] for t in located]):
         return located
-    rest, out = list(located), []
+    xs, ys, _den = on_grid([t[0] for t in located])
+
+    def gap(j, i):  # squared distance from root j to conj(root i), on the grid
+        return (xs[j] - xs[i]) ** 2 + (ys[j] + ys[i]) ** 2
+
+    rest, out = list(range(len(located))), []
     while rest:
-        z = rest.pop(0)
-        zc = z[0].conjugate()
-        w = min(rest, key=lambda t: abs(t[0] - zc), default=None)
-        if w is not None and abs(w[0] - zc) < abs(z[0] - zc):
-            rest.remove(w)
-            out += sorted([z, w], key=lambda t: t[0].imag)
+        i = rest.pop(0)
+        j = min(rest, key=lambda j: gap(j, i), default=None)
+        if j is not None and gap(j, i) < gap(i, i):
+            rest.remove(j)
+            out += sorted([i, j], key=ys.__getitem__)
         else:
-            out.append(z)
-    return out
+            out.append(i)
+    return [located[i] for i in out]
 
 
-def _modulus(F, z, k):
-    """|F(z)| for an mpc z, by ``_horner_fixed`` at k bits or at the
-    fractional bits of z, whichever is more; rounded at the ambient
-    precision."""
-    (xm, xe), (ym, ye) = (_mantissa(t) for t in z._mpc_)
-    k = max(k, -xe, -ye)
-    a, b = _horner_fixed(F, _at(xm, xe, k), _at(ym, ye, k), k)
-    return mp.ldexp(mp.sqrt(a * a + b * b), -k)
+def _residual(F, sup, z, k):
+    """|F(z)| / (sup max(1, |z|)^n) as a float, for the exact point z and the
+    integer F of degree n: ``_horner_fixed`` on z's own grid, with at least
+    k fractional bits, and |F(z)| and |z| held to 64 and 128 more bits."""
+    k = max(k, z.real.denominator.bit_length() - 1, z.imag.denominator.bit_length() - 1)
+    x, y = ((v.numerator << k) // v.denominator for v in (z.real, z.imag))
+    a, b = _horner_fixed(F, x, y, k)
+    num, den = math.isqrt((a * a + b * b) << 128), sup << (k + 64)
+    r = math.isqrt((x * x + y * y) << 256) >> k  # |z| 2^128, floored
+    if r > 1 << 128:
+        num, den = num << 128 * (len(F) - 1), den * r ** (len(F) - 1)
+    return num / den
 
 
 def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet:
@@ -529,8 +546,9 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
 
     Returns
     -------
-    RootSet with sum of multiplicities equal to deg f and, per root,
-    the relative residual |f(r)| / (||f||_inf * max(1,|r|)^deg).  Every
+    RootSet with sum of multiplicities equal to deg f and, per root, its
+    exact ``Point`` location and the relative residual
+    |f(r)| / (||f||_inf * max(1,|r|)^deg) as a float.  Every
     root lies within 2^-precision_bits (1 + |r|) of its own zero, and is
     either real with imaginary part exactly 0 or one of an exact
     conjugate pair: a root is real iff its imaginary part is 0.
@@ -552,25 +570,21 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
         raise DegreeZero("root finding needs degree >= 1")
     deg = int(f.degree)
     workprec = _work_precision(precision_bits)
-    with mp.workprec(workprec):
-        nzero = 0
-        while f.coeffs[nzero] == 0:
-            nzero += 1
-        located, certified = [], True
-        for factor, mult in _squarefree_split(f.coeffs[nzero:]):
-            positions, ok = _aberth(factor, workprec)
-            located += [(z, mult) for z in positions]
-            certified = certified and ok
-        located = _pair_conjugates(_sort_located(located, precision_bits))
-        if nzero:
-            located.insert(0, (mp.mpc(0), nzero))
-        F = _integer_part(f.coeffs)
-        sup = max(abs(c) for c in F)
-        roots = []
-        for loc, mult in located:
-            rel = _modulus(F, loc, workprec) / (sup * max(mp.mpf(1), abs(loc)) ** deg)
-            roots.append(Root(location=loc, multiplicity=mult, residual=float(rel)))
-    rs = RootSet(roots=tuple(roots), source_degree=deg, precision_bits=precision_bits)
+    nzero = 0
+    while f.coeffs[nzero] == 0:
+        nzero += 1
+    located, certified = [], True
+    for factor, mult in _squarefree_split(f.coeffs[nzero:]):
+        positions, ok = _aberth(factor, workprec)
+        located += [(z, mult) for z in positions]
+        certified = certified and ok
+    located = _pair_conjugates(_sort_located(located, precision_bits))
+    if nzero:
+        located.insert(0, (Point(ZERO, ZERO), nzero))
+    F = _integer_part(f.coeffs)
+    sup = max(map(abs, F))
+    roots = tuple(Root(z, mult, _residual(F, sup, z, workprec)) for z, mult in located)
+    rs = RootSet(roots=roots, source_degree=deg, precision_bits=precision_bits)
     if not certified:
         raise NoConvergence("iteration budget exhausted before certification", best=rs)
     return rs
@@ -769,36 +783,33 @@ def all_real_simple(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> bo
 def roots_in_disk(rs: RootSet, center, radius) -> int:
     """Roots (with multiplicity) strictly inside the open disk.
 
-    A root within its certificate, 2^-precision_bits (1 + |r|), of the
-    boundary counts as inside and the tie is recorded in
+    ``center`` is a ``Point`` or a rational and ``radius`` a rational: a
+    float, mpf or mpc is a TypeError, as in ``Poly``, and a radius <= 0 a
+    ValueError.  A root within its certificate, 2^-precision_bits (1 + |r|),
+    of the boundary counts as inside and the tie is recorded in
     ``rs.diagnostics``; persistence checks downstream prefer a false
-    positive that later re-verification can reject over a silently
-    dropped witness.  A nonfinite center, or a radius that is not finite
-    and positive, is a ValueError.
+    positive that later re-verification can reject over a silently dropped
+    witness.  Squared distances are compared on one integer grid 1/L, in
+    units of 2^-precision_bits / L, where the band is L + |r| L, rounded up.
     """
-    with mp.workprec(rs.precision_bits + GUARD_BITS):
-        c = mp.mpc(center)
-        rad = mp.mpf(radius)
-        if not mp.isfinite(c):
-            raise ValueError("center must be finite")
-        if not (mp.isfinite(rad) and rad > 0):
-            raise ValueError("radius must be finite and positive")
-        band_scale = mp.ldexp(1, -rs.precision_bits)
-        count = 0
-        for r in rs.roots:
-            dist = abs(r.location - c)
-            band = band_scale * (1 + abs(r.location))
-            if dist < rad - band:
-                count += r.multiplicity
-            elif dist <= rad + band:
-                count += r.multiplicity
-                rs.diagnostics.append(
-                    {
-                        "event": "boundary-tie",
-                        "center": c,
-                        "radius": rad,
-                        "root": r.location,
-                        "distance": dist,
-                    }
-                )
-        return count
+    if not isinstance(center, Point):
+        center = Point(center, ZERO)
+    center = Point(as_fraction(center.real), as_fraction(center.imag))
+    radius = as_fraction(radius)
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    p = rs.precision_bits
+    xs, ys, den = on_grid([center, Point(radius, ZERO)] + rs.locations())
+    cx, cy, rad = xs[0], ys[0], xs[1] << p
+    count = 0
+    for r, x, y in zip(rs.roots, xs[2:], ys[2:]):
+        dist = ((x - cx) ** 2 + (y - cy) ** 2) << 2 * p
+        band = den + _ceil_sqrt(x * x + y * y)
+        if rad > band and dist < (rad - band) ** 2:
+            count += r.multiplicity
+        elif dist <= (rad + band) ** 2:
+            count += r.multiplicity
+            rs.diagnostics.append(
+                {"event": "boundary-tie", "center": center, "radius": radius, "root": r.location}
+            )
+    return count

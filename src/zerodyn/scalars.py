@@ -1,9 +1,10 @@
 """Scalar plumbing: exact rationals, mpmath conversions, integer roots.
 
-Exact values are `fractions.Fraction` (ints are coerced on the way in);
-floating values are mpmath mpf/mpc at an explicit binary precision.  All
-conversions between exact and floating happen here so the rounding
-boundary stays in one place.
+Exact values are `fractions.Fraction` (ints are coerced on the way in),
+and an exact complex value is a ``Point`` of two of them; floating values
+are mpmath mpf/mpc at an explicit binary precision.  All conversions
+between exact and floating happen here so the rounding boundary stays in
+one place.
 
 This module also owns the package's one binding of mpmath, ``mp``; every
 other module takes it from here.  The binding is lazy: ``import zerodyn``
@@ -22,6 +23,8 @@ import importlib.util
 import math
 import sys
 from fractions import Fraction
+
+from .records import Record
 
 
 def _lazy_import(name):
@@ -46,6 +49,16 @@ DEFAULT_PRECISION_BITS = 256
 _NEAREST = "n"  # mpmath.libmp.round_nearest, spelled out so no import runs it
 
 
+class Point(Record):
+    """The exact complex number real + i imag, both parts ``Fraction``s."""
+
+    real: Fraction
+    imag: Fraction
+
+    def conjugate(self) -> "Point":
+        return Point(self.real, -self.imag)
+
+
 def as_fraction(x) -> Fraction:
     """Coerce an exact input to Fraction; reject floats."""
     if isinstance(x, Fraction):
@@ -60,9 +73,10 @@ def as_fraction(x) -> Fraction:
 def to_mp(x, precision_bits: int):
     """Convert any supported scalar to mpf/mpc at the given precision.
 
-    Every value (each part of a complex one) is rounded to nearest at
-    ``precision_bits``, whatever the ambient mpmath precision; a complex
-    value with zero imaginary part comes back as an mpf.
+    Every value (each part of a complex one or of a ``Point``) is rounded
+    to nearest at ``precision_bits``, whatever the ambient mpmath
+    precision; a complex value with zero imaginary part comes back as an
+    mpf.
     """
     libmp = mp.libmp
     if isinstance(x, Fraction):
@@ -77,6 +91,8 @@ def to_mp(x, precision_bits: int):
         re, im = (libmp.mpf_pos(v, precision_bits, _NEAREST) for v in x._mpc_)
     elif isinstance(x, complex):
         re, im = (libmp.from_float(v, precision_bits, _NEAREST) for v in (x.real, x.imag))
+    elif isinstance(x, Point):
+        re, im = (to_mp(as_fraction(v), precision_bits)._mpf_ for v in (x.real, x.imag))
     else:
         with mp.workprec(precision_bits):
             return mp.mpmathify(x)
@@ -104,6 +120,14 @@ def common_denominator(values):
     """
     den = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def on_grid(points):
+    """(xs, ys, L) with points[k] == Point(xs[k] / L, ys[k] / L) for exact
+    ``points``: L is the least common denominator of every part, so the
+    points compare as integers on one grid."""
+    nums, den = common_denominator([v for z in points for v in (z.real, z.imag)])
+    return nums[0::2], nums[1::2], den
 
 
 def int_nth_root(n: int, p: int) -> int:

@@ -33,6 +33,13 @@ def random_poly(rng, degree, monic=False):
     return Poly(coeffs)
 
 
+def as_mpc(z):
+    """The exact Point z as an mpc (an mpf when real): dyadic parts, as
+    every certified root has, convert without rounding, others at 2048 bits."""
+    bits = max(v.numerator.bit_length() for v in (z.real, z.imag))
+    return to_mp(z, max(bits, 2048))
+
+
 def dyadic(f, bits):
     """f with every coefficient rounded to nearest at ``bits`` bits, read
     back as the dyadic rational the rounded value stands for."""

@@ -13,7 +13,7 @@ import pytest
 
 import zerodyn as zd
 from zerodyn.cli import main as cli_main
-from conftest import make_rng, random_fraction
+from conftest import as_mpc, make_rng, random_fraction
 
 RESULTS = []
 
@@ -74,7 +74,7 @@ def test_criterion_03_limit_zero_structure():
                     g = zd.exp_dp_monomial(F(-1), p, d)
                     q, r = d // p, d % p
                     rs = zd.find_roots(g, 256)
-                    origin = [t for t in rs.roots if t.location == 0]
+                    origin = [t for t in rs.roots if t.location == zd.Point(0, 0)]
                     if r:
                         assert len(origin) == 1 and origin[0].multiplicity == r
                     else:
@@ -87,11 +87,11 @@ def test_criterion_03_limit_zero_structure():
                         assert (b - a) / max(a, b) > 1e-8
                     # multiset closed under rotation by the p-th root of 1
                     for t in rs.roots:
-                        target = t.location * rot
+                        target = as_mpc(t.location) * rot
                         match = [
                             s
                             for s in rs.roots
-                            if abs(s.location - target)
+                            if abs(as_mpc(s.location) - target)
                             <= mp.mpf("1e-20") * (1 + abs(target))
                         ]
                         assert match and match[0].multiplicity == t.multiplicity

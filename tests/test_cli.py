@@ -222,19 +222,20 @@ class TestConstructCLI:
             ("gammas", ["0", "1/16"], "'gammas' entries must be positive"),
             ("gammas", ["1", "-1/16"], "'gammas' entries must be positive"),
             ("degrees", [0, 3], "'degrees' entries must be at least 1"),
-            ("radii", {"1,1": "nan", "1,2": "1", "2,2": "1"}, "'radii' entries must be finite"),
-            ("radii", {"1,1": "1", "1,2": "inf", "2,2": "1"}, "'radii' entries must be finite"),
-            ("radii", {"1,1": "1", "1,2": "1", "2,2": "-1"}, "'radii' entries must be finite"),
-            ("radii", {"1,1": "0", "1,2": "1", "2,2": "1"}, "'radii' entries must be finite"),
+            # disks are exact rationals: nan and inf do not parse
+            ("radii", {"1,1": "nan", "1,2": "1", "2,2": "1"}, "'radii' is missing or malformed"),
+            ("radii", {"1,1": "1", "1,2": "inf", "2,2": "1"}, "'radii' is missing or malformed"),
+            ("radii", {"1,1": "1", "1,2": "1", "2,2": "-1"}, "'radii' entries must be positive"),
+            ("radii", {"1,1": "0", "1,2": "1", "2,2": "1"}, "'radii' entries must be positive"),
             (
                 "targets",
                 {"1,1": ["nan", "1"], "1,2": ["0", "1"], "2,2": ["0", "1"]},
-                "'targets' entries must be finite",
+                "'targets' is missing or malformed",
             ),
             (
                 "targets",
                 {"1,1": ["0", "1"], "1,2": ["0", "-inf"], "2,2": ["0", "1"]},
-                "'targets' entries must be finite",
+                "'targets' is missing or malformed",
             ),
         ],
     )
@@ -267,6 +268,15 @@ class TestConstructCLI:
             "--d-cap", "12", "--m", m,
         )
         assert (code, out) == (2, "") and "1 <= M <= N" in err
+
+    def test_csv_without_schema_is_rejected_before_any_work(self, capsys, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        code, out, err = run_cli(
+            capsys, "construct", "--series", "poly:1+x+x^2", "--stages", "1",
+            "--d-cap", "12", "--format", "csv", "--plan-out", str(plan_path),
+        )
+        assert (code, out) == (2, "") and "construct has no CSV schema" in err
+        assert not plan_path.exists()
 
     def test_negative_control_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -308,6 +318,7 @@ class TestZeroPolynomial:
             capsys, "iterate", "--series", "poly:0", "--poly", "x^2", "--m", "1"
         )
         assert (code, out) == (2, "") and err.startswith("input error:")
+        assert "'poly:0' is the zero series" in err
 
 
 class TestInputErrors:

@@ -6,9 +6,11 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
+from conftest import as_mpc
 from zerodyn import (
     GammaSearchExhausted,
     NoNonrealZero,
+    Point,
     Poly,
     PowerSeries,
     StagePlan,
@@ -62,15 +64,16 @@ class TestTargets:
     def test_hand_values(self):
         plan = pick_targets(PHI, [2, 3])
         a11 = plan.targets[(1, 1)]
-        assert abs(a11 - mp.mpc(-1, 1)) < 1e-40
-        assert abs(plan.radii[(1, 1)] - mp.mpf("0.5")) < 1e-40
+        assert abs(as_mpc(a11) - mp.mpc(-1, 1)) < 1e-40
+        assert plan.radii[(1, 1)] == a11.imag / 2
+        assert abs(plan.radii[(1, 1)] - F(1, 2)) < 1e-40
 
     def test_upper_half_plane_with_largest_imag(self):
         plan = pick_targets(PHI_A, [3])
         a = plan.targets[(1, 1)]
+        assert plan.radii[(1, 1)] == a.imag / 2
         with mp.workprec(300):
-            assert abs(a - mp.mpc(0, 1) * mp.sqrt(6)) < 1e-40
-            assert abs(plan.radii[(1, 1)] - mp.sqrt(6) / 2) < 1e-40
+            assert abs(as_mpc(a) - mp.mpc(0, 1) * mp.sqrt(6)) < 1e-40
 
     def test_all_real_image_rejected(self):
         phi_h = extend(PowerSeries([1, 0, -1]), 40)  # images all-real
@@ -105,8 +108,8 @@ class TestChooseGamma:
     def test_budget_exhaustion(self):
         plan = pick_targets(PHI, [2])
         # sabotage: demand a zero in a far-away disk no gamma can reach
-        plan.targets[(1, 1)] = mp.mpc(1000, 1)
-        plan.radii[(1, 1)] = mp.mpf("0.25")
+        plan.targets[(1, 1)] = Point(F(1000), F(1))
+        plan.radii[(1, 1)] = F(1, 4)
         with pytest.raises(GammaSearchExhausted):
             choose_gamma(PHI, plan, 1, F(1), max_halvings=8)
 
@@ -165,7 +168,8 @@ class TestVerify:
         plan = build_plan(PHI, 2, d_cap=12)
         bad = copy.deepcopy(plan)
         # drag the k=2 disk onto the k=1 disk and inflate it
-        bad.targets[(1, 2)] = bad.targets[(1, 1)] + mp.mpf("0.01")
+        a = bad.targets[(1, 1)]
+        bad.targets[(1, 2)] = Point(a.real + F(1, 100), a.imag)
         bad.radii[(1, 2)] = bad.radii[(1, 1)]
         bad.gammas = (bad.gammas[0], bad.gammas[0])
         with pytest.raises(VerificationFailed) as exc:
@@ -216,7 +220,8 @@ class TestOneDiskChecker:
 
     def test_overlap_sabotage_fails_both(self):
         bad = copy.deepcopy(build_plan(PHI, 2, d_cap=12))
-        bad.targets[(1, 2)] = bad.targets[(1, 1)] + mp.mpf("0.01")
+        a = bad.targets[(1, 1)]
+        bad.targets[(1, 2)] = Point(a.real + F(1, 100), a.imag)
         bad.radii[(1, 2)] = bad.radii[(1, 1)]
         bad.gammas = (bad.gammas[0], bad.gammas[0])
         assert self._agree(bad, 2) is False

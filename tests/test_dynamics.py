@@ -23,6 +23,7 @@ from zerodyn import (
     rescale_iterate,
     star_distance,
 )
+from conftest import as_mpc
 
 
 def P(*coeffs):
@@ -278,11 +279,11 @@ class TestAttractor:
         with mp.workprec(256):
             pulled = []
             for r in find_roots(g).roots:
-                w = (r.location + m * 1) / mp.sqrt(mp.mpf(m))
+                w = (as_mpc(r.location) + m * 1) / mp.sqrt(mp.mpf(m))
                 pulled.extend([w] * r.multiplicity)
             direct = []
             for r in find_roots(fm).roots:
-                direct.extend([r.location] * r.multiplicity)
+                direct.extend([as_mpc(r.location)] * r.multiplicity)
             assert len(pulled) == len(direct)
             for w in pulled:
                 assert min(abs(w - z) for z in direct) < 1e-40

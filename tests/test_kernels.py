@@ -26,7 +26,7 @@ from zerodyn import (
     translate,
     truncated_power,
 )
-from zerodyn.scalars import common_denominator, to_mp
+from zerodyn.scalars import Point, common_denominator, to_mp
 from conftest import make_rng, random_fraction, random_poly, random_series
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -237,14 +237,18 @@ class TestToMpReference:
                     assert _bits(to_mp(x, prec)) == _bits(_old_to_mp(x, prec)), (x, prec)
 
 
+def _dist2(z, w):
+    return (z.real - w.real) ** 2 + (z.imag - w.imag) ** 2
+
+
 def _pair_by_search(located):
-    """The quadratic nearest-conjugate search, for comparison."""
+    """The quadratic nearest-conjugate search in Fractions, for comparison."""
     rest, out = list(located), []
     while rest:
         z = rest.pop(0)
         zc = z[0].conjugate()
-        w = min(rest, key=lambda t: abs(t[0] - zc), default=None)
-        if w is not None and abs(w[0] - zc) < abs(z[0] - zc):
+        w = min(rest, key=lambda t: _dist2(t[0], zc), default=None)
+        if w is not None and _dist2(w[0], zc) < _dist2(z[0], zc):
             rest.remove(w)
             out += sorted([z, w], key=lambda t: t[0].imag)
         else:
@@ -256,14 +260,14 @@ class TestPairConjugates:
     def _located(self, rng, noisy):
         out = []
         for _ in range(rng.randint(1, 12)):
-            re = mp.mpf(rng.randint(-50, 50)) / 7
+            re = F(rng.randint(-50, 50), 7)
             if rng.random() < 0.4:
-                out.append((mp.mpc(re, 0), rng.randint(1, 3)))
+                out.append((Point(re, F(0)), rng.randint(1, 3)))
             else:
-                im = mp.mpf(rng.randint(1, 50)) / 9
-                jitter = mp.mpf(rng.choice([-1, 1])) * 2**-200 if noisy else 0
+                im = F(rng.randint(1, 50), 9)
+                jitter = F(rng.choice([-1, 1]), 2**200) if noisy else 0
                 m = rng.randint(1, 2)
-                out += [(mp.mpc(re, -im), m), (mp.mpc(re + jitter, im), m)]
+                out += [(Point(re, -im), m), (Point(re + jitter, im), m)]
         out.sort(key=lambda t: (t[0].real, t[0].imag))
         if rng.random() < 0.3:  # upper member first, or pairs split apart
             i = rng.randrange(len(out))
@@ -272,11 +276,10 @@ class TestPairConjugates:
 
     def test_same_order_as_the_search(self):
         rng = make_rng(17)
-        with mp.workprec(128):
-            for noisy in (False, True):
-                for _ in range(200):
-                    located = self._located(rng, noisy)
-                    assert roots._pair_conjugates(list(located)) == _pair_by_search(located)
+        for noisy in (False, True):
+            for _ in range(200):
+                located = self._located(rng, noisy)
+                assert roots._pair_conjugates(list(located)) == _pair_by_search(located)
 
     def test_ladder_output_needs_no_search(self, monkeypatch):
         seen = []

@@ -21,7 +21,8 @@ from zerodyn import (
     iterate_operator,
     roots_in_disk,
 )
-from conftest import dyadic, make_rng, random_poly
+from zerodyn.scalars import Point
+from conftest import as_mpc, dyadic, make_rng, random_poly
 
 
 def P(*coeffs):
@@ -31,7 +32,7 @@ def P(*coeffs):
 def _locate(rs, target, tol=1e-25):
     with mp.workprec(320):
         for r in rs.roots:
-            if abs(r.location - mp.mpc(target)) < tol:
+            if abs(as_mpc(r.location) - mp.mpc(target)) < tol:
                 return r
     raise AssertionError(f"no root near {target}")
 
@@ -58,7 +59,7 @@ class TestFindRoots:
         assert len(rs.roots) == 1
         root = rs.roots[0]
         assert root.multiplicity == 3
-        assert abs(root.location - 1) < 1e-20
+        assert abs(as_mpc(root.location) - 1) < 1e-20
 
     def test_origin_multiplicity_exact(self):
         rs = find_roots(P(0, 0, 0, 2, 1))
@@ -70,24 +71,24 @@ class TestFindRoots:
         assert len(rs.roots) == 1
         assert rs.roots[0].multiplicity == 8
         # located from the square-free factor x + 1, not from a cluster
-        assert abs(rs.roots[0].location + 1) < 1e-70
+        assert abs(as_mpc(rs.roots[0].location) + 1) < 1e-70
 
     def test_twelvefold_root_has_its_yun_multiplicity(self):
         rs = find_roots(P(1, 1) ** 12)
         assert [r.multiplicity for r in rs.roots] == [12]
-        assert abs(rs.roots[0].location + 1) < 1e-70
+        assert abs(as_mpc(rs.roots[0].location) + 1) < 1e-70
 
     def test_mixed_exact_multiplicities(self):
         rs = find_roots(P(F(1, 3), 1) ** 9 * P(-2, 1))
         assert [r.multiplicity for r in rs.roots] == [9, 1]
         with mp.workprec(320):
-            assert abs(rs.roots[0].location + mp.mpf(1) / 3) < 1e-70
-            assert abs(rs.roots[1].location - 2) < 1e-70
+            assert abs(as_mpc(rs.roots[0].location) + mp.mpf(1) / 3) < 1e-70
+            assert abs(as_mpc(rs.roots[1].location) - 2) < 1e-70
 
     def test_floating_exact_cube_has_its_yun_multiplicity(self):
         rs = find_roots(dyadic(P(1, 1), 256) ** 3)
         assert [r.multiplicity for r in rs.roots] == [3]
-        assert abs(rs.roots[0].location + 1) < 1e-20
+        assert abs(as_mpc(rs.roots[0].location) + 1) < 1e-20
 
     def test_floating_cluster_comes_back_exactly_real(self):
         # (x-1)^3 (x^2+1) at 256 bits is exact: its triple root is certified
@@ -96,7 +97,7 @@ class TestFindRoots:
         rs = find_roots(f, 256)
         assert [r.multiplicity for r in rs.roots] == [1, 1, 3]
         triple = rs.roots[2].location
-        assert triple.imag == 0 and abs(triple - 1) < 1e-20
+        assert triple.imag == 0 and abs(as_mpc(triple) - 1) < 1e-20
         assert all(abs(abs(r.location.imag) - 1) < 1e-20 for r in rs.roots[:2])
         assert count_nonreal(f) == roots.ZeroCount(5, 3, 2, "exact", False)
 
@@ -107,7 +108,7 @@ class TestFindRoots:
         rs = find_roots(f)
         assert [r.multiplicity for r in rs.roots] == [1, 1]
         with mp.workprec(320):
-            assert all(abs(r.location - mp.mpf(1) / 3) < 1e-15 for r in rs.roots)
+            assert all(abs(as_mpc(r.location) - mp.mpf(1) / 3) < 1e-15 for r in rs.roots)
         zc = count_nonreal(f)
         assert zc.method == "exact" and zc.squarefree
         assert zc.real_count == sum(r.location.imag == 0 for r in rs.roots)
@@ -132,7 +133,7 @@ class TestFindRoots:
             for _ in range(10):
                 f = random_poly(rng, rng.randint(2, 9))
                 rs = find_roots(f)
-                locs = [(r.location, r.multiplicity) for r in rs.roots]
+                locs = [(as_mpc(r.location), r.multiplicity) for r in rs.roots]
                 for z, mult in locs:
                     match = min(abs(mp.conj(z) - w) for w, _ in locs)
                     assert match < 1e-40
@@ -149,7 +150,8 @@ class TestFindRoots:
                     for k, z in enumerate(locs):
                         if z.imag > 1e-20:
                             pairs += 1
-                            assert k > 0 and abs(locs[k - 1] - mp.conj(z)) < 1e-30
+                            gap = as_mpc(locs[k - 1]) - mp.conj(as_mpc(z))
+                            assert k > 0 and abs(gap) < 1e-30
         assert pairs > 200
 
     def test_determinism(self):
@@ -189,11 +191,11 @@ class TestFindRoots:
         assert heights == sorted(heights, reverse=True) or heights == sorted(heights)
 
     def test_noise_real_parts_do_not_decide_the_order(self):
-        eps = mp.mpf(2) ** -300
+        eps = F(1, 2**300)
         ims = [5, -1, 1, -5]
         for noise in ([1, -1, 2, 0], [-2, 0, 1, 1], [0, 0, 0, 0]):
-            located = [(mp.mpc(n * eps, y), 1) for n, y in zip(noise, ims)]
-            ordered = roots._sort_located(located + [(mp.mpc(1, 0), 1)], 256)
+            located = [(Point(n * eps, F(y)), 1) for n, y in zip(noise, ims)]
+            ordered = roots._sort_located(located + [(Point(F(1), F(0)), 1)], 256)
             assert [t[0].imag for t in ordered] == [-5, -1, 1, 5, 0]
 
 
@@ -214,8 +216,9 @@ def _same_roots(a, b, tol):
     assert [r.multiplicity for r in a.roots] == [r.multiplicity for r in b.roots]
     with mp.workprec(600):
         for r in a.roots:
-            d = min(abs(r.location - s.location) for s in b.roots)
-            assert d < tol * (1 + abs(r.location))
+            z = as_mpc(r.location)
+            d = min(abs(z - as_mpc(s.location)) for s in b.roots)
+            assert d < tol * (1 + abs(z))
 
 
 def _agrees_with_polyroots(rs, f, bits):
@@ -229,8 +232,8 @@ def _agrees_with_polyroots(rs, f, bits):
         )
         assert len(ref) == rs.total_multiplicity()
         for r in rs.roots:
-            d_min = min(abs(r.location - z) for z in ref)
-            assert d_min < mp.ldexp(1 + abs(r.location), 11 - bits)
+            d_min = min(abs(as_mpc(r.location) - z) for z in ref)
+            assert d_min < mp.ldexp(1 + abs(as_mpc(r.location)), 11 - bits)
 
 
 def _from_roots(zs):
@@ -298,7 +301,7 @@ class TestPrecisionLadder:
         rs = find_roots(P(-1, p) ** 2 * P(2, 1))
         assert [r.multiplicity for r in rs.roots] == [1, 2]
         with mp.workprec(320):
-            assert abs(rs.roots[1].location - mp.mpf(1) / p) < 1e-90
+            assert abs(as_mpc(rs.roots[1].location) - mp.mpf(1) / p) < 1e-90
         # square-free over Q, but x^2 + p = x^2 mod p
         rs = find_roots(P(p, 0, 1))
         assert [r.multiplicity for r in rs.roots] == [1, 1]
@@ -409,7 +412,7 @@ class TestNewtonLadder:
             ]
             for r, z in zip(rs.roots, expected, strict=True):
                 assert r.multiplicity == 1
-                assert abs(r.location - z) < 1e-50
+                assert abs(as_mpc(r.location) - z) < 1e-50
 
     def test_seeds_sharing_a_zero_are_not_isolated(self):
         # two seeds at the zero 1 and none at 2: each would refine to 1
@@ -476,8 +479,8 @@ def _certified_against(rs, zeros, bits):
         parts = [z if isinstance(z, tuple) else (z,) for z in zeros]
         exact = [mp.mpc(*(mp.mpf(q.numerator) / q.denominator for q in p)) for p in parts]
         for r in rs.roots:
-            d, k = min((abs(r.location - z), k) for k, z in enumerate(exact))
-            assert r.multiplicity == 1 and d <= mp.ldexp(1 + abs(r.location), -bits)
+            d, k = min((abs(as_mpc(r.location) - z), k) for k, z in enumerate(exact))
+            assert r.multiplicity == 1 and d <= mp.ldexp(1 + abs(as_mpc(r.location)), -bits)
             matched.add(k)
     assert len(matched) == len(zeros)
 
@@ -672,27 +675,25 @@ class TestAllRealSimple:
 class TestRootsInDisk:
     def test_counts(self):
         rs = find_roots(P(2, 2, 1))
-        assert roots_in_disk(rs, mp.mpc(-1, 1), 0.5) == 1
+        assert roots_in_disk(rs, Point(F(-1), F(1)), F(1, 2)) == 1
         assert roots_in_disk(rs, 0, 10) == 2
-        assert roots_in_disk(rs, 5, 0.1) == 0
+        assert roots_in_disk(rs, 5, F(1, 10)) == 0
 
     def test_multiplicity_weighting(self):
         rs = find_roots(P(-1, 3, -3, 1))
-        assert roots_in_disk(rs, 1, 0.25) == 3
+        assert roots_in_disk(rs, 1, F(1, 4)) == 3
 
     def test_boundary_tie_recorded(self):
         rs = find_roots(P(2, 2, 1))
         # |(-1+i) - (-1)| = 1 exactly on the boundary: counted, logged
-        n = roots_in_disk(rs, -1, 1.0)
+        n = roots_in_disk(rs, -1, 1)
         assert n == 2
         assert any(ev["event"] == "boundary-tie" for ev in rs.diagnostics)
 
     def test_band_is_the_certificate(self):
         # at 256 bits a root 2^-100 inside the boundary is inside, no tie
         rs = find_roots(P(-1, 1), 256)
-        with mp.workprec(256):
-            radius = 1 + mp.ldexp(1, -100)
-        assert roots_in_disk(rs, 0, radius) == 1
+        assert roots_in_disk(rs, 0, 1 + F(1, 2**100)) == 1
         assert rs.diagnostics == []
 
     def test_radius_must_be_positive(self):
@@ -702,8 +703,9 @@ class TestRootsInDisk:
 
     @pytest.mark.parametrize("radius", [float("inf"), float("nan"), mp.inf])
     def test_radius_must_be_finite(self, radius):
+        # floating input is a TypeError, as in Poly; a rational is finite
         rs = find_roots(P(2, 2, 1))
-        with pytest.raises(ValueError, match="radius must be finite and positive"):
+        with pytest.raises(TypeError, match="not an exact scalar"):
             roots_in_disk(rs, 0, radius)
 
     @pytest.mark.parametrize(
@@ -711,5 +713,5 @@ class TestRootsInDisk:
     )
     def test_center_must_be_finite(self, center):
         rs = find_roots(P(2, 2, 1))
-        with pytest.raises(ValueError, match="center"):
+        with pytest.raises(TypeError, match="not an exact scalar"):
             roots_in_disk(rs, center, 1)

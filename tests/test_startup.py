@@ -25,6 +25,7 @@ from zerodyn.construct import CounterexampleReport, StagePlan
 from zerodyn.dynamics import AttractorRecord, AttractorReport, ConvergenceReport, OnsetReport
 from zerodyn.records import Record
 from zerodyn.roots import Root, RootSet, ZeroCount
+from zerodyn.scalars import Point
 from zerodyn.series import LPObstructionResult, OperatorClass
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -120,13 +121,14 @@ def test_only_scalars_binds_mpmath():
 
 def _instances():
     series = PowerSeries([1, 1, Fraction(1, 2)])
-    root = Root(mp.mpc(1, 2), 1, 1e-80)
+    root = Root(Point(Fraction(1), Fraction(2)), 1, 1e-80)
     record = AttractorRecord(1, 0.25, 0.5, True, None)
-    plan = StagePlan((3, 5), {(1, 1): mp.mpc(0, 1)}, {(1, 1): mp.mpf(0.5)}, (Fraction(1, 4),))
+    top = Point(Fraction(0), Fraction(1))
+    plan = StagePlan((3, 5), {(1, 1): top}, {(1, 1): Fraction(1, 2)}, (Fraction(1, 4),))
     return [
         RunConfig(256, 200, 40, "json", None),
         plan,
-        CounterexampleReport(plan, {(1, 1): mp.mpc(0, 1)}, {1: 2}, (Fraction(1),), True),
+        CounterexampleReport(plan, {(1, 1): top}, {1: 2}, (Fraction(1),), True),
         OperatorClass("General", series, p=2, alpha=Fraction(1), beta=Fraction(-1, 2)),
         LPObstructionResult(True, 3, 10, (0, 0, 2)),
         OnsetReport("AllRealSimple", 3, 10, ((1, 2), (2, 0))),
@@ -209,25 +211,22 @@ def test_list_defaults_are_not_shared():
     a, b = RootSet((), 1, 256), RootSet((), 1, 256)
     a.diagnostics.append("tie")
     assert b.diagnostics == [] and RootSet.diagnostics == []
-    plan = StagePlan((3,), {}, {})
-    r1 = CounterexampleReport(plan, {}, {}, (), True)
-    r2 = CounterexampleReport(plan, {}, {}, (), True)
-    assert r1.boundary_ties is not r2.boundary_ties
 
 
 def test_positional_keyword_and_missing_fields():
-    pos = Root(mp.mpc(1), 2, 0.0)
-    kw = Root(residual=0.0, location=mp.mpc(1), multiplicity=2)
+    one = Point(Fraction(1), Fraction(0))
+    pos = Root(one, 2, 0.0)
+    kw = Root(residual=0.0, location=one, multiplicity=2)
     assert pos == kw and repr(pos) == repr(kw)
-    assert Root(mp.mpc(1), 2, residual=0.0) == pos
+    assert Root(one, 2, residual=0.0) == pos
     with pytest.raises(TypeError):
-        Root(mp.mpc(1), 2)
+        Root(one, 2)
     with pytest.raises(TypeError):
-        Root(mp.mpc(1), 2, 0.0, 1)
+        Root(one, 2, 0.0, 1)
     with pytest.raises(TypeError):
-        Root(mp.mpc(1), 2, 0.0, colour="red")
+        Root(one, 2, 0.0, colour="red")
     with pytest.raises(TypeError):
-        Root(mp.mpc(1), 2, 0.0, multiplicity=3)
+        Root(one, 2, 0.0, multiplicity=3)
 
 
 def test_run_config_dump_keeps_field_order():
