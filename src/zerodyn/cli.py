@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import construct as construct_mod
 from . import dynamics, formats, limits, poly, roots, series
@@ -25,7 +24,7 @@ from .errors import (
     ZerodynError,
 )
 from .records import Record
-from .scalars import DEFAULT_PRECISION_BITS, parse_fraction
+from .scalars import DEFAULT_PRECISION_BITS, exact_nth_root, parse_fraction
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -265,7 +264,7 @@ def _payload(args, cfg: RunConfig):
         phi = formats.resolve_series(args.series, min_order=args.d)
         cls = series.classify(phi)
         value = dynamics.operator_discrepancy(cls, phi, args.d, args.m, cfg.precision_bits)
-        exact = str(value) if isinstance(value, Fraction) else None
+        exact = str(value) if exact_nth_root(args.m, cls.p) is not None else None
         return {"d": args.d, "m": args.m, "discrepancy": float(value), "exact": exact}
 
     if cmd == "limit-poly":
@@ -286,6 +285,8 @@ def _payload(args, cfg: RunConfig):
     if cmd in ("construct", "verify-construct"):
         phi = formats.resolve_series(args.series, min_order=cfg.d_cap)
         if cmd == "construct":
+            if args.m is not None and not 1 <= args.m <= args.stages:
+                raise ValueError(f"need 1 <= M <= N, got M = {args.m}, N = {args.stages}")
             plan = construct_mod.build_plan(
                 phi,
                 args.stages,

@@ -30,7 +30,7 @@ from .limits import exp_dp_monomial
 from .poly import Poly, apply_operator, rescale_iterate
 from .records import Record
 from .roots import count_nonreal, find_roots
-from .scalars import DEFAULT_PRECISION_BITS, exact_nth_root, mp, mpf_to_fraction, to_mp
+from .scalars import DEFAULT_PRECISION_BITS, dyadic_round, mp, root_rounded, to_mp
 from .series import (
     OperatorClass,
     PowerSeries,
@@ -213,13 +213,10 @@ def _m_values(m_list):
 def _fit_loglog_slope(samples):
     xs, ys = [], []
     for m, e in samples:
-        if e == 0:
-            continue
         ef = float(e)
-        if ef <= 0.0:  # underflowed to zero: treat as exact convergence
-            continue
-        xs.append(math.log(m))
-        ys.append(math.log(ef))
+        if ef > 0.0:  # an exact zero, or one that underflows, is exact convergence
+            xs.append(math.log(m))
+            ys.append(math.log(ef))
     if len(xs) < 2 or len(set(xs)) < 2:
         return None
     import statistics  # only converge fits a slope; kept off the import path
@@ -240,10 +237,10 @@ def operator_discrepancy(
     truncated at order d, subtracts exp(beta x^p), applies the difference
     to every monomial x^j (j <= d) and returns the largest sup-norm.
     The composite is E(cx), with c = m^(-1/p) and the series
-    E = exp(-m alpha x) * phi(x)^m computed exactly.  Exact when m is a
-    perfect p-th power; otherwise c is rounded once at ``precision_bits``,
-    the gap is computed exactly from that c and rounded once to
-    ``precision_bits``.  Identically zero for d < p.
+    E = exp(-m alpha x) * phi(x)^m computed exactly.  A Fraction, exact
+    when m is a perfect p-th power; otherwise c is rounded once to a
+    dyadic at ``precision_bits``, the gap computed exactly from that c
+    and rounded once to a dyadic at ``precision_bits``.  Zero for d < p.
     """
     if not cls.is_general:
         raise NotGeneralForm(f"need General form, got {cls.form}")
@@ -258,15 +255,10 @@ def operator_discrepancy(
     powered = truncated_power(cls.normalized_from, m, d)
     composite = truncated_product(shift, powered, d)
     target = _exp_monomial_series(cls.beta, p, d)
-    root = exact_nth_root(m, p)
-    if root is not None:
-        c = Fraction(1, root)
-    else:
-        with mp.workprec(precision_bits):
-            c = mpf_to_fraction(mp.root(m, -p))
+    c = root_rounded(Fraction(1, m), p, precision_bits)
     diff = [c**n * e - t for n, (e, t) in enumerate(zip(composite.coeffs, target.coeffs))]
     gap = _max_monomial_image_norm(diff, d)
-    return gap if root is not None else to_mp(gap, precision_bits)
+    return gap if c**p * m == 1 else dyadic_round(gap, precision_bits)
 
 
 def _exp_monomial_series(c, j: int, order: int) -> PowerSeries:
@@ -278,20 +270,9 @@ def _exp_monomial_series(c, j: int, order: int) -> PowerSeries:
 
 
 def _max_monomial_image_norm(diff_coeffs, d: int):
-    """max_j ||(sum_n diff_n D^n) x^j||_inf for j = 0..d."""
-    best = None
-    for j in range(d + 1):
-        for n in range(j + 1):
-            c = diff_coeffs[n]
-            if c == 0:
-                continue
-            weight = math.factorial(j) // math.factorial(j - n)
-            val = abs(c) * weight
-            if best is None or val > best:
-                best = val
-    if best is None:
-        return diff_coeffs[0] * 0  # typed zero
-    return best
+    """max_j ||(sum_n diff_n D^n) x^j||_inf for j = 0..d: the x^d image, as
+    diff_n weighs j!/(j-n)! in the x^j image, largest at j = d."""
+    return max(abs(c) * math.perm(d, n) for n, c in enumerate(diff_coeffs[: d + 1]))
 
 
 def attractor_experiment(

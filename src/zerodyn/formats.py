@@ -28,7 +28,7 @@ from .dynamics import AttractorReport, ConvergenceReport, OnsetReport
 from .limits import ml_partial
 from .poly import Poly
 from .roots import RootSet
-from .scalars import Point, fraction_str, mp, parse_fraction, to_mp
+from .scalars import Point, fraction_str, mpf_to_fraction, parse_fraction
 from .series import LPObstructionResult, OperatorClass, PowerSeries
 
 SERIES_HEADER = "# zerodyn series 1"
@@ -43,15 +43,33 @@ MP_DIGITS = 40  # serialized digits of roots and other floating values
 
 
 def mpf_str(x) -> str:
-    """MP_DIGITS decimal digits of an mpf or a Fraction: a dyadic Fraction
-    (a root) converts exactly, any other is rounded far below the last digit."""
-    if isinstance(x, Fraction):
-        x = to_mp(x, max(x.numerator.bit_length(), 4 * MP_DIGITS))
-    return mp.nstr(x, MP_DIGITS, strip_zeros=True)
+    """mpmath's ``nstr(x, MP_DIGITS, strip_zeros=True)`` of the exact value
+    of x (Fraction, int, float or mpf), on integers, as mpmath computes it
+    within 2^±3500: |x| floored to f bits (f for MP_DIGITS + 3 digits),
+    then to decimal; rounded half up on digit MP_DIGITS + 1; fixed point
+    for decimal exponents in (-13, MP_DIGITS), else ``e±n``."""
+    x = Fraction(x) if isinstance(x, (Fraction, int, float)) else mpf_to_fraction(x)
+    n, d = abs(x.numerator), x.denominator
+    if not n:
+        return "0.0"
+    mag = n.bit_length() - d.bit_length()
+    mag += (n << max(-mag, 0)) >= (d << max(mag, 0))  # 2^(mag-1) <= |x| < 2^mag
+    fixprec = max(int((MP_DIGITS + 3) * math.log(10, 2)) + 10 - mag, 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    digits = str((n << fixprec) // d * 10**fixdps >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    if digits[MP_DIGITS : MP_DIGITS + 1] >= "5":
+        digits = str(int(digits[:MP_DIGITS]) + 1)
+        exponent += len(digits) > MP_DIGITS
+    split, digits = 1, digits[:MP_DIGITS]
+    if -13 < exponent < MP_DIGITS:
+        digits, split, exponent = "0" * -exponent + digits, max(exponent, 0) + 1, 0
+    body = "-" * (x < 0) + digits[:split] + "." + (digits[split:].rstrip("0") or "0")
+    return f"{body}e{exponent:+d}" if exponent else body
 
 
 def mpc_pair(z):
-    """[re, im] decimal strings of an mpf, mpc or ``Point``."""
+    """[re, im] decimal strings of a ``Point``, a complex or an mpc."""
     return [mpf_str(z.real), mpf_str(z.imag)]
 
 
@@ -150,13 +168,16 @@ def resolve_series(spec: str, min_order: int = 0) -> PowerSeries:
     """
     from .series import extend
 
-    if spec.startswith("truncated-exp:"):
-        k = int(spec.split(":", 1)[1])
-        phi = PowerSeries(Fraction(1, math.factorial(n)) for n in range(k + 1))
-        return phi
-    if spec.startswith("mittag-leffler:"):
-        _, p, k = spec.split(":")
-        return ml_partial(int(p), int(k))
+    if spec.startswith(("truncated-exp:", "mittag-leffler:")):
+        preset = re.fullmatch(r"truncated-exp:(\d+)|mittag-leffler:0*([1-9]\d*):(\d+)", spec)
+        if preset is None:
+            form = "truncated-exp:K with K >= 0" if spec.startswith("t") else (
+                "mittag-leffler:p:K with p >= 1, K >= 0")
+            raise ValueError(f"{spec!r} is not a valid preset: use {form}")
+        if preset[1] is not None:
+            k = int(preset[1])
+            return PowerSeries(Fraction(1, math.factorial(n)) for n in range(k + 1))
+        return ml_partial(int(preset[2]), int(preset[3]))
     if spec.startswith("poly:"):
         f = parse_poly_inline(spec.split(":", 1)[1])
         if f.is_zero:

@@ -29,11 +29,8 @@ from .scalars import (
     DEFAULT_PRECISION_BITS,
     as_fraction,
     common_denominator,
-    exact_nth_root,
     fraction_str,
-    mp,
-    mpf_to_fraction,
-    to_mp,
+    root_rounded,
 )
 from .series import OperatorClass, PowerSeries
 
@@ -259,11 +256,10 @@ def rescale_iterate(
 
     The pre-transform iterate is computed exactly; the affine rescaling
     multiplies coefficient k by m^((k-d)/p), which is rational whenever
-    (k-d) is a multiple of p or m is a perfect p-th power.  When every
-    nonzero coefficient gets a rational factor the result is the exact
-    rescaled iterate.  Otherwise each coefficient is rounded once, at
-    ``precision_bits``, and the result holds the dyadic rationals it
-    rounded to.
+    (k-d) is a multiple of p or m is a perfect p-th power.  A coefficient
+    whose factor is rational is exact; any other is rounded once, to the
+    nearest dyadic rational with ``precision_bits`` significant bits
+    (``scalars.root_rounded``).
 
     ``_iterate`` lets sweep drivers pass in an already-computed
     phi(D)^m f instead of recomputing it from scratch.
@@ -281,16 +277,8 @@ def rescale_iterate(
     g = _iterate if _iterate is not None else iterate_operator(phi, f, m)
     g = translate(g, -m * cls.alpha)
 
-    root = exact_nth_root(m, p)
-    if root is not None:
-        return Poly(c * Fraction(root) ** (k - d) for k, c in enumerate(g.coeffs))
-    if all(c == 0 or (k - d) % p == 0 for k, c in enumerate(g.coeffs)):
-        return Poly(c * Fraction(m) ** ((k - d) // p) for k, c in enumerate(g.coeffs))
-    with mp.workprec(precision_bits):
-        scale = to_mp(m, precision_bits) ** (mp.mpf(1) / p)
-        tail = scale ** (-d)
-        out, power = [], mp.mpf(1)
-        for c in g.coeffs:
-            out.append(to_mp(c, precision_bits) * power * tail)
-            power *= scale
-    return Poly(map(mpf_to_fraction, out))
+    # c m^((k-d)/p) = sign(c) (|c|^p / m^(d-k))^(1/p)
+    return Poly(
+        (-1 if c < 0 else 1) * root_rounded(abs(c) ** p / m ** (d - k), p, precision_bits)
+        for k, c in enumerate(g.coeffs)
+    )

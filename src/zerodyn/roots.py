@@ -173,16 +173,19 @@ def _sweep(coeffs, dcoeffs, zs, eps, stall_stop=False):
     return False
 
 
-def _double_seeds(coeffs, dcoeffs):
+def _double_seeds(source):
     """Positions the double sweep reaches from the circle, converged or not;
-    None when a coefficient is not a normal double or a position not finite."""
-    cs = [complex(c) for c in coeffs]
-    dcs = [complex(c) for c in dcoeffs]
-    for c, d in zip(coeffs + dcoeffs, cs + dcs):
-        if c != 0 and not DOUBLE_MIN <= abs(d) < math.inf:
-            return None
-    zs = _circle_start(cs, cmath)
-    _sweep(cs, dcs, zs, DOUBLE_EPS, stall_stop=True)
+    None when a coefficient of ``source`` or of its derivative is not a
+    normal double, or a position not finite."""
+    exact = [*source, *(k * c for k, c in enumerate(source) if k)]
+    try:
+        cs = [float(c) for c in exact]
+    except OverflowError:
+        return None
+    if any(c != 0 and not DOUBLE_MIN <= abs(v) for c, v in zip(exact, cs)):
+        return None
+    zs = _circle_start(cs[: len(source)], cmath)
+    _sweep(cs[: len(source)], cs[len(source) :], zs, DOUBLE_EPS, stall_stop=True)
     return zs if all(math.isfinite(abs(z)) for z in zs) else None
 
 
@@ -199,7 +202,7 @@ def _inclusion_radii(coeffs, zs, eps):
     if they are disjoint.
     """
     if isinstance(eps, float):
-        cs, lo, hi = [complex(c) for c in coeffs], DOUBLE_MIN, math.inf
+        cs, lo, hi = [float(c) for c in coeffs], DOUBLE_MIN, math.inf
     else:
         cs, lo, hi = coeffs, 0, mp.inf
     floor = [max(abs(c), lo) for c in cs]
@@ -222,7 +225,10 @@ def _inclusion_radii(coeffs, zs, eps):
 
 def _mantissa(v):
     """(m, e) with v = m 2^e exactly, for a double or an mpf."""
-    sign, man, exp, _bc = mp.libmp.from_float(v) if isinstance(v, float) else v._mpf_
+    if isinstance(v, float):
+        man, den = v.as_integer_ratio()
+        return man, 1 - den.bit_length()
+    sign, man, exp, _bc = v._mpf_
     return -int(man) if sign else int(man), exp
 
 
@@ -366,13 +372,13 @@ def _refine(F, dF, center, radius, start, cap, workprec):
 def _newton_ladder(coeffs, F, seeds, workprec, wp=None):
     """Each zero refined from its own isolated seed, or None.
 
-    ``coeffs`` (mpf) give the inclusion disks; Newton runs on ``F``, the
-    primitive integer polynomial with the same zeros, so the certificate
-    covers the exact rational polynomial, not its rounding.  The seeds
-    are doubles, refined from 106 bits up to ``workprec``, or, given
-    ``wp``, the positions of a sweep at wp bits, refined at wp: inside a
-    tight cluster, lower precision's noise over |f'| exceeds the spacing
-    of the zeros.  The coefficients are real, so a disk meeting the axis
+    ``coeffs`` (read as doubles on rung 0) give the inclusion disks;
+    Newton runs on ``F``, the primitive integer polynomial with the same
+    zeros, so the certificate covers the exact rational polynomial, not
+    its rounding.  The seeds are doubles, refined from 106 bits up to
+    ``workprec``, or, given ``wp``, the positions of a sweep at wp bits,
+    refined at wp: inside a tight cluster, lower precision's noise over
+    |f'| exceeds the spacing of the zeros.  The coefficients are real, so a disk meeting the axis
     needs an isolated symmetric hull D(Re z, r + |Im z|): its one zero is
     its own conjugate, so real (refined in the real form).  The other
     zeros are nonreal, and those in the lower half-plane are the
@@ -412,13 +418,6 @@ def _newton_ladder(coeffs, F, seeds, workprec, wp=None):
     return out
 
 
-def _rounded(source, wp):
-    """The coefficients ``source`` as mpf rounded to wp bits, and those of f'."""
-    with mp.workprec(wp):
-        coeffs = [to_mp(c, wp) for c in source]
-        return coeffs, [k * coeffs[k] for k in range(1, len(coeffs))]
-
-
 def _aberth(source, workprec):
     """All zeros of a square-free polynomial with nonzero constant term;
     (positions, certified).
@@ -426,34 +425,33 @@ def _aberth(source, workprec):
     ``source`` lists the ascending rational coefficients, of degree
     n >= 1 with source[0] != 0 and source[-1] != 0.  One ladder of rungs,
     each starting from the previous rung's positions.  Rung 0 is the
-    double sweep from the circle and the Newton ladder on its seeds.
-    Then, for wp = workprec, 2 workprec, ..., 2^MAX_PRECISION_DOUBLINGS
-    workprec, the coefficients rounded to wp bits, the Aberth sweep at wp
-    and the Newton ladder at wp on the swept positions.  The sweeps and
-    the inclusion disks use the rounded coefficients; Newton runs on the
-    primitive integer multiple F = ``_integer_part(source)``, so the
-    first rung the ladder certifies returns positions within
-    2^(GUARD_BITS - workprec) (1 + |z|) of distinct zeros of ``source``
-    itself, as exact ``Point``s; degree 1 gives its exact zero.  Past the
-    last rung the swept positions come back uncertified, read exactly as
-    the dyadic rationals they stand for.
+    double sweep from the circle and the Newton ladder on its seeds, on
+    the coefficients read as doubles.  Then, for wp = workprec, ...,
+    2^MAX_PRECISION_DOUBLINGS workprec, the coefficients rounded to wp
+    bits, the Aberth sweep at wp and the Newton ladder at wp on the swept
+    positions.  The sweeps and the inclusion disks use the rounded
+    coefficients; Newton runs on the primitive integer multiple
+    F = ``_integer_part(source)``, so the first rung the ladder certifies
+    returns positions within 2^(GUARD_BITS - workprec) (1 + |z|) of
+    distinct zeros of ``source`` itself, as exact ``Point``s; degree 1
+    gives its exact zero.  Past the last rung the swept positions come
+    back uncertified, read exactly as the dyadic rationals they stand for.
     """
     if len(source) == 2:
         return [Point(-source[0] / source[1], ZERO)], True
-    coeffs, dcoeffs = _rounded(source, workprec)
     F = _integer_part(source)
-    seeds = _double_seeds(coeffs, dcoeffs)
-    if seeds is None:
-        with mp.workprec(workprec):
-            zs = _circle_start(coeffs, mp)
-    else:
-        located = _newton_ladder(coeffs, F, seeds, workprec)
+    seeds = _double_seeds(source)
+    if seeds is not None:
+        located = _newton_ladder(source, F, seeds, workprec)
         if located is not None:
             return located, True
-        zs = [mp.mpc(z) for z in seeds]
+    zs = None
     for wp in (workprec << k for k in range(MAX_PRECISION_DOUBLINGS + 1)):
-        coeffs, dcoeffs = _rounded(source, wp)
         with mp.workprec(wp):
+            coeffs = [to_mp(c, wp) for c in source]
+            dcoeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
+            if zs is None:
+                zs = _circle_start(coeffs, mp) if seeds is None else list(map(mp.mpc, seeds))
             _sweep(coeffs, dcoeffs, zs, mp.ldexp(1, -wp))
             located = _newton_ladder(coeffs, F, zs, workprec, wp)
         if located is not None:

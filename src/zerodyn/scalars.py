@@ -1,18 +1,17 @@
-"""Scalar plumbing: exact rationals, mpmath conversions, integer roots.
+"""Scalar plumbing: exact rationals, integer roots, the one rounding.
 
 Exact values are `fractions.Fraction` (ints are coerced on the way in),
-and an exact complex value is a ``Point`` of two of them; floating values
-are mpmath mpf/mpc at an explicit binary precision.  All conversions
-between exact and floating happen here so the rounding boundary stays in
-one place.
+and an exact complex value is a ``Point`` of two of them.  An irrational
+value, a root m^(1/p), is rounded once on integers to the nearest dyadic
+(``root_rounded``).  mpmath runs only where values stay irrational: the
+root finder's fallback rungs and the attractor experiment; ``to_mp`` and
+``mpf_to_fraction`` are the boundary.
 
-This module also owns the package's one binding of mpmath, ``mp``; every
-other module takes it from here.  The binding is lazy: ``import zerodyn``
-only finds mpmath, and its code runs on the first attribute access
-(``mp.mpf``, ``mp.workprec``, a call of ``to_mp``).  So the exact-only
-routes (zero profiles of rational input, ``lp-test``, onset scans) never
-execute it, and once loaded ``mp`` is the plain ``sys.modules["mpmath"]``
-module, with no proxy left on the floating route.  On Python < 3.12
+This module owns the package's one binding of mpmath, ``mp``, and makes
+it lazy: ``import zerodyn`` only finds mpmath, and its code runs on the
+first attribute access (``mp.mpf``, a call of ``to_mp``), so the exact
+routes never execute it; once loaded ``mp`` is the plain
+``sys.modules["mpmath"]`` module.  On Python < 3.12
 ``importlib.util.LazyLoader`` is not safe against two threads making the
 first access at once; zerodyn starts no threads.
 """
@@ -71,32 +70,19 @@ def as_fraction(x) -> Fraction:
 
 
 def to_mp(x, precision_bits: int):
-    """Convert any supported scalar to mpf/mpc at the given precision.
-
-    Every value (each part of a complex one or of a ``Point``) is rounded
-    to nearest at ``precision_bits``, whatever the ambient mpmath
-    precision; a complex value with zero imaginary part comes back as an
-    mpf.
-    """
-    libmp = mp.libmp
-    if isinstance(x, Fraction):
-        return mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, precision_bits, _NEAREST))
-    if isinstance(x, int):
-        return mp.make_mpf(libmp.from_int(x, precision_bits, _NEAREST))
-    if isinstance(x, mp.mpf):
-        return mp.make_mpf(libmp.mpf_pos(x._mpf_, precision_bits, _NEAREST))
-    if isinstance(x, float):
-        return mp.make_mpf(libmp.from_float(x, precision_bits, _NEAREST))
-    if isinstance(x, mp.mpc):
-        re, im = (libmp.mpf_pos(v, precision_bits, _NEAREST) for v in x._mpc_)
-    elif isinstance(x, complex):
-        re, im = (libmp.from_float(v, precision_bits, _NEAREST) for v in (x.real, x.imag))
-    elif isinstance(x, Point):
-        re, im = (to_mp(as_fraction(v), precision_bits)._mpf_ for v in (x.real, x.imag))
-    else:
-        with mp.workprec(precision_bits):
-            return mp.mpmathify(x)
-    return mp.make_mpf(re) if im == libmp.fzero else mp.make_mpc((re, im))
+    """The exact scalar x (a Fraction, an int or a ``Point``) as an mpf, or
+    an mpc for a ``Point`` off the real axis, each part rounded to nearest
+    at ``precision_bits`` whatever the ambient mpmath precision; TypeError
+    for any other value."""
+    if isinstance(x, Point):
+        re, im = (to_mp(v, precision_bits)._mpf_ for v in (x.real, x.imag))
+        return mp.make_mpf(re) if im == mp.libmp.fzero else mp.make_mpc((re, im))
+    if not isinstance(x, (Fraction, int)):
+        raise TypeError(f"not an exact scalar: {x!r} ({type(x).__name__})")
+    x = Fraction(x)
+    return mp.make_mpf(
+        mp.libmp.from_rational(x.numerator, x.denominator, precision_bits, _NEAREST)
+    )
 
 
 def mpf_to_fraction(x) -> Fraction:
@@ -150,6 +136,29 @@ def exact_nth_root(n: int, p: int):
     """Integer p-th root of n if n is a perfect p-th power, else None."""
     r = int_nth_root(n, p)
     return r if r**p == n else None
+
+
+def dyadic_round(x: Fraction, bits: int, p: int = 1) -> Fraction:
+    """The dyadic nearest x^(1/p) (ties to even) with ``bits`` significant
+    bits, for a Fraction x >= 0: r = floor(x^(1/p) 2^s) >= 2^(bits+1) on
+    integers, and r^p == x 2^(ps) tells a tie."""
+    n, d = x.numerator, x.denominator
+    if not n:
+        return x
+    s = bits + 1 - (n.bit_length() - d.bit_length() - 1) // p
+    num, den = (n << p * s, d) if s >= 0 else (n, d << -p * s)
+    r = int_nth_root(num // den, p)
+    t = r.bit_length() - bits
+    q, rem, half = r >> t, r & ((1 << t) - 1), 1 << (t - 1)
+    if rem > half or rem == half and (q & 1 or r**p * den != num):
+        q += 1
+    return Fraction(q) * Fraction(2) ** (t - s)
+
+
+def root_rounded(x: Fraction, p: int, bits: int) -> Fraction:
+    """x^(1/p) for a Fraction x >= 0: exact when rational, else dyadic_round."""
+    rn, rd = exact_nth_root(x.numerator, p), exact_nth_root(x.denominator, p)
+    return dyadic_round(x, bits, p) if rn is None or rd is None else Fraction(rn, rd)
 
 
 def fraction_str(x: Fraction) -> str:

@@ -191,10 +191,6 @@ class OperatorClass(Record):
     def is_pure_exponential(self) -> bool:
         return self.form == "PureExponential"
 
-    @property
-    def is_zero_constant(self) -> bool:
-        return self.form == "ZeroConstant"
-
     def __str__(self):
         if self.is_general:
             return f"General(p={self.p}, alpha={self.alpha}, beta={self.beta})"

@@ -269,6 +269,18 @@ class TestConstructCLI:
         )
         assert (code, out) == (2, "") and "1 <= M <= N" in err
 
+    @pytest.mark.parametrize("m", ["0", "3"])
+    def test_m_outside_the_stages_is_rejected_before_any_work(self, capsys, monkeypatch, m):
+        def fail(*args, **kwargs):
+            raise AssertionError("build_plan ran for an --m the arguments rule out")
+
+        monkeypatch.setattr("zerodyn.construct.build_plan", fail)
+        code, out, err = run_cli(
+            capsys, "construct", "--series", "poly:1+x+x^2", "--stages", "2",
+            "--d-cap", "12", "--m", m,
+        )
+        assert (code, out) == (2, "") and f"need 1 <= M <= N, got M = {m}, N = 2" in err
+
     def test_csv_without_schema_is_rejected_before_any_work(self, capsys, tmp_path):
         plan_path = tmp_path / "plan.json"
         code, out, err = run_cli(

@@ -23,6 +23,7 @@ from zerodyn import (
     rescale_iterate,
     star_distance,
 )
+from zerodyn.scalars import to_mp
 from conftest import as_mpc
 
 
@@ -185,8 +186,7 @@ class TestDiscrepancy:
         assert cls.p == 4
         for d in (0, 1, 2, 3):
             assert operator_discrepancy(cls, phi, d, 16) == 0
-        floating = operator_discrepancy(cls, phi, 3, 10)
-        assert abs(floating) < mp.mpf(2) ** -200
+        assert operator_discrepancy(cls, phi, 3, 10) == 0
 
     def test_rate_consistent_with_inverse_sqrt_bound(self):
         cls = classify(PHI_D)
@@ -235,11 +235,11 @@ class TestDiscrepancyOracle:
     def test_rounded_value_against_1024_bit_composite(self, coeffs, d, m):
         phi = extend(PowerSeries(coeffs), d)
         got = operator_discrepancy(classify(phi), phi, d, m, 256)
-        assert isinstance(got, mp.mpf)
+        assert type(got) is F and got.denominator & (got.denominator - 1) == 0
         want = reference_discrepancy(phi, d, m)
         with mp.workprec(1024):
             assert want > 0
-            assert abs(got - want) <= mp.ldexp(want, -200)
+            assert abs(to_mp(got, 1024) - want) <= mp.ldexp(want, -200)
 
 
 class TestAttractor:

@@ -4,17 +4,23 @@ import json
 import math
 from fractions import Fraction as F
 
+import mpmath as mp
 import pytest
 
+from conftest import make_rng
 from zerodyn import Point, Poly, PowerSeries, build_plan, extend, find_roots
+from zerodyn.cli import main
 from zerodyn.dynamics import AttractorRecord, AttractorReport
 from zerodyn.poly import format_poly_inline
+from zerodyn.scalars import to_mp
 from zerodyn.formats import (
+    MP_DIGITS,
     attractor_payload,
     csv_text,
     dump_json,
     format_poly_text,
     format_series_text,
+    mpf_str,
     parse_poly_inline,
     parse_poly_text,
     parse_series_text,
@@ -90,6 +96,23 @@ class TestPresets:
         assert phi.truncation_order == 6
         assert phi.coeffs[:3] == (F(1), F(0), F(-1))
 
+    @pytest.mark.parametrize(
+        "spec, form",
+        [
+            ("truncated-exp:x", "truncated-exp:K with K >= 0"),
+            ("truncated-exp:-1", "truncated-exp:K with K >= 0"),
+            ("truncated-exp:2:3", "truncated-exp:K with K >= 0"),
+            ("mittag-leffler:2", "mittag-leffler:p:K with p >= 1, K >= 0"),
+            ("mittag-leffler:0:3", "mittag-leffler:p:K with p >= 1, K >= 0"),
+            ("mittag-leffler:2:x", "mittag-leffler:p:K with p >= 1, K >= 0"),
+        ],
+    )
+    def test_malformed_preset_names_its_form(self, capsys, spec, form):
+        with pytest.raises(ValueError, match=f"'{spec}' is not a valid preset: use {form}$"):
+            resolve_series(spec)
+        assert main(["classify", "--series", spec]) == 2
+        assert form in capsys.readouterr().err
+
     def test_file_fallback(self, tmp_path):
         path = tmp_path / "phi.txt"
         path.write_text(format_series_text(PowerSeries([1, 1, 1])))
@@ -151,3 +174,49 @@ class TestAttractorCSV:
             "1,0.125,0.25,True,\r\n"
             "4,0.75,1e-20,False,True\r\n"
         )
+
+
+def _nstr(x):
+    """mpmath's 40-digit form of the exact value x: a dyadic converts
+    exactly, any other far below the last digit."""
+    bits = max(abs(x.numerator).bit_length(), 4000)
+    return mp.nstr(to_mp(x, bits), MP_DIGITS, strip_zeros=True)
+
+
+class TestDecimalFormatter:
+    def test_random_dyadics_match_mpmath(self):
+        rng = make_rng(40)
+        for _ in range(10_000):
+            bits = rng.randint(1, 600)
+            man = (rng.getrandbits(bits) | 1 << (bits - 1)) * rng.choice((1, -1))
+            x = F(man) * F(2) ** (rng.randint(-300, 900) - bits)
+            assert mpf_str(x) == _nstr(x), x
+
+    def test_powers_of_ten_and_carries_through_nines(self):
+        for j in range(-40, 60):
+            for x in (F(10) ** j * u for u in (1, 1 - F(1, 10**41), 1 - F(1, 10**40))):
+                assert mpf_str(x) == _nstr(x) and mpf_str(-x) == _nstr(-x), x
+        assert mpf_str(F(10) ** 5 * (1 - F(1, 10**41))) == "100000.0"
+
+    def test_just_above_a_midpoint_as_in_mpmath(self):
+        # mpmath floors |x| to about 152 bits before it takes decimal digits,
+        # so a 400-bit dyadic just above the midpoint 10^j (1 + 5 10^-40) can
+        # lose its excess and round down, where correct rounding ends in 1
+        for j in range(-15, 45):
+            v = F(10) ** j * (1 + F(5, 10**40))
+            x = F(math.ceil(v * 2**400), 2**400)
+            assert mpf_str(x) == _nstr(x), x
+        assert mpf_str(F(math.ceil((1 + F(5, 10**40)) * 2**400), 2**400)) == "1.0"
+
+    def test_zero_floats_and_mpf(self):
+        assert mpf_str(F(0)) == mpf_str(0) == mp.nstr(mp.mpf(0), MP_DIGITS) == "0.0"
+        for v in (1.5, -2.5e-30, 1e300, 2.0**-1074):
+            assert mpf_str(v) == mp.nstr(mp.mpf(v), MP_DIGITS, strip_zeros=True)
+        with mp.workprec(300):
+            for v in (mp.sqrt(2), -mp.pi * 10**50, mp.exp(-100)):
+                assert mpf_str(v) == mp.nstr(v, MP_DIGITS, strip_zeros=True)
+
+    def test_non_dyadic_degree_one_root(self):
+        (root,) = rootset_payload(find_roots(Poly([-1, 3])))["roots"]
+        assert root["re"] == _nstr(F(1, 3)) == "0." + "3" * MP_DIGITS
+        assert root["im"] == "0.0"

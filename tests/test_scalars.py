@@ -1,10 +1,12 @@
-"""Exact-to-floating conversion."""
+"""Exact-to-floating conversion, and the one rounding of an irrational root."""
 
 from fractions import Fraction as F
 
 import mpmath as mp
+import pytest
 
-from zerodyn.scalars import to_mp
+from conftest import make_rng
+from zerodyn.scalars import dyadic_round, mpf_to_fraction, root_rounded, to_mp
 
 
 def _nearest(x, prec):
@@ -37,3 +39,51 @@ class TestToMp:
         for x in (F(1, 3), F(-1, 3), F(2, 3), wide, -wide, F(5, 2**400 * 11)):
             for prec in (53, 128, 256):
                 assert _as_fraction(to_mp(x, prec)) == _nearest(x, prec)
+
+
+def _positive_rational(rng, max_bits):
+    num, den = (rng.getrandbits(rng.randint(1, max_bits)) + 1 for _ in range(2))
+    return F(num, den)
+
+
+def _is_dyadic_with(x, bits):
+    """x is a dyadic rational with at most ``bits`` significant bits."""
+    n, d = abs(x.numerator), x.denominator
+    return d & (d - 1) == 0 and (n >> ((n & -n).bit_length() - 1)).bit_length() <= bits
+
+
+class TestRootRounded:
+    @pytest.mark.parametrize(
+        "x, p, want",
+        [(F(4, 9), 2, F(2, 3)), (F(8), 3, F(2)), (F(27, 64), 3, F(3, 4)),
+         (F(1, 16), 4, F(1, 2)), (F(3**20, 7**5), 5, F(81, 7)), (F(0), 2, F(0))],
+    )
+    def test_rational_root_is_exact(self, x, p, want):
+        assert root_rounded(x, p, 8) == want
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_nearest_dyadic_against_mpmath_at_four_times_the_bits(self, p):
+        # irrational roots are never a tie, so nearest means within half
+        # an ulp of the bits-bit dyadics around the true root
+        rng = make_rng(100 + p)
+        for _ in range(300):
+            bits = rng.randint(2, 300)
+            x = _positive_rational(rng, 400)
+            got = root_rounded(x, p, bits)
+            if got ** p == x:
+                continue
+            assert _is_dyadic_with(got, bits), (x, p, bits)
+            with mp.workprec(4 * bits + 64):
+                true = mp.root(to_mp(x, 4 * bits + 64), p)
+                half_ulp = mp.ldexp(1, mp.frexp(true)[1] - 1 - bits)
+                assert abs(to_mp(got, 8 * bits) - true) <= half_ulp, (x, p, bits)
+
+    def test_rational_rounding_matches_mpmath_ties_to_even(self):
+        rng = make_rng(7)
+        for _ in range(3000):
+            bits = rng.randint(2, 200)
+            if rng.random() < 0.3:  # exact ties: bits + 1 significant bits
+                x = F(rng.getrandbits(bits) | 1 << bits | 1, 2 ** rng.randint(0, 300))
+            else:
+                x = _positive_rational(rng, 500)
+            assert dyadic_round(x, bits) == mpf_to_fraction(to_mp(x, bits)), (x, bits)

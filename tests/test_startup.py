@@ -70,6 +70,18 @@ CLI_PROBE = (
          "--op-count", "nonreal"],
         ["discrepancy", "--series", "poly:1-x^2", "--d", "4", "--m", "100"],
         ["converge", "--series", "poly:1-x^2", "--poly", "x^4", "--m-list", "1,4,9"],
+        # rounding an irrational m^(1/p), certifying roots and printing them
+        # run on integers too
+        pytest.param(
+            ["converge", "--series", "poly:1-x^2", "--poly", "x^4", "--m-list", "1:5"],
+            id="converge-irrational",
+        ),
+        pytest.param(
+            ["discrepancy", "--series", "poly:1-x^2", "--d", "4", "--m", "10"],
+            id="discrepancy-irrational",
+        ),
+        ["zeros", "--poly", "x^2+2x+2"],
+        ["jensen", "--p", "2", "--q", "6", "--roots"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -77,8 +89,18 @@ def test_exact_subcommands_leave_mpmath_unexecuted(argv):
     assert _fresh(CLI_PROBE, *argv)[:2] == [0, False]
 
 
+def test_construct_and_verify_construct_leave_mpmath_unexecuted(tmp_path):
+    plan = str(tmp_path / "plan.json")
+    common = ["--series", "poly:1+x+x^2", "--d-cap", "8"]
+    construct = ["construct", *common, "--stages", "2", "--plan-out", plan]
+    assert _fresh(CLI_PROBE, *construct)[:2] == [0, False]
+    assert _fresh(CLI_PROBE, "verify-construct", *common, "--plan", plan)[:2] == [0, False]
+
+
 def test_floating_subcommand_leaves_plain_mpmath_module():
-    assert _fresh(CLI_PROBE, "zeros", "--poly", "x^2+2x+2") == [0, True, True]
+    argv = ["attractor", "--series", "poly:1-x^2", "--poly", "x^3", "--m-list", "1,2",
+            "--epsilon", "0.1"]
+    assert _fresh(CLI_PROBE, *argv) == [0, True, True]
 
 
 def test_json_report_leaves_csv_unimported():
@@ -117,6 +139,13 @@ def test_package_source_does_not_mention_dataclass():
 def test_only_scalars_binds_mpmath():
     hits = _package_lines_with("import mpmath", "from mpmath")
     assert all(h.startswith("scalars.py:") for h in hits), hits
+
+
+def test_mpmath_is_used_only_where_values_are_irrational():
+    # the fallback root rungs and the attractor; everything else is exact
+    hits = _package_lines_with("mp.", "to_mp")
+    allowed = ("scalars.py", "roots.py", "dynamics.py")
+    assert hits and all(h.split(":")[0] in allowed for h in hits), hits
 
 
 def _instances():
