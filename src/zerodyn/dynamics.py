@@ -30,7 +30,14 @@ from .limits import exp_dp_monomial
 from .poly import Poly, apply_operator, rescale_iterate
 from .records import Record
 from .roots import count_nonreal, find_roots
-from .scalars import DEFAULT_PRECISION_BITS, dyadic_round, mp, root_rounded, to_mp
+from .scalars import (
+    DEFAULT_PRECISION_BITS,
+    Point,
+    as_fraction,
+    dyadic_round,
+    on_grid,
+    root_rounded,
+)
 from .series import (
     OperatorClass,
     PowerSeries,
@@ -76,7 +83,7 @@ class AttractorReport(Record):
     p: int
     alpha: Fraction
     beta: Fraction
-    gamma: object  # principal p-th root of -beta (mpc)
+    gamma: Point  # principal p-th root of -beta, within 2^-precision_bits (1 + |gamma|)
     epsilon: float
     records: tuple  # AttractorRecord, m ascending
 
@@ -88,19 +95,36 @@ def _require_general(phi: PowerSeries) -> OperatorClass:
     return cls
 
 
-def star_distance(z, p: int):
-    """Distance from z to the union of the p rays through the p-th roots of 1."""
+def _binomial_zeros(c: Fraction, p: int, precision_bits: int):
+    """The p certified zeros of x^p + c."""
+    return find_roots(Poly([c] + [0] * (p - 1) + [1]), precision_bits).locations()
+
+
+def _star_sq(x, y, rays, norm):
+    """norm times the squared distance from x + iy to the star of ``rays``
+    (integer pairs (u, v) on the point's grid, each of squared modulus
+    about ``norm``): Im((x + iy)(u - iv))^2 off the ray u + iv, or
+    |x + iy|^2 norm where Re((x + iy)(u - iv)) <= 0 and the ray points away."""
+    far = (x * x + y * y) * norm
+    return min(far if x * u + y * v <= 0 else (y * u - x * v) ** 2 for u, v in rays)
+
+
+def star_distance(z, p: int) -> Fraction:
+    """Distance from z (a ``Point`` or an exact real) to the union of the p
+    rays through the p-th roots of 1, rounded once to the nearest dyadic
+    with b = ``DEFAULT_PRECISION_BITS`` significant bits.  The rays run
+    through the certified zeros of x^p - 1, each within 2^(1 - b) of its
+    root of 1, so the result is within 2^(3 - b) |z| of the exact distance."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    z = mp.mpc(z)
-    best = None
-    for k in range(p):
-        u = mp.expjpi(mp.mpf(2 * k) / p)
-        t = (z * mp.conj(u)).real
-        cand = abs(z) if t <= 0 else abs(z - t * u)
-        if best is None or cand < best:
-            best = cand
-    return best
+    if not isinstance(z, Point):
+        z = Point(as_fraction(z), Fraction(0))
+    bits = DEFAULT_PRECISION_BITS
+    rays = _binomial_zeros(Fraction(-1), p, bits)
+    xs, ys, den = on_grid([z, *rays])
+    norm = xs[-1] ** 2 + ys[-1] ** 2
+    sq = _star_sq(xs[0], ys[0], list(zip(xs[1:], ys[1:])), norm)
+    return dyadic_round(Fraction(sq, norm * den * den), bits, 2)
 
 
 def onset_scan(
@@ -291,6 +315,12 @@ def attractor_experiment(
     and — when d = 0 or 1 mod p, where the limit zeros are simple —
     whether the iterate's zeros are all simple.  ``epsilon`` must be
     finite and positive (ValueError otherwise).
+
+    gamma is the certified zero of x^p + beta of largest real part, and
+    the other zeros give the rays.  The distances are exact on the
+    certified points (with m^(1/p) rounded once by ``root_rounded``) and
+    each is rounded once to a float; ``contained`` compares the exact
+    squared distance with epsilon^2.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and positive, not {epsilon}")
@@ -300,43 +330,55 @@ def attractor_experiment(
     d = int(f.degree)
     p, alpha, beta = cls.p, cls.alpha, cls.beta
     ms = _m_values(m_list)
-    with mp.workprec(precision_bits):
-        gamma = mp.root(-to_mp(beta, precision_bits), p)
-        base = exp_dp_monomial(Fraction(-1), p, d)
-        base_roots = find_roots(base, precision_bits)
-        limit_pts = [gamma * to_mp(r.location, precision_bits) for r in base_roots.roots]
-        alpha_mp = to_mp(alpha, precision_bits)
-        records = []
-        g = f
-        last = 0
-        for m in ms:
-            for _ in range(m - last):
-                g = apply_operator(phi, g)
-            last = m
-            rs = find_roots(g, precision_bits)
-            scale = to_mp(m, precision_bits) ** (mp.mpf(1) / p)
-            worst_eps = mp.mpf(0)
-            worst_star = mp.mpf(0)
-            for r in rs.roots:
-                w = (to_mp(r.location, precision_bits) + m * alpha_mp) / scale
-                dmin = min(abs(w - q) for q in limit_pts)
-                if dmin > worst_eps:
-                    worst_eps = dmin
-                sd = star_distance(w / gamma, p)
-                if sd > worst_star:
-                    worst_star = sd
-            simple = None
-            if d % p in (0, 1):
-                simple = count_nonreal(g, precision_bits=precision_bits, rs=rs).squarefree
-            records.append(
-                AttractorRecord(
-                    m=m,
-                    max_scaled_star_distance=float(worst_star),
-                    containment_epsilon_needed=float(worst_eps),
-                    contained=worst_eps < epsilon,
-                    all_simple=simple,
-                )
+    # the zeros of x^p + beta are gamma times the p-th roots of 1: the
+    # star's rays, with gamma the one of largest real part (the upper one
+    # of a conjugate pair), which find_roots lists last
+    rays = _binomial_zeros(beta, p, precision_bits)
+    gamma = rays[-1]
+    gr, gi = gamma.real, gamma.imag
+    limit = [
+        Point(gr * z.real - gi * z.imag, gr * z.imag + gi * z.real)
+        for z in find_roots(exp_dp_monomial(Fraction(-1), p, d), precision_bits).locations()
+    ]
+    eps_sq = Fraction(epsilon) ** 2
+    records = []
+    g = f
+    last = 0
+    for m in ms:
+        for _ in range(m - last):
+            g = apply_operator(phi, g)
+        last = m
+        rs = find_roots(g, precision_bits)
+        # w = W / s with W = z + m alpha and s = m^(1/p): compare W with
+        # s gamma zeta and with the rays, as integers on one grid
+        s = root_rounded(Fraction(m), p, precision_bits)
+        pulled = [Point(r.location.real + m * alpha, r.location.imag) for r in rs.roots]
+        targets = [Point(s * q.real, s * q.imag) for q in limit]
+        xs, ys, den = on_grid(pulled + targets + rays)
+        pts = list(zip(xs, ys))
+        n, k = len(pulled), len(pulled) + len(targets)
+        norm = xs[-1] ** 2 + ys[-1] ** 2  # |gamma|^2
+        worst_eps = max(
+            min((x - a) ** 2 + (y - b) ** 2 for a, b in pts[n:k]) for x, y in pts[:n]
+        )
+        worst_star = max(_star_sq(x, y, pts[k:], norm) for x, y in pts[:n])
+        # eps^2 = |W - s gamma zeta|^2 / s^2, and the star distance of w/gamma
+        # is W's distance to the rays over s |gamma| (den cancels there)
+        worst_eps = Fraction(worst_eps, den * den) / s**2
+        worst_star = Fraction(worst_star, norm * norm) / s**2
+        simple = None
+        if d % p in (0, 1):
+            simple = count_nonreal(g, precision_bits=precision_bits, rs=rs).squarefree
+        records.append(
+            AttractorRecord(
+                m=m,
+                # 53 bits, ties to even: the square root rounded once to a double
+                max_scaled_star_distance=float(dyadic_round(worst_star, 53, 2)),
+                containment_epsilon_needed=float(dyadic_round(worst_eps, 53, 2)),
+                contained=worst_eps < eps_sq,
+                all_simple=simple,
             )
+        )
     return AttractorReport(
         p=p,
         alpha=alpha,
@@ -345,3 +387,4 @@ def attractor_experiment(
         epsilon=float(epsilon),
         records=tuple(records),
     )
+

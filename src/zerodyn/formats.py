@@ -28,7 +28,7 @@ from .dynamics import AttractorReport, ConvergenceReport, OnsetReport
 from .limits import ml_partial
 from .poly import Poly
 from .roots import RootSet
-from .scalars import Point, fraction_str, mpf_to_fraction, parse_fraction
+from .scalars import Point, fraction_str, parse_fraction
 from .series import LPObstructionResult, OperatorClass, PowerSeries
 
 SERIES_HEADER = "# zerodyn series 1"
@@ -43,25 +43,32 @@ MP_DIGITS = 40  # serialized digits of roots and other floating values
 
 
 def mpf_str(x) -> str:
-    """mpmath's ``nstr(x, MP_DIGITS, strip_zeros=True)`` of the exact value
-    of x (Fraction, int, float or mpf), on integers, as mpmath computes it
-    within 2^±3500: |x| floored to f bits (f for MP_DIGITS + 3 digits),
-    then to decimal; rounded half up on digit MP_DIGITS + 1; fixed point
-    for decimal exponents in (-13, MP_DIGITS), else ``e±n``."""
-    x = Fraction(x) if isinstance(x, (Fraction, int, float)) else mpf_to_fraction(x)
+    """The exact value of x (a Fraction, an int or a float) in decimal,
+    rounded to MP_DIGITS significant digits, half up on the exact
+    remainder; laid out as mpmath's ``nstr(x, MP_DIGITS, strip_zeros=True)``
+    lays out a value: fixed point for decimal exponents in
+    (-13, MP_DIGITS), else ``e±n``."""
+    x = Fraction(x)
     n, d = abs(x.numerator), x.denominator
     if not n:
         return "0.0"
-    mag = n.bit_length() - d.bit_length()
-    mag += (n << max(-mag, 0)) >= (d << max(mag, 0))  # 2^(mag-1) <= |x| < 2^mag
-    fixprec = max(int((MP_DIGITS + 3) * math.log(10, 2)) + 10 - mag, 0)
-    fixdps = int(fixprec / math.log(10, 2) + 0.5)
-    digits = str((n << fixprec) // d * 10**fixdps >> fixprec)
-    exponent = len(digits) - fixdps - 1
-    if digits[MP_DIGITS : MP_DIGITS + 1] >= "5":
-        digits = str(int(digits[:MP_DIGITS]) + 1)
-        exponent += len(digits) > MP_DIGITS
-    split, digits = 1, digits[:MP_DIGITS]
+    # 10^exponent <= |x| < 10^(exponent + 1); the bit-length estimate is
+    # off by at most one
+    exponent = math.floor((n.bit_length() - d.bit_length()) * math.log10(2))
+    while True:
+        k = MP_DIGITS - 1 - exponent
+        num, den = (n * 10**k, d) if k >= 0 else (n, d * 10**-k)
+        q, rem = divmod(num, den)
+        if q >= 10**MP_DIGITS:
+            exponent += 1
+        elif q < 10 ** (MP_DIGITS - 1):
+            exponent -= 1
+        else:
+            break
+    q += 2 * rem >= den
+    if q == 10**MP_DIGITS:
+        q, exponent = q // 10, exponent + 1
+    digits, split = str(q), 1
     if -13 < exponent < MP_DIGITS:
         digits, split, exponent = "0" * -exponent + digits, max(exponent, 0) + 1, 0
     body = "-" * (x < 0) + digits[:split] + "." + (digits[split:].rstrip("0") or "0")
@@ -69,7 +76,7 @@ def mpf_str(x) -> str:
 
 
 def mpc_pair(z):
-    """[re, im] decimal strings of a ``Point``, a complex or an mpc."""
+    """[re, im] decimal strings of a ``Point`` or a complex."""
     return [mpf_str(z.real), mpf_str(z.imag)]
 
 

@@ -3,9 +3,8 @@
 Exact values are `fractions.Fraction` (ints are coerced on the way in),
 and an exact complex value is a ``Point`` of two of them.  An irrational
 value, a root m^(1/p), is rounded once on integers to the nearest dyadic
-(``root_rounded``).  mpmath runs only where values stay irrational: the
-root finder's fallback rungs and the attractor experiment; ``to_mp`` and
-``mpf_to_fraction`` are the boundary.
+(``root_rounded``).  mpmath runs only on the root finder's fallback
+rungs; ``to_mp`` and ``mpf_to_fraction`` are the boundary.
 
 This module owns the package's one binding of mpmath, ``mp``, and makes
 it lazy: ``import zerodyn`` only finds mpmath, and its code runs on the

@@ -8,12 +8,14 @@ import pytest
 
 from zerodyn import (
     NotGeneralForm,
+    Point,
     Poly,
     PowerSeries,
     PureExponential,
     attractor_experiment,
     classify,
     convergence_experiment,
+    exp_dp_monomial,
     extend,
     find_roots,
     iterate_operator,
@@ -23,7 +25,7 @@ from zerodyn import (
     rescale_iterate,
     star_distance,
 )
-from zerodyn.scalars import to_mp
+from zerodyn.scalars import mpf_to_fraction, to_mp
 from conftest import as_mpc
 
 
@@ -37,28 +39,34 @@ PHI_C = extend(PowerSeries([1, 0, -1]), 8)   # 1 - x^2
 PHI_D = extend(PowerSeries([1, 1, 0, 1]), 8)  # 1 + x + x^3
 
 
+def as_point(z):
+    """The mpc (or mpf) z as the exact Point its dyadic parts stand for."""
+    return Point(mpf_to_fraction(mp.mpf(z.real)), mpf_to_fraction(mp.mpf(z.imag)))
+
+
 class TestStarDistance:
     def test_on_ray(self):
         assert star_distance(1, 2) == 0
 
     def test_perpendicular_to_real_axis(self):
-        assert star_distance(mp.mpc(0, 1), 2) == 1
+        assert star_distance(Point(F(0), F(1)), 2) == 1
 
     def test_oblique_point_planar_oracle(self):
         # independent oracle: rotate the point between two rays of the
         # p=3 star; its distance is |z| sin(angle to the nearest ray)
         with mp.workprec(128):
             z = mp.expjpi(mp.mpf(1) / 3)
-            got = star_distance(z, 3)
+            got = star_distance(as_point(z), 3)
             want = mp.sin(mp.pi / 3)
-            assert abs(got - want) < 1e-30
+            assert abs(to_mp(got, 128) - want) < 1e-30
 
     def test_rotation_invariance(self):
         with mp.workprec(128):
             z = mp.mpc("1.3", "0.4")
             for p in (2, 3, 5):
                 w = z * mp.expjpi(mp.mpf(2) / p)
-                assert abs(star_distance(z, p) - star_distance(w, p)) < 1e-30
+                got = star_distance(as_point(z), p) - star_distance(as_point(w), p)
+                assert abs(got) < 1e-30
 
     def test_rejects_p_below_two(self):
         with pytest.raises(ValueError):
@@ -245,7 +253,7 @@ class TestDiscrepancyOracle:
 class TestAttractor:
     def test_exact_coincidence_family(self):
         rep = attractor_experiment(PHI_A, monomial(3), [1, 2, 5, 10], 0.1)
-        assert abs(complex(rep.gamma) - 1j) < 1e-30
+        assert abs(to_mp(rep.gamma, 256) - 1j) < 1e-30
         for rec in rep.records:
             assert rec.containment_epsilon_needed < 1e-30
             assert rec.contained
@@ -253,7 +261,7 @@ class TestAttractor:
     def test_closed_form_pullback(self):
         rep = attractor_experiment(PHI_B, monomial(2), [100], 0.01)
         with mp.workprec(256):
-            assert abs(rep.gamma - mp.sqrt(mp.mpf(3) / 2)) < 1e-60
+            assert abs(to_mp(rep.gamma, 256) - mp.sqrt(mp.mpf(3) / 2)) < 1e-60
         assert rep.records[0].containment_epsilon_needed < 1e-30
 
     def test_decreasing_containment(self):
@@ -287,3 +295,60 @@ class TestAttractor:
             assert len(pulled) == len(direct)
             for w in pulled:
                 assert min(abs(w - z) for z in direct) < 1e-40
+
+
+def _mpc_attractor(phi, f, ms, epsilon, bits):
+    """(m, epsilon needed, star distance, contained) per m, from the mpc
+    distance loop the attractor ran before it moved to integers, at 4 bits:
+    gamma by ``mp.root``, the rays as exp(2 pi i k / p), |w - q| per pair."""
+    cls = classify(phi)
+    p, d = cls.p, int(f.degree)
+    with mp.workprec(4 * bits):
+        gamma = mp.root(-to_mp(cls.beta, 4 * bits), p)
+        rays = [mp.expjpi(mp.mpf(2 * k) / p) for k in range(p)]
+        base = find_roots(exp_dp_monomial(F(-1), p, d), bits)
+        limit = [gamma * as_mpc(r.location) for r in base.roots]
+        out = []
+        for m in ms:
+            scale = mp.mpf(m) ** (mp.mpf(1) / p)
+            shift = m * to_mp(cls.alpha, 4 * bits)
+            ws = [
+                (as_mpc(r.location) + shift) / scale
+                for r in find_roots(iterate_operator(phi, f, m), bits).roots
+            ]
+            eps = max(min(abs(w - q) for q in limit) for w in ws)
+            star = 0
+            for u in (w / gamma for w in ws):
+                near = []
+                for r in rays:
+                    t = (u * mp.conj(r)).real
+                    near.append(abs(u) if t <= 0 else abs(u - t * r))
+                star = max(star, min(near))
+            out.append((m, float(eps), float(star), eps < epsilon))
+    return gamma, out
+
+
+class TestAttractorOracle:
+    F4 = P(2, -2, 1) * P(4, 0, 1)  # zeros 1 +- i and +-2i
+
+    @pytest.mark.parametrize(
+        "phi, ms",
+        [
+            (PHI_B, [1, 2, 4, 8, 9]),  # p = 2, beta = -3/2: gamma real
+            (PHI_A, [1, 3, 4, 9, 10]),  # p = 2, beta = 1: gamma = i
+            (extend(PowerSeries([1, F(1, 2), F(1, 8), F(1, 5)]), 8), [1, 2, 8, 27]),
+        ],
+        ids=["p2-beta-negative", "p2-beta-positive", "p3"],
+    )
+    def test_matches_the_mpc_distance_loop(self, phi, ms):
+        bits, epsilon = 128, 0.75
+        gamma, want = _mpc_attractor(phi, self.F4, ms, epsilon, bits)
+        rep = attractor_experiment(phi, self.F4, ms, epsilon, bits)
+        with mp.workprec(4 * bits):
+            assert abs(to_mp(rep.gamma, 4 * bits) - gamma) <= mp.ldexp(1 + abs(gamma), -bits)
+        assert len({c for *_, c in want}) == 2  # both flags occur
+        for rec, (m, eps, star, contained) in zip(rep.records, want, strict=True):
+            assert (rec.m, rec.contained) == (m, contained)
+            for got, exp in ((rec.containment_epsilon_needed, eps),
+                             (rec.max_scaled_star_distance, star)):
+                assert abs(got - exp) <= 2.0**-50 * max(abs(exp), abs(got)), (m, got, exp)

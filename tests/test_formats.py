@@ -12,7 +12,7 @@ from zerodyn import Point, Poly, PowerSeries, build_plan, extend, find_roots
 from zerodyn.cli import main
 from zerodyn.dynamics import AttractorRecord, AttractorReport
 from zerodyn.poly import format_poly_inline
-from zerodyn.scalars import to_mp
+from zerodyn.scalars import mpf_to_fraction, to_mp
 from zerodyn.formats import (
     MP_DIGITS,
     attractor_payload,
@@ -200,13 +200,15 @@ class TestDecimalFormatter:
 
     def test_just_above_a_midpoint_as_in_mpmath(self):
         # mpmath floors |x| to about 152 bits before it takes decimal digits,
-        # so a 400-bit dyadic just above the midpoint 10^j (1 + 5 10^-40) can
-        # lose its excess and round down, where correct rounding ends in 1
+        # so it rounds a 400-bit dyadic just above the midpoint
+        # 10^j (1 + 5 10^-40) down; the exact remainder rounds it up, to
+        # 10^j (1 + 10^-39), which mpmath prints exactly
         for j in range(-15, 45):
             v = F(10) ** j * (1 + F(5, 10**40))
             x = F(math.ceil(v * 2**400), 2**400)
-            assert mpf_str(x) == _nstr(x), x
-        assert mpf_str(F(math.ceil((1 + F(5, 10**40)) * 2**400), 2**400)) == "1.0"
+            assert mpf_str(x) == _nstr(F(10) ** j * (1 + F(1, 10**39))), x
+        x = F(math.ceil((1 + F(5, 10**40)) * 2**400), 2**400)
+        assert mpf_str(x) == "1.000000000000000000000000000000000000001"
 
     def test_zero_floats_and_mpf(self):
         assert mpf_str(F(0)) == mpf_str(0) == mp.nstr(mp.mpf(0), MP_DIGITS) == "0.0"
@@ -214,7 +216,7 @@ class TestDecimalFormatter:
             assert mpf_str(v) == mp.nstr(mp.mpf(v), MP_DIGITS, strip_zeros=True)
         with mp.workprec(300):
             for v in (mp.sqrt(2), -mp.pi * 10**50, mp.exp(-100)):
-                assert mpf_str(v) == mp.nstr(v, MP_DIGITS, strip_zeros=True)
+                assert mpf_str(mpf_to_fraction(v)) == mp.nstr(v, MP_DIGITS, strip_zeros=True)
 
     def test_non_dyadic_degree_one_root(self):
         (root,) = rootset_payload(find_roots(Poly([-1, 3])))["roots"]

@@ -1,5 +1,7 @@
 """Exact-to-floating conversion, and the one rounding of an irrational root."""
 
+import math
+import struct
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -87,3 +89,21 @@ class TestRootRounded:
             else:
                 x = _positive_rational(rng, 500)
             assert dyadic_round(x, bits) == mpf_to_fraction(to_mp(x, bits)), (x, bits)
+
+    def test_53_bit_square_roots_are_the_ieee_sqrt(self):
+        # the attractor reports float(dyadic_round(x, 53, 2)) as sqrt(x)
+        rng = make_rng(11)
+        for _ in range(5000):
+            x = struct.unpack("<d", struct.pack("<Q", rng.getrandbits(63)))[0]
+            if math.isfinite(x) and x >= 2.0**-1000:
+                assert float(dyadic_round(F(x), 53, 2)) == math.sqrt(x), x
+
+    def test_square_root_just_off_a_midpoint_between_doubles(self):
+        # sqrt(mid^2 +- 2^-400) lies just off the midpoint mid of two
+        # doubles: only the exactness test tells which way it rounds
+        for k in (1, 2, 2**52 - 1, 12345):
+            lo = F(2**52 + k, 2**52)
+            mid = lo + F(1, 2**53)
+            assert dyadic_round(mid**2 + F(1, 2**400), 53, 2) == lo + F(1, 2**52)
+            assert dyadic_round(mid**2 - F(1, 2**400), 53, 2) == lo
+            assert dyadic_round(mid**2, 53, 2) == (lo if k % 2 == 0 else mid + F(1, 2**53))

@@ -16,7 +16,6 @@ import sys
 import types
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 
 from zerodyn import Poly, PowerSeries
@@ -82,6 +81,8 @@ CLI_PROBE = (
         ),
         ["zeros", "--poly", "x^2+2x+2"],
         ["jensen", "--p", "2", "--q", "6", "--roots"],
+        ["attractor", "--series", "poly:1-x^2", "--poly", "x^3", "--m-list", "1,2",
+         "--epsilon", "0.1"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -98,9 +99,10 @@ def test_construct_and_verify_construct_leave_mpmath_unexecuted(tmp_path):
 
 
 def test_floating_subcommand_leaves_plain_mpmath_module():
-    argv = ["attractor", "--series", "poly:1-x^2", "--poly", "x^3", "--m-list", "1,2",
-            "--epsilon", "0.1"]
-    assert _fresh(CLI_PROBE, *argv) == [0, True, True]
+    # 1 and 1 + 2^-60 are one double, so the root finder's fallback sweep runs
+    eps = Fraction(1, 2**60)
+    f = Poly([-1, 1]) * Poly([-1 - eps, 1]) * Poly([2, 0, 1])
+    assert _fresh(CLI_PROBE, "zeros", "--poly", str(f)) == [0, True, True]
 
 
 def test_json_report_leaves_csv_unimported():
@@ -142,9 +144,9 @@ def test_only_scalars_binds_mpmath():
 
 
 def test_mpmath_is_used_only_where_values_are_irrational():
-    # the fallback root rungs and the attractor; everything else is exact
+    # the fallback root rungs; everything else is exact
     hits = _package_lines_with("mp.", "to_mp")
-    allowed = ("scalars.py", "roots.py", "dynamics.py")
+    allowed = ("scalars.py", "roots.py")
     assert hits and all(h.split(":")[0] in allowed for h in hits), hits
 
 
@@ -165,7 +167,7 @@ def _instances():
             2, Fraction(1), Fraction(-1, 2), ((1, 0.5),), -0.5, False, Poly([1, 0, 1])
         ),
         record,
-        AttractorReport(2, Fraction(1), Fraction(-1), mp.mpc(0, 1), 0.5, (record,)),
+        AttractorReport(2, Fraction(1), Fraction(-1), top, 0.5, (record,)),
         root,
         RootSet((root,), 1, 256),
         ZeroCount(4, 2, 2, "exact", True),
