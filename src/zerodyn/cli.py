@@ -240,7 +240,7 @@ def _payload(args, cfg: RunConfig):
         g = poly.iterate_operator(phi, f, 1 if cmd == "apply" else args.m)
         payload = {"poly": str(g), **formats.poly_payload(g)}
         if cmd == "iterate" and args.op_count == "nonreal":
-            payload["nonreal"] = roots.count_nonreal(g, cfg.precision_bits).nonreal_count
+            payload["nonreal"] = roots.count_nonreal(g).nonreal_count
         return payload
 
     if cmd == "zeros":
@@ -251,7 +251,7 @@ def _payload(args, cfg: RunConfig):
         f = formats.resolve_poly(args.poly)
         phi = formats.resolve_series(args.series, min_order=max(2, f.degree))
         if cmd == "onset":
-            rep = dynamics.onset_scan(phi, f, cfg.m_max, cfg.precision_bits)
+            rep = dynamics.onset_scan(phi, f, cfg.m_max)
             return formats.onset_payload(rep)
         ms = _parse_m_list(args.m_list)
         if cmd == "converge":

@@ -72,7 +72,6 @@ def find_degree_witnesses(
     phi: PowerSeries,
     M: int,
     d_cap: int = DEFAULT_D_CAP,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> list[int]:
     """Increasing degrees d(1) < ... < d(M) with a nonreal zero per iterate.
 
@@ -91,7 +90,7 @@ def find_degree_witnesses(
         found = None
         for d in range(prev + 1, d_cap + 1):
             image = apply_operator(iterated, monomial(d))
-            if count_nonreal(image, precision_bits=precision_bits).nonreal_count > 0:
+            if count_nonreal(image).nonreal_count > 0:
                 found = d
                 break
         if found is None:
@@ -193,9 +192,7 @@ def _check_disks(
             witnessed[(m, k)] = _nearest(rs, c)
         ties.extend(rs.diagnostics)
         if count_totals:
-            nonreal_totals[m] = count_nonreal(
-                g_m, precision_bits=precision_bits, rs=rs
-            ).nonreal_count
+            nonreal_totals[m] = count_nonreal(g_m).nonreal_count
             if nonreal_totals[m] < N - m + 1:
                 raise VerificationFailed(
                     "nonreal-total",
@@ -293,7 +290,7 @@ def build_plan(
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> StagePlan:
     """Full pipeline: witnesses, targets, then the stagewise gamma search."""
-    degrees = find_degree_witnesses(phi, N, d_cap, precision_bits)
+    degrees = find_degree_witnesses(phi, N, d_cap)
     plan = pick_targets(phi, degrees, precision_bits)
     for k in range(1, N + 1):
         extend_plan(phi, plan, k, gamma0, max_halvings, precision_bits)

@@ -131,7 +131,6 @@ def onset_scan(
     phi: PowerSeries,
     f: Poly,
     m_max: int = DEFAULT_M_MAX,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> OnsetReport:
     """Scan m = 1..m_max for the onset of the terminal zero behavior.
 
@@ -168,7 +167,7 @@ def onset_scan(
     g = f
     for m in range(1, m_max + 1):
         g = apply_operator(phi, g)
-        zc = count_nonreal(g, precision_bits)
+        zc = count_nonreal(g)
         trace.append((m, zc.nonreal_count))
         if mode == "AllRealSimple":
             ok.append(zc.nonreal_count == 0 and zc.squarefree)
@@ -368,7 +367,7 @@ def attractor_experiment(
         worst_star = Fraction(worst_star, norm * norm) / s**2
         simple = None
         if d % p in (0, 1):
-            simple = count_nonreal(g, precision_bits=precision_bits, rs=rs).squarefree
+            simple = count_nonreal(g).squarefree
         records.append(
             AttractorRecord(
                 m=m,

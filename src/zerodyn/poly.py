@@ -29,8 +29,9 @@ from .scalars import (
     DEFAULT_PRECISION_BITS,
     as_fraction,
     common_denominator,
+    dyadic_round,
+    exact_nth_root,
     fraction_str,
-    root_rounded,
 )
 from .series import OperatorClass, PowerSeries
 
@@ -237,8 +238,18 @@ def translate(f: Poly, c) -> Poly:
 
 
 def _taylor_shift(b, c):
-    """Replace the coefficient list b of g(x) by that of g(x+c), in place."""
+    """Replace the coefficient list b of g(x) by that of g(x+c), in place.
+
+    Pass i sets b[j] += c b[j+1] for j = n-2 down to i, so for c = 1 each
+    pass is one running sum over the reversed list, which runs in C.
+    """
     n = len(b)
+    if c == 1:
+        r = b[::-1]
+        for i in range(n - 1, 0, -1):
+            r[: i + 1] = accumulate(r[: i + 1])
+        b[:] = r[::-1]
+        return
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
             b[j] += c * b[j + 1]
@@ -259,7 +270,8 @@ def rescale_iterate(
     (k-d) is a multiple of p or m is a perfect p-th power.  A coefficient
     whose factor is rational is exact; any other is rounded once, to the
     nearest dyadic rational with ``precision_bits`` significant bits
-    (``scalars.root_rounded``).
+    (``scalars.dyadic_round``).  Rationality is decided once per residue
+    of d - k mod p.
 
     ``_iterate`` lets sweep drivers pass in an already-computed
     phi(D)^m f instead of recomputing it from scratch.
@@ -277,8 +289,16 @@ def rescale_iterate(
     g = _iterate if _iterate is not None else iterate_operator(phi, f, m)
     g = translate(g, -m * cls.alpha)
 
-    # c m^((k-d)/p) = sign(c) (|c|^p / m^(d-k))^(1/p)
-    return Poly(
-        (-1 if c < 0 else 1) * root_rounded(abs(c) ** p / m ** (d - k), p, precision_bits)
-        for k, c in enumerate(g.coeffs)
-    )
+    # c m^((k-d)/p) = c / (m^q m^(r/p)) with (q, r) = divmod(d - k, p): exact
+    # iff m^r is a perfect p-th power, else sign(c) (|c|^p / m^(d-k))^(1/p)
+    # rounded once
+    exact = [exact_nth_root(m**r, p) for r in range(p)]
+    out = []
+    for k, c in enumerate(g.coeffs):
+        q, r = divmod(d - k, p)
+        if exact[r] is not None:
+            out.append(c / (m**q * exact[r]))
+        else:
+            root = dyadic_round(abs(c) ** p / m ** (d - k), precision_bits, p)
+            out.append(-root if c < 0 else root)
+    return Poly(out)

@@ -20,18 +20,19 @@ Two routes, deliberately independent:
   certifies its positions, with disks at that precision; a factor it
   does not certify is swept again at doubled precision, up to
   ``MAX_PRECISION_DOUBLINGS`` times, before ``NoConvergence``;
-* an exact route: the integer primitive remainder sequence (PRS) of F and
-  F' is a Sturm chain ending in gcd(F, F'); a square-free F is answered
-  from that one chain, repeated factors rerun it on the gcd, and the Yun
-  split of find_roots takes its gcds from the same PRS.  No tolerances
-  are involved.
+* an exact route, on the primitive integer multiple F of f, in one of two
+  ways chosen by degree.  Below ``DESCARTES_MIN_DEGREE`` the integer
+  primitive remainder sequence (PRS) of F and F' is a Sturm chain ending in
+  gcd(F, F'); a square-free F is answered from that one chain, and
+  repeated factors rerun it on the gcd.  From that degree up, where the
+  PRS coefficients grow to thousands of bits, the square-free factors
+  (the modular certificate, else Yun's split, whose gcds come from the
+  same PRS) have their real zeros counted by Descartes bisection.  No
+  tolerances are involved.
 
 ``count_nonreal`` is the one entry point for "how many nonreal zeros,
 and are all zeros simple" (``ZeroCount.squarefree``); every other
-caller in the library goes through it.  It takes the exact route up to
-degree 64 (``EXACT_DEGREE_LIMIT``), where PRS coefficients start to blow
-up in bit size; above it, it counts the certified roots with imaginary
-part exactly 0 as real, so the count stays exact.
+caller in the library goes through it, and it is exact at every degree.
 """
 
 from __future__ import annotations
@@ -39,14 +40,15 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DegreeZero, NoConvergence
-from .poly import Poly
+from .poly import Poly, _taylor_shift
 from .records import Record
 from .scalars import DEFAULT_PRECISION_BITS, Point, as_fraction, common_denominator
 from .scalars import mp, mpf_to_fraction, on_grid, to_mp
 
-EXACT_DEGREE_LIMIT = 64
+DESCARTES_MIN_DEGREE = 24  # _exact_profile's route: Sturm PRS below, Descartes from here
 GUARD_BITS = 64
 MAX_SWEEPS = 400
 MAX_PRECISION_DOUBLINGS = 3  # sweep rungs past the working precision
@@ -96,7 +98,7 @@ class ZeroCount(Record):
     total: int
     real_count: int
     nonreal_count: int
-    method: str  # "exact" (Sturm chain, degree <= 64) | "certified" (find_roots)
+    method: str  # "exact": Sturm chain, or Descartes bisection from DESCARTES_MIN_DEGREE
     squarefree: bool  # every zero has multiplicity 1
 
 
@@ -714,67 +716,158 @@ def _squarefree_split(c):
     return _yun_squarefree(c)
 
 
-def _sign_variations(signs):
+def _sign_variations(values):
+    """Sign changes along ``values``, zeros skipped."""
+    signs = [v > 0 for v in values if v]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _exact_profile(f: Poly):
-    """(real_count_with_mult, nonreal_count, is_squarefree) for rational f.
+def _sturm_profile(c):
+    """(real zeros with multiplicity, square-free) of the rational list ``c``.
 
     F's Sturm chain counts its distinct real zeros and ends in G = gcd(F, F'),
     which has every zero of F once less, so the real zeros with multiplicity
     are the distinct ones of F, G, gcd(G, G'), ...: one chain if F is square-free.
     """
-    total = len(f.coeffs) - 1  # count_nonreal answers degree < 1 itself
-    g = _integer_part(f.coeffs)
+    g = _integer_part(c)
     real, squarefree = 0, True
     while True:
         chain = _prs(g, _primitive(_diff(g)))
-        at_plus = [(c[-1] > 0) - (c[-1] < 0) for c in chain]
-        at_minus = [s * (-1) ** (len(c) - 1) for s, c in zip(at_plus, chain)]
+        at_plus = [p[-1] for p in chain]
+        at_minus = [x if len(p) & 1 else -x for x, p in zip(at_plus, chain)]
         real += _sign_variations(at_minus) - _sign_variations(at_plus)
         g = _primitive(chain[-1])
         if len(g) == 1:
-            return real, total - real, squarefree
+            return real, squarefree
         squarefree = False
 
 
-def count_nonreal(
-    f: Poly,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    rs: RootSet | None = None,
-) -> ZeroCount:
+def _variations_01(q):
+    """V, the sign variations of (x+1)^n q(1/(x+1)), or 2 if V >= 2.
+
+    q's list holds x^n q(1/x) highest coefficient first, the order in
+    which ``poly._taylor_shift`` runs its running sums for a shift by 1,
+    so the same sums leave the transform, highest first.  The count is read as the shift runs: the pass over b[:i+1] leaves
+    b[i] final, so it stops once it reaches 2, some 20 % sooner on the
+    degree-32 to 48 onset iterates than a full shift.  b[0] = q(0) never
+    changes.
+    """
+    b = list(q)
+    v, last = 0, None
+    for i in range(len(b) - 1, 0, -1):
+        b[: i + 1] = accumulate(b[: i + 1])
+        if b[i]:
+            s = b[i] > 0
+            if s != last and last is not None:
+                v += 1
+                if v == 2:
+                    return v
+            last = s
+    return v + (b[0] != 0 and last is not None and (b[0] > 0) != last)
+
+
+def _zeros_01(q):
+    """Zeros in (0, 1) of the square-free integer polynomial ``q``.
+
+    Vincent-Collins-Akritas bisection.  With V from ``_variations_01``,
+    Descartes' rule makes V minus the zeros in (0, 1) even and >= 0, so
+    V <= 1 is the count.  Otherwise (0, 1) is split at 1/2: l(x) = 2^n
+    q(x/2) on (0, 1) holds q's zeros in (0, 1/2), l(x+1) those in (1/2, 1),
+    and q(1/2) = 0 iff l(1) = 0, the constant term of l(x+1).  A zero at
+    an end point, 0 or 1, drops out of V, so it is never counted; the
+    bisection ends because q is square-free.
+    """
+    count, todo = 0, [q]
+    while todo:
+        q = todo.pop()
+        v = _variations_01(q)
+        if v < 2:
+            count += v
+            continue
+        n = len(q) - 1
+        left = [x << (n - k) for k, x in enumerate(q)]
+        right = list(left)
+        _taylor_shift(right, 1)
+        count += right[0] == 0
+        todo += [left, right]
+    return count
+
+
+def _positive_zeros(a):
+    """Positive zeros of the square-free integer polynomial ``a``, a[0] != 0.
+
+    At most one sign variation answers by Descartes' rule.  Otherwise
+    every positive zero lies below Kioustelidis' bound
+    2 max |a_k / a_n|^(1/(n-k)) over the a_k of sign opposite to a_n.  With
+    b(x) the bit length of |x|, |a_k / a_n| < 2^(b(a_k) - b(a_n) + 1), so
+    every positive zero is below 2^s,
+    s = 1 + max ceil((b(a_k) - b(a_n) + 1) / (n - k)),
+    and a(2^s x), times 2^(-sn) when s < 0, has them in (0, 1).
+    """
+    v = _sign_variations(a)
+    if v < 2:
+        return v
+    n = len(a) - 1
+    lead, bits = a[-1] > 0, a[-1].bit_length()
+    s = 1 + max(
+        -((bits - 1 - x.bit_length()) // (n - k))
+        for k, x in enumerate(a[:-1])
+        if x and (x > 0) != lead
+    )
+    if s >= 0:
+        return _zeros_01([x << s * k for k, x in enumerate(a)])
+    return _zeros_01([x << -s * (n - k) for k, x in enumerate(a)])
+
+
+def _descartes_profile(c):
+    """(real zeros with multiplicity, square-free) of the rational list ``c``.
+
+    A zero root counts with its multiplicity.  Each square-free factor
+    from ``_squarefree_split`` of the rest, as its primitive integer
+    multiple F, adds the positive zeros of F(x) and of F(-x), times its
+    multiplicity.
+    """
+    nzero = 0
+    while c[nzero] == 0:
+        nzero += 1
+    real, squarefree = nzero, nzero <= 1
+    for factor, mult in _squarefree_split(c[nzero:]):
+        F = _integer_part(factor)
+        mirror = [-x if k & 1 else x for k, x in enumerate(F)]
+        real += mult * (_positive_zeros(F) + _positive_zeros(mirror))
+        squarefree = squarefree and mult == 1
+    return real, squarefree
+
+
+def _exact_profile(f: Poly):
+    """(real_count_with_mult, nonreal_count, is_squarefree) for rational f
+    of degree >= 1: ``_sturm_profile`` below ``DESCARTES_MIN_DEGREE``,
+    ``_descartes_profile`` from it up, where the PRS coefficients grow too
+    large.
+    """
+    total = len(f.coeffs) - 1
+    profile = _sturm_profile if total < DESCARTES_MIN_DEGREE else _descartes_profile
+    real, squarefree = profile(f.coeffs)
+    return real, total - real, squarefree
+
+
+def count_nonreal(f: Poly) -> ZeroCount:
     """Count nonreal zeros with multiplicity and tell whether f is square-free.
 
     f has rational coefficients; a constant, the zero polynomial too, has
-    no zeros (Z_C(0) = 0).  Up to degree 64 the count takes the exact
-    route (one integer primitive PRS of f and f', rerun on gcd(f, f')
-    only for repeated factors; ``method`` "exact"); no
-    tolerance enters.  Above it, roots are located at ``precision_bits``
-    (or taken from ``rs``, a RootSet of f the caller already holds) and
-    counted from ``find_roots``' certificate: a root is real iff its
-    imaginary part is exactly 0 (``method`` "certified").  Multiplicities
-    from ``find_roots`` are exact, so ``squarefree`` is exact at any
-    degree.  Solving there at a ``precision_bits`` below 1 is
-    ``find_roots``' ValueError.
+    no zeros (Z_C(0) = 0).  The count is exact at every degree
+    (``_exact_profile``; ``method`` "exact"), with no tolerance.
     """
     deg = f.degree
     if deg < 1:
         return ZeroCount(0, 0, 0, "exact", True)
-    deg = int(deg)
-    if deg <= EXACT_DEGREE_LIMIT:
-        real, nonreal, squarefree = _exact_profile(f)
-        return ZeroCount(deg, real, nonreal, "exact", squarefree)
-    if rs is None:
-        rs = find_roots(f, precision_bits)
-    real = sum(r.multiplicity for r in rs.roots if r.location.imag == 0)
-    squarefree = all(r.multiplicity == 1 for r in rs.roots)
-    return ZeroCount(deg, real, deg - real, "certified", squarefree)
+    real, nonreal, squarefree = _exact_profile(f)
+    return ZeroCount(int(deg), real, nonreal, "exact", squarefree)
 
 
-def all_real_simple(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> bool:
+def all_real_simple(f: Poly) -> bool:
     """True iff every zero of f is real and simple."""
-    zc = count_nonreal(f, precision_bits)
+    zc = count_nonreal(f)
     return zc.nonreal_count == 0 and zc.squarefree
 
 

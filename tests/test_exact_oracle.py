@@ -1,11 +1,13 @@
-"""Exact zero profile and Yun factors against sympy's sqf_list/count_roots."""
+"""Exact zero profile and Yun factors against sympy's sqf_list/count_roots,
+and both counting routes (Sturm and Descartes) against sympy's real-root
+isolation at every degree."""
 
 from fractions import Fraction as F
 
 import pytest
 
 from zerodyn import Poly, count_nonreal, roots
-from conftest import make_rng, random_poly
+from conftest import dyadic, make_rng, random_poly
 
 sp = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
@@ -13,6 +15,7 @@ st = hypothesis.strategies
 
 X = sp.Symbol("x")
 MERSENNE = 2**61 - 1
+D0 = roots.DESCARTES_MIN_DEGREE
 
 
 def P(*coeffs):
@@ -90,3 +93,90 @@ def test_seeded_up_to_degree_64():
     # degree 64: repeated real, repeated nonreal and generic factors
     g = random_poly(rng, 12) ** 2 * P(F(2, 7), 0, 1) ** 3 * P(F(-3, 5), 1) ** 4
     _check(g * random_poly(rng, 16) * P(0, 1) ** 14)
+
+
+def _isolated(f):
+    """(real zeros with multiplicity, square-free) by sympy's sqf_list and
+    its real-root isolation, which stays fast where count_roots' Sturm
+    sequences blow up (4 s at d = 64, 21 s at d = 80)."""
+    cs = [sp.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
+    _, factors = sp.Poly(cs, X, domain="QQ").sqf_list()
+    real = sum(m * len(g.intervals()) for g, m in factors)
+    return real, all(m == 1 for _, m in factors)
+
+
+def _check_count(f):
+    """count_nonreal, by whichever route the degree picks, against sympy."""
+    real, squarefree = _isolated(f)
+    zc = count_nonreal(f)
+    assert (zc.real_count, zc.nonreal_count, zc.squarefree) == (
+        real, int(f.degree) - real, squarefree
+    )
+    return real, squarefree
+
+
+def _hard_inputs(rng, d):
+    """Degree-d inputs: repeated real and nonreal factors with a double zero
+    root, a real pair 2^-60 apart, and a nonreal pair +-10^-10 i."""
+    yield P(F(-2, 3), 1) ** 3 * P(F(1, 5), 0, 1) ** 2 * P(0, 1) ** 2 * random_poly(rng, d - 9)
+    yield P(-1, 1) * P(-1 - F(1, 2**60), 1) * random_poly(rng, d - 2)
+    yield P(F(1, 10**20), 0, 1) * random_poly(rng, d - 2)
+
+
+@pytest.mark.parametrize("d", [D0 - 1, D0, 40, 64])
+def test_both_routes_at_degree(d):
+    rng = make_rng(d)
+    for f in [random_poly(rng, d), *_hard_inputs(rng, d)]:
+        expected = _check_count(f)
+        assert roots._sturm_profile(f.coeffs) == expected
+        assert roots._descartes_profile(f.coeffs) == expected
+
+
+@pytest.mark.parametrize("d", [80, 120])
+def test_descartes_above_degree_64(d):
+    rng = make_rng(d)
+    for f in _hard_inputs(rng, d):
+        _check_count(f)
+
+
+def test_dyadic_input_at_degree_64():
+    # small rational coefficients rounded to 256 bits: the Sturm chain of
+    # the ~256-bit integers takes seconds here
+    for seed in range(3):
+        _check_count(dyadic(random_poly(make_rng(seed), 64, monic=True), 256))
+
+
+def test_zeros_on_bisection_points():
+    # dyadic zeros fall on the bisection's midpoints and end points; a
+    # squared factor and the zero root count with their multiplicity
+    f = P(1)
+    for k in range(-12, 13):
+        f = f * P(F(-k, 8), 1)
+    for g, expected in ((f, (25, True)), (f * P(F(-3, 4), 1) ** 2, (27, False))):
+        assert _check_count(g) == expected
+        assert roots._sturm_profile(g.coeffs) == expected
+        assert roots._descartes_profile(g.coeffs) == expected
+
+
+close_pair = st.builds(
+    lambda a, k: P(-a, 1) * P(-a - F(1, 2**k), 1), fractions, st.integers(1, 80)
+)
+
+
+@hypothesis.settings(
+    max_examples=80, deadline=None, derandomize=True, database=None
+)
+@hypothesis.given(
+    st.lists(
+        st.tuples(st.one_of(factor, close_pair), st.integers(1, 3)), min_size=1, max_size=5
+    )
+)
+def test_sturm_and_descartes_profiles_agree(parts):
+    # both routes on the same input, whichever one DESCARTES_MIN_DEGREE picks
+    f = P(1)
+    for g, m in parts:
+        f = f * g**m
+    hypothesis.assume(f.degree >= 1)
+    expected = _isolated(f)
+    assert roots._sturm_profile(f.coeffs) == expected
+    assert roots._descartes_profile(f.coeffs) == expected

@@ -590,6 +590,14 @@ class TestExactPolynomialIsCertified:
         _exactly_real_or_conjugate(rs.locations(), len(reals))
 
 
+def _count_from_roots(rs):
+    """The ZeroCount that the certified roots of ``rs`` give."""
+    deg = rs.total_multiplicity()
+    real = sum(r.multiplicity for r in rs.roots if r.location.imag == 0)
+    squarefree = all(r.multiplicity == 1 for r in rs.roots)
+    return roots.ZeroCount(deg, real, deg - real, "exact", squarefree)
+
+
 class TestCountNonreal:
     def test_cubic_with_imaginary_pair(self):
         zc = count_nonreal(P(0, 6, 0, 1))
@@ -636,28 +644,28 @@ class TestCountNonreal:
             assert exact.squarefree == floating.squarefree
 
     def test_given_rootset_matches_fresh_solve(self, rng):
+        # the roots find_roots certifies real (imaginary part exactly 0)
+        # are the exact count's real zeros, with multiplicity
         for _ in range(10):
             f = dyadic(random_poly(rng, rng.randint(1, 10)), 256)
-            assert count_nonreal(f, rs=find_roots(f)) == count_nonreal(f)
+            assert _count_from_roots(find_roots(f)) == count_nonreal(f)
 
-    def test_precision_below_one_rejected_above_exact_limit(self):
-        f = P(*([1] * 66))  # degree 65: counted from find_roots
-        for bits in (0, -5):
-            with pytest.raises(ValueError, match="precision_bits"):
-                count_nonreal(f, bits)
+    def test_degree_65_agrees_with_certified_roots(self):
+        f = P(*([1] * 66))  # degree 65: counted by Descartes bisection
+        assert count_nonreal(f) == _count_from_roots(find_roots(f))
 
-    def test_degree_above_exact_limit_is_certified(self):
+    def test_degree_above_64_is_exact(self):
         # (x^66 - 1) / (x - 1): the 66th roots of unity but 1, of which
         # only -1 is real
         f = Poly([1] * 66)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             zc = count_nonreal(f)
-        assert zc == roots.ZeroCount(65, 1, 64, "certified", True)
+        assert zc == roots.ZeroCount(65, 1, 64, "exact", True)
         # zeros +-10^-10 i, which a 1e-9 relative realness band would
         # call real
         g = P(F(1, 10**20), 0, 1) * Poly([1] * 64)
-        assert count_nonreal(g) == roots.ZeroCount(65, 1, 64, "certified", True)
+        assert count_nonreal(g) == roots.ZeroCount(65, 1, 64, "exact", True)
 
 
 class TestAllRealSimple:

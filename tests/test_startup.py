@@ -67,6 +67,12 @@ CLI_PROBE = (
         ["lp-test", "--series", "poly:1+x+x^2", "--d-max", "5"],
         ["iterate", "--series", "poly:1+x^2", "--poly", "x^3", "--m", "5",
          "--op-count", "nonreal"],
+        # above degree 64 the count is exact too, by Descartes bisection
+        pytest.param(
+            ["iterate", "--series", "poly:1+x^2", "--poly", "x^70-x+1", "--m", "2",
+             "--op-count", "nonreal"],
+            id="iterate-degree-70",
+        ),
         ["discrepancy", "--series", "poly:1-x^2", "--d", "4", "--m", "100"],
         ["converge", "--series", "poly:1-x^2", "--poly", "x^4", "--m-list", "1,4,9"],
         # rounding an irrational m^(1/p), certifying roots and printing them
