@@ -10,12 +10,11 @@ plotting.  Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 
-from . import construct as construct_mod
-from . import dynamics, formats, limits, poly, roots, series
 from .errors import (
     GammaSearchExhausted,
     NoConvergence,
@@ -24,7 +23,25 @@ from .errors import (
     ZerodynError,
 )
 from .records import Record
-from .scalars import DEFAULT_PRECISION_BITS, exact_nth_root, parse_fraction
+from .scalars import (
+    DEFAULT_D_CAP,
+    DEFAULT_M_MAX,
+    DEFAULT_PRECISION_BITS,
+    _lazy_import,
+    exact_nth_root,
+    parse_fraction,
+)
+
+# Bound lazily, not by an import statement (which would read ``__spec__``
+# and so execute the module): a job executes the modules its subcommand uses.
+construct_mod = _lazy_import("zerodyn.construct")
+dynamics = _lazy_import("zerodyn.dynamics")
+exact = _lazy_import("zerodyn.exact")
+formats = _lazy_import("zerodyn.formats")
+limits = _lazy_import("zerodyn.limits")
+poly = _lazy_import("zerodyn.poly")
+roots = _lazy_import("zerodyn.roots")
+series = _lazy_import("zerodyn.series")
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -75,9 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     int_options = [  # (flag, default, help) of every subcommand
         ("--precision-bits", _env_default("ZERODYN_PRECISION_BITS", int, DEFAULT_PRECISION_BITS),
          "binary working precision for floating paths"),
-        ("--m-max", _env_default("ZERODYN_M_MAX", int, dynamics.DEFAULT_M_MAX),
+        ("--m-max", _env_default("ZERODYN_M_MAX", int, DEFAULT_M_MAX),
          "iterate sweep bound for onset scans"),
-        ("--d-cap", _env_default("ZERODYN_D_CAP", int, construct_mod.DEFAULT_D_CAP),
+        ("--d-cap", _env_default("ZERODYN_D_CAP", int, DEFAULT_D_CAP),
          "degree cap for witness searches"),
     ]
     parser = argparse.ArgumentParser(
@@ -240,7 +257,7 @@ def _payload(args, cfg: RunConfig):
         g = poly.iterate_operator(phi, f, 1 if cmd == "apply" else args.m)
         payload = {"poly": str(g), **formats.poly_payload(g)}
         if cmd == "iterate" and args.op_count == "nonreal":
-            payload["nonreal"] = roots.count_nonreal(g).nonreal_count
+            payload["nonreal"] = exact.count_nonreal(g).nonreal_count
         return payload
 
     if cmd == "zeros":
@@ -264,8 +281,8 @@ def _payload(args, cfg: RunConfig):
         phi = formats.resolve_series(args.series, min_order=args.d)
         cls = series.classify(phi)
         value = dynamics.operator_discrepancy(cls, phi, args.d, args.m, cfg.precision_bits)
-        exact = str(value) if exact_nth_root(args.m, cls.p) is not None else None
-        return {"d": args.d, "m": args.m, "discrepancy": float(value), "exact": exact}
+        text = str(value) if exact_nth_root(args.m, cls.p) is not None else None
+        return {"d": args.d, "m": args.m, "discrepancy": float(value), "exact": text}
 
     if cmd == "limit-poly":
         g = limits.exp_dp_monomial(parse_fraction(args.beta), args.p, args.d)
@@ -315,6 +332,19 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run the CLI on ``argv`` (default ``sys.argv[1:]``); the exit code.
+
+    Unless something in the process has frozen already, it first moves
+    every object alive at entry (modules, classes, the parser machinery)
+    to the garbage collector's permanent generation (``gc.freeze()``), so
+    neither the run's full collections nor those at interpreter exit
+    traverse them again.  The effect is process-wide: an in-process
+    caller's objects alive at that first call are never examined by the
+    cyclic collector afterwards (reference counting still frees them),
+    and later calls freeze nothing more.
+    """
+    if not gc.get_freeze_count():
+        gc.freeze()
     try:
         parser = build_parser()  # reads the ZERODYN_* defaults
     except ValueError as exc:

@@ -26,13 +26,13 @@ from .errors import (
     VerificationFailed,
     WitnessNotFound,
 )
+from .exact import count_nonreal
 from .poly import Poly, apply_operator, derivative, monomial
 from .records import Record
-from .roots import count_nonreal, find_roots, roots_in_disk
-from .scalars import DEFAULT_PRECISION_BITS, Point, as_fraction, on_grid
+from .roots import find_roots, roots_in_disk
+from .scalars import DEFAULT_D_CAP, DEFAULT_PRECISION_BITS, Point, as_fraction, on_grid
 from .series import PowerSeries, factor_out_zero, truncated_power
 
-DEFAULT_D_CAP = 40
 DEFAULT_MAX_HALVINGS = 60
 
 

@@ -26,13 +26,15 @@ from .errors import (
     TruncationTooShort,
     ZeroConstantTerm,
 )
+from .exact import count_nonreal
 from .limits import exp_dp_monomial
 from .poly import Poly, apply_operator, rescale_iterate
 from .records import Record
-from .roots import count_nonreal, find_roots
 from .scalars import (
+    DEFAULT_M_MAX,
     DEFAULT_PRECISION_BITS,
     Point,
+    _lazy_import,
     as_fraction,
     dyadic_round,
     on_grid,
@@ -47,7 +49,7 @@ from .series import (
     turan_expression,
 )
 
-DEFAULT_M_MAX = 200
+roots = _lazy_import("zerodyn.roots")  # the root finder runs on the attractor path only
 
 
 class OnsetReport(Record):
@@ -97,7 +99,7 @@ def _require_general(phi: PowerSeries) -> OperatorClass:
 
 def _binomial_zeros(c: Fraction, p: int, precision_bits: int):
     """The p certified zeros of x^p + c."""
-    return find_roots(Poly([c] + [0] * (p - 1) + [1]), precision_bits).locations()
+    return roots.find_roots(Poly([c] + [0] * (p - 1) + [1]), precision_bits).locations()
 
 
 def _star_sq(x, y, rays, norm):
@@ -337,7 +339,7 @@ def attractor_experiment(
     gr, gi = gamma.real, gamma.imag
     limit = [
         Point(gr * z.real - gi * z.imag, gr * z.imag + gi * z.real)
-        for z in find_roots(exp_dp_monomial(Fraction(-1), p, d), precision_bits).locations()
+        for z in roots.find_roots(exp_dp_monomial(Fraction(-1), p, d), precision_bits).locations()
     ]
     eps_sq = Fraction(epsilon) ** 2
     records = []
@@ -347,7 +349,7 @@ def attractor_experiment(
         for _ in range(m - last):
             g = apply_operator(phi, g)
         last = m
-        rs = find_roots(g, precision_bits)
+        rs = roots.find_roots(g, precision_bits)
         # w = W / s with W = z + m alpha and s = m^(1/p): compare W with
         # s gamma zeta and with the rays, as integers on one grid
         s = root_rounded(Fraction(m), p, precision_bits)

@@ -22,14 +22,17 @@ import json
 import math
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .construct import CounterexampleReport, StagePlan
-from .dynamics import AttractorReport, ConvergenceReport, OnsetReport
 from .limits import ml_partial
 from .poly import Poly
-from .roots import RootSet
 from .scalars import Point, fraction_str, parse_fraction
 from .series import LPObstructionResult, OperatorClass, PowerSeries
+
+if TYPE_CHECKING:  # report classes: a payload reads them, a job may not need their modules
+    from .construct import CounterexampleReport, StagePlan
+    from .dynamics import AttractorReport, ConvergenceReport, OnsetReport
+    from .roots import RootSet
 
 SERIES_HEADER = "# zerodyn series 1"
 POLY_HEADER = "# zerodyn poly 1"
@@ -345,6 +348,8 @@ def plan_from_payload(data) -> StagePlan:
     reads as the rational it spells), so the plan checks exactly the disks
     the construction built.
     """
+    from .construct import StagePlan
+
     if not isinstance(data, dict):
         raise ValueError(f"a plan is a JSON object, not {type(data).__name__}")
     prec = _plan_field(data, "precision_bits", int)

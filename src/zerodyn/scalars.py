@@ -10,9 +10,10 @@ This module owns the package's one binding of mpmath, ``mp``, and makes
 it lazy: ``import zerodyn`` only finds mpmath, and its code runs on the
 first attribute access (``mp.mpf``, a call of ``to_mp``), so the exact
 routes never execute it; once loaded ``mp`` is the plain
-``sys.modules["mpmath"]`` module.  On Python < 3.12
-``importlib.util.LazyLoader`` is not safe against two threads making the
-first access at once; zerodyn starts no threads.
+``sys.modules["mpmath"]`` module.  The package uses the same
+``_lazy_import`` for its own submodules (see ``zerodyn/__init__.py``).  On
+Python < 3.12 ``importlib.util.LazyLoader`` is not safe against two
+threads making the first access at once; zerodyn starts no threads.
 """
 
 from __future__ import annotations
@@ -42,7 +43,11 @@ def _lazy_import(name):
 
 mp = _lazy_import("mpmath")
 
+# The library's defaults, and the CLI's unless a ZERODYN_* variable overrides
+# them; here, so the CLI reads them without executing the modules that use them.
 DEFAULT_PRECISION_BITS = 256
+DEFAULT_M_MAX = 200  # onset scans: iterates swept
+DEFAULT_D_CAP = 40  # witness searches: degree cap
 
 _NEAREST = "n"  # mpmath.libmp.round_nearest, spelled out so no import runs it
 

@@ -261,8 +261,8 @@ def polya_lp_test(phi: PowerSeries, d_max: int) -> LPObstructionResult:
     monomial factor x^mu of phi only differentiates and never creates
     nonreal zeros, so it is stripped first.
     """
+    from . import exact as _exact
     from . import poly as _poly
-    from . import roots as _roots
 
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
@@ -276,7 +276,7 @@ def polya_lp_test(phi: PowerSeries, d_max: int) -> LPObstructionResult:
     witness = None
     for d in range(1, d_max + 1):
         image = _poly.apply_operator(psi, _poly.monomial(d))
-        z = _roots.count_nonreal(image)
+        z = _exact.count_nonreal(image)
         counts.append(z.nonreal_count)
         if witness is None and z.nonreal_count > 0:
             witness = d

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from zerodyn import Poly, count_nonreal, roots
+from zerodyn import Poly, count_nonreal, exact
 from conftest import dyadic, make_rng, random_poly
 
 sp = pytest.importorskip("sympy")
@@ -15,7 +15,7 @@ st = hypothesis.strategies
 
 X = sp.Symbol("x")
 MERSENNE = 2**61 - 1
-D0 = roots.DESCARTES_MIN_DEGREE
+D0 = exact.DESCARTES_MIN_DEGREE
 
 
 def P(*coeffs):
@@ -41,7 +41,7 @@ def _check(f):
     assert zc.method == "exact"
     assert (zc.total, zc.real_count, zc.nonreal_count) == (deg, real, deg - real)
     assert zc.squarefree == (set(yun) == {1})
-    assert {m: g for g, m in roots._yun_squarefree(list(f.coeffs))} == yun
+    assert {m: g for g, m in exact._yun_squarefree(list(f.coeffs))} == yun
 
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
@@ -128,8 +128,8 @@ def test_both_routes_at_degree(d):
     rng = make_rng(d)
     for f in [random_poly(rng, d), *_hard_inputs(rng, d)]:
         expected = _check_count(f)
-        assert roots._sturm_profile(f.coeffs) == expected
-        assert roots._descartes_profile(f.coeffs) == expected
+        assert exact._sturm_profile(f.coeffs) == expected
+        assert exact._descartes_profile(f.coeffs) == expected
 
 
 @pytest.mark.parametrize("d", [80, 120])
@@ -154,8 +154,8 @@ def test_zeros_on_bisection_points():
         f = f * P(F(-k, 8), 1)
     for g, expected in ((f, (25, True)), (f * P(F(-3, 4), 1) ** 2, (27, False))):
         assert _check_count(g) == expected
-        assert roots._sturm_profile(g.coeffs) == expected
-        assert roots._descartes_profile(g.coeffs) == expected
+        assert exact._sturm_profile(g.coeffs) == expected
+        assert exact._descartes_profile(g.coeffs) == expected
 
 
 close_pair = st.builds(
@@ -178,5 +178,5 @@ def test_sturm_and_descartes_profiles_agree(parts):
         f = f * g**m
     hypothesis.assume(f.degree >= 1)
     expected = _isolated(f)
-    assert roots._sturm_profile(f.coeffs) == expected
-    assert roots._descartes_profile(f.coeffs) == expected
+    assert exact._sturm_profile(f.coeffs) == expected
+    assert exact._descartes_profile(f.coeffs) == expected

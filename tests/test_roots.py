@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from zerodyn import roots
+from zerodyn import exact, roots
 from zerodyn import (
     DegreeZero,
     NoConvergence,
@@ -289,11 +289,11 @@ class TestPrecisionLadder:
         assert starts == [[mp.mpc(z) for z in seen[-1]]]
 
     def test_certificate_inconclusive_takes_yun(self, monkeypatch):
-        p = roots.SQUAREFREE_PRIME
+        p = exact.SQUAREFREE_PRIME
         calls = []
-        real = roots._yun_squarefree
+        real = exact._yun_squarefree
         monkeypatch.setattr(
-            roots, "_yun_squarefree", lambda c: calls.append(1) or real(c)
+            exact, "_yun_squarefree", lambda c: calls.append(1) or real(c)
         )
         # lc divisible by p: (p x - 1)(x + 2), then with (p x - 1) squared
         rs = find_roots(P(-1, p) * P(2, 1))
@@ -313,14 +313,14 @@ class TestPrecisionLadder:
             if rng.random() < 0.5:
                 f = f * random_poly(rng, rng.randint(1, 3)) ** 2
             cs = list(f.coeffs)
-            squarefree = [m for _, m in roots._yun_squarefree(cs)] == [1]
-            assert roots._certified_squarefree(cs) == squarefree
+            squarefree = [m for _, m in exact._yun_squarefree(cs)] == [1]
+            assert exact._certified_squarefree(cs) == squarefree
 
     def test_yun_known_factors(self):
         # (x^2 + 1/3)^2 (x - 2/5)^3 (3x + 1): the monic factors are unique,
         # so find_roots solves the same Fraction lists however gcds scale
         f = P(F(1, 3), 0, 1) ** 2 * P(F(-2, 5), 1) ** 3 * P(1, 3)
-        factors = roots._yun_squarefree(list(f.coeffs))
+        factors = exact._yun_squarefree(list(f.coeffs))
         assert factors == [
             ([F(1, 3), 1], 1),
             ([F(1, 3), 0, 1], 2),
