@@ -3,29 +3,23 @@
 Every input is a polynomial with rational coefficients (a ``Poly``).
 Two routes, deliberately independent:
 
-* a certified root finder: one precision ladder.  The input is split
-  into square-free factors, so every root comes with its exact
-  multiplicity.  For each factor, Aberth-Ehrlich sweeps in Python
-  ``complex`` arithmetic give seeds with inclusion disks; when the disks
-  are disjoint each holds one zero, refined from its seed by Newton at
-  rising precision and certified in its disk (real zeros in the real
-  form, nonreal zeros as exact conjugate pairs).  Newton runs in fixed
-  point on Python ints, on the factor's primitive integer multiple F,
-  with a proven bound on the truncation error, so the certificate covers
-  the exact rational factor.  Each certified root is the exact dyadic
-  ``Point`` its certificate covers, and everything that reads roots
-  (ordering, conjugate pairing, residuals, disk queries) compares
-  integers, with no mpmath.  Otherwise
-  the sweep runs at the working precision and the same Newton ladder
-  certifies its positions, with disks at that precision; a factor it
-  does not certify is swept again at doubled precision, up to
-  ``MAX_PRECISION_DOUBLINGS`` times, before ``NoConvergence``;
-* an exact route, in ``zerodyn.exact``: zero counts on the primitive
-  integer multiple F of f, by a Sturm chain or Descartes bisection, with
-  no tolerance.  This module takes its square-free split and integer
-  parts from there, and binds its entry points (``count_nonreal``,
-  ``all_real_simple``, ``ZeroCount``) under the same names; a zero count
-  never executes the root finder, so it does not compile it either.
+* a certified root finder, in which doubles propose and Python ints
+  certify.  Each square-free factor (so multiplicities are exact) is
+  solved on its primitive integer multiple F.  Aberth-Ehrlich sweeps in
+  doubles give seeds; placed on a dyadic grid, each gets an inclusion
+  disk computed on F, and when the disks are disjoint each holds one
+  zero, refined by fixed-point Newton and certified in its disk (real
+  zeros in the real form, nonreal zeros as exact conjugate pairs).
+  Otherwise an Aberth sweep on Gaussian fixed-point ints, at the working
+  precision and then at up to ``MAX_PRECISION_DOUBLINGS`` doublings of
+  it, feeds the same disks and Newton ladder, before ``NoConvergence``.
+  Each root is the exact dyadic ``Point`` its certificate covers, and
+  everything that reads roots compares integers;
+* an exact route, in ``zerodyn.exact``: zero counts on F by a Sturm
+  chain or Descartes bisection, with no tolerance.  This module takes its
+  square-free split and integer parts from there, and binds its entry
+  points (``count_nonreal``, ``all_real_simple``, ``ZeroCount``) under
+  the same names; a zero count never executes the root finder.
 
 ``count_nonreal`` is the one entry point for "how many nonreal zeros,
 and are all zeros simple" (``ZeroCount.squarefree``); every other
@@ -44,16 +38,13 @@ from .exact import _diff, _integer_part, _squarefree_split
 from .exact import ZeroCount, _exact_profile, all_real_simple, count_nonreal  # noqa: F401
 from .poly import Poly
 from .records import Record
-from .scalars import DEFAULT_PRECISION_BITS, Point, as_fraction
-from .scalars import mp, mpf_to_fraction, on_grid, to_mp
+from .scalars import DEFAULT_PRECISION_BITS, Point, as_fraction, on_grid
 
 GUARD_BITS = 64
 MAX_SWEEPS = 400
 MAX_PRECISION_DOUBLINGS = 3  # sweep rungs past the working precision
 DOUBLE_EPS = 2.0**-53
 DOUBLE_MIN = 2.0**-1022  # smallest normal double
-# covers the rounding of the < 8n double operations per radius or distance, n < 2^29
-INCLUSION_SLACK = 1 + 2.0**-20
 ZERO = Fraction(0)
 
 
@@ -99,29 +90,20 @@ def _horner(coeffs, z):
     return acc
 
 
-def _circle_start(coeffs, m):
-    """Points on a root-bound circle, fixed offset; ``m`` is cmath or mpmath."""
-    n = len(coeffs) - 1
-    lead = abs(coeffs[-1])
-    # Fujiwara root bound: 2 max_k |c_{n-k}/c_n|^(1/k); far tighter than
-    # the Cauchy bound when the low-order coefficients are the huge ones.
-    radius = 2 * max(
-        (abs(coeffs[n - k]) / lead) ** (1 / k) for k in range(1, n + 1) if coeffs[n - k]
-    )
-    radius = max(radius, 0.5)
-    return [radius * m.exp(1j * m.pi * (2 * k + 0.5) / n) for k in range(n)]
+def _circle_start(n, radius):
+    """n complex doubles on the circle |z| = radius, at a fixed offset."""
+    return [radius * cmath.exp(1j * cmath.pi * (2 * k + 0.5) / n) for k in range(n)]
 
 
 def _sweep(coeffs, dcoeffs, zs, eps, stall_stop=False):
-    """Aberth-Ehrlich sweeps on ``zs`` in place; True once converged.
+    """Aberth-Ehrlich sweeps in doubles on ``zs`` in place; True once converged.
 
-    Runs in the number type of its arguments, so the same loop serves
-    the double rung and the working-precision rung.  A root freezes when
-    its value reaches the evaluation noise floor eps (4n+4) sum |c_i| |z|^i;
-    the run has converged when every root is frozen or no step moves a
-    root by more than ``eps`` relative.  It gives up after ``MAX_SWEEPS``,
-    or with ``stall_stop`` once a sweep does not shrink the largest step
-    below sqrt(eps): above that it can stay flat for a hundred sweeps.
+    A root freezes when its value reaches the evaluation noise floor
+    eps (4n+4) sum |c_i| |z|^i; the run has converged when every root is
+    frozen or no step moves a root by more than ``eps`` relative.  It gives
+    up after ``MAX_SWEEPS``, or with ``stall_stop`` once a sweep does not
+    shrink the largest step below sqrt(eps): above that it can stay flat
+    for a hundred sweeps.
     """
     n = len(zs)
     tiny = eps * 16
@@ -175,57 +157,43 @@ def _double_seeds(source):
         return None
     if any(c != 0 and not DOUBLE_MIN <= abs(v) for c, v in zip(exact, cs)):
         return None
-    zs = _circle_start(cs[: len(source)], cmath)
-    _sweep(cs[: len(source)], cs[len(source) :], zs, DOUBLE_EPS, stall_stop=True)
+    n = len(source) - 1
+    # Fujiwara root bound: 2 max_k |c_{n-k}/c_n|^(1/k); far tighter than
+    # the Cauchy bound when the low-order coefficients are the huge ones.
+    ks = [k for k in range(1, n + 1) if cs[n - k]]
+    radius = 2 * max((abs(cs[n - k]) / abs(cs[n])) ** (1 / k) for k in ks)
+    zs = _circle_start(n, max(radius, 0.5))
+    _sweep(cs[: n + 1], cs[n + 1 :], zs, DOUBLE_EPS, stall_stop=True)
     return zs if all(math.isfinite(abs(z)) for z in zs) else None
 
 
-def _inclusion_radii(coeffs, zs, eps):
-    """Radii r_i = n (|f(z_i)| + e_i) / (|a_n| prod_{j != i} |z_i - z_j|), or None.
+def _zero_bounds(F):
+    """(lo, hi) with 2^-lo <= |z| <= 2^hi for every zero z of the integer F,
+    F[0] != 0: Fujiwara's bound 2 max_k |c_{n-k}/c_n|^(1/k) from bit
+    lengths, on F reversed and on F."""
 
-    In the number type of the seeds: doubles with eps = DOUBLE_EPS, or
-    mpc at the ambient precision wp with eps = 2^-wp.  e_i is the sweep's
-    noise bound eps (4n+4) sum |c_k| |z_i|^k, and every radius is enlarged
-    by ``INCLUSION_SLACK``.  Doubles floor |c_k| at DOUBLE_MIN for
-    underflow and give None when a value leaves the normal doubles; mpc
-    gives None for coincident seeds.  The disks hold every zero, k per
-    connected component of k disks (Bini & Fiorentino 2000): one per disk
-    if they are disjoint.
-    """
-    if isinstance(eps, float):
-        cs, lo, hi = [float(c) for c in coeffs], DOUBLE_MIN, math.inf
-    else:
-        cs, lo, hi = coeffs, 0, mp.inf
-    floor = [max(abs(c), lo) for c in cs]
-    n = len(zs)
-    radii = []
-    for i, z in enumerate(zs):
-        prod = abs(cs[-1])
-        for j, u in enumerate(zs):
-            if j != i:
-                prod *= abs(z - u)
-                if prod < lo or not prod:
-                    return None
-        err = eps * (4 * n + 4) * _horner(floor, abs(z))
-        r = INCLUSION_SLACK * n * (abs(_horner(cs, z)) + err) / prod
-        if not lo <= r < hi:
-            return None
-        radii.append(r)
-    return radii
+    def log2_bound(cs):
+        n, top = len(cs) - 1, cs[-1].bit_length()
+        ks = [k for k in range(1, n + 1) if cs[n - k]]
+        return 1 + max(-((top - 1 - cs[n - k].bit_length()) // k) for k in ks)
+
+    return log2_bound(F[::-1]), log2_bound(F)
 
 
 def _mantissa(v):
-    """(m, e) with v = m 2^e exactly, for a double or an mpf."""
-    if isinstance(v, float):
-        man, den = v.as_integer_ratio()
-        return man, 1 - den.bit_length()
-    sign, man, exp, _bc = v._mpf_
-    return -int(man) if sign else int(man), exp
+    """(m, e) with the double v = m 2^e exactly."""
+    man, den = v.as_integer_ratio()
+    return man, 1 - den.bit_length()
 
 
 def _at(m, e, k):
     """m 2^e times 2^k as an int, floored when it has fractional bits."""
     return m << (e + k) if e + k >= 0 else m >> -(e + k)
+
+
+def _place(z, k):
+    """The complex double z on the grid 2^-k: (x, y), floored, z ~ (x + iy)/2^k."""
+    return _at(*_mantissa(z.real), k), _at(*_mantissa(z.imag), k)
 
 
 def _norm(x, y):
@@ -276,6 +244,78 @@ def _horner_noise(n, x, y, k):
     return 2 * bound if y else bound
 
 
+def _quotient(a, b, c, d, k):
+    """(a + ib)/(c + id) times 2^k, each part floored; c + id != 0."""
+    q = c * c + d * d
+    return ((a * c + b * d) << k) // q, ((b * c - a * d) << k) // q
+
+
+def _fixed_sweep(F, pts, k, wp):
+    """Aberth-Ehrlich sweeps on the Gaussian fixed-point points ``pts``,
+    (x, y) for z = (x + iy)/2^k, in place, on the integer F itself, so no
+    coefficient is rounded.
+
+    A point freezes once |F(z)| is within its evaluation noise
+    (``_horner_noise``); the sweeps stop when every point is frozen or no
+    step exceeds 2^-k + 2^-wp |z|, which is 2^-wp (1 + |z|) on the grid
+    k = wp, or after ``MAX_SWEEPS``.  No error bound is kept: the disks
+    and the Newton ladder that follow certify.
+    """
+    n = len(pts)
+    dF = _diff(F)
+    frozen = [False] * n
+    for _sweep_no in range(MAX_SWEEPS):
+        moved = False
+        for i, (x, y) in enumerate(pts):
+            if frozen[i]:
+                continue
+            a, b = _horner_fixed(F, x, y, k)
+            if a * a + b * b <= _horner_noise(n, x, y, k) ** 2:
+                frozen[i] = True
+                continue
+            c, d = _horner_fixed(dF, x, y, k)
+            size = (1 << wp) + _norm(x, y)
+            if not (c or d):  # F' vanishes: step off by 16 (2^-k + 2^-wp |z|) (1 + i)
+                pts[i] = (x + (size >> (wp - 4)), y + (size >> (wp - 4)))
+                moved = True
+                continue
+            # the Newton step N, then 1 - N S with S = sum_j 1/(z - z_j), times 2^k
+            nx, ny = _quotient(a, b, c, d, k)
+            px, py = 1 << k, 0
+            for u, v in pts:
+                if u != x or v != y:
+                    sx, sy = _quotient(nx, ny, x - u, y - v, k)
+                    px, py = px - sx, py - sy
+            # the Aberth step w = N / (1 - N S)
+            wx, wy = _quotient(nx, ny, px, py, k) if px or py else (nx, ny)
+            pts[i] = (x - wx, y - wy)
+            moved = moved or (wx * wx + wy * wy) << 2 * wp > size * size
+        if not moved:
+            return
+
+
+def _fixed_disks(F, pts, k):
+    """Inclusion disks (x, y, r) about the points z_i = (x + iy)/2^k of
+    ``pts``, r in units of 2^-k; None for coincident points.
+
+    r_i = n (|F(z_i)| + e_i) / (|F_n| prod_{j != i} |z_i - z_j|), rounded
+    up, on the exact integer F: |F(z_i)| and its noise bound e_i come from
+    ``_horner_fixed`` and ``_horner_noise``, and one isqrt of
+    prod |z_i - z_j|^2 bounds the product from below.  The disks hold
+    every zero of F, k per connected component of k disks (Bini &
+    Fiorentino 2000): one per disk if they are disjoint.
+    """
+    if len(set(pts)) < len(pts):
+        return None
+    n, out = len(F) - 1, []
+    for x, y in pts:
+        sq = math.prod([(x - u) ** 2 + (y - v) ** 2 for u, v in pts if u != x or v != y])
+        a, b = _horner_fixed(F, x, y, k)
+        num = n * (_ceil_sqrt(a * a + b * b) + _horner_noise(n, x, y, k)) << k * (n - 1)
+        out.append((x, y, -(-num // (abs(F[-1]) * math.isqrt(sq)))))
+    return out
+
+
 def _round_bits(m, bits):
     """The int m rounded to nearest at ``bits`` significant bits, ties to even."""
     n = max(abs(m).bit_length() - bits, 0)
@@ -283,27 +323,26 @@ def _round_bits(m, bits):
 
 
 def _refine(F, dF, center, radius, start, cap, workprec):
-    """Newton on the integer F from the seed ``center``, each step at 4x the
-    bits the last one gained; the zero as a ``Point`` rounded to ``cap``
-    bits, or None.
+    """Newton on the integer F from ``center``, each step at 4x the bits
+    the last one gained; the zero as a ``Point`` rounded to ``cap`` bits,
+    or None.
 
-    The iterate is the dyadic point z = (x + iy)/2^k with k = prec + s
-    fractional bits at prec bits (s > 0 keeps prec significant bits when
-    |center| < 1).  F(z) and F'(z) come from ``_horner_fixed``, which
-    takes its real form for a real ``center`` (a double or mpf): y stays
-    0.  From ``start`` bits up to ``cap``, then one certifying step w at
-    k = cap + s plus the bits of the evaluation noise bound plus 4.  With
-    A, B the computed values and e_A, e_B their noise bounds,
-    |F(z)/F'(z)| <= |w|* = (|A| + e_A)/(|B| - e_B), so a zero of F lies
-    within n|w|* of z.  For u, z - w rounded to cap bits, accepted if
-    D(z, n|w|*) lies in the disk D(center, radius) and
-    |u - z| + n|w|* <= 2^(GUARD_BITS - 1 - workprec) (1 + |z|), so that u
-    lies within 2^-precision_bits (1 + |u|) of that zero.  Both checks
-    compare exact integers.  None if F' vanishes, a step gains no bits or
-    a check fails.
+    ``center`` is two (m, e) pairs, the parts m 2^e, and ``radius`` one.
+    The iterate is z = (x + iy)/2^k with k = prec + s fractional bits at
+    prec bits (s > 0 keeps prec significant bits when |center| < 1); a
+    real center keeps y = 0 (``_horner_fixed``'s real form).  From
+    ``start`` bits up to ``cap``, then one certifying step w at k = cap + s
+    plus the bits of the noise bound plus 4.  With A, B the computed values
+    and e_A, e_B their noise bounds, |F(z)/F'(z)| <= |w|* =
+    (|A| + e_A)/(|B| - e_B), so a zero of F lies within n|w|* of z.  For u,
+    z - w rounded to cap bits, accepted if D(z, n|w|*) lies in
+    D(center, radius) and |u - z| + n|w|* <= 2^(GUARD_BITS - 1 - workprec)
+    (1 + |z|), so that u lies within 2^-precision_bits (1 + |u|) of that
+    zero; both checks compare integers.  None if F' vanishes, a step gains
+    no bits or a check fails.
     """
     n = len(F) - 1
-    cx, cy = _mantissa(center.real), _mantissa(center.imag)
+    cx, cy = center
     s = max(0, 1 - max((m.bit_length() + e for m, e in (cx, cy) if m), default=1))
     k = start + s
     x, y = _at(*cx, k), _at(*cy, k)
@@ -312,8 +351,7 @@ def _refine(F, dF, center, radius, start, cap, workprec):
         a, b = _horner_fixed(F, x, y, k)
         c, d = _horner_fixed(dF, x, y, k)
         if d:
-            sq = c * c + d * d
-            wx, wy = ((a * c + b * d) << k) // sq, ((b * c - a * d) << k) // sq
+            wx, wy = _quotient(a, b, c, d, k)
         elif c:
             wx, wy = (a << k) // c, (b << k) // c
         else:
@@ -344,10 +382,9 @@ def _refine(F, dF, center, radius, start, cap, workprec):
         return None
     num = n * (_ceil_sqrt(a * a + b * b) + noise)
     # inside: |z - center| + n|w|* < radius, all on the grid 2^-g
-    rad = _mantissa(radius)
-    g = max(k, -cx[1], -cy[1], -rad[1])
+    g = max(k, -cx[1], -cy[1], -radius[1])
     dx, dy = (x << (g - k)) - _at(*cx, g), (y << (g - k)) - _at(*cy, g)
-    slack = _at(*rad, g) * den - (num << g)
+    slack = _at(*radius, g) * den - (num << g)
     if slack <= 0 or (dx * dx + dy * dy) * den * den >= slack * slack:
         return None
     # small: |u - z| + n|w|* <= 2^(GUARD_BITS - 1 - workprec) (1 + |z|)
@@ -360,51 +397,45 @@ def _refine(F, dF, center, radius, start, cap, workprec):
     return Point(Fraction(ux, 1 << k), Fraction(uy, 1 << k))
 
 
-def _newton_ladder(coeffs, F, seeds, workprec, wp=None):
-    """Each zero refined from its own isolated seed, or None.
+def _newton_ladder(F, disks, g, start, cap, workprec):
+    """Each zero of the integer F refined from its own isolated disk, or None.
 
-    ``coeffs`` (read as doubles on rung 0) give the inclusion disks;
-    Newton runs on ``F``, the primitive integer polynomial with the same
-    zeros, so the certificate covers the exact rational polynomial, not
-    its rounding.  The seeds are doubles, refined from 106 bits up to
-    ``workprec``, or, given ``wp``, the positions of a sweep at wp bits,
-    refined at wp: inside a tight cluster, lower precision's noise over
-    |f'| exceeds the spacing of the zeros.  The coefficients are real, so a disk meeting the axis
-    needs an isolated symmetric hull D(Re z, r + |Im z|): its one zero is
-    its own conjugate, so real (refined in the real form).  The other
-    zeros are nonreal, and those in the lower half-plane are the
-    conjugates of the upper ones.
+    ``disks`` are ``_fixed_disks``' (x, y, r) on the grid 2^-g, or None;
+    each must miss every other, (x - u)^2 + (y - v)^2 > (r + s)^2.  Then
+    ``_refine`` takes each from its center, from ``start`` bits up to
+    ``cap``.  F is real, so a disk meeting the real axis needs an isolated
+    symmetric hull D(x, r + |y|): its one zero is its own conjugate, so
+    real (refined in the real form).  F[0] != 0, so F is never odd; if F
+    is even, a disk with |x| <= r whose mirror hull D(iy, r + |x|) is
+    isolated holds a zero with real part 0, refined with x = 0.  The other
+    zeros are nonreal, the lower ones conjugates of the upper ones.
     """
-    if wp is None:
-        radii = _inclusion_radii(coeffs, seeds, DOUBLE_EPS)
-        start, cap = min(106, workprec), workprec
-    else:
-        radii = _inclusion_radii(coeffs, seeds, mp.ldexp(1, -wp))
-        start = cap = wp
-    if radii is None:
+    if disks is None:
         return None
-    disks = list(zip(seeds, radii))
 
-    def isolated(c, r, i):
+    def isolated(x, y, r, i):
         others = disks[:i] + disks[i + 1 :]
-        return all(abs(c - z) > INCLUSION_SLACK * (r + s) for z, s in others)
+        return all((x - u) ** 2 + (y - v) ** 2 > (r + s) ** 2 for u, v, s in others)
 
-    if not all(isolated(z, r, i) for i, (z, r) in enumerate(disks)):
+    if not all(isolated(*disk, i) for i, disk in enumerate(disks)):
         return None
     dF = _diff(F)
+    even = not any(F[1::2])
     out = []
-    for i, (z, r) in enumerate(disks):
-        if z.imag < -r:
+    for i, (x, y, r) in enumerate(disks):
+        if y < -r:
             continue
-        if abs(z.imag) <= r:
-            z, r = z.real, r + abs(z.imag)
-            if not isolated(z, r, i):
+        if abs(y) <= r:
+            y, r = 0, r + abs(y)
+            if not isolated(x, y, r, i):
                 return None
-        u = _refine(F, dF, z, r, start, cap, workprec)
+        elif even and abs(x) <= r and isolated(0, y, r + abs(x), i):
+            x, r = 0, r + abs(x)
+        u = _refine(F, dF, ((x, -g), (y, -g)), (r, -g), start, cap, workprec)
         if u is None:
             return None
         out.append(u)
-        if z.imag > 0:
+        if y > 0:
             out.append(u.conjugate())
     return out
 
@@ -414,40 +445,45 @@ def _aberth(source, workprec):
     (positions, certified).
 
     ``source`` lists the ascending rational coefficients, of degree
-    n >= 1 with source[0] != 0 and source[-1] != 0.  One ladder of rungs,
-    each starting from the previous rung's positions.  Rung 0 is the
-    double sweep from the circle and the Newton ladder on its seeds, on
-    the coefficients read as doubles.  Then, for wp = workprec, ...,
-    2^MAX_PRECISION_DOUBLINGS workprec, the coefficients rounded to wp
-    bits, the Aberth sweep at wp and the Newton ladder at wp on the swept
-    positions.  The sweeps and the inclusion disks use the rounded
-    coefficients; Newton runs on the primitive integer multiple
-    F = ``_integer_part(source)``, so the first rung the ladder certifies
-    returns positions within 2^(GUARD_BITS - workprec) (1 + |z|) of
-    distinct zeros of ``source`` itself, as exact ``Point``s; degree 1
-    gives its exact zero.  Past the last rung the swept positions come
-    back uncertified, read exactly as the dyadic rationals they stand for.
+    n >= 1 with source[0] != 0 and source[-1] != 0; degree 1 gives its
+    exact zero.  All that certifies runs on F = ``_integer_part(source)``,
+    so a certified position lies within 2^(GUARD_BITS - workprec)
+    (1 + |z|) of its own zero of ``source``.  With 2^-lo <= |zero| <= 2^hi
+    (``_zero_bounds``) and lo floored at 0, rung 0 places the double seeds
+    on the grid k = min(106, workprec) + lo and climbs the Newton ladder
+    from min(106, workprec) bits to workprec.  Each later rung, at
+    wp = workprec, ..., 2^MAX_PRECISION_DOUBLINGS workprec, sweeps on the
+    grid k = wp + lo (first from the double seeds, or from the circle
+    |z| = 2^hi) and refines at start = cap = k: no center is floored, and
+    inside a tight cluster a lower start's noise over |F'| exceeds the
+    spacing of the zeros.  Past the last rung the positions come back
+    uncertified.
     """
     if len(source) == 2:
         return [Point(-source[0] / source[1], ZERO)], True
     F = _integer_part(source)
+    lo, hi = _zero_bounds(F)
+    lo = max(lo, 0)
     seeds = _double_seeds(source)
     if seeds is not None:
-        located = _newton_ladder(source, F, seeds, workprec)
+        start = min(106, workprec)
+        pts = [_place(z, start + lo) for z in seeds]
+        disks = _fixed_disks(F, pts, start + lo)
+        located = _newton_ladder(F, disks, start + lo, start, workprec, workprec)
         if located is not None:
             return located, True
-    zs = None
-    for wp in (workprec << k for k in range(MAX_PRECISION_DOUBLINGS + 1)):
-        with mp.workprec(wp):
-            coeffs = [to_mp(c, wp) for c in source]
-            dcoeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
-            if zs is None:
-                zs = _circle_start(coeffs, mp) if seeds is None else list(map(mp.mpc, seeds))
-            _sweep(coeffs, dcoeffs, zs, mp.ldexp(1, -wp))
-            located = _newton_ladder(coeffs, F, zs, workprec, wp)
+        pts = [_place(z, workprec + lo) for z in seeds]
+    else:
+        pts = [_place(z, workprec + lo + hi) for z in _circle_start(len(F) - 1, 1.0)]
+    k = workprec + lo
+    for wp in (workprec << j for j in range(MAX_PRECISION_DOUBLINGS + 1)):
+        pts = [(x << wp + lo - k, y << wp + lo - k) for x, y in pts]
+        k = wp + lo
+        _fixed_sweep(F, pts, k, wp)
+        located = _newton_ladder(F, _fixed_disks(F, pts, k), k, k, k, workprec)
         if located is not None:
             return located, True
-    return [Point(mpf_to_fraction(z.real), mpf_to_fraction(z.imag)) for z in zs], False
+    return [Point(Fraction(x, 1 << k), Fraction(y, 1 << k)) for x, y in pts], False
 
 
 def _sort_located(located, precision_bits):
@@ -583,8 +619,7 @@ def roots_in_disk(rs: RootSet, center, radius) -> int:
     """Roots (with multiplicity) strictly inside the open disk.
 
     ``center`` is a ``Point`` or a rational and ``radius`` a rational: a
-    float, mpf or mpc is a TypeError, as in ``Poly``, and a radius <= 0 a
-    ValueError.  A root within its certificate, 2^-precision_bits (1 + |r|),
+    float is a TypeError, as in ``Poly``, and a radius <= 0 a ValueError.  A root within its certificate, 2^-precision_bits (1 + |r|),
     of the boundary counts as inside and the tie is recorded in
     ``rs.diagnostics``; persistence checks downstream prefer a false
     positive that later re-verification can reject over a silently dropped

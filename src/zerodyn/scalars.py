@@ -3,17 +3,14 @@
 Exact values are `fractions.Fraction` (ints are coerced on the way in),
 and an exact complex value is a ``Point`` of two of them.  An irrational
 value, a root m^(1/p), is rounded once on integers to the nearest dyadic
-(``root_rounded``).  mpmath runs only on the root finder's fallback
-rungs; ``to_mp`` and ``mpf_to_fraction`` are the boundary.
+(``root_rounded``).  The package has no floating-point library: the root
+finder proposes in doubles and certifies on ints.
 
-This module owns the package's one binding of mpmath, ``mp``, and makes
-it lazy: ``import zerodyn`` only finds mpmath, and its code runs on the
-first attribute access (``mp.mpf``, a call of ``to_mp``), so the exact
-routes never execute it; once loaded ``mp`` is the plain
-``sys.modules["mpmath"]`` module.  The package uses the same
-``_lazy_import`` for its own submodules (see ``zerodyn/__init__.py``).  On
-Python < 3.12 ``importlib.util.LazyLoader`` is not safe against two
-threads making the first access at once; zerodyn starts no threads.
+``_lazy_import`` makes the package's submodules lazy (see
+``zerodyn/__init__.py``): a module registered with it runs its code on
+first attribute access.  On Python < 3.12 ``importlib.util.LazyLoader``
+is not safe against two threads making the first access at once;
+zerodyn starts no threads.
 """
 
 from __future__ import annotations
@@ -41,15 +38,11 @@ def _lazy_import(name):
     return module
 
 
-mp = _lazy_import("mpmath")
-
 # The library's defaults, and the CLI's unless a ZERODYN_* variable overrides
 # them; here, so the CLI reads them without executing the modules that use them.
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_M_MAX = 200  # onset scans: iterates swept
 DEFAULT_D_CAP = 40  # witness searches: degree cap
-
-_NEAREST = "n"  # mpmath.libmp.round_nearest, spelled out so no import runs it
 
 
 class Point(Record):
@@ -71,35 +64,6 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r} ({type(x).__name__})")
-
-
-def to_mp(x, precision_bits: int):
-    """The exact scalar x (a Fraction, an int or a ``Point``) as an mpf, or
-    an mpc for a ``Point`` off the real axis, each part rounded to nearest
-    at ``precision_bits`` whatever the ambient mpmath precision; TypeError
-    for any other value."""
-    if isinstance(x, Point):
-        re, im = (to_mp(v, precision_bits)._mpf_ for v in (x.real, x.imag))
-        return mp.make_mpf(re) if im == mp.libmp.fzero else mp.make_mpc((re, im))
-    if not isinstance(x, (Fraction, int)):
-        raise TypeError(f"not an exact scalar: {x!r} ({type(x).__name__})")
-    x = Fraction(x)
-    return mp.make_mpf(
-        mp.libmp.from_rational(x.numerator, x.denominator, precision_bits, _NEAREST)
-    )
-
-
-def mpf_to_fraction(x) -> Fraction:
-    """The dyadic rational m 2^e a finite mpf stands for, exactly.
-
-    Read from ``x._mpf_``, so nothing is rounded at the ambient precision;
-    ValueError for an mpc or a nonfinite value.
-    """
-    if not isinstance(x, mp.mpf) or not mp.isfinite(x):
-        raise ValueError(f"not a finite real floating scalar: {x!r}")
-    sign, man, exp, _bc = x._mpf_
-    man = -int(man) if sign else int(man)
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def common_denominator(values):

@@ -86,6 +86,27 @@ class TestJensen:
         assert all(abs(float(r["im"])) < 1e-9 for r in doc["roots"])
 
 
+class TestImaginaryAxisZeros:
+    """An even input's zeros on the imaginary axis print a real part of 0."""
+
+    def test_biquadratic(self, capsys):
+        doc = run_json(capsys, "zeros", "--poly", "x^4+3x^2+1", "--precision-bits", "128")
+        assert [r["re"] for r in doc["roots"]] == ["0.0"] * 4
+
+    @pytest.mark.parametrize("bits", ["64", "128", "256"])
+    def test_quadratic(self, capsys, bits):
+        doc = run_json(capsys, "zeros", "--poly", "x^2+29/126", "--precision-bits", bits)
+        assert [r["re"] for r in doc["roots"]] == ["0.0"] * 2
+
+    def test_attractor_gamma(self, capsys):
+        # beta = 29/126: gamma = i sqrt(29/126), a zero of x^2 + 29/126
+        doc = run_json(
+            capsys, "attractor", "--series", "poly:1+1/3x+2/7x^2", "--poly", "x^2+1",
+            "--m-list", "1", "--epsilon", "0.5", "--precision-bits", "128",
+        )
+        assert doc["gamma"][0] == "0.0" and float(doc["gamma"][1]) > 0
+
+
 class TestFormatsAndOutput:
     def test_csv_zeros(self, capsys):
         code, out, _ = run_cli(

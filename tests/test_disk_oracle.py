@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
+from conftest import to_mp
 from zerodyn import Point, Poly, find_roots, roots_in_disk
-from zerodyn.scalars import to_mp
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies

@@ -25,8 +25,7 @@ from zerodyn import (
     rescale_iterate,
     star_distance,
 )
-from zerodyn.scalars import mpf_to_fraction, to_mp
-from conftest import as_mpc
+from conftest import as_mpc, mpf_to_fraction, to_mp
 
 
 def P(*coeffs):

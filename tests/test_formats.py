@@ -7,12 +7,11 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from conftest import make_rng
+from conftest import make_rng, mpf_to_fraction, to_mp
 from zerodyn import Point, Poly, PowerSeries, build_plan, extend, find_roots
 from zerodyn.cli import main
 from zerodyn.dynamics import AttractorRecord, AttractorReport
 from zerodyn.poly import format_poly_inline
-from zerodyn.scalars import mpf_to_fraction, to_mp
 from zerodyn.formats import (
     MP_DIGITS,
     attractor_payload,

@@ -26,8 +26,8 @@ from zerodyn import (
     translate,
     truncated_power,
 )
-from zerodyn.scalars import Point, common_denominator, to_mp
-from conftest import make_rng, random_fraction, random_poly, random_series
+from zerodyn.scalars import Point, common_denominator
+from conftest import make_rng, random_fraction, random_poly, random_series, to_mp
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -186,47 +186,6 @@ class TestCommonDenominator:
 
     def test_integer_part_is_primitive(self):
         assert roots._integer_part([F(2, 3), F(4, 9), F(-2)]) == [3, 2, -9]
-
-
-def _old_to_mp(x, precision_bits):
-    """The conversion to_mp made inside a per-scalar workprec context."""
-    with mp.workprec(precision_bits):
-        if isinstance(x, F):
-            return mp.make_mpf(mp.libmp.from_rational(
-                x.numerator, x.denominator, precision_bits, mp.libmp.round_nearest
-            ))
-        if isinstance(x, int):
-            return mp.mpf(x)
-        z = mp.mpc(_old_to_mp(x.real, precision_bits), _old_to_mp(x.imag, precision_bits))
-        return z.real if z.imag == 0 else z
-
-
-def _bits(v):
-    return (type(v), v._mpc_ if isinstance(v, mp.mpc) else v._mpf_)
-
-
-class TestToMpReference:
-    def _values(self):
-        exact = [
-            F(1, 3), F(-1, 3), F(3**300 + 1, 7), F(5, 2**400 * 11), F(0), F(7, 1),
-            0, 1, -5, 2**1000 + 1, -(3**200), True,
-        ]
-        return [*exact, Point(F(1, 3), F(-2, 7)), Point(F(-5), F(0)), Point(F(0), F(1, 3))]
-
-    @pytest.mark.parametrize("ambient", [10, 53, 300, 2000])
-    def test_bit_identical_to_workprec_conversion(self, ambient):
-        values = self._values()
-        with mp.workprec(ambient):
-            for prec in (24, 53, 64, 256, 512):
-                for x in values:
-                    assert _bits(to_mp(x, prec)) == _bits(_old_to_mp(x, prec)), (x, prec)
-
-    @pytest.mark.parametrize(
-        "x", [0.1, complex(1.5, 0), mp.mpf(1) / 3, mp.mpc(1, 2), "0.1"], ids=repr
-    )
-    def test_only_exact_input_is_accepted(self, x):
-        with pytest.raises(TypeError, match="not an exact scalar"):
-            to_mp(x, 64)
 
 
 def _dist2(z, w):

@@ -24,8 +24,7 @@ from zerodyn import (
     translate,
     truncated_power,
 )
-from zerodyn.scalars import to_mp
-from conftest import random_poly, random_series
+from conftest import random_poly, random_series, to_mp
 
 
 def P(*coeffs):

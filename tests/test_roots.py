@@ -180,8 +180,8 @@ class TestFindRoots:
             find_roots(P(7))
 
     def test_imaginary_axis_pairs_ordered_by_imaginary_part(self):
-        # exp(-D^4) x^20 has five conjugate pairs on the imaginary axis;
-        # their real parts are noise, so they must not decide the order.
+        # exp(-D^4) x^20 has five conjugate pairs on the imaginary axis,
+        # listed by imaginary part whatever their real parts.
         rs = find_roots(exp_dp_monomial(F(-1), 4, 20), 256)
         axis = [r.location for r in rs.roots if r.location.imag != 0]
         assert len(axis) == 10
@@ -266,27 +266,40 @@ class TestPrecisionLadder:
             rs = find_roots(f.scale(scale))
             assert seen[-1] is None
             _same_roots(rs, base, 1e-70)
+        # the tight cluster, its coefficients or its zeros times 10^+-400:
+        # the integer sweep starts from the circle |z| = 2^hi, on a grid
+        # with bits for the smallest zero
+        cluster = TestExactFallbackCertificate.CLUSTER
+        for scale in (F(10) ** 400, F(1, 10**400)):
+            for zeros, g in ((cluster, Poly(_from_roots(cluster)).scale(scale)),
+                             ([z * scale for z in cluster], None)):
+                rs = find_roots(g or Poly(_from_roots(zeros)), 64)
+                assert seen[-1] is None
+                _certified_against(rs, zeros, 64)
 
     def test_stalled_double_rung_seeds_working_rung(self, monkeypatch):
         f = P(3, -1, 4, -1, 5, 9)
         base = find_roots(f)
         seen = _record(monkeypatch, "_double_seeds")
         starts = []
-        real = roots._sweep
+        real, fixed = roots._sweep, roots._fixed_sweep
 
         def stalling(coeffs, dcoeffs, zs, eps, stall_stop=False):
-            if stall_stop:  # the double rung gives up after one sweep
-                with monkeypatch.context() as m:
-                    m.setattr(roots, "MAX_SWEEPS", 1)
-                    return real(coeffs, dcoeffs, zs, eps, stall_stop)
-            starts.append(list(zs))
-            return real(coeffs, dcoeffs, zs, eps, stall_stop)
+            # the double rung gives up after one sweep
+            with monkeypatch.context() as m:
+                m.setattr(roots, "MAX_SWEEPS", 1)
+                return real(coeffs, dcoeffs, zs, eps, stall_stop)
+
+        def recording(F, pts, k, wp):
+            starts.append(([roots._place(z, k) for z in seen[-1]], list(pts)))
+            return fixed(F, pts, k, wp)
 
         monkeypatch.setattr(roots, "_sweep", stalling)
+        monkeypatch.setattr(roots, "_fixed_sweep", recording)
         _same_roots(find_roots(f), base, 1e-70)
         # the working rung starts from the positions reached, not the circle
         assert seen[-1] is not None
-        assert starts == [[mp.mpc(z) for z in seen[-1]]]
+        assert len(starts) == 1 and starts[0][0] == starts[0][1]
 
     def test_certificate_inconclusive_takes_yun(self, monkeypatch):
         p = exact.SQUAREFREE_PRIME
@@ -417,28 +430,28 @@ class TestNewtonLadder:
     def test_seeds_sharing_a_zero_are_not_isolated(self):
         # two seeds at the zero 1 and none at 2: each would refine to 1
         F = [18, -27, 11, -3, 1]  # (x - 1)(x - 2)(x^2 + 9)
-        with mp.workprec(256):
-            coeffs = [mp.mpf(c) for c in F]
-            seeds = [1 + 1e-12, 1 - 1e-12, 3j, -3j]
-            assert roots._newton_ladder(coeffs, F, seeds, 256) is None
-            # the same for positions of a sweep at 256 bits
-            swept = [
-                1 + mp.ldexp(1, -200), 1 - mp.ldexp(1, -200), mp.mpc(0, 3), mp.mpc(0, -3)
-            ]
-            assert roots._newton_ladder(coeffs, F, swept, 256, 256) is None
+        seeds = [roots._place(z, 106) for z in (1 + 1e-12, 1 - 1e-12, 3j, -3j)]
+        disks = roots._fixed_disks(F, seeds, 106)
+        assert roots._newton_ladder(F, disks, 106, 106, 256, 256) is None
+        # the same for positions of a sweep at 256 bits, 1 +- 2^-200 and +-3i
+        one, eps = 1 << 256, 1 << 56
+        swept = [(one + eps, 0), (one - eps, 0), (0, 3 * one), (0, -3 * one)]
+        disks = roots._fixed_disks(F, swept, 256)
+        assert roots._newton_ladder(F, disks, 256, 256, 256, 256) is None
 
     def test_zero_outside_its_disk_takes_the_sweep(self, monkeypatch):
         f = P(3, -1, 4, -1, 5, 9)
         base = find_roots(f)
-        real = roots._inclusion_radii
+        real, calls = roots._fixed_disks, []
 
-        def shrunk(coeffs, zs, eps):
+        def shrunk(F, pts, k):
             # far below the double seeds' error: every refined zero leaves
             # its disk; the swept positions keep their true disks
-            radii = real(coeffs, zs, eps)
-            return [r * 1e-30 for r in radii] if eps == roots.DOUBLE_EPS else radii
+            calls.append(k)
+            disks = real(F, pts, k)
+            return [(x, y, r >> 100) for x, y, r in disks] if len(calls) == 1 else disks
 
-        monkeypatch.setattr(roots, "_inclusion_radii", shrunk)
+        monkeypatch.setattr(roots, "_fixed_disks", shrunk)
         ladder = _record(monkeypatch, "_newton_ladder")
         rs = find_roots(f)
         _same_roots(rs, base, 1e-70)
@@ -464,10 +477,32 @@ class TestNewtonLadder:
         # meets the axis and misses the other disks, but its symmetric hull
         # D(1, 4) holds 9/2 - i/2: the zero in it is not proven real
         F = [-41, 59, -20, 2]  # 2 (x^3 - 10x^2 + 29.5x - 20.5)
-        with mp.workprec(256):
-            coeffs = [mp.mpf(c) / 2 for c in F]
-            seeds = [1 + 1j, 4.5 + 0.5j, 4.5 - 0.5j]
-            assert roots._newton_ladder(coeffs, F, seeds, 256) is None
+        seeds = [roots._place(z, 106) for z in (1 + 1j, 4.5 + 0.5j, 4.5 - 0.5j)]
+        disks = roots._fixed_disks(F, seeds, 106)
+        assert disks[0][2] >> 100 == 3 << 6  # 3 to 100 bits
+        assert roots._newton_ladder(F, disks, 106, 106, 256, 256) is None
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_even_input_has_exactly_imaginary_zeros(self, monkeypatch, bits):
+        # F(-x) = F(x): a disk meeting the imaginary axis whose mirror hull
+        # is isolated holds a zero with real part exactly 0
+        ladder = _record(monkeypatch, "_newton_ladder")
+        for f in (P(F(29, 126), 0, 1), P(1, 0, 3, 0, 1), exp_dp_monomial(F(-1), 4, 20)):
+            rs = find_roots(f, bits)
+            assert all(z.real == 0 for z in rs.locations() if z.imag != 0)
+            _agrees_with_polyroots(rs, f, bits)
+        assert None not in ladder
+
+    def test_even_input_off_the_axis_keeps_its_real_part(self):
+        # zeros +-1/8 +- i; the disk D(1/8 + i, 3/16) meets the imaginary
+        # axis, but its mirror hull D(i, 5/16) holds -1/8 + i: it is
+        # refined as a nonreal zero, off the axis
+        even = [4225, 0, 8064, 0, 4096]  # (64x^2 - 16x + 65)(64x^2 + 16x + 65)
+        disks = [(4, 32, 6), (-4, 32, 1), (4, -32, 6), (-4, -32, 1)]  # units of 1/32
+        located = roots._newton_ladder(even, disks, 5, 106, 256, 256)
+        assert sorted((z.real, z.imag) for z in located) == [
+            (F(-1, 8), -1), (F(-1, 8), 1), (F(1, 8), -1), (F(1, 8), 1)
+        ]
 
 
 def _certified_against(rs, zeros, bits):
@@ -518,24 +553,25 @@ class TestExactFallbackCertificate:
         # the ladder certifies nothing after rung 0: the sweep climbs from
         # the working precision W = 128 to 2^MAX_PRECISION_DOUBLINGS W
         rungs, sweeps = [], []
-        ladder, sweep = roots._newton_ladder, roots._sweep
+        ladder, sweep = roots._newton_ladder, roots._fixed_sweep
 
-        def failing(coeffs, dcoeffs, seeds, workprec, wp=None):
-            rungs.append(wp)
-            return ladder(coeffs, dcoeffs, seeds, workprec) if wp is None else None
+        def failing(F, disks, g, start, cap, workprec):
+            rungs.append((g, start, cap))
+            return ladder(F, disks, g, start, cap, workprec) if start < cap else None
 
-        def recording(coeffs, dcoeffs, zs, eps, stall_stop=False):
-            if not stall_stop:
-                sweeps.append(mp.mp.prec)
-            return sweep(coeffs, dcoeffs, zs, eps, stall_stop)
+        def recording(F, pts, k, wp):
+            sweeps.append((wp, k))
+            return sweep(F, pts, k, wp)
 
         monkeypatch.setattr(roots, "_newton_ladder", failing)
-        monkeypatch.setattr(roots, "_sweep", recording)
+        monkeypatch.setattr(roots, "_fixed_sweep", recording)
         seeds = _record(monkeypatch, "_double_seeds")
         with pytest.raises(NoConvergence) as info:
             find_roots(Poly(_from_roots(self.CLUSTER)), 64)
         climb = [128 << k for k in range(roots.MAX_PRECISION_DOUBLINGS + 1)]
-        assert sweeps == climb and rungs == [None] + climb
+        # rung 0 refines from 106 bits up to W; each sweep rung on its own grid
+        assert [wp for wp, _ in sweeps] == climb and rungs[0][1:] == (106, 128)
+        assert rungs[1:] == [(k, k, k) for _, k in sweeps]
         assert len(seeds) == 1
         assert info.value.best.total_multiplicity() == len(self.CLUSTER)
         assert len(info.value.best.roots) == len(self.CLUSTER)
@@ -548,14 +584,13 @@ class TestExactFallbackCertificate:
         # parts in about 90; the ladder on its positions certifies them all
         seeds = _record(monkeypatch, "_double_seeds")
         sweeps = []
-        sweep = roots._sweep
+        sweep = roots._fixed_sweep
 
-        def recording(coeffs, dcoeffs, zs, eps, stall_stop=False):
-            if not stall_stop:
-                sweeps.append(mp.mp.prec)
-            return sweep(coeffs, dcoeffs, zs, eps, stall_stop)
+        def recording(F, pts, k, wp):
+            sweeps.append(wp)
+            return sweep(F, pts, k, wp)
 
-        monkeypatch.setattr(roots, "_sweep", recording)
+        monkeypatch.setattr(roots, "_fixed_sweep", recording)
         rng = make_rng(1)
         for _ in range(150):
             zeros = _clustered_zeros(rng)

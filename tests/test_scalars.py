@@ -1,4 +1,5 @@
-"""Exact-to-floating conversion, and the one rounding of an irrational root."""
+"""The tests' exact-to-mpmath oracle (``conftest.to_mp``), and the one
+rounding of an irrational root."""
 
 import math
 import struct
@@ -7,8 +8,8 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from conftest import make_rng
-from zerodyn.scalars import dyadic_round, mpf_to_fraction, root_rounded, to_mp
+from conftest import make_rng, mpf_to_fraction, to_mp
+from zerodyn.scalars import dyadic_round, root_rounded
 
 
 def _nearest(x, prec):

@@ -7,7 +7,8 @@ package's submodules stay unexecuted until a job uses them (so the
 exact-route subcommands never execute the root finder, the construction
 or the experiments they do not call), that ``main`` freezes the start-up
 heap, that ``dataclasses`` and its relatives stay off that path, and
-that mpmath stays unexecuted until a floating route needs it.  Then the
+that no job imports mpmath, and that the floating jobs complete with
+mpmath blocked.  Then the
 package API: every public name and submodule still resolves from
 ``zerodyn``.  The rest pin down the ``Record`` behaviour that replaced
 ``@dataclass`` on the report classes.
@@ -37,8 +38,7 @@ from zerodyn.series import LPObstructionResult, OperatorClass
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 PACKAGE = os.path.join(SRC, "zerodyn")
-# mpmath's submodules exist only once its package code has run
-KEPT_OFF = ("dataclasses", "inspect", "statistics", "csv", "mpmath.libmp", "mpmath.ctx_mp")
+KEPT_OFF = ("dataclasses", "inspect", "statistics", "csv", "mpmath")
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,14 +141,20 @@ def test_unknown_package_attribute_raises():
         zerodyn.no_such_name  # noqa: B018
 
 
-# [exit code, mpmath executed, scalars.mp the plain mpmath module,
-#  start-up heap frozen, package modules executed]
+# [exit code, mpmath imported, start-up heap frozen, package modules executed]
 CLI_PROBE = (
-    "import gc, json, sys, types; import zerodyn.cli, zerodyn.scalars as s; "
+    "import gc, json, sys, types; import zerodyn.cli; "
     "rc = zerodyn.cli.main(sys.argv[1:] + ['--output', '/dev/null']); "
-    "print(json.dumps([rc, 'mpmath.ctx_mp' in sys.modules, "
-    "s.mp is sys.modules['mpmath'] and type(s.mp) is types.ModuleType, "
+    "print(json.dumps([rc, 'mpmath' in sys.modules, "
     f"gc.get_freeze_count() > 0, {EXECUTED}]))"
+)
+# [exit code, integer fallback sweeps run], with mpmath unimportable
+BLOCKED_PROBE = (
+    "import json, sys; sys.modules['mpmath'] = None; "
+    "import zerodyn.cli, zerodyn.roots as r; sweeps = []; sweep = r._fixed_sweep; "
+    "r._fixed_sweep = lambda *a: sweeps.append(a[3]) or sweep(*a); "
+    "rc = zerodyn.cli.main(sys.argv[1:] + ['--output', '/dev/null']); "
+    "print(json.dumps([rc, len(sweeps)]))"
 )
 SUBCOMMANDS = [
     ["onset", "--series", "poly:1+x-x^2", "--poly", "x^2-2x+2", "--m-max", "20"],
@@ -216,22 +222,27 @@ def test_construct_and_verify_construct_leave_mpmath_unexecuted(construct_runs):
 
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
 def test_subcommand_executes_only_the_modules_it_uses(argv):
-    rc, _, _, frozen, executed = _fresh(CLI_PROBE, *argv)
+    rc, _, frozen, executed = _fresh(CLI_PROBE, *argv)
     assert (rc, frozen) == (0, True)
     assert "cli" in executed and UNEXECUTED[argv[0]].isdisjoint(executed), executed
 
 
 def test_construct_and_verify_construct_leave_dynamics_unexecuted(construct_runs):
-    for rc, _, _, frozen, executed in construct_runs:
+    for rc, _, frozen, executed in construct_runs:
         assert (rc, frozen) == (0, True)
         assert "construct" in executed and "dynamics" not in executed, executed
 
 
-def test_floating_subcommand_leaves_plain_mpmath_module():
+def test_subcommands_run_with_mpmath_blocked(tmp_path):
     # 1 and 1 + 2^-60 are one double, so the root finder's fallback sweep runs
     eps = Fraction(1, 2**60)
     f = Poly([-1, 1]) * Poly([-1 - eps, 1]) * Poly([2, 0, 1])
-    assert _fresh(CLI_PROBE, "zeros", "--poly", str(f))[:3] == [0, True, True]
+    assert _fresh(BLOCKED_PROBE, "zeros", "--poly", str(f)) == [0, 1]
+    attractor = SUBCOMMANDS[-1]
+    assert attractor[0] == "attractor" and _fresh(BLOCKED_PROBE, *attractor)[0] == 0
+    construct = ["construct", "--series", "poly:1+x+x^2", "--d-cap", "8", "--stages", "2",
+                 "--plan-out", str(tmp_path / "plan.json")]
+    assert _fresh(BLOCKED_PROBE, *construct)[0] == 0
 
 
 def test_json_report_leaves_csv_unimported():
@@ -242,13 +253,6 @@ def test_json_report_leaves_csv_unimported():
     )
     argv = ["onset", "--series", "poly:1+x-x^2", "--poly", "x^2-2x+2", "--m-max", "20"]
     assert _fresh(probe, *argv) == [0, False]
-
-
-def test_mpmath_imported_first_is_the_same_module():
-    assert _fresh(
-        "import json, types, mpmath, zerodyn.scalars as s; "
-        "print(json.dumps([s.mp is mpmath, type(s.mp) is types.ModuleType]))"
-    ) == [True, True]
 
 
 def _package_lines_with(*needles):
@@ -267,16 +271,10 @@ def test_package_source_does_not_mention_dataclass():
     assert _package_lines_with("dataclass") == []
 
 
-def test_only_scalars_binds_mpmath():
-    hits = _package_lines_with("import mpmath", "from mpmath")
-    assert all(h.startswith("scalars.py:") for h in hits), hits
-
-
-def test_mpmath_is_used_only_where_values_are_irrational():
-    # the fallback root rungs; everything else is exact
-    hits = _package_lines_with("mp.", "to_mp")
-    allowed = ("scalars.py", "roots.py")
-    assert hits and all(h.split(":")[0] in allowed for h in hits), hits
+def test_no_module_imports_mpmath():
+    # an import statement, or a name handed to an import helper
+    needles = ("import mpmath", "from mpmath", '"mpmath"', "'mpmath'")
+    assert _package_lines_with(*needles) == []
 
 
 def _instances():
