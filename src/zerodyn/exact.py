@@ -2,14 +2,14 @@
 
 The exact route answers "how many nonreal zeros, and are all zeros
 simple" (``count_nonreal``, ``ZeroCount.squarefree``) with no tolerance
-at every degree.  It works on the primitive integer multiple F of f, in
-one of two ways chosen by degree.  Below ``DESCARTES_MIN_DEGREE`` the
-integer primitive remainder sequence (PRS) of F and F' is a Sturm chain
-ending in gcd(F, F'); a square-free F is answered from that one chain,
-and repeated factors rerun it on the gcd.  From that degree up, where
-the PRS coefficients grow to thousands of bits, the square-free factors
-(the modular certificate, else Yun's split, whose gcds come from the same
-PRS) have their real zeros counted by Descartes bisection.
+at every degree.  It strips the zero root and splits the rest into
+square-free factors once (``_squarefree_split``: the modular certificate,
+else Yun's split, whose gcds are integer primitive remainder sequences,
+PRS).  Each factor's real zeros are counted on its primitive integer
+multiple F, by a route chosen by F's degree: below
+``DESCARTES_MIN_DEGREE`` the PRS of F and F', a Sturm chain; from that
+degree up, where the PRS coefficients grow to thousands of bits,
+Descartes bisection.
 
 This module is independent of the certified root finder in ``roots``,
 which takes its square-free split (``_squarefree_split``) and integer
@@ -28,7 +28,7 @@ from .poly import Poly, _taylor_shift
 from .records import Record
 from .scalars import common_denominator
 
-DESCARTES_MIN_DEGREE = 24  # _exact_profile's route: Sturm PRS below, Descartes from here
+DESCARTES_MIN_DEGREE = 24  # _real_zeros' route per factor: Sturm PRS below, Descartes from here
 SQUAREFREE_PRIME = 2**61 - 1
 
 
@@ -36,7 +36,7 @@ class ZeroCount(Record):
     total: int
     real_count: int
     nonreal_count: int
-    method: str  # "exact": Sturm chain, or Descartes bisection from DESCARTES_MIN_DEGREE
+    method: str  # "exact": per square-free factor, Sturm chain or Descartes bisection
     squarefree: bool  # every zero has multiplicity 1
 
 
@@ -172,26 +172,6 @@ def _sign_variations(values):
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _sturm_profile(c):
-    """(real zeros with multiplicity, square-free) of the rational list ``c``.
-
-    F's Sturm chain counts its distinct real zeros and ends in G = gcd(F, F'),
-    which has every zero of F once less, so the real zeros with multiplicity
-    are the distinct ones of F, G, gcd(G, G'), ...: one chain if F is square-free.
-    """
-    g = _integer_part(c)
-    real, squarefree = 0, True
-    while True:
-        chain = _prs(g, _primitive(_diff(g)))
-        at_plus = [p[-1] for p in chain]
-        at_minus = [x if len(p) & 1 else -x for x, p in zip(at_plus, chain)]
-        real += _sign_variations(at_minus) - _sign_variations(at_plus)
-        g = _primitive(chain[-1])
-        if len(g) == 1:
-            return real, squarefree
-        squarefree = False
-
-
 def _variations_01(q):
     """V, the sign variations of (x+1)^n q(1/(x+1)), or 2 if V >= 2.
 
@@ -269,36 +249,40 @@ def _positive_zeros(a):
     return _zeros_01([x << -s * (n - k) for k, x in enumerate(a)])
 
 
-def _descartes_profile(c):
-    """(real zeros with multiplicity, square-free) of the rational list ``c``.
+def _real_zeros(F):
+    """Real zeros of the square-free integer polynomial ``F``, F[0] != 0.
+
+    Below ``DESCARTES_MIN_DEGREE`` the Sturm chain ``_prs(F, F')`` counts
+    them by the sign variations at -inf and +inf; from it up, where the
+    PRS coefficients grow to thousands of bits, Descartes bisection counts
+    the positive zeros of F(x) and of F(-x).
+    """
+    if len(F) - 1 < DESCARTES_MIN_DEGREE:
+        chain = _prs(F, _primitive(_diff(F)))
+        at_plus = [p[-1] for p in chain]
+        at_minus = [x if len(p) & 1 else -x for x, p in zip(at_plus, chain)]
+        return _sign_variations(at_minus) - _sign_variations(at_plus)
+    mirror = [-x if k & 1 else x for k, x in enumerate(F)]
+    return _positive_zeros(F) + _positive_zeros(mirror)
+
+
+def _exact_profile(f: Poly):
+    """(real_count_with_mult, nonreal_count, is_squarefree) for rational f
+    of degree >= 1.
 
     A zero root counts with its multiplicity.  Each square-free factor
     from ``_squarefree_split`` of the rest, as its primitive integer
-    multiple F, adds the positive zeros of F(x) and of F(-x), times its
-    multiplicity.
+    multiple F, adds ``_real_zeros(F)`` times its multiplicity.
     """
+    c = f.coeffs
     nzero = 0
     while c[nzero] == 0:
         nzero += 1
     real, squarefree = nzero, nzero <= 1
     for factor, mult in _squarefree_split(c[nzero:]):
-        F = _integer_part(factor)
-        mirror = [-x if k & 1 else x for k, x in enumerate(F)]
-        real += mult * (_positive_zeros(F) + _positive_zeros(mirror))
+        real += mult * _real_zeros(_integer_part(factor))
         squarefree = squarefree and mult == 1
-    return real, squarefree
-
-
-def _exact_profile(f: Poly):
-    """(real_count_with_mult, nonreal_count, is_squarefree) for rational f
-    of degree >= 1: ``_sturm_profile`` below ``DESCARTES_MIN_DEGREE``,
-    ``_descartes_profile`` from it up, where the PRS coefficients grow too
-    large.
-    """
-    total = len(f.coeffs) - 1
-    profile = _sturm_profile if total < DESCARTES_MIN_DEGREE else _descartes_profile
-    real, squarefree = profile(f.coeffs)
-    return real, total - real, squarefree
+    return real, len(c) - 1 - real, squarefree
 
 
 def count_nonreal(f: Poly) -> ZeroCount:

@@ -6,10 +6,11 @@ Two routes, deliberately independent:
 * a certified root finder, in which doubles propose and Python ints
   certify.  Each square-free factor (so multiplicities are exact) is
   solved on its primitive integer multiple F.  Aberth-Ehrlich sweeps in
-  doubles give seeds; placed on a dyadic grid, each gets an inclusion
-  disk computed on F, and when the disks are disjoint each holds one
-  zero, refined by fixed-point Newton and certified in its disk (real
-  zeros in the real form, nonreal zeros as exact conjugate pairs).
+  doubles from the circle |z| = 2^hi, hi from F's root bound, give seeds;
+  placed on a dyadic grid, each gets an inclusion disk computed on F, and
+  when the disks are disjoint each holds one zero, refined by fixed-point
+  Newton and certified in its disk (real zeros in the real form, nonreal
+  zeros as exact conjugate pairs, which the listing keeps as pairs).
   Otherwise an Aberth sweep on Gaussian fixed-point ints, at the working
   precision and then at up to ``MAX_PRECISION_DOUBLINGS`` doublings of
   it, feeds the same disks and Newton ladder, before ``NoConvergence``.
@@ -95,19 +96,30 @@ def _circle_start(n, radius):
     return [radius * cmath.exp(1j * cmath.pi * (2 * k + 0.5) / n) for k in range(n)]
 
 
-def _sweep(coeffs, dcoeffs, zs, eps, stall_stop=False):
-    """Aberth-Ehrlich sweeps in doubles on ``zs`` in place; True once converged.
+def _double_seeds(source, hi):
+    """Positions that Aberth-Ehrlich sweeps in doubles reach from the circle
+    |z| = 2^hi, converged or not; None when a coefficient of ``source`` or
+    of its derivative is not a normal double, 2^hi not a double, or a
+    position not finite.
 
-    A root freezes when its value reaches the evaluation noise floor
-    eps (4n+4) sum |c_i| |z|^i; the run has converged when every root is
-    frozen or no step moves a root by more than ``eps`` relative.  It gives
-    up after ``MAX_SWEEPS``, or with ``stall_stop`` once a sweep does not
-    shrink the largest step below sqrt(eps): above that it can stay flat
-    for a hundred sweeps.
+    A position freezes when its value reaches the evaluation noise floor
+    DOUBLE_EPS (4n+4) sum |c_i| |z|^i.  The sweeps stop once every position
+    is frozen or no step moves one by more than DOUBLE_EPS relative, after
+    ``MAX_SWEEPS``, or once a sweep does not shrink the largest step below
+    sqrt(DOUBLE_EPS): above that it can stay flat for a hundred sweeps.
     """
-    n = len(zs)
-    tiny = eps * 16
+    exact = [*source, *(k * c for k, c in enumerate(source) if k)]
+    n = len(source) - 1
+    try:
+        cs = [float(c) for c in exact]
+        zs = _circle_start(n, math.ldexp(1.0, hi))
+    except OverflowError:
+        return None
+    if any(c != 0 and not DOUBLE_MIN <= abs(v) for c, v in zip(exact, cs)):
+        return None
+    coeffs, dcoeffs = cs[: n + 1], cs[n + 1 :]
     acoeffs = [abs(c) for c in coeffs]
+    tiny = DOUBLE_EPS * 16
     frozen = [False] * n
     last = math.inf
     for _sweep_no in range(MAX_SWEEPS):
@@ -117,7 +129,7 @@ def _sweep(coeffs, dcoeffs, zs, eps, stall_stop=False):
                 continue
             z = zs[k]
             fval = _horner(coeffs, z)
-            if abs(fval) <= eps * (4 * n + 4) * _horner(acoeffs, abs(z)):
+            if abs(fval) <= DOUBLE_EPS * (4 * n + 4) * _horner(acoeffs, abs(z)):
                 frozen[k] = True
                 continue
             dval = _horner(dcoeffs, z)
@@ -138,32 +150,9 @@ def _sweep(coeffs, dcoeffs, zs, eps, stall_stop=False):
             rel = abs(w) / (1 + abs(z))
             if rel > max_rel_step:
                 max_rel_step = rel
-        if all(frozen) or max_rel_step <= eps:
-            return True
-        if stall_stop and max_rel_step >= last:
-            return False
-        last = max_rel_step if max_rel_step**2 < eps else math.inf
-    return False
-
-
-def _double_seeds(source):
-    """Positions the double sweep reaches from the circle, converged or not;
-    None when a coefficient of ``source`` or of its derivative is not a
-    normal double, or a position not finite."""
-    exact = [*source, *(k * c for k, c in enumerate(source) if k)]
-    try:
-        cs = [float(c) for c in exact]
-    except OverflowError:
-        return None
-    if any(c != 0 and not DOUBLE_MIN <= abs(v) for c, v in zip(exact, cs)):
-        return None
-    n = len(source) - 1
-    # Fujiwara root bound: 2 max_k |c_{n-k}/c_n|^(1/k); far tighter than
-    # the Cauchy bound when the low-order coefficients are the huge ones.
-    ks = [k for k in range(1, n + 1) if cs[n - k]]
-    radius = 2 * max((abs(cs[n - k]) / abs(cs[n])) ** (1 / k) for k in ks)
-    zs = _circle_start(n, max(radius, 0.5))
-    _sweep(cs[: n + 1], cs[n + 1 :], zs, DOUBLE_EPS, stall_stop=True)
+        if all(frozen) or max_rel_step <= DOUBLE_EPS or max_rel_step >= last:
+            break
+        last = max_rel_step if max_rel_step**2 < DOUBLE_EPS else math.inf
     return zs if all(math.isfinite(abs(z)) for z in zs) else None
 
 
@@ -464,7 +453,7 @@ def _aberth(source, workprec):
     F = _integer_part(source)
     lo, hi = _zero_bounds(F)
     lo = max(lo, 0)
-    seeds = _double_seeds(source)
+    seeds = _double_seeds(source, hi)
     if seeds is not None:
         start = min(106, workprec)
         pts = [_place(z, start + lo) for z in seeds]
@@ -508,43 +497,6 @@ def _sort_located(located, precision_bits):
     return [located[i] for i in out + sorted(line, key=ys.__getitem__)]
 
 
-def _conjugates_adjacent(zs):
-    """True if each nonreal z is followed by exactly conj(z) and lies below it."""
-    it = iter(zs)
-    for z in it:
-        if z.imag != 0 and not (z.imag < 0 and next(it, None) == z.conjugate()):
-            return False
-    return True
-
-
-def _pair_conjugates(located):
-    """Sorted (location, multiplicity) pairs, each conjugate pair adjacent.
-
-    Sorting alone lists either member of a pair first: their real parts
-    differ by noise.  z's partner is the root nearest conj(z) if nearer
-    than z, which a real root never finds; the lower member goes first.
-    Ladder output, whose pairs are exact conjugates, usually has this
-    order already and is returned as it is, without the quadratic search.
-    """
-    if _conjugates_adjacent([t[0] for t in located]):
-        return located
-    xs, ys, _den = on_grid([t[0] for t in located])
-
-    def gap(j, i):  # squared distance from root j to conj(root i), on the grid
-        return (xs[j] - xs[i]) ** 2 + (ys[j] + ys[i]) ** 2
-
-    rest, out = list(range(len(located))), []
-    while rest:
-        i = rest.pop(0)
-        j = min(rest, key=lambda j: gap(j, i), default=None)
-        if j is not None and gap(j, i) < gap(i, i):
-            rest.remove(j)
-            out += sorted([i, j], key=ys.__getitem__)
-        else:
-            out.append(i)
-    return [located[i] for i in out]
-
-
 def _residual(F, sup, z, k):
     """|F(z)| / (sup max(1, |z|)^n) as a float, for the exact point z and the
     integer F of degree n: ``_horner_fixed`` on z's own grid, with at least
@@ -579,15 +531,16 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
     conjugate pair: a root is real iff its imaginary part is 0.
     Multiplicities are exact: each square-free factor is solved on its
     own.  Roots are listed by real part (a zero root first), real parts
-    within 2^-precision_bits (1 + |r|) by imaginary part; each conjugate
-    pair is adjacent, lower half-plane first.
+    within 2^-precision_bits (1 + |r|) by imaginary part.  Only the lower
+    member of a conjugate pair is sorted; its exact conjugate follows it.
 
     Raises
     ------
     ValueError (``precision_bits`` not an int >= 1), DegreeZero,
     NoConvergence (the ladder certified a factor on no rung up to
     2^MAX_PRECISION_DOUBLINGS times the working precision; the best
-    RootSet found rides on the exception).
+    RootSet found rides on the exception, every position sorted and none
+    paired, as its positions are not exact conjugates).
     """
     if type(precision_bits) is not int or precision_bits < 1:
         raise ValueError(f"precision_bits must be an int >= 1, not {precision_bits!r}")
@@ -603,7 +556,13 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
         positions, ok = _aberth(factor, workprec)
         located += [(z, mult) for z in positions]
         certified = certified and ok
-    located = _pair_conjugates(_sort_located(located, precision_bits))
+    if certified:  # each upper member of a pair follows its exact conjugate
+        lower = _sort_located([t for t in located if t[0].imag <= 0], precision_bits)
+        located = []
+        for z, mult in lower:
+            located += [(z, mult), (z.conjugate(), mult)] if z.imag else [(z, mult)]
+    else:
+        located = _sort_located(located, precision_bits)
     if nzero:
         located.insert(0, (Point(ZERO, ZERO), nzero))
     F = _integer_part(f.coeffs)

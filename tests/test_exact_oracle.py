@@ -106,13 +106,25 @@ def _isolated(f):
 
 
 def _check_count(f):
-    """count_nonreal, by whichever route the degree picks, against sympy."""
+    """count_nonreal, by whichever route each factor's degree picks, against sympy."""
     real, squarefree = _isolated(f)
     zc = count_nonreal(f)
     assert (zc.real_count, zc.nonreal_count, zc.squarefree) == (
         real, int(f.degree) - real, squarefree
     )
     return real, squarefree
+
+
+def _both_routes(f):
+    """_exact_profile's (real, squarefree) with every square-free factor
+    counted by Descartes bisection, then by the Sturm chain."""
+    out = []
+    for d0 in (1, 10**6):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(exact, "DESCARTES_MIN_DEGREE", d0)
+            real, _nonreal, squarefree = exact._exact_profile(f)
+        out.append((real, squarefree))
+    return out
 
 
 def _hard_inputs(rng, d):
@@ -128,8 +140,7 @@ def test_both_routes_at_degree(d):
     rng = make_rng(d)
     for f in [random_poly(rng, d), *_hard_inputs(rng, d)]:
         expected = _check_count(f)
-        assert exact._sturm_profile(f.coeffs) == expected
-        assert exact._descartes_profile(f.coeffs) == expected
+        assert _both_routes(f) == [expected, expected]
 
 
 @pytest.mark.parametrize("d", [80, 120])
@@ -154,8 +165,7 @@ def test_zeros_on_bisection_points():
         f = f * P(F(-k, 8), 1)
     for g, expected in ((f, (25, True)), (f * P(F(-3, 4), 1) ** 2, (27, False))):
         assert _check_count(g) == expected
-        assert exact._sturm_profile(g.coeffs) == expected
-        assert exact._descartes_profile(g.coeffs) == expected
+        assert _both_routes(g) == [expected, expected]
 
 
 close_pair = st.builds(
@@ -178,5 +188,18 @@ def test_sturm_and_descartes_profiles_agree(parts):
         f = f * g**m
     hypothesis.assume(f.degree >= 1)
     expected = _isolated(f)
-    assert exact._sturm_profile(f.coeffs) == expected
-    assert exact._descartes_profile(f.coeffs) == expected
+    assert _both_routes(f) == [expected, expected]
+
+
+def test_route_is_chosen_by_factor_degree(monkeypatch):
+    # degree 25, but every square-free factor is below DESCARTES_MIN_DEGREE:
+    # each one takes the Sturm chain
+    g = random_poly(make_rng(25), 7)
+    f = P(F(-2, 3), 1) ** 3 * P(F(1, 5), 0, 1) ** 4 * g**2
+    assert f.degree == 25 > D0
+    degrees, real_zeros = [], exact._real_zeros
+    monkeypatch.setattr(
+        exact, "_real_zeros", lambda F: degrees.append(len(F) - 1) or real_zeros(F)
+    )
+    _check_count(f)
+    assert sorted(degrees) == [1, 2, 7] and max(degrees) < D0

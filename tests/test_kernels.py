@@ -26,7 +26,7 @@ from zerodyn import (
     translate,
     truncated_power,
 )
-from zerodyn.scalars import Point, common_denominator
+from zerodyn.scalars import common_denominator
 from conftest import make_rng, random_fraction, random_poly, random_series, to_mp
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -207,41 +207,29 @@ def _pair_by_search(located):
     return out
 
 
-class TestPairConjugates:
-    def _located(self, rng, noisy):
-        out = []
-        for _ in range(rng.randint(1, 12)):
-            re = F(rng.randint(-50, 50), 7)
-            if rng.random() < 0.4:
-                out.append((Point(re, F(0)), rng.randint(1, 3)))
-            else:
-                im = F(rng.randint(1, 50), 9)
-                jitter = F(rng.choice([-1, 1]), 2**200) if noisy else 0
-                m = rng.randint(1, 2)
-                out += [(Point(re, -im), m), (Point(re + jitter, im), m)]
-        out.sort(key=lambda t: (t[0].real, t[0].imag))
-        if rng.random() < 0.3:  # upper member first, or pairs split apart
-            i = rng.randrange(len(out))
-            out.insert(rng.randrange(len(out)), out.pop(i))
-        return out
+class TestConjugatePairing:
+    """find_roots lists each exact conjugate pair as the quadratic
+    nearest-conjugate search does on the sorted roots."""
 
-    def test_same_order_as_the_search(self):
+    def _inputs(self):
         rng = make_rng(17)
-        for noisy in (False, True):
-            for _ in range(200):
-                located = self._located(rng, noisy)
-                assert roots._pair_conjugates(list(located)) == _pair_by_search(located)
+        yield Poly([1, 0, 3, 0, 1])  # x^4 + 3x^2 + 1: pairs on the imaginary axis
+        # three pairs on the line Re z = -1/3, their real parts rounded off it
+        yield translate(Poly([1, 0, 1]) * Poly([4, 0, 1]) * Poly([9, 0, 1]), F(1, 3))
+        for _ in range(8):  # coprime products with repeated factors, no zero root
+            c = F(rng.randint(1, 50), rng.randint(1, 9))
+            g = random_poly(rng, rng.randint(1, 5))
+            f = g * random_poly(rng, rng.randint(1, 4)) ** 2 * Poly([c, 0, 1]) ** 3
+            if f.coeffs[0]:
+                yield f
 
-    def test_ladder_output_needs_no_search(self, monkeypatch):
-        seen = []
-        adjacent = roots._conjugates_adjacent
-        monkeypatch.setattr(
-            roots, "_conjugates_adjacent", lambda zs: seen.append(adjacent(zs)) or seen[-1]
-        )
-        rng = make_rng(19)
-        for d in (6, 10, 16):
-            find_roots(random_poly(rng, d), 128)
-        assert seen and all(seen)
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_same_order_as_the_search(self, bits):
+        rng = make_rng(bits)
+        for f in self._inputs():
+            located = [(r.location, r.multiplicity) for r in find_roots(f, bits).roots]
+            shuffled = rng.sample(located, len(located))
+            assert located == _pair_by_search(roots._sort_located(shuffled, bits))
 
 
 @st.composite

@@ -280,21 +280,21 @@ class TestPrecisionLadder:
     def test_stalled_double_rung_seeds_working_rung(self, monkeypatch):
         f = P(3, -1, 4, -1, 5, 9)
         base = find_roots(f)
-        seen = _record(monkeypatch, "_double_seeds")
-        starts = []
-        real, fixed = roots._sweep, roots._fixed_sweep
+        seen, starts = [], []
+        seeds, fixed = roots._double_seeds, roots._fixed_sweep
 
-        def stalling(coeffs, dcoeffs, zs, eps, stall_stop=False):
-            # the double rung gives up after one sweep
+        def stalling(source, hi):
+            # the double sweep gives up after one sweep
             with monkeypatch.context() as m:
                 m.setattr(roots, "MAX_SWEEPS", 1)
-                return real(coeffs, dcoeffs, zs, eps, stall_stop)
+                seen.append(seeds(source, hi))
+            return seen[-1]
 
         def recording(F, pts, k, wp):
             starts.append(([roots._place(z, k) for z in seen[-1]], list(pts)))
             return fixed(F, pts, k, wp)
 
-        monkeypatch.setattr(roots, "_sweep", stalling)
+        monkeypatch.setattr(roots, "_double_seeds", stalling)
         monkeypatch.setattr(roots, "_fixed_sweep", recording)
         _same_roots(find_roots(f), base, 1e-70)
         # the working rung starts from the positions reached, not the circle
@@ -573,8 +573,13 @@ class TestExactFallbackCertificate:
         assert [wp for wp, _ in sweeps] == climb and rungs[0][1:] == (106, 128)
         assert rungs[1:] == [(k, k, k) for _, k in sweeps]
         assert len(seeds) == 1
-        assert info.value.best.total_multiplicity() == len(self.CLUSTER)
-        assert len(info.value.best.roots) == len(self.CLUSTER)
+        best = info.value.best
+        assert best.total_multiplicity() == len(self.CLUSTER)
+        assert len(best.roots) == len(self.CLUSTER)
+        # its positions are not exact conjugates: sorted, none paired
+        located = [(r.location, r.multiplicity) for r in best.roots]
+        shuffled = make_rng(5).sample(located, len(located))
+        assert located == roots._sort_located(shuffled, 64)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("bits", [64, 128, 256])
