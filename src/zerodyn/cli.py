@@ -2,9 +2,12 @@
 
 Subcommands mirror the library: classify, lp-test, apply, iterate,
 zeros, onset, converge, discrepancy, attractor, limit-poly, hermite,
-jensen, construct, verify-construct.  JSON is the archival output (it
-embeds the run configuration); CSV emits one row per m or per root for
-plotting.  Exit codes: 0 success, 1 verification failure, 2 input error.
+jensen, construct, verify-construct.  Each subcommand declares only the
+settings it reads (``_SETTINGS``; defaults from ``scalars.DEFAULT_*``)
+and argparse rejects any other with exit 2.  JSON is the archival output:
+its ``config`` block echoes the declared settings.  CSV emits one row per
+m or per root for plotting, for the four reports with a CSV schema.
+Exit codes: 0 success, 1 verification failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 
 from .errors import (
@@ -22,7 +24,6 @@ from .errors import (
     WitnessNotFound,
     ZerodynError,
 )
-from .records import Record
 from .scalars import (
     DEFAULT_D_CAP,
     DEFAULT_M_MAX,
@@ -30,6 +31,7 @@ from .scalars import (
     _lazy_import,
     exact_nth_root,
     parse_fraction,
+    to_double,
 )
 
 # Bound lazily, not by an import statement (which would read ``__spec__``
@@ -48,30 +50,37 @@ EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 
 
-class RunConfig(Record):
-    precision_bits: int
-    m_max: int
-    d_cap: int
-    out_format: str
-    output: str | None
+def _int_at_least(low):
+    """An argparse ``type``: an int >= ``low``; anything else exits 2."""
 
-    def validate(self):
-        if self.precision_bits < 64:
-            raise ValueError("precision-bits must be >= 64")
-        if self.m_max < 1 or self.d_cap < 1:
-            raise ValueError("m-max and d-cap must be >= 1")
-        if self.out_format not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
 
 
-def _env_default(name, cast, fallback):
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"{name}={raw!r} is not a valid {cast.__name__}") from None
+# Each setting, declared only by the subcommands that read it (see ``cmd``).
+_SETTINGS = {
+    "precision_bits": ("--precision-bits", dict(
+        type=_int_at_least(64), default=DEFAULT_PRECISION_BITS,
+        help="binary precision of the certified roots and the m^(1/p) "
+        "roundings (default %(default)s)",
+    )),
+    "m_max": ("--m-max", dict(
+        type=_int_at_least(1), default=DEFAULT_M_MAX,
+        help="iterates the onset scan sweeps (default %(default)s)",
+    )),
+    "d_cap": ("--d-cap", dict(
+        type=_int_at_least(1), default=DEFAULT_D_CAP,
+        help="degree cap of the witness search (default %(default)s)",
+    )),
+    "format": ("--format", dict(choices=("json", "csv"), default="json")),
+    "output": ("--output", dict(help="write the report here instead of stdout")),
+}
 
 
 class _SubcommandParser(argparse.ArgumentParser):
@@ -88,15 +97,7 @@ class _SubcommandParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser; a malformed ZERODYN_* default is a ValueError here."""
-    int_options = [  # (flag, default, help) of every subcommand
-        ("--precision-bits", _env_default("ZERODYN_PRECISION_BITS", int, DEFAULT_PRECISION_BITS),
-         "binary working precision for floating paths"),
-        ("--m-max", _env_default("ZERODYN_M_MAX", int, DEFAULT_M_MAX),
-         "iterate sweep bound for onset scans"),
-        ("--d-cap", _env_default("ZERODYN_D_CAP", int, DEFAULT_D_CAP),
-         "degree cap for witness searches"),
-    ]
+    """The CLI parser: each subcommand declares the settings it reads."""
     parser = argparse.ArgumentParser(
         prog="zerodyn",
         description=(
@@ -109,12 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True, parser_class=_SubcommandParser
     )
 
-    def cmd(name, help_text):
+    def cmd(name, help_text, *settings):
         p = sub.add_parser(name, help=help_text)
-        for flag, default, text in int_options:
-            p.add_argument(flag, type=int, default=default, help=text + " (default %(default)s)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output", help="write the report here instead of stdout")
+        for setting in (*settings, "output"):
+            flag, kwargs = _SETTINGS[setting]
+            p.add_argument(flag, **kwargs)
         return p
 
     p = cmd("classify", "classify an operator series")
@@ -138,24 +138,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="also count nonreal zeros of the result",
     )
 
-    p = cmd("zeros", "find all roots with residual certificates")
+    p = cmd("zeros", "find all roots with residual certificates", "precision_bits", "format")
     p.add_argument("--poly", required=True)
 
-    p = cmd("onset", "scan for the terminal zero behavior")
+    p = cmd("onset", "scan for the terminal zero behavior", "m_max", "format")
     p.add_argument("--series", required=True)
     p.add_argument("--poly", required=True)
 
-    p = cmd("converge", "sup-norm error of rescaled iterates vs the limit")
+    p = cmd(
+        "converge", "sup-norm error of rescaled iterates vs the limit",
+        "precision_bits", "format",
+    )
     p.add_argument("--series", required=True)
     p.add_argument("--poly", required=True)
     p.add_argument("--m-list", required=True, help="e.g. 1:100, 10:1000:10, or 1,2,5")
 
-    p = cmd("discrepancy", "operator-norm surrogate at order d")
+    p = cmd("discrepancy", "operator-norm surrogate at order d", "precision_bits")
     p.add_argument("--series", required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
 
-    p = cmd("attractor", "pullback containment of iterate zeros")
+    p = cmd(
+        "attractor", "pullback containment of iterate zeros", "precision_bits", "format"
+    )
     p.add_argument("--series", required=True)
     p.add_argument("--poly", required=True)
     p.add_argument("--m-list", required=True)
@@ -169,38 +174,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd("hermite", "Hermite polynomial H_d")
     p.add_argument("--d", type=int, required=True)
 
-    p = cmd("jensen", "Jensen polynomial of the Mittag-Leffler series")
+    p = cmd("jensen", "Jensen polynomial of the Mittag-Leffler series", "precision_bits")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--roots", action="store_true", help="also report its roots")
 
-    p = cmd("construct", "build and verify a counterexample product")
+    p = cmd(
+        "construct", "build and verify a counterexample product", "precision_bits", "d_cap"
+    )
     p.add_argument("--series", required=True)
     p.add_argument("--stages", type=int, required=True, help="number of stages N")
     p.add_argument("--m", type=int, help="verify iterates up to m (default N)")
     p.add_argument("--gamma0", default="1", help="initial stage factor (rational)")
     p.add_argument("--plan-out", help="also save the stage plan JSON here")
 
-    p = cmd("verify-construct", "re-verify a saved stage plan from scratch")
+    p = cmd(
+        "verify-construct", "re-verify a saved stage plan from scratch",
+        "precision_bits", "d_cap",
+    )
     p.add_argument("--series", required=True)
     p.add_argument("--plan", required=True, help="plan JSON produced by construct")
     p.add_argument("--m", type=int, help="verify iterates up to m (default N)")
 
     return parser
-
-
-def _config_from(args) -> RunConfig:
-    cfg = RunConfig(
-        precision_bits=args.precision_bits,
-        m_max=args.m_max,
-        d_cap=args.d_cap,
-        out_format=args.format,
-        output=args.output,
-    )
-    cfg.validate()
-    if cfg.out_format == "csv":
-        formats.csv_table(args.command)  # before any work, not after it
-    return cfg
 
 
 def _parse_m_list(spec: str):
@@ -225,21 +221,24 @@ def _parse_m_list(spec: str):
     return out
 
 
-def _emit(cfg: RunConfig, kind: str, payload) -> None:
-    if cfg.out_format == "csv":
+def _emit(args, payload) -> None:
+    kind = args.command
+    if getattr(args, "format", "json") == "csv":
         text = formats.csv_text(kind, payload)
     else:
-        doc = {"tool": "zerodyn", "report": f"{kind} v1", "config": cfg._asdict()}
+        # the options this subcommand declares, in ``_SETTINGS`` order
+        config = {name: getattr(args, name) for name in _SETTINGS if hasattr(args, name)}
+        doc = {"tool": "zerodyn", "report": f"{kind} v1", "config": config}
         doc.update(payload)
         text = formats.dump_json(doc)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _payload(args, cfg: RunConfig):
+def _payload(args):
     """The report the subcommand ``args.command`` asks for, as its JSON payload."""
     cmd = args.command
 
@@ -262,27 +261,28 @@ def _payload(args, cfg: RunConfig):
 
     if cmd == "zeros":
         f = formats.resolve_poly(args.poly)
-        return formats.rootset_payload(roots.find_roots(f, cfg.precision_bits))
+        return formats.rootset_payload(roots.find_roots(f, args.precision_bits))
 
     if cmd in ("onset", "converge", "attractor"):
         f = formats.resolve_poly(args.poly)
         phi = formats.resolve_series(args.series, min_order=max(2, f.degree))
         if cmd == "onset":
-            rep = dynamics.onset_scan(phi, f, cfg.m_max)
+            rep = dynamics.onset_scan(phi, f, args.m_max)
             return formats.onset_payload(rep)
         ms = _parse_m_list(args.m_list)
         if cmd == "converge":
-            rep = dynamics.convergence_experiment(phi, f, ms, cfg.precision_bits)
+            rep = dynamics.convergence_experiment(phi, f, ms, args.precision_bits)
             return formats.convergence_payload(rep)
-        rep = dynamics.attractor_experiment(phi, f, ms, args.epsilon, cfg.precision_bits)
+        rep = dynamics.attractor_experiment(phi, f, ms, args.epsilon, args.precision_bits)
         return formats.attractor_payload(rep)
 
     if cmd == "discrepancy":
         phi = formats.resolve_series(args.series, min_order=args.d)
         cls = series.classify(phi)
-        value = dynamics.operator_discrepancy(cls, phi, args.d, args.m, cfg.precision_bits)
+        value = dynamics.operator_discrepancy(cls, phi, args.d, args.m, args.precision_bits)
         text = str(value) if exact_nth_root(args.m, cls.p) is not None else None
-        return {"d": args.d, "m": args.m, "discrepancy": float(value), "exact": text}
+        double = to_double(value, "the discrepancy")
+        return {"d": args.d, "m": args.m, "discrepancy": double, "exact": text}
 
     if cmd == "limit-poly":
         g = limits.exp_dp_monomial(parse_fraction(args.beta), args.p, args.d)
@@ -295,40 +295,34 @@ def _payload(args, cfg: RunConfig):
         g = limits.jensen_ml(args.p, args.q)
         payload = formats.poly_payload(g)
         if args.roots:
-            rs = roots.find_roots(g, cfg.precision_bits)
+            rs = roots.find_roots(g, args.precision_bits)
             payload["roots"] = formats.rootset_payload(rs)["roots"]
         return payload
 
     if cmd in ("construct", "verify-construct"):
-        phi = formats.resolve_series(args.series, min_order=cfg.d_cap)
+        phi = formats.resolve_series(args.series, min_order=args.d_cap)
         if cmd == "construct":
             if args.m is not None and not 1 <= args.m <= args.stages:
                 raise ValueError(f"need 1 <= M <= N, got M = {args.m}, N = {args.stages}")
             plan = construct_mod.build_plan(
                 phi,
                 args.stages,
-                d_cap=cfg.d_cap,
+                d_cap=args.d_cap,
                 gamma0=parse_fraction(args.gamma0),
-                precision_bits=cfg.precision_bits,
+                precision_bits=args.precision_bits,
             )
         else:
             with open(args.plan, "r", encoding="utf-8") as fh:
                 plan = formats.plan_from_payload(json.load(fh))
         n = plan.stages_fixed
         m = args.m if args.m is not None else n
-        report = construct_mod.verify_counterexample(phi, plan, n, m, cfg.precision_bits)
+        report = construct_mod.verify_counterexample(phi, plan, n, m, args.precision_bits)
         if cmd == "construct" and args.plan_out:
             with open(args.plan_out, "w", encoding="utf-8") as fh:
                 fh.write(formats.dump_json(formats.plan_payload(plan)))
         return formats.counterexample_payload(report)
 
     raise ValueError(f"unknown command {cmd!r}")
-
-
-def _run(args) -> int:
-    cfg = _config_from(args)
-    _emit(cfg, args.command, _payload(args, cfg))
-    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -346,17 +340,13 @@ def main(argv=None) -> int:
     if not gc.get_freeze_count():
         gc.freeze()
     try:
-        parser = build_parser()  # reads the ZERODYN_* defaults
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize exit 0 for --help
         return int(exc.code or 0)
     try:
-        return _run(args)
+        _emit(args, _payload(args))
+        return EXIT_OK
     except (VerificationFailed, WitnessNotFound, GammaSearchExhausted, NoConvergence) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION

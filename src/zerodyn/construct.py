@@ -33,7 +33,7 @@ from .roots import find_roots, roots_in_disk
 from .scalars import DEFAULT_D_CAP, DEFAULT_PRECISION_BITS, Point, as_fraction, on_grid
 from .series import PowerSeries, factor_out_zero, truncated_power
 
-DEFAULT_MAX_HALVINGS = 60
+MAX_HALVINGS = 60  # choose_gamma tries gamma0 / 2^j for j = 0..MAX_HALVINGS
 
 
 class StagePlan(Record, frozen=False):
@@ -209,14 +209,15 @@ def _nearest(rs, c: Point) -> Point:
     return rs.roots[i - 1].location
 
 
-def _stage_predicate(psi, plan: StagePlan, gammas, k: int, precision_bits: int):
+def _stage_predicate(psi, plan: StagePlan, gammas, k: int):
     """Persistence check for stages 1..k with the given gamma list.
 
-    True iff the disk clauses of _check_disks hold for every m <= k.
+    True iff the disk clauses of _check_disks hold for every m <= k, with
+    roots at the plan's precision.
     """
     product = _partial_product(plan.degrees, gammas, k)
     try:
-        _check_disks(psi, plan, gammas[:k], product, k, precision_bits)
+        _check_disks(psi, plan, gammas[:k], product, k, plan.precision_bits)
     except VerificationFailed:
         return False
     return True
@@ -227,10 +228,10 @@ def choose_gamma(
     plan: StagePlan,
     k: int,
     gamma0,
-    max_halvings: int = DEFAULT_MAX_HALVINGS,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> Fraction:
-    """First gamma in gamma0, gamma0/2, ... passing the stage-k predicate.
+    """First gamma in gamma0, gamma0/2, ..., gamma0/2^MAX_HALVINGS passing
+    the stage-k predicate, whose roots are found at ``plan.precision_bits``
+    (the precision ``pick_targets`` chose the targets at).
 
     Replaces a non-effective smallness threshold with a checked search:
     shrinking gamma pushes the new stage's disks far to the left while
@@ -245,12 +246,12 @@ def choose_gamma(
         )
     _mu, psi = factor_out_zero(phi)
     trial = gamma0
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         gammas = list(plan.gammas) + [trial]
-        if _stage_predicate(psi, plan, gammas, k, precision_bits):
+        if _stage_predicate(psi, plan, gammas, k):
             return trial
         trial = trial / 2
-    raise GammaSearchExhausted(k, max_halvings)
+    raise GammaSearchExhausted(k, MAX_HALVINGS)
 
 
 def build_partial_product(plan: StagePlan, N: int) -> Poly:
@@ -265,11 +266,10 @@ def extend_plan(
     plan: StagePlan,
     k: int,
     gamma0=Fraction(1),
-    max_halvings: int = DEFAULT_MAX_HALVINGS,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> StagePlan:
-    """Fix stage k in place (driver around choose_gamma)."""
-    gamma = choose_gamma(phi, plan, k, gamma0, max_halvings, precision_bits)
+    """Fix stage k in place: choose_gamma's gamma, searched at
+    ``plan.precision_bits``, and the stage's positivity witness."""
+    gamma = choose_gamma(phi, plan, k, gamma0)
     gammas = plan.gammas + (gamma,)
     product = _partial_product(plan.degrees, gammas, k)
     positive = all(c > 0 for c in product.coeffs)
@@ -286,14 +286,14 @@ def build_plan(
     N: int,
     d_cap: int = DEFAULT_D_CAP,
     gamma0=Fraction(1),
-    max_halvings: int = DEFAULT_MAX_HALVINGS,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> StagePlan:
-    """Full pipeline: witnesses, targets, then the stagewise gamma search."""
+    """Full pipeline: witnesses, targets at ``precision_bits``, then the
+    stagewise gamma search at the same precision."""
     degrees = find_degree_witnesses(phi, N, d_cap)
     plan = pick_targets(phi, degrees, precision_bits)
     for k in range(1, N + 1):
-        extend_plan(phi, plan, k, gamma0, max_halvings, precision_bits)
+        extend_plan(phi, plan, k, gamma0)
     return plan
 
 

@@ -39,6 +39,7 @@ from .scalars import (
     dyadic_round,
     on_grid,
     root_rounded,
+    to_double,
 )
 from .series import (
     OperatorClass,
@@ -238,7 +239,7 @@ def _m_values(m_list):
 def _fit_loglog_slope(samples):
     xs, ys = [], []
     for m, e in samples:
-        ef = float(e)
+        ef = to_double(e, f"the sup-norm error at m = {m}")
         if ef > 0.0:  # an exact zero, or one that underflows, is exact convergence
             xs.append(math.log(m))
             ys.append(math.log(ef))

@@ -154,7 +154,7 @@ def parse_poly_inline(text: str) -> Poly:
         coeff = mobj.group("coeff")
         var = mobj.group("var1") or mobj.group("var2")
         exp = mobj.group("exp1") or mobj.group("exp2")
-        c = Fraction(coeff) if coeff else Fraction(1)
+        c = parse_fraction(coeff) if coeff else Fraction(1)
         k = 0
         if var:
             k = int(exp) if exp else 1
@@ -432,18 +432,12 @@ _CSV_TABLES = {
 }
 
 
-def csv_table(kind: str):
-    """(CSV kind, payload key of the rows, columns) of the ``kind`` report;
-    ValueError for a kind with no CSV schema."""
-    if kind not in _CSV_TABLES:
-        raise ValueError(f"{kind} has no CSV schema; use --format json")
-    return _CSV_TABLES[kind]
-
-
 def csv_text(kind: str, payload) -> str:
     """The CSV form of the ``kind`` report whose JSON payload is ``payload``;
     ValueError for a kind with no CSV schema."""
-    name, key, columns = csv_table(kind)
+    if kind not in _CSV_TABLES:
+        raise ValueError(f"{kind} has no CSV schema; use --format json")
+    name, key, columns = _CSV_TABLES[kind]
     import csv  # only CSV output needs it; kept off the import path
 
     buf = io.StringIO()

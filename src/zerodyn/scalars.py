@@ -38,8 +38,8 @@ def _lazy_import(name):
     return module
 
 
-# The library's defaults, and the CLI's unless a ZERODYN_* variable overrides
-# them; here, so the CLI reads them without executing the modules that use them.
+# The library's defaults, and the defaults of the CLI options that set them;
+# here, so the CLI reads them without executing the modules that use them.
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_M_MAX = 200  # onset scans: iterates swept
 DEFAULT_D_CAP = 40  # witness searches: degree cap
@@ -62,7 +62,7 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return parse_fraction(x)
     raise TypeError(f"not an exact scalar: {x!r} ({type(x).__name__})")
 
 
@@ -136,4 +136,18 @@ def fraction_str(x: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """The rational ``text`` spells; ValueError if it is malformed or its
+    denominator is 0."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"{text.strip()!r} has a zero denominator") from None
+
+
+def to_double(x: Fraction, what: str) -> float:
+    """float(x); ValueError naming ``what`` if |x| is past the double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        bits = x.numerator.bit_length() - x.denominator.bit_length()
+        raise ValueError(f"{what} is about 2^{bits}, past the double range") from None

@@ -1,15 +1,18 @@
 """CLI contract: subcommands, exit codes, config echo, round-trips."""
 
+import argparse
 import json
+import os
+import shlex
 
 import pytest
 
 from zerodyn import Poly, PowerSeries, build_plan, extend
-from zerodyn.cli import main
-from zerodyn.construct import DEFAULT_D_CAP
-from zerodyn.dynamics import DEFAULT_M_MAX
-from zerodyn.scalars import DEFAULT_PRECISION_BITS
+from zerodyn.cli import build_parser, main
+from zerodyn.scalars import DEFAULT_D_CAP, DEFAULT_M_MAX, DEFAULT_PRECISION_BITS
 from zerodyn.formats import dump_json, parse_poly_inline, plan_payload
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def run_cli(capsys, *argv):
@@ -34,23 +37,6 @@ class TestClassify:
         doc = run_json(capsys, "classify", "--series", "truncated-exp:6")
         assert doc["form"] == "PureExponential"
 
-    def test_config_echoed(self, capsys):
-        doc = run_json(
-            capsys, "classify", "--series", "poly:1+x", "--precision-bits", "128"
-        )
-        assert doc["config"]["precision_bits"] == 128
-
-    def test_bare_config_is_library_defaults(self, capsys, monkeypatch):
-        for name in ("PRECISION_BITS", "M_MAX", "D_CAP"):
-            monkeypatch.delenv(f"ZERODYN_{name}", raising=False)
-        doc = run_json(capsys, "classify", "--series", "poly:1+x")
-        assert doc["config"] == {
-            "precision_bits": DEFAULT_PRECISION_BITS,
-            "m_max": DEFAULT_M_MAX,
-            "d_cap": DEFAULT_D_CAP,
-            "out_format": "json",
-            "output": None,
-        }
 
 
 class TestIterate:
@@ -126,11 +112,15 @@ class TestFormatsAndOutput:
         doc = json.loads(target.read_text())
         assert doc["coeffs"] == ["12", "0", "-48", "0", "16"]
 
+    def test_config_echoed(self, capsys):
+        doc = run_json(capsys, "zeros", "--poly", "x^2+1", "--precision-bits", "128")
+        assert doc["config"]["precision_bits"] == 128
+
     def test_csv_without_schema_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--series", "poly:1+x",
                                "--format", "csv")
         assert code == 2
-        assert "input error" in err
+        assert "unrecognized arguments: --format csv" in err
 
 
 class TestExperimentsviaCLI:
@@ -258,6 +248,7 @@ class TestConstructCLI:
                 {"1,1": ["0", "1"], "1,2": ["0", "-inf"], "2,2": ["0", "1"]},
                 "'targets' is missing or malformed",
             ),
+            ("radii", {"1,1": "1", "1,2": "1/0", "2,2": "1"}, "'radii' is missing or malformed"),
         ],
     )
     def test_disagreeing_plan_fields_are_an_input_error(
@@ -308,7 +299,7 @@ class TestConstructCLI:
             capsys, "construct", "--series", "poly:1+x+x^2", "--stages", "1",
             "--d-cap", "12", "--format", "csv", "--plan-out", str(plan_path),
         )
-        assert (code, out) == (2, "") and "construct has no CSV schema" in err
+        assert (code, out) == (2, "") and "unrecognized arguments: --format csv" in err
         assert not plan_path.exists()
 
     def test_negative_control_exit_code(self, capsys):
@@ -366,23 +357,128 @@ class TestInputErrors:
         assert code == 2
 
     def test_bad_precision(self, capsys):
-        code, _, err = run_cli(
-            capsys, "classify", "--series", "poly:1+x", "--precision-bits", "16"
-        )
+        code, _, err = run_cli(capsys, "zeros", "--poly", "x^2+1", "--precision-bits", "16")
         assert code == 2
 
     def test_usage_error_exit_two(self, capsys):
         assert main(["no-such-command"]) == 2
 
-    def test_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("ZERODYN_PRECISION_BITS", "128")
-        doc = run_json(capsys, "classify", "--series", "poly:1+x")
-        assert doc["config"]["precision_bits"] == 128
+
+class TestUnrepresentableValues:
+    """A zero denominator, or a value past the double range, is an input
+    error naming the value: exit 2, no traceback."""
 
     @pytest.mark.parametrize(
-        "name, raw", [("ZERODYN_PRECISION_BITS", "abc"), ("ZERODYN_M_MAX", "1.5")]
+        "argv",
+        [
+            ("limit-poly", "--beta", "1/0", "--p", "2", "--d", "3"),
+            ("construct", "--series", "poly:1+x+x^2", "--stages", "1", "--gamma0", "1/0"),
+            ("zeros", "--poly", "1/0x^2+1"),
+            ("classify", "--series", "poly:1+1/0x"),
+        ],
+        ids=lambda argv: argv[0],
     )
-    def test_malformed_env_is_an_input_error(self, capsys, monkeypatch, name, raw):
-        monkeypatch.setenv(name, raw)
-        code, out, err = run_cli(capsys, "classify", "--series", "poly:1+x")
+    def test_zero_denominator_inline(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("input error:")
+        assert "'1/0' has a zero denominator" in err
+
+    def test_zero_denominator_in_a_series_file(self, capsys, tmp_path):
+        path = tmp_path / "phi.series"
+        path.write_text("# zerodyn series 1\n1\n1/0\n")
+        code, out, err = run_cli(capsys, "classify", "--series", str(path))
+        assert (code, out) == (2, "") and err.startswith("input error:")
+        assert "'1/0' has a zero denominator" in err
+
+    def test_discrepancy_past_the_double_range(self, capsys):
+        code, out, err = run_cli(
+            capsys, "discrepancy", "--series", "poly:1+x+9x^2", "--d", "220", "--m", "3"
+        )
+        assert (code, out) == (2, "") and err.startswith("input error:")
+        assert "the discrepancy is about 2^1150, past the double range" in err
+
+
+# subcommand -> (the arguments of a run that gives no setting, the settings it declares)
+BARE_RUNS = {
+    "classify": (["--series", "poly:1+x"], ()),
+    "lp-test": (["--series", "poly:1+x+x^2", "--d-max", "3"], ()),
+    "apply": (["--series", "poly:1+x^2", "--poly", "x^3"], ()),
+    "iterate": (["--series", "poly:1+x^2", "--poly", "x^3", "--m", "2"], ()),
+    "zeros": (["--poly", "x^2+1"], ("precision_bits", "format")),
+    "onset": (["--series", "poly:1+x-x^2", "--poly", "x^2-2x+2"], ("m_max", "format")),
+    "converge": (
+        ["--series", "poly:1-x^2", "--poly", "x^4", "--m-list", "1,2"],
+        ("precision_bits", "format"),
+    ),
+    "discrepancy": (["--series", "poly:1-x^2", "--d", "4", "--m", "4"], ("precision_bits",)),
+    "attractor": (
+        ["--series", "poly:1+x^2", "--poly", "x^3", "--m-list", "1", "--epsilon", "0.5"],
+        ("precision_bits", "format"),
+    ),
+    "limit-poly": (["--beta", "-1", "--p", "2", "--d", "4"], ()),
+    "hermite": (["--d", "4"], ()),
+    "jensen": (["--p", "3", "--q", "2", "--roots"], ("precision_bits",)),
+    "construct": (["--series", "poly:1+x+x^2", "--stages", "1"], ("precision_bits", "d_cap")),
+    "verify-construct": (
+        ["--series", "poly:1+x+x^2", "--plan", "{plan}"], ("precision_bits", "d_cap")
+    ),
+}
+# setting -> (flag, a valid value, its default)
+SETTINGS = {
+    "precision_bits": ("--precision-bits", "128", DEFAULT_PRECISION_BITS),
+    "m_max": ("--m-max", "5", DEFAULT_M_MAX),
+    "d_cap": ("--d-cap", "12", DEFAULT_D_CAP),
+    "format": ("--format", "json", "json"),
+}
+
+
+def _subcommands():
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.fixture
+def plan_file(tmp_path):
+    plan = build_plan(extend(PowerSeries([1, 1, 1]), 12), 1, d_cap=12)
+    path = tmp_path / "plan.json"
+    path.write_text(dump_json(plan_payload(plan)))
+    return str(path)
+
+
+class TestDeclaredOptions:
+    """Each subcommand declares exactly the settings it reads."""
+
+    def test_every_subcommand_is_listed(self):
+        assert set(_subcommands()) == set(BARE_RUNS)
+
+    @pytest.mark.parametrize("command", list(BARE_RUNS))
+    def test_undeclared_setting_exits_before_any_work(self, capsys, monkeypatch, command):
+        def fail(args):
+            raise AssertionError(f"{command} ran with an undeclared setting")
+
+        monkeypatch.setattr("zerodyn.cli._payload", fail)
+        argv, declared = BARE_RUNS[command]
+        for name in set(SETTINGS) - set(declared):
+            flag, value, _default = SETTINGS[name]
+            code, out, err = run_cli(capsys, command, *argv, flag, value)
+            assert (code, out) == (2, "") and f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize("command", list(BARE_RUNS))
+    def test_bare_config_is_the_declared_defaults(self, capsys, plan_file, command):
+        argv, declared = BARE_RUNS[command]
+        doc = run_json(capsys, command, *(a.format(plan=plan_file) for a in argv))
+        expected = {name: SETTINGS[name][2] for name in SETTINGS if name in declared}
+        assert doc["config"] == {**expected, "output": None}
+
+
+def test_readme_examples_parse():
+    with open(README, encoding="utf-8") as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [ln for ln in block.splitlines() if ln.startswith("zerodyn ")]
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+    assert {shlex.split(ln)[1] for ln in lines} == set(_subcommands())

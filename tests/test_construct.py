@@ -26,7 +26,9 @@ from zerodyn import (
     pick_targets,
     verify_counterexample,
 )
+from zerodyn import construct
 from zerodyn.construct import _stage_predicate
+from zerodyn.roots import find_roots
 from zerodyn.series import factor_out_zero
 
 PHI = extend(PowerSeries([1, 1, 1]), 40)       # 1 + x + x^2
@@ -105,13 +107,27 @@ class TestChooseGamma:
         with pytest.raises(ValueError):
             choose_gamma(PHI, plan, 2, F(1))
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
         plan = pick_targets(PHI, [2])
         # sabotage: demand a zero in a far-away disk no gamma can reach
         plan.targets[(1, 1)] = Point(F(1000), F(1))
         plan.radii[(1, 1)] = F(1, 4)
+        monkeypatch.setattr(construct, "MAX_HALVINGS", 8)
         with pytest.raises(GammaSearchExhausted):
-            choose_gamma(PHI, plan, 1, F(1), max_halvings=8)
+            choose_gamma(PHI, plan, 1, F(1))
+
+    def test_search_runs_at_the_plan_precision(self, monkeypatch):
+        plan = pick_targets(PHI, [2, 3], precision_bits=128)
+        seen = []
+
+        def recording(f, precision_bits):
+            seen.append(precision_bits)
+            return find_roots(f, precision_bits)
+
+        monkeypatch.setattr(construct, "find_roots", recording)
+        extend_plan(PHI, plan, 1, F(1))
+        extend_plan(PHI, plan, 2, F(1))
+        assert seen and set(seen) == {128}
 
 
 class TestPartialProduct:
@@ -211,7 +227,7 @@ class TestOneDiskChecker:
 
     def _agree(self, plan, n):
         _mu, psi = factor_out_zero(PHI)
-        predicate = _stage_predicate(psi, plan, plan.gammas, n, plan.precision_bits)
+        predicate = _stage_predicate(psi, plan, plan.gammas, n)
         assert predicate is self._disk_clauses_pass(plan, n)
         return predicate
 

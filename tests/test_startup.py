@@ -28,7 +28,6 @@ import pytest
 
 import zerodyn
 from zerodyn import Poly, PowerSeries
-from zerodyn.cli import RunConfig
 from zerodyn.construct import CounterexampleReport, StagePlan
 from zerodyn.dynamics import AttractorRecord, AttractorReport, ConvergenceReport, OnsetReport
 from zerodyn.records import Record
@@ -284,7 +283,6 @@ def _instances():
     top = Point(Fraction(0), Fraction(1))
     plan = StagePlan((3, 5), {(1, 1): top}, {(1, 1): Fraction(1, 2)}, (Fraction(1, 4),))
     return [
-        RunConfig(256, 200, 40, "json", None),
         plan,
         CounterexampleReport(plan, {(1, 1): top}, {1: 2}, (Fraction(1),), True),
         OperatorClass("General", series, p=2, alpha=Fraction(1), beta=Fraction(-1, 2)),
@@ -302,7 +300,7 @@ def _instances():
 
 
 def test_every_report_class_is_a_record():
-    assert len({type(r) for r in _instances()}) == 12
+    assert len({type(r) for r in _instances()}) == 11
     assert all(isinstance(r, Record) for r in _instances())
 
 
@@ -387,11 +385,11 @@ def test_positional_keyword_and_missing_fields():
         Root(one, 2, 0.0, multiplicity=3)
 
 
-def test_run_config_dump_keeps_field_order():
-    cfg = RunConfig(256, 200, 40, "json", None)
-    assert cfg._asdict() == dataclasses.asdict(
-        dataclasses.make_dataclass("RunConfig", RunConfig._fields)(*cfg._astuple())
+def test_record_dump_keeps_field_order():
+    count = ZeroCount(4, 2, 2, "exact", True)
+    assert count._asdict() == dataclasses.asdict(
+        dataclasses.make_dataclass("ZeroCount", ZeroCount._fields)(*count._astuple())
     )
-    assert list(cfg._asdict()) == [
-        "precision_bits", "m_max", "d_cap", "out_format", "output",
+    assert list(count._asdict()) == [
+        "total", "real_count", "nonreal_count", "method", "squarefree",
     ]
