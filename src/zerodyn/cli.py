@@ -26,6 +26,7 @@ from .errors import (
 )
 from .scalars import (
     DEFAULT_D_CAP,
+    DEFAULT_GAMMA0,
     DEFAULT_M_MAX,
     DEFAULT_PRECISION_BITS,
     _lazy_import,
@@ -185,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", required=True)
     p.add_argument("--stages", type=int, required=True, help="number of stages N")
     p.add_argument("--m", type=int, help="verify iterates up to m (default N)")
-    p.add_argument("--gamma0", default="1", help="initial stage factor (rational)")
+    p.add_argument("--gamma0", default=str(DEFAULT_GAMMA0), help="initial stage factor (rational)")
     p.add_argument("--plan-out", help="also save the stage plan JSON here")
 
     p = cmd(

@@ -23,20 +23,21 @@ from itertools import combinations
 from .errors import (
     GammaSearchExhausted,
     NoNonrealZero,
+    TruncationTooShort,
     VerificationFailed,
     WitnessNotFound,
 )
 from .exact import count_nonreal
 from .poly import Poly, apply_operator, derivative, monomial
 from .records import Record
-from .roots import find_roots, roots_in_disk
-from .scalars import DEFAULT_D_CAP, DEFAULT_PRECISION_BITS, Point, as_fraction, on_grid
+from .roots import _counted_roots, find_roots
+from .scalars import DEFAULT_D_CAP, DEFAULT_GAMMA0, DEFAULT_PRECISION_BITS, Point, as_fraction
 from .series import PowerSeries, factor_out_zero, truncated_power
 
 MAX_HALVINGS = 60  # choose_gamma tries gamma0 / 2^j for j = 0..MAX_HALVINGS
 
 
-class StagePlan(Record, frozen=False):
+class StagePlan(Record):
     """Construction state: degrees, stage factors, target zeros and radii.
 
     targets[(m, k)] is the chosen upper-half-plane zero a(m,k) of the m-th
@@ -65,7 +66,7 @@ class CounterexampleReport(Record):
     nonreal_totals: dict  # m -> nonreal-zero count of the m-th iterate
     product_coeffs: tuple
     derivative_identity_ok: bool
-    boundary_ties: tuple = ()
+    boundary_ties: tuple = ()  # ((m, k), zero) per zero counted by its band only
 
 
 def find_degree_witnesses(
@@ -159,8 +160,10 @@ def _check_disks(
     the order off-axis, disjointness (of the closed disks), membership
     and, with ``count_totals``, nonreal-total (at least N - m + 1
     nonreal zeros).  The first failure raises VerificationFailed naming
-    its clause, before any later m is computed.  Returns (witnessed,
-    nonreal_totals, boundary_ties).
+    its clause, before any later m is computed.  One ``_counted_roots``
+    pass decides each disk: the witness is the nearest counted zero, and
+    each zero counted by its band only is a boundary tie.  Returns
+    (witnessed, nonreal_totals, boundary_ties).
     """
     N = len(gammas)
     witnessed = {}
@@ -187,10 +190,11 @@ def _check_disks(
                 )
         rs = find_roots(g_m, precision_bits)
         for k, c, r in disks:
-            if roots_in_disk(rs, c, r) < 1:
+            counted = _counted_roots(rs, c, r)
+            if not counted:
                 raise VerificationFailed("membership", f"no zero in disk (m={m}, k={k})")
-            witnessed[(m, k)] = _nearest(rs, c)
-        ties.extend(rs.diagnostics)
+            witnessed[(m, k)] = counted[0][0].location
+            ties.extend(((m, k), root.location) for root, tie in counted if tie)
         if count_totals:
             nonreal_totals[m] = count_nonreal(g_m).nonreal_count
             if nonreal_totals[m] < N - m + 1:
@@ -202,22 +206,16 @@ def _check_disks(
     return witnessed, nonreal_totals, ties
 
 
-def _nearest(rs, c: Point) -> Point:
-    """The root of ``rs`` nearest c, by squared distance on one integer grid."""
-    xs, ys, _den = on_grid([c] + rs.locations())
-    i = min(range(1, len(xs)), key=lambda i: (xs[i] - xs[0]) ** 2 + (ys[i] - ys[0]) ** 2)
-    return rs.roots[i - 1].location
-
-
-def _stage_predicate(psi, plan: StagePlan, gammas, k: int):
-    """Persistence check for stages 1..k with the given gamma list.
+def _stage_predicate(psi, plan: StagePlan, gammas):
+    """Persistence check for stages 1..k, k = len(gammas), with these gammas.
 
     True iff the disk clauses of _check_disks hold for every m <= k, with
     roots at the plan's precision.
     """
+    k = len(gammas)
     product = _partial_product(plan.degrees, gammas, k)
     try:
-        _check_disks(psi, plan, gammas[:k], product, k, plan.precision_bits)
+        _check_disks(psi, plan, gammas, product, k, plan.precision_bits)
     except VerificationFailed:
         return False
     return True
@@ -226,12 +224,12 @@ def _stage_predicate(psi, plan: StagePlan, gammas, k: int):
 def choose_gamma(
     phi: PowerSeries,
     plan: StagePlan,
-    k: int,
     gamma0,
 ) -> Fraction:
     """First gamma in gamma0, gamma0/2, ..., gamma0/2^MAX_HALVINGS passing
-    the stage-k predicate, whose roots are found at ``plan.precision_bits``
-    (the precision ``pick_targets`` chose the targets at).
+    the predicate of stage k = plan.stages_fixed + 1 (a ValueError if every
+    stage is fixed), whose roots are found at ``plan.precision_bits`` (the
+    precision ``pick_targets`` chose the targets at).
 
     Replaces a non-effective smallness threshold with a checked search:
     shrinking gamma pushes the new stage's disks far to the left while
@@ -240,15 +238,13 @@ def choose_gamma(
     gamma0 = as_fraction(gamma0)
     if gamma0 <= 0:
         raise ValueError("gamma0 must be positive")
-    if k != plan.stages_fixed + 1:
-        raise ValueError(
-            f"stage {k} cannot be chosen with {plan.stages_fixed} stages fixed"
-        )
+    k = plan.stages_fixed + 1
+    if k > len(plan.degrees):
+        raise ValueError(f"all {plan.stages_fixed} stages of the plan are fixed")
     _mu, psi = factor_out_zero(phi)
     trial = gamma0
     for _ in range(MAX_HALVINGS + 1):
-        gammas = list(plan.gammas) + [trial]
-        if _stage_predicate(psi, plan, gammas, k):
+        if _stage_predicate(psi, plan, plan.gammas + (trial,)):
             return trial
         trial = trial / 2
     raise GammaSearchExhausted(k, MAX_HALVINGS)
@@ -264,36 +260,43 @@ def build_partial_product(plan: StagePlan, N: int) -> Poly:
 def extend_plan(
     phi: PowerSeries,
     plan: StagePlan,
-    k: int,
-    gamma0=Fraction(1),
+    gamma0=DEFAULT_GAMMA0,
 ) -> StagePlan:
-    """Fix stage k in place: choose_gamma's gamma, searched at
-    ``plan.precision_bits``, and the stage's positivity witness."""
-    gamma = choose_gamma(phi, plan, k, gamma0)
-    gammas = plan.gammas + (gamma,)
-    product = _partial_product(plan.degrees, gammas, k)
+    """A new plan with the next stage fixed: choose_gamma's gamma, searched
+    at ``plan.precision_bits``, and the stage's positivity witness.
+    ``plan`` itself is left as it was."""
+    gammas = plan.gammas + (choose_gamma(phi, plan, gamma0),)
+    product = _partial_product(plan.degrees, gammas, len(gammas))
     positive = all(c > 0 for c in product.coeffs)
     identity = derivative(product).coefficient(0) == sum(
-        d * g for d, g in zip(plan.degrees[:k], gammas)
+        d * g for d, g in zip(plan.degrees, gammas)
     )
-    plan.gammas = gammas
-    plan.coefficient_bound_ok = plan.coefficient_bound_ok + (positive and identity,)
-    return plan
+    return plan._replace(
+        gammas=gammas,
+        coefficient_bound_ok=plan.coefficient_bound_ok + (positive and identity,),
+    )
 
 
 def build_plan(
     phi: PowerSeries,
     N: int,
     d_cap: int = DEFAULT_D_CAP,
-    gamma0=Fraction(1),
+    gamma0=DEFAULT_GAMMA0,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> StagePlan:
     """Full pipeline: witnesses, targets at ``precision_bits``, then the
-    stagewise gamma search at the same precision."""
+    stagewise gamma search at the same precision.  A product of degree
+    sum d(k) past the series truncation is a TruncationTooShort, raised
+    before any target or gamma is searched."""
     degrees = find_degree_witnesses(phi, N, d_cap)
+    order = factor_out_zero(phi)[1].truncation_order
+    if sum(degrees) > order:
+        raise TruncationTooShort(
+            f"operator series truncated at {order}, product degree is {sum(degrees)}"
+        )
     plan = pick_targets(phi, degrees, precision_bits)
-    for k in range(1, N + 1):
-        extend_plan(phi, plan, k, gamma0)
+    for _ in range(N):
+        plan = extend_plan(phi, plan, gamma0)
     return plan
 
 

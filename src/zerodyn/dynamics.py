@@ -98,6 +98,23 @@ def _require_general(phi: PowerSeries) -> OperatorClass:
     return cls
 
 
+def _require_monic(f: Poly) -> int:
+    """deg f, for a monic f of degree >= 1; NonMonicInput otherwise."""
+    if not f.is_monic() or f.degree < 1:
+        raise NonMonicInput("f must be monic of degree >= 1")
+    return int(f.degree)
+
+
+def _iterates(phi: PowerSeries, f: Poly, ms):
+    """(m, phi(D)^m f) for each m of the increasing ``ms``, each from the last."""
+    g, last = f, 0
+    for m in ms:
+        for _ in range(m - last):
+            g = apply_operator(phi, g)
+        last = m
+        yield m, g
+
+
 def _binomial_zeros(c: Fraction, p: int, precision_bits: int):
     """The p certified zeros of x^p + c."""
     return roots.find_roots(Poly([c] + [0] * (p - 1) + [1]), precision_bits).locations()
@@ -167,9 +184,7 @@ def onset_scan(
 
     trace = []
     ok = []
-    g = f
-    for m in range(1, m_max + 1):
-        g = apply_operator(phi, g)
+    for m, g in _iterates(phi, f, range(1, m_max + 1)):
         zc = count_nonreal(g)
         trace.append((m, zc.nonreal_count))
         if mode == "AllRealSimple":
@@ -200,18 +215,11 @@ def convergence_experiment(
     reported as exact convergence when they are all there is.
     """
     cls = _require_general(phi)
-    if not f.is_monic() or f.degree < 1:
-        raise NonMonicInput("f must be monic of degree >= 1")
-    d = int(f.degree)
+    d = _require_monic(f)
     ms = _m_values(m_list)
     limit = exp_dp_monomial(cls.beta, cls.p, d)
     samples = []
-    g = f
-    last = 0
-    for m in ms:
-        for _ in range(m - last):
-            g = apply_operator(phi, g)
-        last = m
+    for m, g in _iterates(phi, f, ms):
         fm = rescale_iterate(cls, phi, f, m, precision_bits, _iterate=g)
         samples.append((m, (fm - limit).sup_norm()))
     slope = _fit_loglog_slope(samples)
@@ -327,9 +335,7 @@ def attractor_experiment(
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and positive, not {epsilon}")
     cls = _require_general(phi)
-    if not f.is_monic() or f.degree < 1:
-        raise ValueError("f must be monic of degree >= 1")
-    d = int(f.degree)
+    d = _require_monic(f)
     p, alpha, beta = cls.p, cls.alpha, cls.beta
     ms = _m_values(m_list)
     # the zeros of x^p + beta are gamma times the p-th roots of 1: the
@@ -344,12 +350,7 @@ def attractor_experiment(
     ]
     eps_sq = Fraction(epsilon) ** 2
     records = []
-    g = f
-    last = 0
-    for m in ms:
-        for _ in range(m - last):
-            g = apply_operator(phi, g)
-        last = m
+    for m, g in _iterates(phi, f, ms):
         rs = roots.find_roots(g, precision_bits)
         # w = W / s with W = z + m alpha and s = m^(1/p): compare W with
         # s gamma zeta and with the rays, as integers on one grid

@@ -2,24 +2,20 @@
 
 ``class OnsetReport(Record):`` with annotated fields gives positional or
 keyword construction, field-wise equality between instances of the same
-class, ``Name(field=value, ...)`` repr and, unless ``frozen=False``,
-immutability and a hash of the field tuple.  A class attribute is the
-field's default; a list default is copied for every instance.
+class, ``Name(field=value, ...)`` repr, immutability and a hash of the
+field tuple.  A class attribute is the field's default.  ``_replace``
+gives a copy with some fields changed.
 """
 
 
 class Record:
     _fields: tuple = ()
     _defaults: dict = {}
-    _frozen = True
 
-    def __init_subclass__(cls, frozen=True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._defaults = {n: getattr(cls, n) for n in cls._fields if hasattr(cls, n)}
-        cls._frozen = frozen
-        if not frozen:
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -34,19 +30,17 @@ class Record:
             if name not in values:
                 if name not in self._defaults:
                     raise TypeError(f"{type(self).__name__}: missing field {name!r}")
-                default = self._defaults[name]
-                values[name] = list(default) if type(default) is list else default
+                values[name] = self._defaults[name]
         self.__dict__.update(values)
 
     def __setattr__(self, name, value):
-        if self._frozen:
-            raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
-        object.__setattr__(self, name, value)
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
 
     def __delattr__(self, name):
-        if self._frozen:
-            raise AttributeError(f"cannot delete field {name!r} of a frozen record")
-        object.__delattr__(self, name)
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
 
     def _astuple(self):
         return tuple(getattr(self, n) for n in self._fields)

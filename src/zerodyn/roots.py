@@ -64,17 +64,12 @@ class Root(Record):
     residual: float
 
 
-class RootSet(Record, frozen=False):
-    """All roots of one polynomial, with multiplicities and residuals.
-
-    ``diagnostics`` collects soft events (disk-boundary ties) appended by
-    queries; it never affects the roots themselves.
-    """
+class RootSet(Record):
+    """All roots of one polynomial, with multiplicities and residuals."""
 
     roots: tuple[Root, ...]
     source_degree: int
     precision_bits: int
-    diagnostics: list = []
 
     def total_multiplicity(self) -> int:
         return sum(r.multiplicity for r in self.roots)
@@ -578,13 +573,20 @@ def roots_in_disk(rs: RootSet, center, radius) -> int:
     """Roots (with multiplicity) strictly inside the open disk.
 
     ``center`` is a ``Point`` or a rational and ``radius`` a rational: a
-    float is a TypeError, as in ``Poly``, and a radius <= 0 a ValueError.  A root within its certificate, 2^-precision_bits (1 + |r|),
-    of the boundary counts as inside and the tie is recorded in
-    ``rs.diagnostics``; persistence checks downstream prefer a false
-    positive that later re-verification can reject over a silently dropped
-    witness.  Squared distances are compared on one integer grid 1/L, in
-    units of 2^-precision_bits / L, where the band is L + |r| L, rounded up.
-    """
+    float is a TypeError, as in ``Poly``, and a radius <= 0 a ValueError.
+    A root within its certificate, 2^-precision_bits (1 + |r|), of the
+    boundary counts as inside: persistence checks downstream prefer a
+    false positive that later re-verification can reject over a silently
+    dropped witness."""
+    return sum(r.multiplicity for r, _tie in _counted_roots(rs, center, radius))
+
+
+def _counted_roots(rs: RootSet, center, radius):
+    """(root, tie) for each root ``roots_in_disk`` counts, nearest ``center``
+    first (in ``rs`` order at equal distance); tie marks a root counted by
+    its certificate band only.  Squared distances are compared on one
+    integer grid 1/L, in units of 2^-precision_bits / L, where the band is
+    L + |r| L, rounded up."""
     if not isinstance(center, Point):
         center = Point(center, ZERO)
     center = Point(as_fraction(center.real), as_fraction(center.imag))
@@ -594,15 +596,12 @@ def roots_in_disk(rs: RootSet, center, radius) -> int:
     p = rs.precision_bits
     xs, ys, den = on_grid([center, Point(radius, ZERO)] + rs.locations())
     cx, cy, rad = xs[0], ys[0], xs[1] << p
-    count = 0
+    counted = []
     for r, x, y in zip(rs.roots, xs[2:], ys[2:]):
         dist = ((x - cx) ** 2 + (y - cy) ** 2) << 2 * p
         band = den + _ceil_sqrt(x * x + y * y)
-        if rad > band and dist < (rad - band) ** 2:
-            count += r.multiplicity
-        elif dist <= (rad + band) ** 2:
-            count += r.multiplicity
-            rs.diagnostics.append(
-                {"event": "boundary-tie", "center": center, "radius": radius, "root": r.location}
-            )
-    return count
+        if dist <= (rad + band) ** 2:
+            inside = rad > band and dist < (rad - band) ** 2
+            counted.append((dist, r, not inside))
+    counted.sort(key=lambda t: t[0])
+    return [(r, tie) for _dist, r, tie in counted]

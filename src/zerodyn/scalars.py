@@ -43,6 +43,7 @@ def _lazy_import(name):
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_M_MAX = 200  # onset scans: iterates swept
 DEFAULT_D_CAP = 40  # witness searches: degree cap
+DEFAULT_GAMMA0 = Fraction(1)  # the gamma search: first stage factor tried
 
 
 class Point(Record):

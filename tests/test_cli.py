@@ -184,6 +184,20 @@ class TestExperimentsviaCLI:
         assert code == 2
         assert "input error" in err and "epsilon" in err
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("converge", ("--m-list", "1,2")),
+            ("attractor", ("--m-list", "1,2", "--epsilon", "0.1")),
+        ],
+    )
+    def test_non_monic_poly_is_an_input_error(self, capsys, command, extra):
+        code, out, err = run_cli(
+            capsys, command, "--series", "poly:1+x^2", "--poly", "2x^3+1", *extra
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: f must be monic of degree >= 1")
+
     def test_limit_poly(self, capsys):
         doc = run_json(capsys, "limit-poly", "--beta", "-1", "--p", "2", "--d", "4")
         assert doc["coeffs"] == ["12", "0", "-12", "0", "1"]
@@ -301,6 +315,24 @@ class TestConstructCLI:
         )
         assert (code, out) == (2, "") and "unrecognized arguments: --format csv" in err
         assert not plan_path.exists()
+
+    def test_product_past_the_truncation_fails_before_any_gamma_trial(
+        self, capsys, monkeypatch
+    ):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return True
+
+        monkeypatch.setattr("zerodyn.construct._stage_predicate", counting)
+        code, out, err = run_cli(
+            capsys, "construct", "--series", "poly:1+1/2x+1/2x^2", "--stages", "3",
+            "--d-cap", "8", "--gamma0", "1/4",
+        )
+        assert (code, out) == (2, "") and err.startswith("input error:")
+        assert "operator series truncated at 8, product degree is 9" in err
+        assert calls == []
 
     def test_negative_control_exit_code(self, capsys):
         code, _, err = run_cli(

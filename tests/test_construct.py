@@ -37,6 +37,21 @@ PHI_ZERO = extend(PowerSeries([0, 1, 0, 1]), 41)  # x + x^3 = x(1 + x^2)
 PHI_A = extend(PowerSeries([1, 0, 1]), 40)     # 1 + x^2
 
 
+def _overlapping(plan):
+    """``plan`` with the (1, 2) disk dragged onto the (1, 1) disk and inflated."""
+    a = plan.targets[(1, 1)]
+    return plan._replace(
+        targets={**plan.targets, (1, 2): Point(a.real + F(1, 100), a.imag)},
+        radii={**plan.radii, (1, 2): plan.radii[(1, 1)]},
+        gammas=(plan.gammas[0], plan.gammas[0]),
+    )
+
+
+def _touching_the_axis(plan):
+    """``plan`` with the (1, 1) radius past Im a(1, 1)."""
+    return plan._replace(radii={**plan.radii, (1, 1): plan.targets[(1, 1)].imag * 2})
+
+
 class TestWitnesses:
     def test_first_stage_by_hand(self):
         ds = find_degree_witnesses(PHI, 2, 12)
@@ -88,33 +103,44 @@ class TestChooseGamma:
         # (1+x)^2 = T^1 x^2, so the stage-1 image is the shifted monomial
         # image and its zero sits exactly at the disk center
         plan = pick_targets(PHI, [2, 3])
-        gamma = choose_gamma(PHI, plan, 1, F(1))
+        gamma = choose_gamma(PHI, plan, F(1))
         assert gamma == 1
 
     def test_later_stage_shrinks_on_collision(self):
         plan = pick_targets(PHI, [2, 3])
-        extend_plan(PHI, plan, 1, F(1))
-        gamma2 = choose_gamma(PHI, plan, 2, F(1))
+        plan = extend_plan(PHI, plan, F(1))
+        gamma2 = choose_gamma(PHI, plan, F(1))
         assert 0 < gamma2 < 1
 
     def test_rejects_nonpositive_gamma0(self):
         plan = pick_targets(PHI, [2])
         with pytest.raises(ValueError):
-            choose_gamma(PHI, plan, 1, F(0))
+            choose_gamma(PHI, plan, F(0))
 
-    def test_stage_order_enforced(self):
+    def test_fully_fixed_plan_rejected(self):
+        plan = extend_plan(PHI, pick_targets(PHI, [2]))
+        with pytest.raises(ValueError, match="fixed"):
+            choose_gamma(PHI, plan, F(1))
+        with pytest.raises(ValueError, match="fixed"):
+            extend_plan(PHI, plan)
+
+    def test_extend_plan_leaves_its_input_alone(self):
         plan = pick_targets(PHI, [2, 3])
-        with pytest.raises(ValueError):
-            choose_gamma(PHI, plan, 2, F(1))
+        before = copy.deepcopy(plan)
+        one = extend_plan(PHI, plan)
+        assert plan == before and plan.stages_fixed == 0
+        assert one.stages_fixed == 1 and one.coefficient_bound_ok == (True,)
+        assert (one.degrees, one.targets, one.radii) == (plan.degrees, plan.targets, plan.radii)
 
     def test_budget_exhaustion(self, monkeypatch):
         plan = pick_targets(PHI, [2])
         # sabotage: demand a zero in a far-away disk no gamma can reach
-        plan.targets[(1, 1)] = Point(F(1000), F(1))
-        plan.radii[(1, 1)] = F(1, 4)
+        plan = plan._replace(
+            targets={(1, 1): Point(F(1000), F(1))}, radii={(1, 1): F(1, 4)}
+        )
         monkeypatch.setattr(construct, "MAX_HALVINGS", 8)
         with pytest.raises(GammaSearchExhausted):
-            choose_gamma(PHI, plan, 1, F(1))
+            choose_gamma(PHI, plan, F(1))
 
     def test_search_runs_at_the_plan_precision(self, monkeypatch):
         plan = pick_targets(PHI, [2, 3], precision_bits=128)
@@ -125,8 +151,7 @@ class TestChooseGamma:
             return find_roots(f, precision_bits)
 
         monkeypatch.setattr(construct, "find_roots", recording)
-        extend_plan(PHI, plan, 1, F(1))
-        extend_plan(PHI, plan, 2, F(1))
+        extend_plan(PHI, extend_plan(PHI, plan, F(1)), F(1))
         assert seen and set(seen) == {128}
 
 
@@ -181,24 +206,40 @@ class TestVerify:
         assert (1, 1) in rep.witnessed
 
     def test_overlapping_disks_detected(self):
-        plan = build_plan(PHI, 2, d_cap=12)
-        bad = copy.deepcopy(plan)
-        # drag the k=2 disk onto the k=1 disk and inflate it
-        a = bad.targets[(1, 1)]
-        bad.targets[(1, 2)] = Point(a.real + F(1, 100), a.imag)
-        bad.radii[(1, 2)] = bad.radii[(1, 1)]
-        bad.gammas = (bad.gammas[0], bad.gammas[0])
+        bad = _overlapping(build_plan(PHI, 2, d_cap=12))
         with pytest.raises(VerificationFailed) as exc:
             verify_counterexample(PHI, bad, 2, 1)
         assert exc.value.clause in ("disjointness", "membership")
 
     def test_off_axis_violation_detected(self):
-        plan = build_plan(PHI, 1, d_cap=12)
-        bad = copy.deepcopy(plan)
-        bad.radii[(1, 1)] = bad.targets[(1, 1)].imag * 2  # radius > Im a
+        bad = _touching_the_axis(build_plan(PHI, 1, d_cap=12))
         with pytest.raises(VerificationFailed) as exc:
             verify_counterexample(PHI, bad, 1, 1)
         assert exc.value.clause == "off-axis"
+
+    def test_zero_on_a_disk_boundary_is_a_tie_and_still_verifies(self):
+        plan = build_plan(PHI, 1, d_cap=12)
+        z = verify_counterexample(PHI, plan, 1, 1).witnessed[(1, 1)]
+        r = z.imag / 2
+        # the disk center a - 1/gamma becomes z + r: z lies exactly on its boundary
+        a = Point(z.real + r + 1 / plan.gammas[0], z.imag)
+        tied = plan._replace(targets={(1, 1): a}, radii={(1, 1): r})
+        rep = verify_counterexample(PHI, tied, 1, 1)
+        assert rep.witnessed[(1, 1)] == z
+        assert ((1, 1), z) in rep.boundary_ties
+
+    def test_truncation_shorter_than_the_product_fails_before_any_search(
+        self, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(
+            construct, "_stage_predicate", lambda *args: calls.append(args) or True
+        )
+        # witness degrees 2, 3, 4 sum to 9, past the truncation at 8
+        phi = extend(PowerSeries([1, F(1, 2), F(1, 2)]), 8)
+        with pytest.raises(TruncationTooShort, match="truncated at 8, product degree is 9"):
+            build_plan(phi, 3, d_cap=8, gamma0=F(1, 4))
+        assert calls == []
 
     def test_m_larger_than_n_rejected(self):
         plan = build_plan(PHI, 1, d_cap=12)
@@ -227,7 +268,7 @@ class TestOneDiskChecker:
 
     def _agree(self, plan, n):
         _mu, psi = factor_out_zero(PHI)
-        predicate = _stage_predicate(psi, plan, plan.gammas, n)
+        predicate = _stage_predicate(psi, plan, plan.gammas[:n])
         assert predicate is self._disk_clauses_pass(plan, n)
         return predicate
 
@@ -235,14 +276,7 @@ class TestOneDiskChecker:
         assert self._agree(build_plan(PHI, 2, d_cap=12), 2) is True
 
     def test_overlap_sabotage_fails_both(self):
-        bad = copy.deepcopy(build_plan(PHI, 2, d_cap=12))
-        a = bad.targets[(1, 1)]
-        bad.targets[(1, 2)] = Point(a.real + F(1, 100), a.imag)
-        bad.radii[(1, 2)] = bad.radii[(1, 1)]
-        bad.gammas = (bad.gammas[0], bad.gammas[0])
-        assert self._agree(bad, 2) is False
+        assert self._agree(_overlapping(build_plan(PHI, 2, d_cap=12)), 2) is False
 
     def test_off_axis_sabotage_fails_both(self):
-        bad = copy.deepcopy(build_plan(PHI, 1, d_cap=12))
-        bad.radii[(1, 1)] = bad.targets[(1, 1)].imag * 2
-        assert self._agree(bad, 1) is False
+        assert self._agree(_touching_the_axis(build_plan(PHI, 1, d_cap=12)), 1) is False

@@ -1,5 +1,6 @@
 """roots_in_disk against an mpmath distance oracle at four times the precision."""
 
+import copy
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import to_mp
 from zerodyn import Point, Poly, find_roots, roots_in_disk
+from zerodyn.roots import _counted_roots
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -37,5 +39,7 @@ def test_agrees_with_the_oracle_away_from_ties(low, lead, re, im, radius, bits):
             # a tie lies within 2^-bits (1 + |z|) of the boundary; stay well clear
             hypothesis.assume(gap > 4 * mp.ldexp(1 + abs(z), -bits))
             inside += r.multiplicity * (abs(z - c) < rad)
+    before = copy.deepcopy(rs)
     assert roots_in_disk(rs, center, radius) == inside
-    assert rs.diagnostics == []
+    assert rs == before
+    assert not any(tie for _r, tie in _counted_roots(rs, center, radius))

@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 
 from zerodyn import (
+    NonMonicInput,
     NotGeneralForm,
     Point,
     Poly,
@@ -167,6 +168,16 @@ def test_m_list_must_hold_ints_at_least_one(experiment, m_list):
             convergence_experiment(PHI_B, monomial(2), m_list)
         else:
             attractor_experiment(PHI_B, monomial(2), m_list, 0.1)
+
+
+@pytest.mark.parametrize("f", [P(1, 0, 2), P(1)], ids=["leading-2", "degree-0"])
+@pytest.mark.parametrize("experiment", ["converge", "attractor"])
+def test_f_must_be_monic_of_degree_at_least_one(experiment, f):
+    with pytest.raises(NonMonicInput, match="monic of degree >= 1"):
+        if experiment == "converge":
+            convergence_experiment(PHI_B, f, [1, 2])
+        else:
+            attractor_experiment(PHI_B, f, [1, 2], 0.1)
 
 
 class TestDiscrepancy:

@@ -1,5 +1,6 @@
 """Root finding, exact counting, and disk queries."""
 
+import copy
 import warnings
 from fractions import Fraction as F
 
@@ -21,6 +22,7 @@ from zerodyn import (
     iterate_operator,
     roots_in_disk,
 )
+from zerodyn.roots import _counted_roots
 from zerodyn.scalars import Point
 from conftest import as_mpc, dyadic, make_rng, random_poly
 
@@ -733,16 +735,23 @@ class TestRootsInDisk:
 
     def test_boundary_tie_recorded(self):
         rs = find_roots(P(2, 2, 1))
-        # |(-1+i) - (-1)| = 1 exactly on the boundary: counted, logged
+        before = copy.deepcopy(rs)
+        # |(-1+i) - (-1)| = 1 exactly on the boundary: counted, flagged as a tie
         n = roots_in_disk(rs, -1, 1)
         assert n == 2
-        assert any(ev["event"] == "boundary-tie" for ev in rs.diagnostics)
+        assert rs == before
+        assert [tie for _r, tie in _counted_roots(rs, -1, 1)] == [True, True]
 
     def test_band_is_the_certificate(self):
         # at 256 bits a root 2^-100 inside the boundary is inside, no tie
         rs = find_roots(P(-1, 1), 256)
         assert roots_in_disk(rs, 0, 1 + F(1, 2**100)) == 1
-        assert rs.diagnostics == []
+        assert [tie for _r, tie in _counted_roots(rs, 0, 1 + F(1, 2**100))] == [False]
+
+    def test_counted_roots_come_nearest_first(self):
+        rs = find_roots(P(-6, 11, -6, 1))  # zeros 1, 2, 3
+        near = _counted_roots(rs, F(29, 10), 4)
+        assert [round(r.location.real) for r, _tie in near] == [3, 2, 1]
 
     def test_radius_must_be_positive(self):
         rs = find_roots(P(2, 2, 1))
