@@ -78,7 +78,6 @@ _EXPORTS = {
         "StagePlan",
         "build_partial_product",
         "build_plan",
-        "choose_gamma",
         "extend_plan",
         "find_degree_witnesses",
         "pick_targets",

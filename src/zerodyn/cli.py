@@ -214,6 +214,8 @@ def _parse_m_list(spec: str):
                 start, stop, step = parts
             else:
                 raise ValueError(f"bad m-list range {chunk!r}")
+            if step < 1:
+                raise ValueError(f"m-list step must be >= 1, got {step} in {chunk!r}")
             out.extend(range(start, stop + 1, step))
         else:
             out.append(int(chunk))
@@ -301,10 +303,11 @@ def _payload(args):
         return payload
 
     if cmd in ("construct", "verify-construct"):
-        phi = formats.resolve_series(args.series, min_order=args.d_cap)
+        # a poly: series is zero-extended to the largest product degree
         if cmd == "construct":
             if args.m is not None and not 1 <= args.m <= args.stages:
                 raise ValueError(f"need 1 <= M <= N, got M = {args.m}, N = {args.stages}")
+            phi = formats.resolve_series(args.series, min_order=args.stages * args.d_cap)
             plan = construct_mod.build_plan(
                 phi,
                 args.stages,
@@ -315,6 +318,9 @@ def _payload(args):
         else:
             with open(args.plan, "r", encoding="utf-8") as fh:
                 plan = formats.plan_from_payload(json.load(fh))
+            if not plan.stages_fixed:
+                raise ValueError(f"the plan in {args.plan!r} fixes no stage (no gammas)")
+            phi = formats.resolve_series(args.series, min_order=max(args.d_cap, sum(plan.degrees)))
         n = plan.stages_fixed
         m = args.m if args.m is not None else n
         report = construct_mod.verify_counterexample(phi, plan, n, m, args.precision_bits)

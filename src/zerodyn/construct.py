@@ -34,7 +34,7 @@ from .roots import _counted_roots, find_roots
 from .scalars import DEFAULT_D_CAP, DEFAULT_GAMMA0, DEFAULT_PRECISION_BITS, Point, as_fraction
 from .series import PowerSeries, factor_out_zero, truncated_power
 
-MAX_HALVINGS = 60  # choose_gamma tries gamma0 / 2^j for j = 0..MAX_HALVINGS
+MAX_HALVINGS = 60  # extend_plan tries gamma0 / 2^j for j = 0..MAX_HALVINGS
 
 
 class StagePlan(Record):
@@ -44,15 +44,12 @@ class StagePlan(Record):
     iterate applied to x^d(k), an exact ``Point``; radii[(m, k)] =
     Im a(m,k) / 2, a ``Fraction``, so every disk D(a(m,k) - c; r(m,k))
     with real c misses the real axis.
-    ``coefficient_bound_ok[k-1]`` records the stage-k positivity witness:
-    all partial-product coefficients positive and f_k'(0) = sum d gamma.
     """
 
     degrees: tuple[int, ...]
     targets: dict
     radii: dict
     gammas: tuple[Fraction, ...] = ()
-    coefficient_bound_ok: tuple[bool, ...] = ()
     precision_bits: int = DEFAULT_PRECISION_BITS
 
     @property
@@ -66,7 +63,6 @@ class CounterexampleReport(Record):
     nonreal_totals: dict  # m -> nonreal-zero count of the m-th iterate
     product_coeffs: tuple
     derivative_identity_ok: bool
-    boundary_ties: tuple = ()  # ((m, k), zero) per zero counted by its band only
 
 
 def find_degree_witnesses(
@@ -137,13 +133,6 @@ def pick_targets(
     )
 
 
-def _partial_product(degrees, gammas, upto: int) -> Poly:
-    acc = Poly([1])
-    for k in range(upto):
-        acc = acc * Poly([1, gammas[k]]) ** degrees[k]
-    return acc
-
-
 def _check_disks(
     psi,
     plan: StagePlan,
@@ -160,15 +149,13 @@ def _check_disks(
     the order off-axis, disjointness (of the closed disks), membership
     and, with ``count_totals``, nonreal-total (at least N - m + 1
     nonreal zeros).  The first failure raises VerificationFailed naming
-    its clause, before any later m is computed.  One ``_counted_roots``
-    pass decides each disk: the witness is the nearest counted zero, and
-    each zero counted by its band only is a boundary tie.  Returns
-    (witnessed, nonreal_totals, boundary_ties).
+    its clause, before any later m is computed.  A disk holds a zero when
+    ``_counted_roots`` certifies one inside it; the witness is the
+    nearest.  Returns (witnessed, nonreal_totals).
     """
     N = len(gammas)
     witnessed = {}
     nonreal_totals = {}
-    ties = []
     g_m = product
     for m in range(1, M + 1):
         g_m = apply_operator(psi, g_m)
@@ -192,9 +179,10 @@ def _check_disks(
         for k, c, r in disks:
             counted = _counted_roots(rs, c, r)
             if not counted:
-                raise VerificationFailed("membership", f"no zero in disk (m={m}, k={k})")
-            witnessed[(m, k)] = counted[0][0].location
-            ties.extend(((m, k), root.location) for root, tie in counted if tie)
+                raise VerificationFailed(
+                    "membership", f"no zero certified inside disk (m={m}, k={k})"
+                )
+            witnessed[(m, k)] = counted[0].location
         if count_totals:
             nonreal_totals[m] = count_nonreal(g_m).nonreal_count
             if nonreal_totals[m] < N - m + 1:
@@ -203,37 +191,44 @@ def _check_disks(
                     f"iterate m={m} has {nonreal_totals[m]} nonreal zeros, "
                     f"wanted >= {N - m + 1}",
                 )
-    return witnessed, nonreal_totals, ties
+    return witnessed, nonreal_totals
 
 
-def _stage_predicate(psi, plan: StagePlan, gammas):
-    """Persistence check for stages 1..k, k = len(gammas), with these gammas.
+def _stage_predicate(psi, trial: StagePlan):
+    """Persistence check of the trial plan's k = stages_fixed stages.
 
     True iff the disk clauses of _check_disks hold for every m <= k, with
     roots at the plan's precision.
     """
-    k = len(gammas)
-    product = _partial_product(plan.degrees, gammas, k)
+    k = trial.stages_fixed
+    product = build_partial_product(trial, k)
     try:
-        _check_disks(psi, plan, gammas, product, k, plan.precision_bits)
+        _check_disks(psi, trial, trial.gammas, product, k, trial.precision_bits)
     except VerificationFailed:
         return False
     return True
 
 
-def choose_gamma(
-    phi: PowerSeries,
-    plan: StagePlan,
-    gamma0,
-) -> Fraction:
-    """First gamma in gamma0, gamma0/2, ..., gamma0/2^MAX_HALVINGS passing
-    the predicate of stage k = plan.stages_fixed + 1 (a ValueError if every
-    stage is fixed), whose roots are found at ``plan.precision_bits`` (the
-    precision ``pick_targets`` chose the targets at).
+def build_partial_product(plan: StagePlan, N: int) -> Poly:
+    """Exact expansion of prod_{k<=N} (1 + gamma(k) x)^d(k); N = 0 gives 1."""
+    if N > plan.stages_fixed:
+        raise ValueError(f"only {plan.stages_fixed} stages fixed, asked for {N}")
+    acc = Poly([1])
+    for d, gamma in zip(plan.degrees[:N], plan.gammas):
+        acc = acc * Poly([1, gamma]) ** d
+    return acc
 
-    Replaces a non-effective smallness threshold with a checked search:
-    shrinking gamma pushes the new stage's disks far to the left while
-    barely perturbing the already-fixed factors.
+
+def extend_plan(phi: PowerSeries, plan: StagePlan, gamma0=DEFAULT_GAMMA0) -> StagePlan:
+    """A new plan with stage k = plan.stages_fixed + 1 fixed (a ValueError
+    if every stage is fixed); ``plan`` itself is left as it was.
+
+    Its gamma is the first of gamma0, gamma0/2, ..., gamma0/2^MAX_HALVINGS
+    passing the stage-k predicate, whose roots are found at
+    ``plan.precision_bits`` (the precision ``pick_targets`` chose the
+    targets at).  This checked search replaces a non-effective smallness
+    threshold: shrinking gamma pushes the new stage's disks far to the
+    left while barely perturbing the already-fixed factors.
     """
     gamma0 = as_fraction(gamma0)
     if gamma0 <= 0:
@@ -244,37 +239,11 @@ def choose_gamma(
     _mu, psi = factor_out_zero(phi)
     trial = gamma0
     for _ in range(MAX_HALVINGS + 1):
-        if _stage_predicate(psi, plan, plan.gammas + (trial,)):
-            return trial
+        extended = plan._replace(gammas=plan.gammas + (trial,))
+        if _stage_predicate(psi, extended):
+            return extended
         trial = trial / 2
     raise GammaSearchExhausted(k, MAX_HALVINGS)
-
-
-def build_partial_product(plan: StagePlan, N: int) -> Poly:
-    """Exact expansion of prod_{k<=N} (1 + gamma(k) x)^d(k); N = 0 gives 1."""
-    if N > plan.stages_fixed:
-        raise ValueError(f"only {plan.stages_fixed} stages fixed, asked for {N}")
-    return _partial_product(plan.degrees, plan.gammas, N)
-
-
-def extend_plan(
-    phi: PowerSeries,
-    plan: StagePlan,
-    gamma0=DEFAULT_GAMMA0,
-) -> StagePlan:
-    """A new plan with the next stage fixed: choose_gamma's gamma, searched
-    at ``plan.precision_bits``, and the stage's positivity witness.
-    ``plan`` itself is left as it was."""
-    gammas = plan.gammas + (choose_gamma(phi, plan, gamma0),)
-    product = _partial_product(plan.degrees, gammas, len(gammas))
-    positive = all(c > 0 for c in product.coeffs)
-    identity = derivative(product).coefficient(0) == sum(
-        d * g for d, g in zip(plan.degrees, gammas)
-    )
-    return plan._replace(
-        gammas=gammas,
-        coefficient_bound_ok=plan.coefficient_bound_ok + (positive and identity,),
-    )
 
 
 def build_plan(
@@ -309,7 +278,7 @@ def verify_counterexample(
 ) -> CounterexampleReport:
     """Recompute everything from scratch and check every claim.
 
-    Independent of choose_gamma's internal checks: expands the product,
+    Independent of the gamma search's own checks: expands the product,
     iterates the operator, finds roots, and re-verifies disk membership,
     disjointness, off-axis placement, nonreal totals, coefficient
     positivity and the identity f_N'(0) = sum d(k) gamma(k).  Raises
@@ -327,7 +296,7 @@ def verify_counterexample(
     if derivative(f_n).coefficient(0) != expected:
         raise VerificationFailed("derivative-identity", "f_N'(0) != sum d(k)gamma(k)")
 
-    witnessed, nonreal_totals, ties = _check_disks(
+    witnessed, nonreal_totals = _check_disks(
         psi, plan, plan.gammas[:N], f_n, M, precision_bits, count_totals=True
     )
     return CounterexampleReport(
@@ -336,5 +305,4 @@ def verify_counterexample(
         nonreal_totals=nonreal_totals,
         product_coeffs=f_n.coeffs,
         derivative_identity_ok=True,
-        boundary_ties=tuple(ties),
     )

@@ -322,7 +322,6 @@ def plan_payload(plan: StagePlan):
         "radii": {
             f"{m},{k}": fraction_str(r) for (m, k), r in sorted(plan.radii.items())
         },
-        "coefficient_bound_ok": list(plan.coefficient_bound_ok),
         "precision_bits": plan.precision_bits,
     }
 
@@ -346,7 +345,8 @@ def plan_from_payload(data) -> StagePlan:
 
     Targets and radii are exact rationals ("num/den"; a decimal string
     reads as the rational it spells), so the plan checks exactly the disks
-    the construction built.
+    the construction built.  A ``coefficient_bound_ok`` field, which older
+    plan files carry, is ignored: the verifier recomputes both its clauses.
     """
     from .construct import StagePlan
 
@@ -364,9 +364,6 @@ def plan_from_payload(data) -> StagePlan:
     })
     degrees = _plan_field(data, "degrees", lambda v: tuple(int(d) for d in v))
     gammas = _plan_field(data, "gammas", lambda v: tuple(parse_fraction(g) for g in v))
-    bound_ok = _plan_field(
-        data, "coefficient_bound_ok", lambda v: tuple(bool(b) for b in v)
-    )
     for name, values, ok, what in (
         ("degrees", degrees, lambda d: d >= 1, "at least 1"),
         ("gammas", gammas, lambda g: g > 0, "positive"),
@@ -375,10 +372,9 @@ def plan_from_payload(data) -> StagePlan:
         bad = [v for v in values if not ok(v)]
         if bad:
             raise ValueError(f"plan field {name!r} entries must be {what}, not {bad[0]}")
-    if not len(gammas) == len(bound_ok) <= len(degrees):
+    if len(gammas) > len(degrees):
         raise ValueError(
-            f"plan fields disagree: {len(degrees)} degrees, {len(gammas)} gammas, "
-            f"{len(bound_ok)} coefficient_bound_ok entries"
+            f"plan fields disagree: {len(degrees)} degrees, {len(gammas)} gammas"
         )
     stages = {(m, k) for k in range(1, len(degrees) + 1) for m in range(1, k + 1)}
     for name, table in (("targets", targets), ("radii", radii)):
@@ -392,7 +388,6 @@ def plan_from_payload(data) -> StagePlan:
         targets=targets,
         radii=radii,
         gammas=gammas,
-        coefficient_bound_ok=bound_ok,
         precision_bits=prec,
     )
 
@@ -406,7 +401,6 @@ def counterexample_payload(rep: CounterexampleReport):
         "nonreal_totals": {str(m): n for m, n in sorted(rep.nonreal_totals.items())},
         "product_coeffs": [fraction_str(c) for c in rep.product_coeffs],
         "derivative_identity_ok": rep.derivative_identity_ok,
-        "boundary_tie_count": len(rep.boundary_ties),
     }
 
 

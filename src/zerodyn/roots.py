@@ -570,22 +570,22 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
 
 
 def roots_in_disk(rs: RootSet, center, radius) -> int:
-    """Roots (with multiplicity) strictly inside the open disk.
+    """Roots (with multiplicity) certified inside the open disk: a certified
+    lower bound on the zeros of the source polynomial there.
 
     ``center`` is a ``Point`` or a rational and ``radius`` a rational: a
     float is a TypeError, as in ``Poly``, and a radius <= 0 a ValueError.
-    A root within its certificate, 2^-precision_bits (1 + |r|), of the
-    boundary counts as inside: persistence checks downstream prefer a
-    false positive that later re-verification can reject over a silently
-    dropped witness."""
-    return sum(r.multiplicity for r, _tie in _counted_roots(rs, center, radius))
+    A root r counts only when the disk still holds it after shrinking by
+    its certificate rho = 2^-precision_bits (1 + |r|), so the zero it
+    stands for is inside; a root within rho of the boundary is not
+    counted."""
+    return sum(r.multiplicity for r in _counted_roots(rs, center, radius))
 
 
 def _counted_roots(rs: RootSet, center, radius):
-    """(root, tie) for each root ``roots_in_disk`` counts, nearest ``center``
-    first (in ``rs`` order at equal distance); tie marks a root counted by
-    its certificate band only.  Squared distances are compared on one
-    integer grid 1/L, in units of 2^-precision_bits / L, where the band is
+    """The roots ``roots_in_disk`` counts, nearest ``center`` first (in
+    ``rs`` order at equal distance).  Squared distances are compared on
+    one integer grid 1/L, in units of 2^-precision_bits / L, where rho is
     L + |r| L, rounded up."""
     if not isinstance(center, Point):
         center = Point(center, ZERO)
@@ -599,9 +599,8 @@ def _counted_roots(rs: RootSet, center, radius):
     counted = []
     for r, x, y in zip(rs.roots, xs[2:], ys[2:]):
         dist = ((x - cx) ** 2 + (y - cy) ** 2) << 2 * p
-        band = den + _ceil_sqrt(x * x + y * y)
-        if dist <= (rad + band) ** 2:
-            inside = rad > band and dist < (rad - band) ** 2
-            counted.append((dist, r, not inside))
+        rho = den + _ceil_sqrt(x * x + y * y)
+        if rad > rho and dist < (rad - rho) ** 2:
+            counted.append((dist, r))
     counted.sort(key=lambda t: t[0])
-    return [(r, tie) for _dist, r, tie in counted]
+    return [r for _dist, r in counted]

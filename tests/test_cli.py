@@ -10,7 +10,7 @@ import pytest
 from zerodyn import Poly, PowerSeries, build_plan, extend
 from zerodyn.cli import build_parser, main
 from zerodyn.scalars import DEFAULT_D_CAP, DEFAULT_M_MAX, DEFAULT_PRECISION_BITS
-from zerodyn.formats import dump_json, parse_poly_inline, plan_payload
+from zerodyn.formats import dump_json, format_series_text, parse_poly_inline, plan_payload
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -317,7 +317,7 @@ class TestConstructCLI:
         assert not plan_path.exists()
 
     def test_product_past_the_truncation_fails_before_any_gamma_trial(
-        self, capsys, monkeypatch
+        self, capsys, monkeypatch, tmp_path
     ):
         calls = []
 
@@ -326,13 +326,40 @@ class TestConstructCLI:
             return True
 
         monkeypatch.setattr("zerodyn.construct._stage_predicate", counting)
+        # a series file is truncated where it ends; witness degrees 2, 3, 4 sum to 9
+        series_path = tmp_path / "phi.txt"
+        series_path.write_text(format_series_text(extend(PowerSeries([1, "1/2", "1/2"]), 8)))
         code, out, err = run_cli(
-            capsys, "construct", "--series", "poly:1+1/2x+1/2x^2", "--stages", "3",
+            capsys, "construct", "--series", str(series_path), "--stages", "3",
             "--d-cap", "8", "--gamma0", "1/4",
         )
         assert (code, out) == (2, "") and err.startswith("input error:")
         assert "operator series truncated at 8, product degree is 9" in err
         assert calls == []
+
+    def test_poly_series_reaches_any_product_degree(self, capsys, tmp_path):
+        # poly: has a zero tail, so degrees 2 + 3 + 4 past --d-cap 8 are fine
+        plan_path = tmp_path / "plan.json"
+        series = ("--series", "poly:1+1/2x+1/2x^2", "--d-cap", "8")
+        doc = run_json(
+            capsys, "construct", *series, "--stages", "3", "--gamma0", "1/4",
+            "--plan-out", str(plan_path),
+        )
+        assert doc["plan"]["degrees"] == [2, 3, 4]
+        again = run_json(capsys, "verify-construct", *series, "--plan", str(plan_path))
+        assert again["nonreal_totals"] == doc["nonreal_totals"] == {"1": 6, "2": 8, "3": 8}
+
+    def test_plan_with_no_stage_fixed_is_an_input_error(self, capsys, tmp_path):
+        data = plan_payload(build_plan(extend(PowerSeries([1, 1, 1]), 12), 1, d_cap=12))
+        data["gammas"] = []
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(dump_json(data))
+        code, out, err = run_cli(
+            capsys, "verify-construct", "--series", "poly:1+x+x^2",
+            "--plan", str(plan_path), "--d-cap", "12",
+        )
+        assert (code, out) == (2, "") and err.startswith("input error:")
+        assert "fixes no stage" in err
 
     def test_negative_control_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -387,6 +414,14 @@ class TestInputErrors:
             capsys, "lp-test", "--series", "truncated-exp:3", "--d-max", "8"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["1:5:0", "5:1:-1"])
+    def test_m_list_step_below_one(self, capsys, spec):
+        code, out, err = run_cli(
+            capsys, "converge", "--series", "poly:1+x^2", "--poly", "x^2", "--m-list", spec
+        )
+        assert (code, out) == (2, "") and err.startswith("input error:")
+        assert "m-list step must be >= 1" in err
 
     def test_bad_precision(self, capsys):
         code, _, err = run_cli(capsys, "zeros", "--poly", "x^2+1", "--precision-bits", "16")

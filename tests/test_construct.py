@@ -19,7 +19,6 @@ from zerodyn import (
     WitnessNotFound,
     build_partial_product,
     build_plan,
-    choose_gamma,
     extend,
     extend_plan,
     find_degree_witnesses,
@@ -28,7 +27,8 @@ from zerodyn import (
 )
 from zerodyn import construct
 from zerodyn.construct import _stage_predicate
-from zerodyn.roots import find_roots
+from zerodyn.poly import apply_operator
+from zerodyn.roots import find_roots, roots_in_disk
 from zerodyn.series import factor_out_zero
 
 PHI = extend(PowerSeries([1, 1, 1]), 40)       # 1 + x + x^2
@@ -99,28 +99,26 @@ class TestTargets:
 
 
 class TestChooseGamma:
+    """The halving search in extend_plan."""
+
     def test_first_trial_passes_via_shift_conjugacy(self):
         # (1+x)^2 = T^1 x^2, so the stage-1 image is the shifted monomial
         # image and its zero sits exactly at the disk center
         plan = pick_targets(PHI, [2, 3])
-        gamma = choose_gamma(PHI, plan, F(1))
-        assert gamma == 1
+        assert extend_plan(PHI, plan, F(1)).gammas == (1,)
 
     def test_later_stage_shrinks_on_collision(self):
         plan = pick_targets(PHI, [2, 3])
-        plan = extend_plan(PHI, plan, F(1))
-        gamma2 = choose_gamma(PHI, plan, F(1))
-        assert 0 < gamma2 < 1
+        plan = extend_plan(PHI, extend_plan(PHI, plan, F(1)), F(1))
+        assert 0 < plan.gammas[1] < 1
 
     def test_rejects_nonpositive_gamma0(self):
         plan = pick_targets(PHI, [2])
-        with pytest.raises(ValueError):
-            choose_gamma(PHI, plan, F(0))
+        with pytest.raises(ValueError, match="positive"):
+            extend_plan(PHI, plan, F(0))
 
     def test_fully_fixed_plan_rejected(self):
         plan = extend_plan(PHI, pick_targets(PHI, [2]))
-        with pytest.raises(ValueError, match="fixed"):
-            choose_gamma(PHI, plan, F(1))
         with pytest.raises(ValueError, match="fixed"):
             extend_plan(PHI, plan)
 
@@ -129,7 +127,7 @@ class TestChooseGamma:
         before = copy.deepcopy(plan)
         one = extend_plan(PHI, plan)
         assert plan == before and plan.stages_fixed == 0
-        assert one.stages_fixed == 1 and one.coefficient_bound_ok == (True,)
+        assert one.stages_fixed == 1
         assert (one.degrees, one.targets, one.radii) == (plan.degrees, plan.targets, plan.radii)
 
     def test_budget_exhaustion(self, monkeypatch):
@@ -140,7 +138,7 @@ class TestChooseGamma:
         )
         monkeypatch.setattr(construct, "MAX_HALVINGS", 8)
         with pytest.raises(GammaSearchExhausted):
-            choose_gamma(PHI, plan, F(1))
+            extend_plan(PHI, plan, F(1))
 
     def test_search_runs_at_the_plan_precision(self, monkeypatch):
         plan = pick_targets(PHI, [2, 3], precision_bits=128)
@@ -217,16 +215,22 @@ class TestVerify:
             verify_counterexample(PHI, bad, 1, 1)
         assert exc.value.clause == "off-axis"
 
-    def test_zero_on_a_disk_boundary_is_a_tie_and_still_verifies(self):
+    @pytest.mark.parametrize("outside", [0, F(1, 2**300)], ids=["on", "past"])
+    def test_zero_on_or_just_past_a_disk_boundary_fails_membership(self, outside):
+        # the iterate x^2 + 4x + 5 has zeros exactly -2 +- i
         plan = build_plan(PHI, 1, d_cap=12)
         z = verify_counterexample(PHI, plan, 1, 1).witnessed[(1, 1)]
-        r = z.imag / 2
-        # the disk center a - 1/gamma becomes z + r: z lies exactly on its boundary
-        a = Point(z.real + r + 1 / plan.gammas[0], z.imag)
-        tied = plan._replace(targets={(1, 1): a}, radii={(1, 1): r})
-        rep = verify_counterexample(PHI, tied, 1, 1)
-        assert rep.witnessed[(1, 1)] == z
-        assert ((1, 1), z) in rep.boundary_ties
+        assert z == Point(F(-2), F(1))
+        r = F(1, 2) - outside
+        # the disk center a - 1/gamma becomes z + 1/2: z lies `outside` past it
+        a = Point(z.real + F(1, 2) + 1 / plan.gammas[0], z.imag)
+        near = plan._replace(targets={(1, 1): a}, radii={(1, 1): r})
+        with pytest.raises(VerificationFailed, match="no zero certified inside") as exc:
+            verify_counterexample(PHI, near, 1, 1)
+        assert exc.value.clause == "membership"
+        iterate = apply_operator(PHI, build_partial_product(plan, 1))
+        center = Point(z.real + F(1, 2), z.imag)
+        assert roots_in_disk(find_roots(iterate, plan.precision_bits), center, r) == 0
 
     def test_truncation_shorter_than_the_product_fails_before_any_search(
         self, monkeypatch
@@ -268,7 +272,7 @@ class TestOneDiskChecker:
 
     def _agree(self, plan, n):
         _mu, psi = factor_out_zero(PHI)
-        predicate = _stage_predicate(psi, plan, plan.gammas[:n])
+        predicate = _stage_predicate(psi, plan._replace(gammas=plan.gammas[:n]))
         assert predicate is self._disk_clauses_pass(plan, n)
         return predicate
 

@@ -140,6 +140,14 @@ class TestPlanRoundTrip:
         assert back.targets[(1, 1)] == Point(F(-5, 4), F(5))
         assert back.radii[(1, 1)] == F(5, 2)
 
+    def test_old_plan_files_with_coefficient_bound_ok_still_load(self):
+        phi = extend(PowerSeries([1, 1, 1]), 12)
+        plan = build_plan(phi, 1, d_cap=12)
+        data = plan_payload(plan)
+        assert "coefficient_bound_ok" not in data
+        data["coefficient_bound_ok"] = [True]
+        assert plan_from_payload(data) == plan
+
 
 class TestRootsetCSV:
     def test_versioned_header_and_rows(self):

@@ -733,25 +733,25 @@ class TestRootsInDisk:
         rs = find_roots(P(-1, 3, -3, 1))
         assert roots_in_disk(rs, 1, F(1, 4)) == 3
 
-    def test_boundary_tie_recorded(self):
+    def test_zero_on_the_boundary_is_not_counted(self):
         rs = find_roots(P(2, 2, 1))
         before = copy.deepcopy(rs)
-        # |(-1+i) - (-1)| = 1 exactly on the boundary: counted, flagged as a tie
-        n = roots_in_disk(rs, -1, 1)
-        assert n == 2
+        # |(-1+i) - (-1)| = 1 exactly on the boundary: not certified inside
+        assert roots_in_disk(rs, -1, 1) == 0
         assert rs == before
-        assert [tie for _r, tie in _counted_roots(rs, -1, 1)] == [True, True]
 
     def test_band_is_the_certificate(self):
-        # at 256 bits a root 2^-100 inside the boundary is inside, no tie
+        # at 256 bits a root 2^-100 inside the boundary is certified inside;
+        # 2^-300 inside or outside is within the certificate, so not counted
         rs = find_roots(P(-1, 1), 256)
         assert roots_in_disk(rs, 0, 1 + F(1, 2**100)) == 1
-        assert [tie for _r, tie in _counted_roots(rs, 0, 1 + F(1, 2**100))] == [False]
+        assert roots_in_disk(rs, 0, 1 + F(1, 2**300)) == 0
+        assert roots_in_disk(rs, 0, 1 - F(1, 2**300)) == 0
 
     def test_counted_roots_come_nearest_first(self):
         rs = find_roots(P(-6, 11, -6, 1))  # zeros 1, 2, 3
         near = _counted_roots(rs, F(29, 10), 4)
-        assert [round(r.location.real) for r, _tie in near] == [3, 2, 1]
+        assert [round(r.location.real) for r in near] == [3, 2, 1]
 
     def test_radius_must_be_positive(self):
         rs = find_roots(P(2, 2, 1))

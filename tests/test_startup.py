@@ -104,8 +104,7 @@ PUBLIC = {
     ),
     "construct": (
         "CounterexampleReport", "StagePlan", "build_partial_product", "build_plan",
-        "choose_gamma", "extend_plan", "find_degree_witnesses", "pick_targets",
-        "verify_counterexample",
+        "extend_plan", "find_degree_witnesses", "pick_targets", "verify_counterexample",
     ),
 }
 SUBMODULES = (
@@ -313,10 +312,10 @@ def test_repr_matches_the_dataclass_form(rec):
 
 def test_fields_follow_annotation_order_with_defaults():
     assert StagePlan._fields == (
-        "degrees", "targets", "radii", "gammas", "coefficient_bound_ok", "precision_bits",
+        "degrees", "targets", "radii", "gammas", "precision_bits",
     )
     plan = StagePlan((3,), {}, {})
-    assert (plan.gammas, plan.coefficient_bound_ok, plan.precision_bits) == ((), (), 256)
+    assert (plan.gammas, plan.precision_bits) == ((), 256)
     assert plan.stages_fixed == 0
 
 
