@@ -41,7 +41,6 @@ _EXPORTS = {
         "PowerSeries",
         "classify",
         "dilate_series",
-        "extend",
         "factor_out_zero",
         "normalize",
         "polya_lp_test",

@@ -4,7 +4,8 @@ Subcommands mirror the library: classify, lp-test, apply, iterate,
 zeros, onset, converge, discrepancy, attractor, limit-poly, hermite,
 jensen, construct, verify-construct.  Each subcommand declares only the
 settings it reads (``_SETTINGS``; defaults from ``scalars.DEFAULT_*``)
-and argparse rejects any other with exit 2.  JSON is the archival output:
+and argparse rejects any other with exit 2; ``verify-construct`` also
+accepts ``--d-cap``, which it does not read.  JSON is the archival output:
 its ``config`` block echoes the declared settings.  CSV emits one row per
 m or per root for plotting, for the four reports with a CSV schema.
 Exit codes: 0 success, 1 verification failure, 2 input error.
@@ -64,7 +65,8 @@ def _int_at_least(low):
     return parse
 
 
-# Each setting, declared only by the subcommands that read it (see ``cmd``).
+# Each setting, declared only by the subcommands that read it (see ``cmd``),
+# and --d-cap by verify-construct too, whose saved command lines still pass it.
 _SETTINGS = {
     "precision_bits": ("--precision-bits", dict(
         type=_int_at_least(64), default=DEFAULT_PRECISION_BITS,
@@ -77,7 +79,8 @@ _SETTINGS = {
     )),
     "d_cap": ("--d-cap", dict(
         type=_int_at_least(1), default=DEFAULT_D_CAP,
-        help="degree cap of the witness search (default %(default)s)",
+        help="degree cap of the witness search (default %(default)s); "
+        "verify-construct accepts it and does not read it",
     )),
     "format": ("--format", dict(choices=("json", "csv"), default="json")),
     "output": ("--output", dict(help="write the report here instead of stdout")),
@@ -244,18 +247,16 @@ def _emit(args, payload) -> None:
 def _payload(args):
     """The report the subcommand ``args.command`` asks for, as its JSON payload."""
     cmd = args.command
+    phi = formats.resolve_series(args.series) if hasattr(args, "series") else None
 
     if cmd == "classify":
-        phi = formats.resolve_series(args.series)
         return formats.operator_class_payload(series.classify(phi))
 
     if cmd == "lp-test":
-        phi = formats.resolve_series(args.series, min_order=args.d_max)
         return formats.lp_result_payload(series.polya_lp_test(phi, args.d_max))
 
     if cmd in ("apply", "iterate"):
         f = formats.resolve_poly(args.poly)
-        phi = formats.resolve_series(args.series, min_order=max(0, f.degree))
         g = poly.iterate_operator(phi, f, 1 if cmd == "apply" else args.m)
         payload = {"poly": str(g), **formats.poly_payload(g)}
         if cmd == "iterate" and args.op_count == "nonreal":
@@ -268,7 +269,6 @@ def _payload(args):
 
     if cmd in ("onset", "converge", "attractor"):
         f = formats.resolve_poly(args.poly)
-        phi = formats.resolve_series(args.series, min_order=max(2, f.degree))
         if cmd == "onset":
             rep = dynamics.onset_scan(phi, f, args.m_max)
             return formats.onset_payload(rep)
@@ -280,7 +280,6 @@ def _payload(args):
         return formats.attractor_payload(rep)
 
     if cmd == "discrepancy":
-        phi = formats.resolve_series(args.series, min_order=args.d)
         cls = series.classify(phi)
         value = dynamics.operator_discrepancy(cls, phi, args.d, args.m, args.precision_bits)
         text = str(value) if exact_nth_root(args.m, cls.p) is not None else None
@@ -303,11 +302,9 @@ def _payload(args):
         return payload
 
     if cmd in ("construct", "verify-construct"):
-        # a poly: series is zero-extended to the largest product degree
         if cmd == "construct":
             if args.m is not None and not 1 <= args.m <= args.stages:
                 raise ValueError(f"need 1 <= M <= N, got M = {args.m}, N = {args.stages}")
-            phi = formats.resolve_series(args.series, min_order=args.stages * args.d_cap)
             plan = construct_mod.build_plan(
                 phi,
                 args.stages,
@@ -320,7 +317,6 @@ def _payload(args):
                 plan = formats.plan_from_payload(json.load(fh))
             if not plan.stages_fixed:
                 raise ValueError(f"the plan in {args.plan!r} fixes no stage (no gammas)")
-            phi = formats.resolve_series(args.series, min_order=max(args.d_cap, sum(plan.degrees)))
         n = plan.stages_fixed
         m = args.m if args.m is not None else n
         report = construct_mod.verify_counterexample(phi, plan, n, m, args.precision_bits)

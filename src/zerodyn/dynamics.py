@@ -23,7 +23,6 @@ from .errors import (
     NonMonicInput,
     NotGeneralForm,
     PureExponential,
-    TruncationTooShort,
     ZeroConstantTerm,
 )
 from .exact import count_nonreal
@@ -280,10 +279,6 @@ def operator_discrepancy(
         raise NotGeneralForm(f"need General form, got {cls.form}")
     if d < 0 or m < 1:
         raise ValueError("need d >= 0 and m >= 1")
-    if phi.truncation_order < d:
-        raise TruncationTooShort(
-            f"need truncation order {d}, have {phi.truncation_order}"
-        )
     p = cls.p
     shift = _exp_monomial_series(-m * cls.alpha, 1, d)
     powered = truncated_power(cls.normalized_from, m, d)

@@ -7,6 +7,10 @@ File formats are versioned with a leading comment line:
 * polynomial file — ``# zerodyn poly 1`` with the same layout, lowest
   degree first.
 
+A series file is truncated where it ends, as are the ``truncated-exp``
+and ``mittag-leffler`` presets; a ``poly:`` series is a polynomial, whose
+tail is known to be zero (``PowerSeries.polynomial``).
+
 Inline polynomial shorthand accepts integer-coefficient expressions
 like ``x^3+6x`` or ``-2x^2+x-1``; the parser also takes rational
 coefficients ("1/2x^2"), so ``str`` of a ``Poly`` round-trips.
@@ -168,16 +172,14 @@ def parse_poly_inline(text: str) -> Poly:
 # series presets
 
 
-def resolve_series(spec: str, min_order: int = 0) -> PowerSeries:
+def resolve_series(spec: str) -> PowerSeries:
     """Resolve a --series argument: preset, inline, or file path.
 
     Presets: ``truncated-exp:K`` (e^x partial sum through x^K),
     ``mittag-leffler:p:K``, ``poly:<inline shorthand>``.  Anything else
-    is read as a series file.  The result is zero-extended to
-    ``min_order`` when it came from a polynomial (known zero tail).
+    is read as a series file.  A ``poly:`` series is a polynomial (its
+    tail is known to be zero); the others are truncated.
     """
-    from .series import extend
-
     if spec.startswith(("truncated-exp:", "mittag-leffler:")):
         preset = re.fullmatch(r"truncated-exp:(\d+)|mittag-leffler:0*([1-9]\d*):(\d+)", spec)
         if preset is None:
@@ -192,7 +194,7 @@ def resolve_series(spec: str, min_order: int = 0) -> PowerSeries:
         f = parse_poly_inline(spec.split(":", 1)[1])
         if f.is_zero:
             raise ValueError(f"{spec!r} is the zero series, not an operator series")
-        return extend(PowerSeries(f.coeffs), min_order)
+        return PowerSeries.polynomial(f.coeffs)
     try:
         fh = open(spec, "r", encoding="utf-8")
     except OSError as exc:

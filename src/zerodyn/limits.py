@@ -81,8 +81,6 @@ def jensen_of_series(phi: PowerSeries, q: int) -> Poly:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if phi.truncation_order < q:
-        from .errors import TruncationTooShort
-
-        raise TruncationTooShort(f"need order {q}, have {phi.truncation_order}")
-    return Poly(math.comb(q, k) * phi.derivative_at_zero(k) for k in range(q + 1))
+    return Poly(
+        math.comb(q, k) * math.factorial(k) * a for k, a in enumerate(phi.head(q))
+    )

@@ -22,7 +22,6 @@ from operator import mul
 from .errors import (
     NonMonicInput,
     NotGeneralForm,
-    TruncationTooShort,
     ZeroDilation,
 )
 from .scalars import (
@@ -186,13 +185,8 @@ def apply_operator(phi: PowerSeries, f: Poly) -> Poly:
     if f.is_zero:
         return f
     d = int(f.degree)
-    if phi.truncation_order < d:
-        raise TruncationTooShort(
-            f"operator series truncated at {phi.truncation_order}, "
-            f"polynomial degree is {d}"
-        )
     fact = list(accumulate(range(1, d + 1), mul, initial=1))
-    alpha = list(phi.coeffs[: d + 1])
+    alpha = list(phi.head(d))
     while alpha[-1] == 0 and len(alpha) > 1:
         alpha.pop()  # a zero tail adds nothing to any sum
     a, den_a = common_denominator(alpha)

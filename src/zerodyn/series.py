@@ -1,14 +1,17 @@
-"""Truncated formal power series and operator classification.
+"""Formal power series and operator classification.
 
 A series phi(x) = sum alpha_n x^n is stored by its Taylor coefficients
-alpha_n = phi^(n)(0)/n!, exactly (Fraction).  The truncation
-order is explicit and operations fail loudly when it is too short; a
-polynomial's known zero tail can be declared with :func:`extend`.
+alpha_n = phi^(n)(0)/n!, exactly (Fraction).  A series is either
+truncated, known only through its stored coefficients, or a polynomial
+(:meth:`PowerSeries.polynomial`), whose tail is known to be zero.
+:meth:`PowerSeries.head` is the one way to read alpha_0..alpha_n: it
+pads a polynomial with zeros and fails loudly past a truncation.
 
 Classification splits an operator into the three regimes that drive the
 zero dynamics: a vanishing constant term (pure differentiation factor),
 a pure exponential c*e^(gamma*x) up to the stored truncation (a shift,
-no dynamics), or the general form with invariants (p, alpha, beta)::
+no dynamics; a polynomial is one only when it is a constant), or the
+general form with invariants (p, alpha, beta)::
 
     p     = min{ n >= 2 : phi^(n)(0) != phi'(0)^n }   (phi scaled to phi(0)=1)
     alpha = phi'(0)
@@ -21,36 +24,57 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .errors import AllZeroSeries, TruncationTooShort, ZeroConstantTerm
+from .errors import AllZeroSeries, TruncationTooShort, ZeroConstantTerm, ZeroDilation
 from .records import Record
 from .scalars import as_fraction, common_denominator
 
 
 class PowerSeries:
-    """Truncated power series; index n of ``coeffs`` holds alpha_n."""
+    """Power series; index n of ``coeffs`` holds alpha_n.
 
-    __slots__ = ("coeffs",)
+    ``truncation_order`` is the last coefficient known: ``len(coeffs) - 1``
+    for a truncated series, ``math.inf`` for a polynomial.
+    """
+
+    __slots__ = ("coeffs", "truncation_order")
 
     def __init__(self, coeffs):
         coeffs = tuple(as_fraction(c) for c in coeffs)
         if not coeffs:
             raise ValueError("a series needs at least the constant term")
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "truncation_order", len(coeffs) - 1)
+
+    @classmethod
+    def polynomial(cls, coeffs) -> "PowerSeries":
+        """The polynomial sum c_n x^n as a series: every alpha_n past the
+        stored ones is known to be 0."""
+        phi = cls(coeffs)
+        object.__setattr__(phi, "truncation_order", math.inf)
+        return phi
+
+    def _like(self, coeffs) -> "PowerSeries":
+        """A series of this one's kind (polynomial or truncated)."""
+        if self.truncation_order == math.inf:
+            return PowerSeries.polynomial(coeffs)
+        return PowerSeries(coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
 
-    @property
-    def truncation_order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def taylor(self, n):
-        """alpha_n (0 beyond the truncation is *not* assumed; raises)."""
+    def head(self, n) -> tuple:
+        """alpha_0..alpha_n: zero-padded for a polynomial; TruncationTooShort
+        past a truncated series' order."""
         if n > self.truncation_order:
             raise TruncationTooShort(
-                f"coefficient {n} beyond truncation order {self.truncation_order}"
+                f"need coefficients up to order {n}, series truncated at "
+                f"{self.truncation_order}"
             )
-        return self.coeffs[n]
+        return self.coeffs[: n + 1] + (Fraction(0),) * (n + 1 - len(self.coeffs))
+
+    def taylor(self, n):
+        """alpha_n, read through :meth:`head`."""
+        return self.head(n)[n]
 
     def derivative_at_zero(self, n):
         """phi^(n)(0) = n! * alpha_n."""
@@ -63,35 +87,17 @@ class PowerSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def truncated(self, order: int) -> "PowerSeries":
-        """Drop coefficients above ``order`` (must be storable)."""
-        if order > self.truncation_order:
-            raise TruncationTooShort(
-                f"have order {self.truncation_order}, asked to keep {order}"
-            )
-        return PowerSeries(self.coeffs[: order + 1])
-
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (self.coeffs, self.truncation_order) == (other.coeffs, other.truncation_order)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.coeffs, self.truncation_order))
 
     def __repr__(self):
-        return f"PowerSeries({list(self.coeffs)!r})"
-
-
-def extend(phi: PowerSeries, order: int) -> PowerSeries:
-    """Zero-pad up to ``order``: the caller declares the tail is known zero.
-
-    This is the explicit counterpart of silent padding; use it when phi
-    came from a polynomial, whose tail genuinely is zero.
-    """
-    if order <= phi.truncation_order:
-        return phi
-    return PowerSeries(phi.coeffs + (Fraction(0),) * (order - phi.truncation_order))
+        kind = ".polynomial" if self.truncation_order == math.inf else ""
+        return f"PowerSeries{kind}({list(self.coeffs)!r})"
 
 
 def normalize(phi: PowerSeries) -> PowerSeries:
@@ -101,25 +107,25 @@ def normalize(phi: PowerSeries) -> PowerSeries:
         raise ZeroConstantTerm("phi(0) = 0; use factor_out_zero first")
     if c == 1:
         return phi
-    return PowerSeries(a / c for a in phi.coeffs)
+    return phi._like(a / c for a in phi.coeffs)
 
 
 def factor_out_zero(phi: PowerSeries):
     """Write phi = x^mu * psi with psi(0) != 0; returns (mu, psi)."""
     mu = 0
-    while mu <= phi.truncation_order and phi.coeffs[mu] == 0:
+    while mu < len(phi.coeffs) and phi.coeffs[mu] == 0:
         mu += 1
-    if mu > phi.truncation_order:
+    if mu == len(phi.coeffs):
         raise AllZeroSeries("every stored coefficient is zero")
-    return mu, PowerSeries(phi.coeffs[mu:])
+    return mu, phi._like(phi.coeffs[mu:])
 
 
 def dilate_series(phi: PowerSeries, c) -> PowerSeries:
     """phi(c*x): multiply alpha_n by c^n, for an exact nonzero c."""
-    if c == 0:
-        raise ValueError("series dilation by zero")
     c = as_fraction(c)
-    return PowerSeries(a * c**n for n, a in enumerate(phi.coeffs))
+    if c == 0:
+        raise ZeroDilation("dilation scalar must be nonzero")
+    return phi._like(a * c**n for n, a in enumerate(phi.coeffs))
 
 
 def _cauchy(a, b, order):
@@ -130,13 +136,8 @@ def _cauchy(a, b, order):
 
 def truncated_product(phi: PowerSeries, psi: PowerSeries, order: int) -> PowerSeries:
     """Cauchy product truncated at ``order``, multiplied on integers."""
-    if phi.truncation_order < order or psi.truncation_order < order:
-        raise TruncationTooShort(
-            f"need both factors to order {order}; have "
-            f"{phi.truncation_order} and {psi.truncation_order}"
-        )
-    a, den_a = common_denominator(phi.coeffs[: order + 1])
-    b, den_b = common_denominator(psi.coeffs[: order + 1])
+    a, den_a = common_denominator(phi.head(order))
+    b, den_b = common_denominator(psi.head(order))
     den = den_a * den_b
     return PowerSeries(Fraction(x, den) for x in _cauchy(a, b, order))
 
@@ -149,11 +150,7 @@ def truncated_power(phi: PowerSeries, m: int, order: int) -> PowerSeries:
     """
     if m < 0:
         raise ValueError("negative power")
-    if phi.truncation_order < order:
-        raise TruncationTooShort(
-            f"need order {order}, have {phi.truncation_order}"
-        )
-    base, den = common_denominator(phi.coeffs[: order + 1])
+    base, den = common_denominator(phi.head(order))
     acc, k = [1] + [0] * order, m
     while k:
         if k & 1:
@@ -171,6 +168,7 @@ class OperatorClass(Record):
     form == "ZeroConstant": mu (order of vanishing at 0).
     form == "PureExponential": c, gamma — a verdict *relative to the stored
         truncation*; a finite coefficient list cannot certify phi = c e^(gx).
+        A polynomial is PureExponential only when it is a constant.
     form == "General": p, alpha, beta with beta != 0.
     """
 
@@ -209,7 +207,8 @@ def classify(phi: PowerSeries) -> OperatorClass:
     c0 = phi.constant
     norm = normalize(phi)
     alpha = norm.taylor(1) if norm.truncation_order >= 1 else Fraction(0)
-    for n in range(2, norm.truncation_order + 1):
+    # a polynomial's first padded zero, at n = len(coeffs), decides it
+    for n in range(2, min(norm.truncation_order, len(norm.coeffs)) + 1):
         deriv = norm.derivative_at_zero(n)
         if deriv != alpha**n:
             beta = (deriv - alpha**n) / math.factorial(n)
@@ -229,8 +228,6 @@ def turan_expression(phi: PowerSeries):
     real polynomial is eventually driven to all-real-and-simple zeros;
     nonnegative (and not pure-exponential) means nonreal zeros persist.
     """
-    if phi.truncation_order < 2:
-        raise TruncationTooShort("need truncation order >= 2")
     return phi.derivative_at_zero(2) * phi.constant - phi.derivative_at_zero(1) ** 2
 
 
@@ -267,11 +264,6 @@ def polya_lp_test(phi: PowerSeries, d_max: int) -> LPObstructionResult:
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     _mu, psi = factor_out_zero(phi)
-    if psi.truncation_order < d_max:
-        raise TruncationTooShort(
-            f"need truncation order {d_max} after stripping, "
-            f"have {psi.truncation_order}"
-        )
     counts = []
     witness = None
     for d in range(1, d_max + 1):

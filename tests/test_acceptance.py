@@ -119,10 +119,9 @@ def test_criterion_05_iterate_oracle_equivalence():
             order = rng.randint(0, 8)
             deg = rng.randint(1, 10)
             m = rng.randint(0, 6)
-            phi = zd.PowerSeries(
+            phi = zd.PowerSeries.polynomial(
                 [random_fraction(rng) for _ in range(order + 1)]
             )
-            phi = zd.extend(phi, max(order, deg))
             f = zd.Poly(
                 [random_fraction(rng) for _ in range(deg)]
                 + [random_fraction(rng, nonzero=True)]
@@ -134,9 +133,9 @@ def test_criterion_05_iterate_oracle_equivalence():
 
 def test_criterion_06_closed_form_families():
     with _gate("6 closed-form iterate families m<=100", 5.0):
-        phi_a = zd.extend(zd.PowerSeries([1, 0, 1]), 4)
-        phi_b = zd.extend(zd.PowerSeries([1, 1, -1]), 4)
-        phi_c = zd.extend(zd.PowerSeries([1, 0, -1]), 4)
+        phi_a = zd.PowerSeries.polynomial([1, 0, 1])
+        phi_b = zd.PowerSeries.polynomial([1, 1, -1])
+        phi_c = zd.PowerSeries.polynomial([1, 0, -1])
         ga, gb, gc = zd.monomial(3), zd.monomial(2), zd.monomial(4)
         for m in range(1, 101):
             ga = zd.apply_operator(phi_a, ga)
@@ -149,12 +148,12 @@ def test_criterion_06_closed_form_families():
 
 def test_criterion_07_convergence_rate():
     with _gate("7 sup-norm rate: exact 12/m and fitted slopes", 60.0):
-        phi_c = zd.extend(zd.PowerSeries([1, 0, -1]), 4)
+        phi_c = zd.PowerSeries.polynomial([1, 0, -1])
         rep = zd.convergence_experiment(phi_c, zd.monomial(4), range(1, 1001))
         for m, err in rep.samples:
             assert err == F(12, m), m
         assert abs(rep.fitted_slope - (-1.0)) <= 0.01
-        phi_d = zd.extend(zd.PowerSeries([1, 1, 0, 1]), 5)
+        phi_d = zd.PowerSeries.polynomial([1, 1, 0, 1])
         rep2 = zd.convergence_experiment(
             phi_d, zd.monomial(5), range(10, 1001, 10)
         )
@@ -163,12 +162,12 @@ def test_criterion_07_convergence_rate():
 
 def test_criterion_08_onset_and_persistence():
     with _gate("8 onset m0<=200 and persistence m0<=50", 60.0):
-        phi_b = zd.extend(zd.PowerSeries([1, 1, -1]), 4)
+        phi_b = zd.PowerSeries.polynomial([1, 1, -1])
         f = zd.Poly([2, -2, 1]) * zd.Poly([4, 0, 1])  # 4 nonreal zeros
         rep = zd.onset_scan(phi_b, f, m_max=200)
         assert rep.mode == "AllRealSimple"
         assert rep.found and rep.m0 <= 200
-        phi = zd.extend(zd.PowerSeries([1, 1, 1]), 3)
+        phi = zd.PowerSeries.polynomial([1, 1, 1])
         rep2 = zd.onset_scan(phi, zd.Poly([1, 0, 0, 1]), m_max=200)
         assert rep2.mode == "PersistentNonreal"
         assert rep2.found and rep2.m0 <= 50
@@ -176,13 +175,13 @@ def test_criterion_08_onset_and_persistence():
 
 def test_criterion_09_attractor_containment():
     with _gate("9 attractor containment and simplicity", 60.0):
-        phi_a = zd.extend(zd.PowerSeries([1, 0, 1]), 3)
+        phi_a = zd.PowerSeries.polynomial([1, 0, 1])
         rep = zd.attractor_experiment(
             phi_a, zd.monomial(3), list(range(1, 51)) + [100, 200], 1e-25
         )
         for rec in rep.records:
             assert rec.containment_epsilon_needed < 1e-30
-        phi_c = zd.extend(zd.PowerSeries([1, 0, -1]), 5)
+        phi_c = zd.PowerSeries.polynomial([1, 0, -1])
         rep2 = zd.attractor_experiment(
             phi_c, zd.monomial(5), range(1, 201), 0.1
         )
@@ -200,7 +199,7 @@ def test_criterion_09_attractor_containment():
 
 def test_criterion_10_construction_pipeline(tmp_path):
     with _gate("10 construction N=M=2 + negative control", 120.0):
-        phi = zd.extend(zd.PowerSeries([1, 1, 1]), 12)
+        phi = zd.PowerSeries.polynomial([1, 1, 1])
         plan = zd.build_plan(phi, 2, d_cap=12)
         report = zd.verify_counterexample(phi, plan, 2, 2)
         # m=1: zeros in two disjoint off-axis disks; m=2: at least one
@@ -221,14 +220,14 @@ def test_criterion_10_construction_pipeline(tmp_path):
         assert code == 0
         # negative control: a first-degree binomial never witnesses
         with pytest.raises(zd.WitnessNotFound):
-            zd.find_degree_witnesses(zd.extend(zd.PowerSeries([1, 1]), 10), 1, 10)
+            zd.find_degree_witnesses(zd.PowerSeries.polynomial([1, 1]), 1, 10)
 
 
 def test_criterion_11_lp_test_soundness():
     with _gate("11 monomial-image screen soundness", 10.0):
-        res = zd.polya_lp_test(zd.extend(zd.PowerSeries([1, 1, 1]), 5), 5)
+        res = zd.polya_lp_test(zd.PowerSeries.polynomial([1, 1, 1]), 5)
         assert res.obstructed and res.d_witness == 2
-        res2 = zd.polya_lp_test(zd.extend(zd.PowerSeries([1, 0, -1]), 8), 8)
+        res2 = zd.polya_lp_test(zd.PowerSeries.polynomial([1, 0, -1]), 8)
         assert not res2.obstructed and res2.d_max == 8
         for scanned in (res, res2):
             flags = [n > 0 for n in scanned.nonreal_counts]

@@ -7,7 +7,7 @@ import shlex
 
 import pytest
 
-from zerodyn import Poly, PowerSeries, build_plan, extend
+from zerodyn import Poly, PowerSeries, build_plan
 from zerodyn.cli import build_parser, main
 from zerodyn.scalars import DEFAULT_D_CAP, DEFAULT_M_MAX, DEFAULT_PRECISION_BITS
 from zerodyn.formats import dump_json, format_series_text, parse_poly_inline, plan_payload
@@ -37,6 +37,38 @@ class TestClassify:
         doc = run_json(capsys, "classify", "--series", "truncated-exp:6")
         assert doc["form"] == "PureExponential"
 
+
+
+class TestPolySeriesIsOneOperator:
+    """A poly: series has a zero tail, so every subcommand reads one operator."""
+
+    @pytest.mark.parametrize(
+        "spec, p, beta", [("poly:1+x+1/2x^2", 3, "-1/6"), ("poly:1+x", 2, "-1/2")]
+    )
+    def test_classify_reads_past_the_degree(self, capsys, spec, p, beta):
+        doc = run_json(capsys, "classify", "--series", spec)
+        assert (doc["form"], doc["p"], doc["beta"]) == ("General", p, beta)
+
+    def test_onset_classifies_alike_for_every_degree(self, capsys):
+        series = ("--series", "poly:1+x+1/2x^2", "--m-max", "3")
+        code, out, err = run_cli(capsys, "onset", *series, "--poly", "x^2+1")
+        assert (code, out) == (2, "") and "needs deg f >= p = 3" in err
+        doc = run_json(capsys, "onset", *series, "--poly", "x^3+x")
+        assert doc["mode"] == "PersistentNonreal"
+
+    def test_discrepancy_below_the_degree_p(self, capsys):
+        doc = run_json(capsys, "discrepancy", "--series", "poly:1+x", "--d", "1", "--m", "4")
+        assert doc["exact"] == "0"
+
+    def test_lp_test_after_stripping_the_monomial(self, capsys):
+        doc = run_json(capsys, "lp-test", "--series", "poly:x^2+x^3", "--d-max", "3")
+        assert doc["verdict"] == "NoObstructionUpTo(3)"
+
+    def test_construct_after_stripping_the_monomial(self, capsys):
+        run_json(
+            capsys, "construct", "--series", "poly:x+x^2+x^3", "--stages", "1",
+            "--d-cap", "4",
+        )
 
 
 class TestIterate:
@@ -268,7 +300,7 @@ class TestConstructCLI:
     def test_disagreeing_plan_fields_are_an_input_error(
         self, capsys, tmp_path, field, value, named
     ):
-        data = plan_payload(build_plan(extend(PowerSeries([1, 1, 1]), 12), 2, d_cap=12))
+        data = plan_payload(build_plan(PowerSeries.polynomial([1, 1, 1]), 2, d_cap=12))
         data[field] = value
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(dump_json(data))
@@ -282,7 +314,7 @@ class TestConstructCLI:
     @pytest.mark.parametrize("m", ["0", "-3"])
     def test_m_below_one_is_an_input_error(self, capsys, tmp_path, m):
         plan_path = tmp_path / "plan.json"
-        plan = build_plan(extend(PowerSeries([1, 1, 1]), 12), 1, d_cap=12)
+        plan = build_plan(PowerSeries.polynomial([1, 1, 1]), 1, d_cap=12)
         plan_path.write_text(dump_json(plan_payload(plan)))
         code, out, err = run_cli(
             capsys, "verify-construct", "--series", "poly:1+x+x^2",
@@ -328,7 +360,7 @@ class TestConstructCLI:
         monkeypatch.setattr("zerodyn.construct._stage_predicate", counting)
         # a series file is truncated where it ends; witness degrees 2, 3, 4 sum to 9
         series_path = tmp_path / "phi.txt"
-        series_path.write_text(format_series_text(extend(PowerSeries([1, "1/2", "1/2"]), 8)))
+        series_path.write_text(format_series_text(PowerSeries([1, "1/2", "1/2"] + [0] * 6)))
         code, out, err = run_cli(
             capsys, "construct", "--series", str(series_path), "--stages", "3",
             "--d-cap", "8", "--gamma0", "1/4",
@@ -350,7 +382,7 @@ class TestConstructCLI:
         assert again["nonreal_totals"] == doc["nonreal_totals"] == {"1": 6, "2": 8, "3": 8}
 
     def test_plan_with_no_stage_fixed_is_an_input_error(self, capsys, tmp_path):
-        data = plan_payload(build_plan(extend(PowerSeries([1, 1, 1]), 12), 1, d_cap=12))
+        data = plan_payload(build_plan(PowerSeries.polynomial([1, 1, 1]), 1, d_cap=12))
         data["gammas"] = []
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(dump_json(data))
@@ -506,7 +538,7 @@ def _subcommands():
 
 @pytest.fixture
 def plan_file(tmp_path):
-    plan = build_plan(extend(PowerSeries([1, 1, 1]), 12), 1, d_cap=12)
+    plan = build_plan(PowerSeries.polynomial([1, 1, 1]), 1, d_cap=12)
     path = tmp_path / "plan.json"
     path.write_text(dump_json(plan_payload(plan)))
     return str(path)

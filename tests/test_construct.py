@@ -19,7 +19,6 @@ from zerodyn import (
     WitnessNotFound,
     build_partial_product,
     build_plan,
-    extend,
     extend_plan,
     find_degree_witnesses,
     pick_targets,
@@ -31,10 +30,10 @@ from zerodyn.poly import apply_operator
 from zerodyn.roots import find_roots, roots_in_disk
 from zerodyn.series import factor_out_zero
 
-PHI = extend(PowerSeries([1, 1, 1]), 40)       # 1 + x + x^2
-PHI_LP = extend(PowerSeries([1, 1]), 40)       # 1 + x, never obstructed
-PHI_ZERO = extend(PowerSeries([0, 1, 0, 1]), 41)  # x + x^3 = x(1 + x^2)
-PHI_A = extend(PowerSeries([1, 0, 1]), 40)     # 1 + x^2
+PHI = PowerSeries.polynomial([1, 1, 1])       # 1 + x + x^2
+PHI_LP = PowerSeries.polynomial([1, 1])       # 1 + x, never obstructed
+PHI_ZERO = PowerSeries.polynomial([0, 1, 0, 1])  # x + x^3 = x(1 + x^2)
+PHI_A = PowerSeries.polynomial([1, 0, 1])     # 1 + x^2
 
 
 def _overlapping(plan):
@@ -68,7 +67,7 @@ class TestWitnesses:
 
     def test_series_shorter_than_d_cap(self):
         with pytest.raises(TruncationTooShort):
-            find_degree_witnesses(extend(PowerSeries([1, 1, 1]), 11), 1, 12)
+            find_degree_witnesses(PowerSeries([1, 1, 1] + [0] * 9), 1, 12)
 
     def test_monomial_factor_stripped(self):
         # x + x^3 behaves as its cofactor 1 + x^2
@@ -93,7 +92,7 @@ class TestTargets:
             assert abs(as_mpc(a) - mp.mpc(0, 1) * mp.sqrt(6)) < 1e-40
 
     def test_all_real_image_rejected(self):
-        phi_h = extend(PowerSeries([1, 0, -1]), 40)  # images all-real
+        phi_h = PowerSeries.polynomial([1, 0, -1])  # images all-real
         with pytest.raises(NoNonrealZero):
             pick_targets(phi_h, [2])
 
@@ -240,7 +239,7 @@ class TestVerify:
             construct, "_stage_predicate", lambda *args: calls.append(args) or True
         )
         # witness degrees 2, 3, 4 sum to 9, past the truncation at 8
-        phi = extend(PowerSeries([1, F(1, 2), F(1, 2)]), 8)
+        phi = PowerSeries([1, F(1, 2), F(1, 2)] + [0] * 6)
         with pytest.raises(TruncationTooShort, match="truncated at 8, product degree is 9"):
             build_plan(phi, 3, d_cap=8, gamma0=F(1, 4))
         assert calls == []

@@ -17,7 +17,6 @@ from zerodyn import (
     classify,
     convergence_experiment,
     exp_dp_monomial,
-    extend,
     find_roots,
     iterate_operator,
     monomial,
@@ -33,10 +32,10 @@ def P(*coeffs):
     return Poly(coeffs)
 
 
-PHI_A = extend(PowerSeries([1, 0, 1]), 8)    # 1 + x^2
-PHI_B = extend(PowerSeries([1, 1, -1]), 8)   # 1 + x - x^2
-PHI_C = extend(PowerSeries([1, 0, -1]), 8)   # 1 - x^2
-PHI_D = extend(PowerSeries([1, 1, 0, 1]), 8)  # 1 + x + x^3
+PHI_A = PowerSeries.polynomial([1, 0, 1])    # 1 + x^2
+PHI_B = PowerSeries.polynomial([1, 1, -1])   # 1 + x - x^2
+PHI_C = PowerSeries.polynomial([1, 0, -1])   # 1 - x^2
+PHI_D = PowerSeries.polynomial([1, 1, 0, 1])  # 1 + x + x^3
 
 
 def as_point(z):
@@ -107,7 +106,7 @@ class TestOnsetScan:
             onset_scan(phi, monomial(3))
 
     def test_persistent_regime_needs_degree_at_least_p(self):
-        phi = extend(PowerSeries([1, 1, F(1, 2), 1]), 8)  # p = 3
+        phi = PowerSeries.polynomial([1, 1, F(1, 2), 1])  # p = 3
         with pytest.raises(ValueError):
             onset_scan(phi, monomial(2))
 
@@ -199,7 +198,7 @@ class TestDiscrepancy:
             assert operator_discrepancy(cls, PHI_A, 4, m * m) == F(12, m * m)
 
     def test_degenerate_below_p_exact_and_floating(self):
-        phi = extend(PowerSeries([1, 1, F(1, 2), F(1, 6), 0]), 8)
+        phi = PowerSeries.polynomial([1, 1, F(1, 2), F(1, 6), 0])
         cls = classify(phi)
         assert cls.p == 4
         for d in (0, 1, 2, 3):
@@ -223,7 +222,7 @@ def reference_discrepancy(phi, d, m, prec=1024):
     with mp.workprec(prec):
         c = mp.mpf(m) ** (-mp.mpf(1) / cls.p)
         scaled = [mp.mpf(a.numerator) / a.denominator * c**n
-                  for n, a in enumerate(cls.normalized_from.coeffs[: d + 1])]
+                  for n, a in enumerate(cls.normalized_from.head(d))]
 
         def times(u, v):
             return [mp.fsum(u[i] * v[n - i] for i in range(n + 1)) for n in range(d + 1)]
@@ -251,7 +250,7 @@ class TestDiscrepancyOracle:
         ],
     )
     def test_rounded_value_against_1024_bit_composite(self, coeffs, d, m):
-        phi = extend(PowerSeries(coeffs), d)
+        phi = PowerSeries.polynomial(coeffs)
         got = operator_discrepancy(classify(phi), phi, d, m, 256)
         assert type(got) is F and got.denominator & (got.denominator - 1) == 0
         want = reference_discrepancy(phi, d, m)
@@ -282,7 +281,7 @@ class TestAttractor:
 
     def test_simplicity_not_recorded_off_residue_classes(self):
         # p = 2: every degree is 0 or 1 mod p, so take p = 3 and d = 5
-        phi = extend(PowerSeries([1, 0, 0, 1]), 8)
+        phi = PowerSeries.polynomial([1, 0, 0, 1])
         rep = attractor_experiment(phi, monomial(5), [3], 0.5)
         assert rep.records[0].all_simple is None
 
@@ -346,7 +345,7 @@ class TestAttractorOracle:
         [
             (PHI_B, [1, 2, 4, 8, 9]),  # p = 2, beta = -3/2: gamma real
             (PHI_A, [1, 3, 4, 9, 10]),  # p = 2, beta = 1: gamma = i
-            (extend(PowerSeries([1, F(1, 2), F(1, 8), F(1, 5)]), 8), [1, 2, 8, 27]),
+            (PowerSeries.polynomial([1, F(1, 2), F(1, 8), F(1, 5)]), [1, 2, 8, 27]),
         ],
         ids=["p2-beta-negative", "p2-beta-positive", "p3"],
     )

@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 from conftest import make_rng, mpf_to_fraction, to_mp
-from zerodyn import Point, Poly, PowerSeries, build_plan, extend, find_roots
+from zerodyn import Point, Poly, PowerSeries, build_plan, find_roots
 from zerodyn.cli import main
 from zerodyn.dynamics import AttractorRecord, AttractorReport
 from zerodyn.poly import format_poly_inline
@@ -90,10 +90,11 @@ class TestPresets:
         phi = resolve_series("mittag-leffler:2:3")
         assert phi == PowerSeries([1, F(1, 2), F(1, 24), F(1, 720)])
 
-    def test_poly_preset_extends_to_min_order(self):
-        phi = resolve_series("poly:1-x^2", min_order=6)
-        assert phi.truncation_order == 6
-        assert phi.coeffs[:3] == (F(1), F(0), F(-1))
+    def test_poly_preset_is_a_polynomial(self):
+        phi = resolve_series("poly:1-x^2")
+        assert phi == PowerSeries.polynomial([1, 0, -1])
+        assert phi.truncation_order == math.inf
+        assert phi.head(5) == (F(1), F(0), F(-1), F(0), F(0), F(0))
 
     @pytest.mark.parametrize(
         "spec, form",
@@ -127,12 +128,12 @@ class TestPresets:
 class TestPlanRoundTrip:
     def test_plan_survives_json(self):
         # targets and radii are written exactly, so the plan comes back equal
-        phi = extend(PowerSeries([1, 1, 1]), 12)
+        phi = PowerSeries.polynomial([1, 1, 1])
         plan = build_plan(phi, 2, d_cap=12)
         assert plan_from_payload(json.loads(dump_json(plan_payload(plan)))) == plan
 
     def test_decimal_disks_still_parse(self):
-        phi = extend(PowerSeries([1, 1, 1]), 12)
+        phi = PowerSeries.polynomial([1, 1, 1])
         data = plan_payload(build_plan(phi, 1, d_cap=12))
         data["targets"]["1,1"] = ["-1.25", "0.5e1"]
         data["radii"]["1,1"] = "2.5"
@@ -141,7 +142,7 @@ class TestPlanRoundTrip:
         assert back.radii[(1, 1)] == F(5, 2)
 
     def test_old_plan_files_with_coefficient_bound_ok_still_load(self):
-        phi = extend(PowerSeries([1, 1, 1]), 12)
+        phi = PowerSeries.polynomial([1, 1, 1])
         plan = build_plan(phi, 1, d_cap=12)
         data = plan_payload(plan)
         assert "coefficient_bound_ok" not in data

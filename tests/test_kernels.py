@@ -17,7 +17,6 @@ from zerodyn import (
     PowerSeries,
     apply_operator,
     classify,
-    extend,
     find_roots,
     iterate_operator,
     poly,
@@ -150,7 +149,7 @@ class TestOwnPrecision:
     irrational scale, runs at its stated precision, not mpmath's ambient one."""
 
     PREC = 512
-    PHI = extend(PowerSeries([1, 1, -1]), 8)  # p = 2, alpha = 1
+    PHI = PowerSeries.polynomial([1, 1, -1])  # p = 2, alpha = 1
     F3 = Poly([F(1, 3), F(-2, 7), 0, 1])
 
     def _rescaled(self):

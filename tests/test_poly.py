@@ -17,7 +17,6 @@ from zerodyn import (
     derivative,
     dilate,
     dilate_series,
-    extend,
     iterate_operator,
     monomial,
     rescale_iterate,
@@ -31,9 +30,9 @@ def P(*coeffs):
     return Poly(coeffs)
 
 
-PHI_A = extend(PowerSeries([1, 0, 1]), 12)    # 1 + x^2
-PHI_B = extend(PowerSeries([1, 1, -1]), 12)   # 1 + x - x^2
-PHI_C = extend(PowerSeries([1, 0, -1]), 12)   # 1 - x^2
+PHI_A = PowerSeries.polynomial([1, 0, 1])    # 1 + x^2
+PHI_B = PowerSeries.polynomial([1, 1, -1])   # 1 + x - x^2
+PHI_C = PowerSeries.polynomial([1, 0, -1])   # 1 - x^2
 
 
 def oracle_iterate_a(m):
@@ -74,8 +73,19 @@ class TestBasics:
         assert dilate(monomial(3), -1) == P(0, 0, 0, -1)
         f = P(3, -2, 1)
         assert dilate(f, 1) == f
+
+    @pytest.mark.parametrize(
+        "scale",
+        [lambda c: dilate(P(3, -2, 1), c), lambda c: dilate_series(PowerSeries([3, -2, 1]), c)],
+        ids=["dilate", "dilate_series"],
+    )
+    @pytest.mark.parametrize("zero", [0, F(0), "0"])
+    def test_zero_dilation(self, scale, zero):
+        # the scalar goes through as_fraction first: a zero is typed, a float refused
         with pytest.raises(ZeroDilation):
-            dilate(f, 0)
+            scale(zero)
+        with pytest.raises(TypeError):
+            scale(0.0)
 
     def test_translate(self):
         assert translate(monomial(2), 1) == P(1, 2, 1)

@@ -17,7 +17,6 @@ from zerodyn import (
     count_nonreal,
     derivative,
     exp_dp_monomial,
-    extend,
     find_roots,
     iterate_operator,
     roots_in_disk,
@@ -357,7 +356,7 @@ class TestPrecisionLadder:
     def test_iterate_past_the_old_sweep_budget(self, monkeypatch):
         # the tenth iterate of 1 + x/2 + 5x^2/8 at d = 48: the double rung
         # needs more than 100 sweeps, and its positions still seed the ladder
-        phi = extend(PowerSeries([1, F(1, 2), F(5, 8)]), 48)
+        phi = PowerSeries.polynomial([1, F(1, 2), F(5, 8)])
         f = iterate_operator(phi, random_poly(make_rng(1), 48), 10)
         seeds = _record(monkeypatch, "_double_seeds")
         ladder = _record(monkeypatch, "_newton_ladder")

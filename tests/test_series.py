@@ -4,14 +4,16 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from zerodyn import (
     AllZeroSeries,
+    Poly,
     PowerSeries,
     TruncationTooShort,
     ZeroConstantTerm,
+    apply_operator,
     classify,
-    extend,
     factor_out_zero,
     normalize,
     polya_lp_test,
@@ -24,6 +26,10 @@ from conftest import make_rng, random_series
 
 def S(*coeffs):
     return PowerSeries(coeffs)
+
+
+def poly_series(*coeffs):
+    return PowerSeries.polynomial(coeffs)
 
 
 class TestNormalize:
@@ -148,7 +154,7 @@ class TestTruncatedProduct:
     def test_difference_of_squares(self):
         out = truncated_product(S(1, 1), S(1, -1), 1)
         assert out == S(1, 0)
-        out2 = truncated_product(extend(S(1, 1), 2), extend(S(1, -1), 2), 2)
+        out2 = truncated_product(poly_series(1, 1), poly_series(1, -1), 2)
         assert out2 == S(1, 0, -1)
 
     def test_truncation_drops_high_terms(self):
@@ -172,44 +178,53 @@ class TestTruncatedProduct:
             truncated_product(S(1, 1), S(1, 1), 2)
 
 
-class TestExtend:
-    def test_explicit_zero_padding(self):
-        phi = extend(S(1, 0, -1), 6)
-        assert phi.truncation_order == 6
-        assert phi.coeffs[3:] == (F(0),) * 4
+class TestHead:
+    def test_polynomial_pads_with_zeros(self):
+        phi = poly_series(1, 0, -1)
+        assert phi.truncation_order == math.inf
+        assert phi.head(6) == (F(1), F(0), F(-1)) + (F(0),) * 4
+        assert phi.taylor(9) == 0
 
-    def test_no_op_when_long_enough(self):
-        phi = S(1, 1, 1)
-        assert extend(phi, 2) is phi
+    def test_truncated_series_raises_past_its_order(self):
+        phi = S(1, 0, -1)
+        assert phi.head(2) == (F(1), F(0), F(-1))
+        with pytest.raises(TruncationTooShort):
+            phi.head(3)
+        with pytest.raises(TruncationTooShort):
+            phi.taylor(3)
+
+    def test_kind_is_part_of_equality(self):
+        assert poly_series(1, 1) != S(1, 1)
+        assert poly_series(1, 1) == poly_series(1, 1)
 
 
 class TestPolyaLPTest:
     def test_certified_not_lp(self):
-        res = polya_lp_test(extend(S(1, 1, 1), 5), 5)
+        res = polya_lp_test(poly_series(1, 1, 1), 5)
         assert res.obstructed and res.d_witness == 2
         assert str(res) == "CertifiedNotLP(2)"
 
     def test_first_degree_binomial_never_obstructs(self):
-        res = polya_lp_test(extend(S(1, 1), 8), 8)
+        res = polya_lp_test(poly_series(1, 1), 8)
         assert not res.obstructed and res.d_witness is None
         assert str(res) == "NoObstructionUpTo(8)"
 
     def test_hermite_family_never_obstructs(self):
-        res = polya_lp_test(extend(S(1, 0, -1), 6), 6)
+        res = polya_lp_test(poly_series(1, 0, -1), 6)
         assert not res.obstructed
         assert res.nonreal_counts == (0,) * 6
 
     def test_monomial_factor_stripped(self):
         # x + x^3 = x(1 + x^2): same verdict as 1 + x^2
-        res = polya_lp_test(extend(S(0, 1, 0, 1), 6), 5)
-        bare = polya_lp_test(extend(S(1, 0, 1), 5), 5)
+        res = polya_lp_test(poly_series(0, 1, 0, 1), 5)
+        bare = polya_lp_test(poly_series(1, 0, 1), 5)
         assert res.obstructed and bare.obstructed
         assert res.d_witness == bare.d_witness
 
     def test_witness_monotonicity(self):
         # once some degree witnesses, every larger scanned degree does too
         for coeffs in [(1, 1, 1), (1, 0, 1), (1, 2, 2), (1, -1, 3, 1)]:
-            res = polya_lp_test(extend(PowerSeries(coeffs), 8), 8)
+            res = polya_lp_test(PowerSeries.polynomial(coeffs), 8)
             flags = [n > 0 for n in res.nonreal_counts]
             if True in flags:
                 first = flags.index(True)
@@ -229,3 +244,45 @@ class TestTruncatedPower:
             for m in range(4):
                 assert truncated_power(phi, m, 5) == acc
                 acc = truncated_product(acc, phi, 5)
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 3),
+    st.lists(small, min_size=1, max_size=5),
+    st.integers(1, 6),
+    st.integers(0, 4),
+    st.lists(small, min_size=1, max_size=8),
+)
+def test_polynomial_matches_its_zero_padding(zeros, body, k, m, f_coeffs):
+    # a polynomial answers as its zero-padded truncation does, wherever
+    # the padding reaches, and the padded series fails exactly past it
+    c = [F(0)] * zeros + body
+    assume(any(c))
+    poly, padded = PowerSeries.polynomial(c), PowerSeries(c + [0] * k)
+    order = len(c) - 1 + k
+    n = len(f_coeffs) - 1
+    f = Poly(f_coeffs[:-1] + [f_coeffs[-1] or 1])
+
+    a, b = classify(poly), classify(padded)
+    assert str(a) == str(b)
+    assert b.normalized_from.coeffs == a.normalized_from.coeffs + (0,) * k
+    (mu, psi), (mu_b, psi_b) = factor_out_zero(poly), factor_out_zero(padded)
+    assert (mu, psi.truncation_order) == (mu_b, math.inf)
+    assert psi_b == PowerSeries(psi.coeffs + (0,) * k)
+
+    checks = [
+        (n, lambda phi: truncated_power(phi, m, n)),
+        (n, lambda phi: apply_operator(phi, f)),
+        (n + mu, lambda phi: polya_lp_test(phi, max(n, 1))),
+    ]
+    for need, run in checks:
+        if need <= order:
+            assert run(poly) == run(padded)
+        else:
+            run(poly)
+            with pytest.raises(TruncationTooShort):
+                run(padded)

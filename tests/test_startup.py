@@ -85,7 +85,7 @@ PUBLIC = {
     "scalars": ("Point",),
     "series": (
         "LPObstructionResult", "OperatorClass", "PowerSeries", "classify",
-        "dilate_series", "extend", "factor_out_zero", "normalize", "polya_lp_test",
+        "dilate_series", "factor_out_zero", "normalize", "polya_lp_test",
         "truncated_power", "truncated_product", "turan_expression",
     ),
     "poly": (
