@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also count nonreal zeros of the result",
     )
 
-    p = cmd("zeros", "find all roots with residual certificates", "precision_bits", "format")
+    p = cmd("zeros", "certified roots, with relative residuals", "precision_bits", "format")
     p.add_argument("--poly", required=True)
 
     p = cmd("onset", "scan for the terminal zero behavior", "m_max", "format")
@@ -281,7 +281,7 @@ def _payload(args):
 
     if cmd == "discrepancy":
         cls = series.classify(phi)
-        value = dynamics.operator_discrepancy(cls, phi, args.d, args.m, args.precision_bits)
+        value = dynamics.operator_discrepancy(cls, args.d, args.m, args.precision_bits)
         text = str(value) if exact_nth_root(args.m, cls.p) is not None else None
         double = to_double(value, "the discrepancy")
         return {"d": args.d, "m": args.m, "discrepancy": double, "exact": text}

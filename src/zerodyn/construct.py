@@ -230,9 +230,7 @@ def extend_plan(phi: PowerSeries, plan: StagePlan, gamma0=DEFAULT_GAMMA0) -> Sta
     threshold: shrinking gamma pushes the new stage's disks far to the
     left while barely perturbing the already-fixed factors.
     """
-    gamma0 = as_fraction(gamma0)
-    if gamma0 <= 0:
-        raise ValueError("gamma0 must be positive")
+    gamma0 = _positive_gamma0(gamma0)
     k = plan.stages_fixed + 1
     if k > len(plan.degrees):
         raise ValueError(f"all {plan.stages_fixed} stages of the plan are fixed")
@@ -246,6 +244,12 @@ def extend_plan(phi: PowerSeries, plan: StagePlan, gamma0=DEFAULT_GAMMA0) -> Sta
     raise GammaSearchExhausted(k, MAX_HALVINGS)
 
 
+def _positive_gamma0(gamma0) -> Fraction:
+    if as_fraction(gamma0) <= 0:
+        raise ValueError("gamma0 must be positive")
+    return as_fraction(gamma0)
+
+
 def build_plan(
     phi: PowerSeries,
     N: int,
@@ -254,9 +258,10 @@ def build_plan(
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> StagePlan:
     """Full pipeline: witnesses, targets at ``precision_bits``, then the
-    stagewise gamma search at the same precision.  A product of degree
-    sum d(k) past the series truncation is a TruncationTooShort, raised
-    before any target or gamma is searched."""
+    stagewise gamma search at the same precision.  A gamma0 <= 0 is a
+    ValueError before any search; a product of degree sum d(k) past the
+    series truncation is a TruncationTooShort, before any target or gamma."""
+    gamma0 = _positive_gamma0(gamma0)
     degrees = find_degree_witnesses(phi, N, d_cap)
     order = factor_out_zero(phi)[1].truncation_order
     if sum(degrees) > order:

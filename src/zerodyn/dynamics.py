@@ -1,7 +1,8 @@
 """Experiment layer: onset detection, rescaled convergence, zero attractors.
 
 Three sweeps over the iterate index m, all driven by exact arithmetic on
-the iterates themselves:
+the iterates of phi / phi(0) (``OperatorClass.normalized_from``), so
+c * phi gives the report of phi for every nonzero c:
 
 * onset_scan       — when does the operator drive every zero real and
                      simple (Turan expression negative), or when do
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .exact import count_nonreal
 from .limits import exp_dp_monomial
-from .poly import Poly, apply_operator, rescale_iterate
+from .poly import Poly, iterate_operator, rescale_iterate
 from .records import Record
 from .scalars import (
     DEFAULT_M_MAX,
@@ -104,13 +105,11 @@ def _require_monic(f: Poly) -> int:
     return int(f.degree)
 
 
-def _iterates(phi: PowerSeries, f: Poly, ms):
-    """(m, phi(D)^m f) for each m of the increasing ``ms``, each from the last."""
+def _iterates(cls: OperatorClass, f: Poly, ms):
+    """(m, phi(D)^m f) for phi = ``cls.normalized_from`` and increasing ``ms``."""
     g, last = f, 0
     for m in ms:
-        for _ in range(m - last):
-            g = apply_operator(phi, g)
-        last = m
+        g, last = iterate_operator(cls.normalized_from, g, m - last), m
         yield m, g
 
 
@@ -171,7 +170,7 @@ def onset_scan(
             "phi acts as a shift: the nonreal-zero count of every iterate equals "
             "that of f"
         )
-    turan = turan_expression(phi)
+    turan = turan_expression(cls.normalized_from)
     if turan < 0:
         mode = "AllRealSimple"
     else:
@@ -183,7 +182,7 @@ def onset_scan(
 
     trace = []
     ok = []
-    for m, g in _iterates(phi, f, range(1, m_max + 1)):
+    for m, g in _iterates(cls, f, range(1, m_max + 1)):
         zc = count_nonreal(g)
         trace.append((m, zc.nonreal_count))
         if mode == "AllRealSimple":
@@ -218,8 +217,8 @@ def convergence_experiment(
     ms = _m_values(m_list)
     limit = exp_dp_monomial(cls.beta, cls.p, d)
     samples = []
-    for m, g in _iterates(phi, f, ms):
-        fm = rescale_iterate(cls, phi, f, m, precision_bits, _iterate=g)
+    for m, g in _iterates(cls, f, ms):
+        fm = rescale_iterate(cls, g, m, precision_bits)
         samples.append((m, (fm - limit).sup_norm()))
     slope = _fit_loglog_slope(samples)
     exact = all(e == 0 for _, e in samples)
@@ -259,7 +258,6 @@ def _fit_loglog_slope(samples):
 
 def operator_discrepancy(
     cls: OperatorClass,
-    phi: PowerSeries,
     d: int,
     m: int,
     precision_bits: int = DEFAULT_PRECISION_BITS,
@@ -345,7 +343,7 @@ def attractor_experiment(
     ]
     eps_sq = Fraction(epsilon) ** 2
     records = []
-    for m, g in _iterates(phi, f, ms):
+    for m, g in _iterates(cls, f, ms):
         rs = roots.find_roots(g, precision_bits)
         # w = W / s with W = z + m alpha and s = m^(1/p): compare W with
         # s gamma zeta and with the rays, as integers on one grid

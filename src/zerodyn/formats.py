@@ -9,7 +9,8 @@ File formats are versioned with a leading comment line:
 
 A series file is truncated where it ends, as are the ``truncated-exp``
 and ``mittag-leffler`` presets; a ``poly:`` series is a polynomial, whose
-tail is known to be zero (``PowerSeries.polynomial``).
+tail is known to be zero (``PowerSeries.polynomial``), written and read
+as a polynomial file.
 
 Inline polynomial shorthand accepts integer-coefficient expressions
 like ``x^3+6x`` or ``-2x^2+x-1``; the parser also takes rational
@@ -111,12 +112,17 @@ def _parse_rational_lines(text: str, kind: str):
 
 
 def parse_series_text(text: str) -> PowerSeries:
+    """A series file's series, truncated where it ends; a polynomial file's polynomial."""
+    if text.lstrip().startswith(POLY_HEADER):
+        return PowerSeries.polynomial(_parse_rational_lines(text, "poly"))
     return PowerSeries(_parse_rational_lines(text, "series"))
 
 
 def format_series_text(phi: PowerSeries) -> str:
+    """A series file, or a polynomial file for a polynomial series (zero tail)."""
+    header = POLY_HEADER if phi.truncation_order == math.inf else SERIES_HEADER
     body = "\n".join(fraction_str(c) for c in phi.coeffs)
-    return f"{SERIES_HEADER}\n{body}\n"
+    return f"{header}\n{body}\n"
 
 
 def parse_poly_text(text: str) -> Poly:
@@ -177,8 +183,8 @@ def resolve_series(spec: str) -> PowerSeries:
 
     Presets: ``truncated-exp:K`` (e^x partial sum through x^K),
     ``mittag-leffler:p:K``, ``poly:<inline shorthand>``.  Anything else
-    is read as a series file.  A ``poly:`` series is a polynomial (its
-    tail is known to be zero); the others are truncated.
+    is read as a coefficient file.  A ``poly:`` series or polynomial file
+    is a polynomial (its tail is known to be zero); the others are truncated.
     """
     if spec.startswith(("truncated-exp:", "mittag-leffler:")):
         preset = re.fullmatch(r"truncated-exp:(\d+)|mittag-leffler:0*([1-9]\d*):(\d+)", spec)

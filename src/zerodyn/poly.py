@@ -5,8 +5,8 @@ Coefficients are ``Fraction``s, and every scalar applied to a polynomial
 (``scale``, ``dilate``, ``translate``, ``evaluate``) is taken exactly
 through ``as_fraction``: a float, mpf or mpc is a TypeError, as it is for
 a coefficient.  The only operation that meets an irrational scalar is
-:func:`rescale_iterate`, which computes the iterate exactly, rounds each
-rescaled coefficient once and returns the dyadic rational it rounded to.
+:func:`rescale_iterate`, which rounds each rescaled coefficient of an
+exact iterate once and returns the dyadic rational it rounded to.
 
 The exact operator layer (:func:`apply_operator`, :func:`translate`,
 ``series.truncated_power``) runs on integer numerator vectors over one
@@ -251,36 +251,30 @@ def _taylor_shift(b, c):
 
 def rescale_iterate(
     cls: OperatorClass,
-    phi: PowerSeries,
-    f: Poly,
+    g: Poly,
     m: int,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    _iterate: Poly | None = None,
 ) -> Poly:
-    """The rescaled iterate m^(-d/p) * (phi(D)^m f)(m^(1/p) x - m*alpha).
+    """The rescaled iterate m^(-d/p) * g(m^(1/p) x - m*alpha), for the m-th
+    iterate g = phi(D)^m f of ``cls.normalized_from`` on a monic f of degree d.
 
-    The pre-transform iterate is computed exactly; the affine rescaling
-    multiplies coefficient k by m^((k-d)/p), which is rational whenever
-    (k-d) is a multiple of p or m is a perfect p-th power.  A coefficient
-    whose factor is rational is exact; any other is rounded once, to the
-    nearest dyadic rational with ``precision_bits`` significant bits
-    (``scalars.dyadic_round``).  Rationality is decided once per residue
-    of d - k mod p.
-
-    ``_iterate`` lets sweep drivers pass in an already-computed
-    phi(D)^m f instead of recomputing it from scratch.
+    That iterate is monic of degree d, so any other g is NonMonicInput
+    (the iterate of an unnormalized phi, with phi(0) != 1, among them).
+    The affine rescaling multiplies coefficient k by m^((k-d)/p), which is
+    rational whenever (k-d) is a multiple of p or m is a perfect p-th
+    power.  A coefficient whose factor is rational is exact; any other is
+    rounded once, to the nearest dyadic rational with ``precision_bits``
+    significant bits (``scalars.dyadic_round``).  Rationality is decided
+    once per residue of d - k mod p.
     """
     if not cls.is_general:
         raise NotGeneralForm(f"need General form, got {cls.form}")
-    if not f.is_monic():
-        raise NonMonicInput("rescaling is defined for monic input")
+    if not g.is_monic() or g.degree < 1:
+        raise NonMonicInput("rescaling is defined for a monic iterate of degree >= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
-    d = int(f.degree)
-    if d < 1:
-        raise NonMonicInput("degree must be >= 1")
+    d = int(g.degree)
     p = cls.p
-    g = _iterate if _iterate is not None else iterate_operator(phi, f, m)
     g = translate(g, -m * cls.alpha)
 
     # c m^((k-d)/p) = c / (m^q m^(r/p)) with (q, r) = divmod(d - k, p): exact

@@ -71,6 +71,18 @@ class TestPolySeriesIsOneOperator:
         )
 
 
+class TestScaledSeriesIsOneOperator:
+    """c * phi and phi are one operator: every experiment iterates phi / phi(0)."""
+
+    def test_converge_reads_one_report(self, capsys):
+        args = ("--poly", "x^4+1", "--m-list", "1,4,16,64")
+        scaled = run_json(capsys, "converge", "--series", "poly:2+x+x^2", *args)
+        unit = run_json(capsys, "converge", "--series", "poly:1+1/2x+1/2x^2", *args)
+        assert scaled == unit
+        assert [s["sup_norm_error"] for s in unit["samples"]] == [5.0, 2.5, 1.25, 0.625]
+        assert unit["fitted_slope"] == pytest.approx(-0.5)
+
+
 class TestIterate:
     def test_closed_form_with_count(self, capsys):
         doc = run_json(

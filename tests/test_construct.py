@@ -244,6 +244,16 @@ class TestVerify:
             build_plan(phi, 3, d_cap=8, gamma0=F(1, 4))
         assert calls == []
 
+    @pytest.mark.parametrize("gamma0", [0, F(-1, 2)])
+    def test_nonpositive_gamma0_fails_before_the_witness_search(self, monkeypatch, gamma0):
+        calls = []
+        monkeypatch.setattr(
+            construct, "find_degree_witnesses", lambda *args: calls.append(args) or [2]
+        )
+        with pytest.raises(ValueError, match="gamma0 must be positive"):
+            build_plan(PHI, 1, d_cap=12, gamma0=gamma0)
+        assert calls == []
+
     def test_m_larger_than_n_rejected(self):
         plan = build_plan(PHI, 1, d_cap=12)
         with pytest.raises(ValueError):

@@ -27,6 +27,9 @@ from zerodyn import (
 )
 from conftest import as_mpc, mpf_to_fraction, to_mp
 
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
 
 def P(*coeffs):
     return Poly(coeffs)
@@ -156,7 +159,8 @@ class TestConvergence:
         rep = convergence_experiment(PHI_B, f, [2, 3, 8])
         for m, err in rep.samples:
             assert type(err) is F
-            assert err == (rescale_iterate(cls, PHI_B, f, m) - rep.limit_poly).sup_norm()
+            fm = rescale_iterate(cls, iterate_operator(PHI_B, f, m), m)
+            assert err == (fm - rep.limit_poly).sup_norm()
 
 
 @pytest.mark.parametrize("m_list", [[2.5, 3.9], [1.0], [0], [-1, 2], [], [2, "3"], [True]])
@@ -179,11 +183,43 @@ def test_f_must_be_monic_of_degree_at_least_one(experiment, f):
             attractor_experiment(PHI_B, f, [1, 2], 0.1)
 
 
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _outcome(run, *args):
+    """run(*args), or the type and message of the input error it raises."""
+    try:
+        return run(*args)
+    except ValueError as exc:  # onset's persistence regime needs deg f >= p
+        return type(exc), str(exc)
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    st.lists(small, min_size=2, max_size=4),
+    small.filter(bool),
+    st.lists(small, min_size=2, max_size=4),
+)
+def test_scaled_series_gives_the_reports_of_phi(tail, c, f_low):
+    # c * phi classifies as phi does, and every experiment iterates phi / phi(0)
+    phi = PowerSeries.polynomial([1, *tail])
+    hypothesis.assume(classify(phi).is_general)
+    scaled = PowerSeries.polynomial([c * a for a in phi.coeffs])
+    f, ms = Poly([*f_low, 1]), [1, 2, 4]
+    runs = [
+        (convergence_experiment, f, ms),
+        (onset_scan, f, 4),
+        (attractor_experiment, f, ms, 0.5, 64),
+    ]
+    for run, *args in runs:
+        assert _outcome(run, scaled, *args) == _outcome(run, phi, *args), run.__name__
+
+
 class TestDiscrepancy:
     def test_exact_ratio_between_sample_points(self):
         cls = classify(PHI_C)
-        d100 = operator_discrepancy(cls, PHI_C, 4, 100)
-        d400 = operator_discrepancy(cls, PHI_C, 4, 400)
+        d100 = operator_discrepancy(cls, 4, 100)
+        d400 = operator_discrepancy(cls, 4, 400)
         assert d100 == F(3, 25) and d400 == F(3, 100)
         assert d100 / d400 == 4
 
@@ -191,24 +227,24 @@ class TestDiscrepancy:
         # 1 + x^2 at order 3: composite (1 + x^2/m)^m and exp(x^2) agree
         # through x^3, so the gap vanishes; first mismatch is at order 4
         cls = classify(PHI_A)
-        assert operator_discrepancy(cls, PHI_A, 3, 1) == 0
+        assert operator_discrepancy(cls, 3, 1) == 0
         # hand expansion at order 4: composite x^4 coefficient (m-1)/(2m)
         # vs 1/2, so the x^4 image of the gap has sup-norm 4!/(2m) = 12/m
         for m in (1, 4, 9):
-            assert operator_discrepancy(cls, PHI_A, 4, m * m) == F(12, m * m)
+            assert operator_discrepancy(cls, 4, m * m) == F(12, m * m)
 
     def test_degenerate_below_p_exact_and_floating(self):
         phi = PowerSeries.polynomial([1, 1, F(1, 2), F(1, 6), 0])
         cls = classify(phi)
         assert cls.p == 4
         for d in (0, 1, 2, 3):
-            assert operator_discrepancy(cls, phi, d, 16) == 0
-        assert operator_discrepancy(cls, phi, 3, 10) == 0
+            assert operator_discrepancy(cls, d, 16) == 0
+        assert operator_discrepancy(cls, 3, 10) == 0
 
     def test_rate_consistent_with_inverse_sqrt_bound(self):
         cls = classify(PHI_D)
         vals = [
-            float(operator_discrepancy(cls, PHI_D, 5, m)) for m in (100, 400, 1600)
+            float(operator_discrepancy(cls, 5, m)) for m in (100, 400, 1600)
         ]
         for a, b in zip(vals, vals[1:]):
             assert b < a / 1.9  # decays at least like m^(-1/2)
@@ -251,7 +287,7 @@ class TestDiscrepancyOracle:
     )
     def test_rounded_value_against_1024_bit_composite(self, coeffs, d, m):
         phi = PowerSeries.polynomial(coeffs)
-        got = operator_discrepancy(classify(phi), phi, d, m, 256)
+        got = operator_discrepancy(classify(phi), d, m, 256)
         assert type(got) is F and got.denominator & (got.denominator - 1) == 0
         want = reference_discrepancy(phi, d, m)
         with mp.workprec(1024):
@@ -292,7 +328,7 @@ class TestAttractor:
         f = P(2, -2, 1) * P(4, 0, 1)
         m = 9
         g = iterate_operator(PHI_B, f, m)
-        fm = rescale_iterate(cls, PHI_B, f, m)
+        fm = rescale_iterate(cls, g, m)
         with mp.workprec(256):
             pulled = []
             for r in find_roots(g).roots:

@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 from conftest import make_rng, mpf_to_fraction, to_mp
-from zerodyn import Point, Poly, PowerSeries, build_plan, find_roots
+from zerodyn import Point, Poly, PowerSeries, build_plan, classify, find_roots
 from zerodyn.cli import main
 from zerodyn.dynamics import AttractorRecord, AttractorReport
 from zerodyn.poly import format_poly_inline
@@ -77,8 +77,25 @@ class TestCoefficientFiles:
         assert parse_series_text("1\n1/2\n") == PowerSeries([1, F(1, 2)])
 
     def test_wrong_kind_header_rejected(self):
-        with pytest.raises(ValueError):
-            parse_series_text("# zerodyn poly 1\n1\n2\n")
+        with pytest.raises(ValueError, match="does not declare a poly"):
+            parse_poly_text("# zerodyn series 1\n1\n2\n")
+        with pytest.raises(ValueError, match="does not declare a series"):
+            parse_series_text("# zerodyn csv onset 1\n1\n2\n")
+
+    def test_poly_header_reads_as_a_polynomial_series(self):
+        assert parse_series_text("# zerodyn poly 1\n1\n2\n") == PowerSeries.polynomial([1, 2])
+        assert parse_series_text("# zerodyn series 1\n1\n2\n") == PowerSeries([1, 2])
+
+    @pytest.mark.parametrize("coeffs", [[1, 1, F(1, 2)], [2, 0, -1, 0], [F(-1, 3)]])
+    def test_polynomial_series_round_trip(self, coeffs):
+        # a polynomial truncated at its degree would classify otherwise:
+        # 1 + x + x^2/2 is General(p=3), its truncation PureExponential
+        phi = PowerSeries.polynomial(coeffs)
+        text = format_series_text(phi)
+        assert text.splitlines()[0] == "# zerodyn poly 1"
+        back = parse_series_text(text)
+        assert back == phi and back.truncation_order == math.inf
+        assert classify(back) == classify(phi)
 
 
 class TestPresets:

@@ -153,7 +153,8 @@ class TestOwnPrecision:
     F3 = Poly([F(1, 3), F(-2, 7), 0, 1])
 
     def _rescaled(self):
-        return rescale_iterate(classify(self.PHI), self.PHI, self.F3, 8, self.PREC)
+        g = iterate_operator(self.PHI, self.F3, 8)
+        return rescale_iterate(classify(self.PHI), g, 8, self.PREC)
 
     def _check(self, got):
         # coefficient k of g = phi(D)^8 f (x - 8), times 8^((k-3)/2)

@@ -202,17 +202,17 @@ class TestIterate:
 class TestRescaleIterate:
     def test_exact_multiple_of_p_support(self):
         cls = classify(PHI_A)
-        out = rescale_iterate(cls, PHI_A, monomial(3), 4)
+        out = rescale_iterate(cls, iterate_operator(PHI_A, monomial(3), 4), 4)
         assert out == P(0, 6, 0, 1)
 
     def test_exact_with_translation(self):
         cls = classify(PHI_B)
-        out = rescale_iterate(cls, PHI_B, monomial(2), 9)
+        out = rescale_iterate(cls, iterate_operator(PHI_B, monomial(2), 9), 9)
         assert out == P(-3, 0, 1)
 
     def test_exact_even_support_nonsquare_m(self):
         cls = classify(PHI_C)
-        out = rescale_iterate(cls, PHI_C, monomial(4), 10)
+        out = rescale_iterate(cls, iterate_operator(PHI_C, monomial(4), 10), 10)
         assert out == P(12 - F(12, 10), 0, -12, 0, 1)
 
     def test_perfect_square_m_is_exact_dilation(self):
@@ -220,8 +220,9 @@ class TestRescaleIterate:
         # square, so the rescaling is the exact dilation by 3
         cls = classify(PHI_B)
         f = P(F(1, 3), 0, 0, 1)
-        g9 = translate(iterate_operator(PHI_B, f, 9), -9)
-        assert rescale_iterate(cls, PHI_B, f, 9) == dilate(g9, 3).scale(F(1, 27))
+        iterate = iterate_operator(PHI_B, f, 9)
+        g9 = translate(iterate, -9)
+        assert rescale_iterate(cls, iterate, 9) == dilate(g9, 3).scale(F(1, 27))
 
     def test_floating_path_agrees_with_exact(self):
         # m = 8 is not a square: coefficient k of g = phi(D)^8 f (x - 8) is
@@ -230,8 +231,8 @@ class TestRescaleIterate:
         cls = classify(PHI_B)
         f = P(F(1, 3), 0, 0, 1)
         bits, d, m = 256, 3, 8
-        got = rescale_iterate(cls, PHI_B, f, m, bits)
         iterate = iterate_operator(PHI_B, f, m)
+        got = rescale_iterate(cls, iterate, m, bits)
         g = translate(iterate, -m)
         assert len(got.coeffs) == len(g.coeffs)
         with mp.workprec(2 * bits):
@@ -255,12 +256,23 @@ class TestRescaleIterate:
 
         phi = PowerSeries(F(1, math.factorial(n)) for n in range(6))
         with pytest.raises(NotGeneralForm):
-            rescale_iterate(classify(phi), phi, monomial(2), 3)
+            rescale_iterate(classify(phi), monomial(2), 3)
 
     def test_rejects_non_monic(self):
-        cls = classify(PHI_A)
         with pytest.raises(NonMonicInput):
-            rescale_iterate(cls, PHI_A, P(1, 2), 3)
+            rescale_iterate(classify(PHI_A), P(1, 2), 3)
+
+    def test_rejects_constant(self):
+        with pytest.raises(NonMonicInput):
+            rescale_iterate(classify(PHI_A), P(1), 3)
+
+    def test_rejects_the_iterate_of_an_unnormalized_phi(self):
+        # 2 + 2x^2 classifies as 1 + x^2, whose iterates of x^3 stay monic;
+        # its own third iterate leads with 8 and is not rescaled
+        phi = PowerSeries.polynomial([2, 0, 2])
+        assert classify(phi) == classify(PHI_A)
+        with pytest.raises(NonMonicInput):
+            rescale_iterate(classify(phi), iterate_operator(phi, monomial(3), 3), 3)
 
 
 class TestFloatingKind:

@@ -123,6 +123,22 @@ def test_public_names_are_the_objects_of_their_modules():
     assert zerodyn.__version__ == "0.1.0"
 
 
+def test_no_public_function_takes_a_classification_and_a_series():
+    # an OperatorClass carries its normalized series (``normalized_from``):
+    # a function given both could classify one series and iterate another
+    import inspect
+
+    both, functions = [], 0
+    for name in zerodyn.__all__:
+        fn = getattr(zerodyn, name)
+        if inspect.isfunction(fn):
+            functions += 1
+            params = inspect.signature(fn, eval_str=True).parameters.values()
+            if {OperatorClass, PowerSeries} <= {p.annotation for p in params}:
+                both.append(name)
+    assert functions > 30 and both == []
+
+
 def test_submodules_resolve_as_package_attributes():
     # in a fresh interpreter, before any of them has been imported by name
     probe = (
