@@ -50,6 +50,7 @@ series = _lazy_import("zerodyn.series")
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
+_heap_frozen = False  # set by main's first call in the process
 
 
 def _int_at_least(low):
@@ -331,17 +332,19 @@ def _payload(args):
 def main(argv=None) -> int:
     """Run the CLI on ``argv`` (default ``sys.argv[1:]``); the exit code.
 
-    Unless something in the process has frozen already, it first moves
-    every object alive at entry (modules, classes, the parser machinery)
-    to the garbage collector's permanent generation (``gc.freeze()``), so
-    neither the run's full collections nor those at interpreter exit
-    traverse them again.  The effect is process-wide: an in-process
-    caller's objects alive at that first call are never examined by the
-    cyclic collector afterwards (reference counting still frees them),
-    and later calls freeze nothing more.
+    On its first call in a process it first moves every object alive at
+    entry (modules, classes, the parser machinery) to the garbage
+    collector's permanent generation (``gc.freeze()``), so neither the
+    run's full collections nor those at interpreter exit traverse them
+    again.  The effect is process-wide: an in-process caller's objects
+    alive at that first call are never examined by the cyclic collector
+    afterwards (reference counting still frees them), and later calls
+    freeze nothing more.
     """
-    if not gc.get_freeze_count():
+    global _heap_frozen
+    if not _heap_frozen:
         gc.freeze()
+        _heap_frozen = True
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -40,15 +40,16 @@ MAX_HALVINGS = 60  # extend_plan tries gamma0 / 2^j for j = 0..MAX_HALVINGS
 class StagePlan(Record):
     """Construction state: degrees, stage factors, target zeros and radii.
 
-    targets[(m, k)] is the chosen upper-half-plane zero a(m,k) of the m-th
-    iterate applied to x^d(k), an exact ``Point``; radii[(m, k)] =
-    Im a(m,k) / 2, a ``Fraction``, so every disk D(a(m,k) - c; r(m,k))
-    with real c misses the real axis.
+    ``targets`` pairs each (m, k), in (m, k) order, with the chosen
+    upper-half-plane zero a(m,k) of the m-th iterate applied to x^d(k),
+    an exact ``Point``; ``radii`` pairs it with r(m,k) = Im a(m,k) / 2, a
+    ``Fraction``, so every disk D(a(m,k) - c; r(m,k)) with real c misses
+    the real axis.
     """
 
     degrees: tuple[int, ...]
-    targets: dict
-    radii: dict
+    targets: tuple  # ((m, k), a(m,k)) pairs
+    radii: tuple  # ((m, k), r(m,k)) pairs
     gammas: tuple[Fraction, ...] = ()
     precision_bits: int = DEFAULT_PRECISION_BITS
 
@@ -59,8 +60,8 @@ class StagePlan(Record):
 
 class CounterexampleReport(Record):
     plan: StagePlan
-    witnessed: dict  # (m, k) -> a zero of the m-th iterate inside disk (m,k)
-    nonreal_totals: dict  # m -> nonreal-zero count of the m-th iterate
+    witnessed: tuple  # ((m, k), a zero of the m-th iterate inside disk (m,k)) pairs
+    nonreal_totals: tuple  # (m, nonreal-zero count of the m-th iterate) pairs
     product_coeffs: tuple
     derivative_identity_ok: bool
 
@@ -112,8 +113,7 @@ def pick_targets(
     """
     _mu, psi = factor_out_zero(phi)
     degrees = [int(d) for d in degrees]
-    targets = {}
-    radii = {}
+    targets = []
     for k, d in enumerate(degrees, start=1):
         g_m = monomial(d)
         for m in range(1, k + 1):
@@ -122,13 +122,12 @@ def pick_targets(
             upper = [r.location for r in rs.roots if r.location.imag > 0]
             if not upper:
                 raise NoNonrealZero(f"iterate m={m} of x^{d} has no upper-half-plane zero")
-            a = min(upper, key=lambda z: (-z.imag, z.real))
-            targets[(m, k)] = a
-            radii[(m, k)] = a.imag / 2
+            targets.append(((m, k), min(upper, key=lambda z: (-z.imag, z.real))))
+    targets.sort()
     return StagePlan(
         degrees=tuple(degrees),
-        targets=targets,
-        radii=radii,
+        targets=tuple(targets),
+        radii=tuple((key, a.imag / 2) for key, a in targets),
         precision_bits=precision_bits,
     )
 
@@ -136,7 +135,7 @@ def pick_targets(
 def _check_disks(
     psi,
     plan: StagePlan,
-    gammas,
+    N: int,
     product: Poly,
     M: int,
     precision_bits: int,
@@ -144,26 +143,25 @@ def _check_disks(
 ):
     """Check the persistence clauses of ``product`` for m = 1..M in turn.
 
-    With N = len(gammas), the m-th iterate must have a zero in each disk
-    D(a(m,k) - 1/gamma(k); r(m,k)), k = m..N.  Per m the clauses run in
-    the order off-axis, disjointness (of the closed disks), membership
-    and, with ``count_totals``, nonreal-total (at least N - m + 1
-    nonreal zeros).  The first failure raises VerificationFailed naming
+    With the plan's first N gammas, the m-th iterate must have a zero in
+    each disk D(a(m,k) - 1/gamma(k); r(m,k)), k = m..N.  Per m the
+    clauses run in the order off-axis, disjointness (of the closed disks),
+    membership and, with ``count_totals``, nonreal-total (at least
+    N - m + 1 nonreal zeros).  The first failure raises VerificationFailed naming
     its clause, before any later m is computed.  A disk holds a zero when
     ``_counted_roots`` certifies one inside it; the witness is the
-    nearest.  Returns (witnessed, nonreal_totals).
+    nearest.  Returns (witnessed, nonreal_totals) as key-ordered pairs.
     """
-    N = len(gammas)
-    witnessed = {}
-    nonreal_totals = {}
+    targets, radii = dict(plan.targets), dict(plan.radii)
+    witnessed, nonreal_totals = [], []
     g_m = product
     for m in range(1, M + 1):
         g_m = apply_operator(psi, g_m)
         disks = []
         for k in range(m, N + 1):
-            a = plan.targets[(m, k)]
-            c = Point(a.real - 1 / as_fraction(gammas[k - 1]), a.imag)
-            r = plan.radii[(m, k)]
+            a = targets[(m, k)]
+            c = Point(a.real - 1 / as_fraction(plan.gammas[k - 1]), a.imag)
+            r = radii[(m, k)]
             if not abs(c.imag) > r:
                 raise VerificationFailed(
                     "off-axis", f"disk (m={m}, k={k}) touches the real axis"
@@ -182,16 +180,16 @@ def _check_disks(
                 raise VerificationFailed(
                     "membership", f"no zero certified inside disk (m={m}, k={k})"
                 )
-            witnessed[(m, k)] = counted[0].location
+            witnessed.append(((m, k), counted[0].location))
         if count_totals:
-            nonreal_totals[m] = count_nonreal(g_m).nonreal_count
-            if nonreal_totals[m] < N - m + 1:
+            total = count_nonreal(g_m).nonreal_count
+            nonreal_totals.append((m, total))
+            if total < N - m + 1:
                 raise VerificationFailed(
                     "nonreal-total",
-                    f"iterate m={m} has {nonreal_totals[m]} nonreal zeros, "
-                    f"wanted >= {N - m + 1}",
+                    f"iterate m={m} has {total} nonreal zeros, wanted >= {N - m + 1}",
                 )
-    return witnessed, nonreal_totals
+    return tuple(witnessed), tuple(nonreal_totals)
 
 
 def _stage_predicate(psi, trial: StagePlan):
@@ -203,7 +201,7 @@ def _stage_predicate(psi, trial: StagePlan):
     k = trial.stages_fixed
     product = build_partial_product(trial, k)
     try:
-        _check_disks(psi, trial, trial.gammas, product, k, trial.precision_bits)
+        _check_disks(psi, trial, k, product, k, trial.precision_bits)
     except VerificationFailed:
         return False
     return True
@@ -302,7 +300,7 @@ def verify_counterexample(
         raise VerificationFailed("derivative-identity", "f_N'(0) != sum d(k)gamma(k)")
 
     witnessed, nonreal_totals = _check_disks(
-        psi, plan, plan.gammas[:N], f_n, M, precision_bits, count_totals=True
+        psi, plan, N, f_n, M, precision_bits, count_totals=True
     )
     return CounterexampleReport(
         plan=plan,

@@ -3,16 +3,16 @@
 The exact route answers "how many nonreal zeros, and are all zeros
 simple" (``count_nonreal``, ``ZeroCount.squarefree``) with no tolerance
 at every degree.  It strips the zero root and splits the rest into
-square-free factors once (``_squarefree_split``: the modular certificate,
-else Yun's split, whose gcds are integer primitive remainder sequences,
-PRS).  Each factor's real zeros are counted on its primitive integer
-multiple F, by a route chosen by F's degree: below
-``DESCARTES_MIN_DEGREE`` the PRS of F and F', a Sturm chain; from that
-degree up, where the PRS coefficients grow to thousands of bits,
-Descartes bisection.
+square-free factors once (``_zero_root_and_split``, through
+``_squarefree_split``: the modular certificate, else Yun's split, whose
+gcds are integer primitive remainder sequences, PRS).  Each factor's
+real zeros are counted on its primitive integer multiple F, by a route
+chosen by F's degree: below ``DESCARTES_MIN_DEGREE`` the PRS of F and
+F', a Sturm chain; from that degree up, where the PRS coefficients grow
+to thousands of bits, Descartes bisection.
 
 This module is independent of the certified root finder in ``roots``,
-which takes its square-free split (``_squarefree_split``) and integer
+which takes its square-free split (``_zero_root_and_split``) and integer
 parts from here; ``roots`` binds ``count_nonreal``, ``all_real_simple``,
 ``ZeroCount`` and ``_exact_profile`` under the same names.  A zero count
 never executes the root finder.
@@ -166,6 +166,12 @@ def _squarefree_split(c):
     return _yun_squarefree(c)
 
 
+def _zero_root_and_split(c):
+    """(multiplicity of the zero root of nonzero ``c``, ``_squarefree_split`` of the rest)."""
+    nzero = next(i for i, x in enumerate(c) if x)
+    return nzero, _squarefree_split(c[nzero:])
+
+
 def _sign_variations(values):
     """Sign changes along ``values``, zeros skipped."""
     signs = [v > 0 for v in values if v]
@@ -271,18 +277,15 @@ def _exact_profile(f: Poly):
     of degree >= 1.
 
     A zero root counts with its multiplicity.  Each square-free factor
-    from ``_squarefree_split`` of the rest, as its primitive integer
+    of the rest (``_zero_root_and_split``), as its primitive integer
     multiple F, adds ``_real_zeros(F)`` times its multiplicity.
     """
-    c = f.coeffs
-    nzero = 0
-    while c[nzero] == 0:
-        nzero += 1
+    nzero, factors = _zero_root_and_split(f.coeffs)
     real, squarefree = nzero, nzero <= 1
-    for factor, mult in _squarefree_split(c[nzero:]):
+    for factor, mult in factors:
         real += mult * _real_zeros(_integer_part(factor))
         squarefree = squarefree and mult == 1
-    return real, len(c) - 1 - real, squarefree
+    return real, len(f.coeffs) - 1 - real, squarefree
 
 
 def count_nonreal(f: Poly) -> ZeroCount:

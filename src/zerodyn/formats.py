@@ -1,6 +1,8 @@
 """Text and JSON/CSV formats: parsing, serialization, presets.
 
-File formats are versioned with a leading comment line:
+File formats are versioned by their first comment line, which reads
+exactly ``# zerodyn <kind> 1`` (a headerless file is read as the kind
+its reader expects):
 
 * series file —   ``# zerodyn series 1`` then one exact rational per
   line ("num/den" or integer), line n giving the coefficient of x^n;
@@ -39,9 +41,7 @@ if TYPE_CHECKING:  # report classes: a payload reads them, a job may not need th
     from .dynamics import AttractorReport, ConvergenceReport, OnsetReport
     from .roots import RootSet
 
-SERIES_HEADER = "# zerodyn series 1"
-POLY_HEADER = "# zerodyn poly 1"
-CSV_HEADER_PREFIX = "# zerodyn csv"
+HEADER = "# zerodyn {} 1"  # first line of every file: its kind, then the format version
 
 MP_DIGITS = 40  # serialized digits of roots and other floating values
 
@@ -92,46 +92,48 @@ def mpc_pair(z):
 # coefficient files
 
 
-def _parse_rational_lines(text: str, kind: str):
-    lines = text.splitlines()
-    values = []
-    seen_header = False
-    for ln in lines:
+def _read_coefficients(text: str, kinds):
+    """(kind, coefficients) of a file of one of ``kinds``: its first comment
+    line must read exactly ``# zerodyn <kind> 1``; a headerless file is of
+    kind ``kinds[0]``, and later comment lines are skipped."""
+    kind, values = None, []
+    for ln in text.splitlines():
         s = ln.strip()
-        if not s:
-            continue
-        if s.startswith("#"):
-            if not seen_header and kind not in s:
-                raise ValueError(f"file header {s!r} does not declare a {kind}")
-            seen_header = True
-            continue
-        values.append(parse_fraction(s))
+        if s and not s.startswith("#"):
+            values.append(parse_fraction(s))
+        elif s and kind is None:
+            kind = next((k for k in kinds if s == HEADER.format(k)), None)
+            if kind is None:
+                raise ValueError(
+                    f"file header {s!r} does not declare a {' or '.join(kinds)} file: "
+                    f"want exactly {' or '.join(repr(HEADER.format(k)) for k in kinds)}"
+                )
+    kind = kind or kinds[0]
     if not values:
         raise ValueError(f"no coefficients found in {kind} input")
-    return values
+    return kind, values
 
 
 def parse_series_text(text: str) -> PowerSeries:
     """A series file's series, truncated where it ends; a polynomial file's polynomial."""
-    if text.lstrip().startswith(POLY_HEADER):
-        return PowerSeries.polynomial(_parse_rational_lines(text, "poly"))
-    return PowerSeries(_parse_rational_lines(text, "series"))
+    kind, values = _read_coefficients(text, ("series", "poly"))
+    return PowerSeries.polynomial(values) if kind == "poly" else PowerSeries(values)
 
 
 def format_series_text(phi: PowerSeries) -> str:
     """A series file, or a polynomial file for a polynomial series (zero tail)."""
-    header = POLY_HEADER if phi.truncation_order == math.inf else SERIES_HEADER
+    header = HEADER.format("poly" if phi.truncation_order == math.inf else "series")
     body = "\n".join(fraction_str(c) for c in phi.coeffs)
     return f"{header}\n{body}\n"
 
 
 def parse_poly_text(text: str) -> Poly:
-    return Poly(_parse_rational_lines(text, "poly"))
+    return Poly(_read_coefficients(text, ("poly",))[1])
 
 
 def format_poly_text(f: Poly) -> str:
     body = "\n".join(fraction_str(c) for c in f.coeffs) if f.coeffs else "0"
-    return f"{POLY_HEADER}\n{body}\n"
+    return f"{HEADER.format('poly')}\n{body}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +327,9 @@ def plan_payload(plan: StagePlan):
         "gammas": [fraction_str(g) for g in plan.gammas],
         "targets": {
             f"{m},{k}": [fraction_str(a.real), fraction_str(a.imag)]
-            for (m, k), a in sorted(plan.targets.items())
+            for (m, k), a in plan.targets
         },
-        "radii": {
-            f"{m},{k}": fraction_str(r) for (m, k), r in sorted(plan.radii.items())
-        },
+        "radii": {f"{m},{k}": fraction_str(r) for (m, k), r in plan.radii},
         "precision_bits": plan.precision_bits,
     }
 
@@ -393,8 +393,8 @@ def plan_from_payload(data) -> StagePlan:
             )
     return StagePlan(
         degrees=degrees,
-        targets=targets,
-        radii=radii,
+        targets=tuple(sorted(targets.items())),
+        radii=tuple(sorted(radii.items())),
         gammas=gammas,
         precision_bits=prec,
     )
@@ -403,10 +403,8 @@ def plan_from_payload(data) -> StagePlan:
 def counterexample_payload(rep: CounterexampleReport):
     return {
         "plan": plan_payload(rep.plan),
-        "witnessed": {
-            f"{m},{k}": mpc_pair(z) for (m, k), z in sorted(rep.witnessed.items())
-        },
-        "nonreal_totals": {str(m): n for m, n in sorted(rep.nonreal_totals.items())},
+        "witnessed": {f"{m},{k}": mpc_pair(z) for (m, k), z in rep.witnessed},
+        "nonreal_totals": {str(m): n for m, n in rep.nonreal_totals},
         "product_coeffs": [fraction_str(c) for c in rep.product_coeffs],
         "derivative_identity_ok": rep.derivative_identity_ok,
     }
@@ -443,7 +441,7 @@ def csv_text(kind: str, payload) -> str:
     import csv  # only CSV output needs it; kept off the import path
 
     buf = io.StringIO()
-    buf.write(f"{CSV_HEADER_PREFIX} {name} 1\n")
+    buf.write(HEADER.format(f"csv {name}") + "\n")
     writer = csv.DictWriter(buf, fieldnames=columns)
     writer.writeheader()
     writer.writerows(payload[key])

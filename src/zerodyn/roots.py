@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 
 from .errors import DegreeZero, NoConvergence
-from .exact import _diff, _integer_part, _squarefree_split
+from .exact import _diff, _integer_part, _zero_root_and_split
 # bound here too: callers, and the benchmark's tracer, reach them as roots.<name>
 from .exact import ZeroCount, _exact_profile, all_real_simple, count_nonreal  # noqa: F401
 from .poly import Poly
@@ -543,11 +543,9 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
         raise DegreeZero("root finding needs degree >= 1")
     deg = int(f.degree)
     workprec = _work_precision(precision_bits)
-    nzero = 0
-    while f.coeffs[nzero] == 0:
-        nzero += 1
+    nzero, factors = _zero_root_and_split(f.coeffs)
     located, certified = [], True
-    for factor, mult in _squarefree_split(f.coeffs[nzero:]):
+    for factor, mult in factors:
         positions, ok = _aberth(factor, workprec)
         located += [(z, mult) for z in positions]
         certified = certified and ok

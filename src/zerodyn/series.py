@@ -204,7 +204,6 @@ def classify(phi: PowerSeries) -> OperatorClass:
     if phi.constant == 0:
         mu, _psi = factor_out_zero(phi)
         return OperatorClass(form="ZeroConstant", normalized_from=phi, mu=mu)
-    c0 = phi.constant
     norm = normalize(phi)
     alpha = norm.taylor(1) if norm.truncation_order >= 1 else Fraction(0)
     # a polynomial's first padded zero, at n = len(coeffs), decides it
@@ -215,9 +214,8 @@ def classify(phi: PowerSeries) -> OperatorClass:
             return OperatorClass(
                 form="General", normalized_from=norm, p=n, alpha=alpha, beta=beta
             )
-    gamma = phi.taylor(1) / c0 if phi.truncation_order >= 1 else Fraction(0)
     return OperatorClass(
-        form="PureExponential", normalized_from=norm, c=c0, gamma=gamma
+        form="PureExponential", normalized_from=norm, c=phi.constant, gamma=alpha
     )
 
 

@@ -203,9 +203,10 @@ def test_criterion_10_construction_pipeline(tmp_path):
         plan = zd.build_plan(phi, 2, d_cap=12)
         report = zd.verify_counterexample(phi, plan, 2, 2)
         # m=1: zeros in two disjoint off-axis disks; m=2: at least one
-        assert {(1, 1), (1, 2)} <= set(report.witnessed)
-        assert (2, 2) in report.witnessed
-        assert report.nonreal_totals[1] >= 2 and report.nonreal_totals[2] >= 1
+        assert {(1, 1), (1, 2)} <= set(dict(report.witnessed))
+        assert (2, 2) in dict(report.witnessed)
+        totals = dict(report.nonreal_totals)
+        assert totals[1] >= 2 and totals[2] >= 1
         # the CLI pipeline agrees and exits 0
         out = tmp_path / "construct.json"
         code = cli_main(

@@ -38,17 +38,22 @@ PHI_A = PowerSeries.polynomial([1, 0, 1])     # 1 + x^2
 
 def _overlapping(plan):
     """``plan`` with the (1, 2) disk dragged onto the (1, 1) disk and inflated."""
-    a = plan.targets[(1, 1)]
+    targets, radii = dict(plan.targets), dict(plan.radii)
+    a = targets[(1, 1)]
+    targets[(1, 2)] = Point(a.real + F(1, 100), a.imag)
+    radii[(1, 2)] = radii[(1, 1)]
     return plan._replace(
-        targets={**plan.targets, (1, 2): Point(a.real + F(1, 100), a.imag)},
-        radii={**plan.radii, (1, 2): plan.radii[(1, 1)]},
+        targets=tuple(targets.items()),
+        radii=tuple(radii.items()),
         gammas=(plan.gammas[0], plan.gammas[0]),
     )
 
 
 def _touching_the_axis(plan):
     """``plan`` with the (1, 1) radius past Im a(1, 1)."""
-    return plan._replace(radii={**plan.radii, (1, 1): plan.targets[(1, 1)].imag * 2})
+    radii = dict(plan.radii)
+    radii[(1, 1)] = dict(plan.targets)[(1, 1)].imag * 2
+    return plan._replace(radii=tuple(radii.items()))
 
 
 class TestWitnesses:
@@ -79,15 +84,16 @@ class TestWitnesses:
 class TestTargets:
     def test_hand_values(self):
         plan = pick_targets(PHI, [2, 3])
-        a11 = plan.targets[(1, 1)]
+        a11 = dict(plan.targets)[(1, 1)]
+        r11 = dict(plan.radii)[(1, 1)]
         assert abs(as_mpc(a11) - mp.mpc(-1, 1)) < 1e-40
-        assert plan.radii[(1, 1)] == a11.imag / 2
-        assert abs(plan.radii[(1, 1)] - F(1, 2)) < 1e-40
+        assert r11 == a11.imag / 2
+        assert abs(r11 - F(1, 2)) < 1e-40
 
     def test_upper_half_plane_with_largest_imag(self):
         plan = pick_targets(PHI_A, [3])
-        a = plan.targets[(1, 1)]
-        assert plan.radii[(1, 1)] == a.imag / 2
+        ((key, a),) = plan.targets
+        assert key == (1, 1) and plan.radii == (((1, 1), a.imag / 2),)
         with mp.workprec(300):
             assert abs(as_mpc(a) - mp.mpc(0, 1) * mp.sqrt(6)) < 1e-40
 
@@ -133,7 +139,7 @@ class TestChooseGamma:
         plan = pick_targets(PHI, [2])
         # sabotage: demand a zero in a far-away disk no gamma can reach
         plan = plan._replace(
-            targets={(1, 1): Point(F(1000), F(1))}, radii={(1, 1): F(1, 4)}
+            targets=(((1, 1), Point(F(1000), F(1))),), radii=(((1, 1), F(1, 4)),)
         )
         monkeypatch.setattr(construct, "MAX_HALVINGS", 8)
         with pytest.raises(GammaSearchExhausted):
@@ -154,19 +160,19 @@ class TestChooseGamma:
 
 class TestPartialProduct:
     def test_single_stage(self):
-        plan = StagePlan(degrees=(2,), targets={}, radii={}, gammas=(F(1),))
+        plan = StagePlan(degrees=(2,), targets=(), radii=(), gammas=(F(1),))
         assert build_partial_product(plan, 1) == Poly([1, 1]) ** 2
 
     def test_two_stages(self):
         plan = StagePlan(
-            degrees=(2, 3), targets={}, radii={}, gammas=(F(1), F(1, 2))
+            degrees=(2, 3), targets=(), radii=(), gammas=(F(1), F(1, 2))
         )
         expected = Poly([1, 1]) ** 2 * Poly([1, F(1, 2)]) ** 3
         got = build_partial_product(plan, 2)
         assert got == expected and int(got.degree) == 5
 
     def test_empty_product(self):
-        plan = StagePlan(degrees=(), targets={}, radii={})
+        plan = StagePlan(degrees=(), targets=(), radii=())
         assert build_partial_product(plan, 0) == Poly([1])
 
 
@@ -174,16 +180,17 @@ class TestVerify:
     def test_end_to_end_single_stage(self):
         plan = build_plan(PHI, 1, d_cap=12)
         rep = verify_counterexample(PHI, plan, 1, 1)
-        assert rep.nonreal_totals[1] >= 2
-        assert (1, 1) in rep.witnessed
+        assert dict(rep.nonreal_totals)[1] >= 2
+        assert (1, 1) in dict(rep.witnessed)
         assert rep.derivative_identity_ok
 
     def test_end_to_end_two_stages(self):
         plan = build_plan(PHI, 2, d_cap=12)
         rep = verify_counterexample(PHI, plan, 2, 2)
         # m = 1 keeps a zero in the k=1 and k=2 disks; m = 2 in the k=2 disk
-        assert {(1, 1), (1, 2), (2, 2)} <= set(rep.witnessed)
-        assert rep.nonreal_totals[1] >= 2 and rep.nonreal_totals[2] >= 1
+        assert {(1, 1), (1, 2), (2, 2)} <= set(dict(rep.witnessed))
+        totals = dict(rep.nonreal_totals)
+        assert totals[1] >= 2 and totals[2] >= 1
         f2 = build_partial_product(plan, 2)
         assert all(c > 0 for c in f2.coeffs)
 
@@ -200,7 +207,7 @@ class TestVerify:
         # a verified two-stage plan truncated to one stage still verifies
         plan = build_plan(PHI, 2, d_cap=12)
         rep = verify_counterexample(PHI, plan, 1, 1)
-        assert (1, 1) in rep.witnessed
+        assert (1, 1) in dict(rep.witnessed)
 
     def test_overlapping_disks_detected(self):
         bad = _overlapping(build_plan(PHI, 2, d_cap=12))
@@ -218,12 +225,13 @@ class TestVerify:
     def test_zero_on_or_just_past_a_disk_boundary_fails_membership(self, outside):
         # the iterate x^2 + 4x + 5 has zeros exactly -2 +- i
         plan = build_plan(PHI, 1, d_cap=12)
-        z = verify_counterexample(PHI, plan, 1, 1).witnessed[(1, 1)]
+        ((key, z),) = verify_counterexample(PHI, plan, 1, 1).witnessed
+        assert key == (1, 1)
         assert z == Point(F(-2), F(1))
         r = F(1, 2) - outside
         # the disk center a - 1/gamma becomes z + 1/2: z lies `outside` past it
         a = Point(z.real + F(1, 2) + 1 / plan.gammas[0], z.imag)
-        near = plan._replace(targets={(1, 1): a}, radii={(1, 1): r})
+        near = plan._replace(targets=(((1, 1), a),), radii=(((1, 1), r),))
         with pytest.raises(VerificationFailed, match="no zero certified inside") as exc:
             verify_counterexample(PHI, near, 1, 1)
         assert exc.value.clause == "membership"
@@ -265,6 +273,30 @@ class TestVerify:
         plan = build_plan(PHI, 1, d_cap=12)
         with pytest.raises(ValueError, match="1 <= M <= N"):
             verify_counterexample(PHI, plan, 1, m)
+
+
+class TestFrozenTables:
+    """Plan and report tables are (key, value) pairs in key order."""
+
+    def test_built_plan_and_report_hash(self):
+        plan = build_plan(PHI, 2, d_cap=12)
+        rep = verify_counterexample(PHI, plan, 2, 2)
+        assert hash(plan) == hash(copy.deepcopy(plan))
+        assert hash(rep) == hash(copy.deepcopy(rep))
+        keys = [(1, 1), (1, 2), (2, 2)]
+        assert [key for key, _a in plan.targets] == keys == [key for key, _r in plan.radii]
+        assert [key for key, _z in rep.witnessed] == keys
+        assert [m for m, _n in rep.nonreal_totals] == [1, 2]
+        for rec in (plan, rep):
+            assert not any(isinstance(v, dict) for v in rec._astuple())
+
+    def test_tables_reject_assignment(self):
+        plan = pick_targets(PHI, [2])
+        with pytest.raises(TypeError):
+            plan.targets[(1, 1)] = Point(F(5), F(1))
+        with pytest.raises(TypeError):
+            plan.radii[0] = ((1, 1), F(1))
+        assert plan == pick_targets(PHI, [2])
 
 
 class TestOneDiskChecker:

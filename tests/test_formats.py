@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 from conftest import make_rng, mpf_to_fraction, to_mp
-from zerodyn import Point, Poly, PowerSeries, build_plan, classify, find_roots
+from zerodyn import Point, Poly, PowerSeries, build_plan, classify, find_roots, pick_targets
 from zerodyn.cli import main
 from zerodyn.dynamics import AttractorRecord, AttractorReport
 from zerodyn.poly import format_poly_inline
@@ -75,12 +75,36 @@ class TestCoefficientFiles:
 
     def test_headerless_accepted(self):
         assert parse_series_text("1\n1/2\n") == PowerSeries([1, F(1, 2)])
+        assert parse_poly_text("\n1\n1/2\n") == Poly([1, F(1, 2)])
+
+    def test_later_comment_lines_skipped(self):
+        text = "# zerodyn series 1\n1\n# any note\n1/2\n#\n"
+        assert parse_series_text(text) == PowerSeries([1, F(1, 2)])
+        text = "# zerodyn poly 1\n1\n# zerodyn poly 7\n2\n"
+        assert parse_poly_text(text) == Poly([1, 2])
 
     def test_wrong_kind_header_rejected(self):
         with pytest.raises(ValueError, match="does not declare a poly"):
             parse_poly_text("# zerodyn series 1\n1\n2\n")
         with pytest.raises(ValueError, match="does not declare a series"):
             parse_series_text("# zerodyn csv onset 1\n1\n2\n")
+
+    @pytest.mark.parametrize(
+        "parse, header",
+        [
+            (parse_poly_text, "# this is not a polynomial file"),
+            (parse_poly_text, "# zerodyn poly 7"),
+            (parse_poly_text, "# zerodyn poly"),
+            (parse_poly_text, "# zerodyn poly 1 extra"),
+            (parse_series_text, "# zerodyn series 99"),
+            (parse_series_text, "# zerodyn poly 10"),
+            (parse_series_text, "# zerodyn series"),
+            (parse_series_text, "# zerodyn-series 1"),
+        ],
+    )
+    def test_header_must_read_exactly_zerodyn_kind_version(self, parse, header):
+        with pytest.raises(ValueError, match=f"file header '{header}' does not declare"):
+            parse(f"{header}\n1\n2\n")
 
     def test_poly_header_reads_as_a_polynomial_series(self):
         assert parse_series_text("# zerodyn poly 1\n1\n2\n") == PowerSeries.polynomial([1, 2])
@@ -147,7 +171,22 @@ class TestPlanRoundTrip:
         # targets and radii are written exactly, so the plan comes back equal
         phi = PowerSeries.polynomial([1, 1, 1])
         plan = build_plan(phi, 2, d_cap=12)
-        assert plan_from_payload(json.loads(dump_json(plan_payload(plan)))) == plan
+        back = plan_from_payload(json.loads(dump_json(plan_payload(plan))))
+        assert back == plan and hash(back) == hash(plan)
+
+    def test_three_stage_targets_come_back_in_key_order(self):
+        # pick_targets runs k-major, (1,1) (1,2) (2,2) (1,3) ...; the plan,
+        # its JSON and the plan read back all hold (m, k) order
+        phi = PowerSeries.polynomial([1, 1, 1])
+        plan = pick_targets(phi, [2, 3, 4])
+        keys = [(m, k) for m in (1, 2, 3) for k in (1, 2, 3) if m <= k]
+        assert [key for key, _a in plan.targets] == keys
+        assert [key for key, _r in plan.radii] == keys
+        data = json.loads(dump_json(plan_payload(plan)))
+        assert list(data["targets"]) == [f"{m},{k}" for m, k in keys]
+        data["targets"] = dict(reversed(data["targets"].items()))
+        back = plan_from_payload(data)
+        assert back == plan and hash(back) == hash(plan)
 
     def test_decimal_disks_still_parse(self):
         phi = PowerSeries.polynomial([1, 1, 1])
@@ -155,8 +194,8 @@ class TestPlanRoundTrip:
         data["targets"]["1,1"] = ["-1.25", "0.5e1"]
         data["radii"]["1,1"] = "2.5"
         back = plan_from_payload(data)
-        assert back.targets[(1, 1)] == Point(F(-5, 4), F(5))
-        assert back.radii[(1, 1)] == F(5, 2)
+        assert back.targets == (((1, 1), Point(F(-5, 4), F(5))),)
+        assert back.radii == (((1, 1), F(5, 2)),)
 
     def test_old_plan_files_with_coefficient_bound_ok_still_load(self):
         phi = PowerSeries.polynomial([1, 1, 1])

@@ -16,6 +16,7 @@ package API: every public name and submodule still resolves from
 
 import dataclasses
 import functools
+import gc
 import importlib
 import json
 import os
@@ -27,7 +28,7 @@ from fractions import Fraction
 import pytest
 
 import zerodyn
-from zerodyn import Poly, PowerSeries
+from zerodyn import Poly, PowerSeries, cli
 from zerodyn.construct import CounterexampleReport, StagePlan
 from zerodyn.dynamics import AttractorRecord, AttractorReport, ConvergenceReport, OnsetReport
 from zerodyn.records import Record
@@ -247,6 +248,20 @@ def test_construct_and_verify_construct_leave_dynamics_unexecuted(construct_runs
         assert "construct" in executed and "dynamics" not in executed, executed
 
 
+def test_main_freezes_once_without_reading_the_freeze_count(monkeypatch, capsys):
+    # gc.get_freeze_count() walks the whole permanent generation per call
+    def walk():
+        raise AssertionError("main read gc.get_freeze_count()")
+
+    freezes = []
+    monkeypatch.setattr(gc, "get_freeze_count", walk)
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+    monkeypatch.setattr(cli, "_heap_frozen", False)
+    argv = ["classify", "--series", "poly:1+x+x^2"]
+    assert [cli.main(argv), cli.main(argv)] == [0, 0]
+    assert freezes == [1]
+
+
 def test_subcommands_run_with_mpmath_blocked(tmp_path):
     # 1 and 1 + 2^-60 are one double, so the root finder's fallback sweep runs
     eps = Fraction(1, 2**60)
@@ -296,10 +311,12 @@ def _instances():
     root = Root(Point(Fraction(1), Fraction(2)), 1, 1e-80)
     record = AttractorRecord(1, 0.25, 0.5, True, None)
     top = Point(Fraction(0), Fraction(1))
-    plan = StagePlan((3, 5), {(1, 1): top}, {(1, 1): Fraction(1, 2)}, (Fraction(1, 4),))
+    plan = StagePlan(
+        (3, 5), (((1, 1), top),), (((1, 1), Fraction(1, 2)),), (Fraction(1, 4),)
+    )
     return [
         plan,
-        CounterexampleReport(plan, {(1, 1): top}, {1: 2}, (Fraction(1),), True),
+        CounterexampleReport(plan, (((1, 1), top),), ((1, 2),), (Fraction(1),), True),
         OperatorClass("General", series, p=2, alpha=Fraction(1), beta=Fraction(-1, 2)),
         LPObstructionResult(True, 3, 10, (0, 0, 2)),
         OnsetReport("AllRealSimple", 3, 10, ((1, 2), (2, 0))),
@@ -330,7 +347,7 @@ def test_fields_follow_annotation_order_with_defaults():
     assert StagePlan._fields == (
         "degrees", "targets", "radii", "gammas", "precision_bits",
     )
-    plan = StagePlan((3,), {}, {})
+    plan = StagePlan((3,), (), ())
     assert (plan.gammas, plan.precision_bits) == ((), 256)
     assert plan.stages_fixed == 0
 
@@ -347,10 +364,10 @@ def test_frozen_assignment_raises():
 
 
 def test_replace_returns_a_changed_copy():
-    plan = StagePlan((3,), {}, {})
+    plan = StagePlan((3,), (), ())
     fixed = plan._replace(gammas=(Fraction(1, 2),))
     assert (plan.stages_fixed, fixed.stages_fixed) == (0, 1)
-    assert fixed == StagePlan((3,), {}, {}, (Fraction(1, 2),))
+    assert fixed == StagePlan((3,), (), (), (Fraction(1, 2),))
     with pytest.raises(TypeError):
         plan._replace(colour="red")
 
