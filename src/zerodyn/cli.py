@@ -4,8 +4,10 @@ Subcommands mirror the library: classify, lp-test, apply, iterate,
 zeros, onset, converge, discrepancy, attractor, limit-poly, hermite,
 jensen, construct, verify-construct.  Each subcommand declares only the
 settings it reads (``_SETTINGS``; defaults from ``scalars.DEFAULT_*``)
-and argparse rejects any other with exit 2; ``verify-construct`` also
-accepts ``--d-cap``, which it does not read.  JSON is the archival output:
+and argparse rejects any other with exit 2.  ``verify-construct`` reads
+the stage count and root precision from its plan, so it takes no
+``--precision-bits``; it accepts ``--d-cap``, which it does not read,
+because saved command lines pass it.  JSON is the archival output:
 its ``config`` block echoes the declared settings.  CSV emits one row per
 m or per root for plotting, for the four reports with a CSV schema.
 Exit codes: 0 success, 1 verification failure, 2 input error.
@@ -193,10 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma0", default=str(DEFAULT_GAMMA0), help="initial stage factor (rational)")
     p.add_argument("--plan-out", help="also save the stage plan JSON here")
 
-    p = cmd(
-        "verify-construct", "re-verify a saved stage plan from scratch",
-        "precision_bits", "d_cap",
-    )
+    p = cmd("verify-construct", "re-verify a saved stage plan from scratch", "d_cap")
     p.add_argument("--series", required=True)
     p.add_argument("--plan", required=True, help="plan JSON produced by construct")
     p.add_argument("--m", type=int, help="verify iterates up to m (default N)")
@@ -220,6 +219,8 @@ def _parse_m_list(spec: str):
                 raise ValueError(f"bad m-list range {chunk!r}")
             if step < 1:
                 raise ValueError(f"m-list step must be >= 1, got {step} in {chunk!r}")
+            if stop < start:
+                raise ValueError(f"m-list range {chunk!r} runs backwards")
             out.extend(range(start, stop + 1, step))
         else:
             out.append(int(chunk))
@@ -316,11 +317,7 @@ def _payload(args):
         else:
             with open(args.plan, "r", encoding="utf-8") as fh:
                 plan = formats.plan_from_payload(json.load(fh))
-            if not plan.stages_fixed:
-                raise ValueError(f"the plan in {args.plan!r} fixes no stage (no gammas)")
-        n = plan.stages_fixed
-        m = args.m if args.m is not None else n
-        report = construct_mod.verify_counterexample(phi, plan, n, m, args.precision_bits)
+        report = construct_mod.verify_counterexample(phi, plan, args.m)
         if cmd == "construct" and args.plan_out:
             with open(args.plan_out, "w", encoding="utf-8") as fh:
                 fh.write(formats.dump_json(formats.plan_payload(plan)))

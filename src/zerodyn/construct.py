@@ -132,26 +132,20 @@ def pick_targets(
     )
 
 
-def _check_disks(
-    psi,
-    plan: StagePlan,
-    N: int,
-    product: Poly,
-    M: int,
-    precision_bits: int,
-    count_totals: bool = False,
-):
+def _check_disks(psi, plan: StagePlan, product: Poly, M: int, count_totals: bool = False):
     """Check the persistence clauses of ``product`` for m = 1..M in turn.
 
-    With the plan's first N gammas, the m-th iterate must have a zero in
-    each disk D(a(m,k) - 1/gamma(k); r(m,k)), k = m..N.  Per m the
-    clauses run in the order off-axis, disjointness (of the closed disks),
-    membership and, with ``count_totals``, nonreal-total (at least
-    N - m + 1 nonreal zeros).  The first failure raises VerificationFailed naming
-    its clause, before any later m is computed.  A disk holds a zero when
+    With the plan's N = stages_fixed gammas, the m-th iterate must have a
+    zero in each disk D(a(m,k) - 1/gamma(k); r(m,k)), k = m..N, its roots
+    found at the plan's precision.  Per m the clauses run in the order
+    off-axis, disjointness (of the closed disks), membership and, with
+    ``count_totals``, nonreal-total (at least N - m + 1 nonreal zeros).
+    The first failure raises VerificationFailed naming its clause, before
+    any later m is computed.  A disk holds a zero when
     ``_counted_roots`` certifies one inside it; the witness is the
     nearest.  Returns (witnessed, nonreal_totals) as key-ordered pairs.
     """
+    N = plan.stages_fixed
     targets, radii = dict(plan.targets), dict(plan.radii)
     witnessed, nonreal_totals = [], []
     g_m = product
@@ -173,7 +167,7 @@ def _check_disks(
                     "disjointness",
                     f"disks (m={m}, k={k1}) and (m={m}, k={k2}) overlap",
                 )
-        rs = find_roots(g_m, precision_bits)
+        rs = find_roots(g_m, plan.precision_bits)
         for k, c, r in disks:
             counted = _counted_roots(rs, c, r)
             if not counted:
@@ -193,26 +187,20 @@ def _check_disks(
 
 
 def _stage_predicate(psi, trial: StagePlan):
-    """Persistence check of the trial plan's k = stages_fixed stages.
-
-    True iff the disk clauses of _check_disks hold for every m <= k, with
-    roots at the plan's precision.
-    """
-    k = trial.stages_fixed
-    product = build_partial_product(trial, k)
+    """True iff the disk clauses of _check_disks hold for every iterate
+    m <= k of the trial plan's k = stages_fixed stages."""
     try:
-        _check_disks(psi, trial, k, product, k, trial.precision_bits)
+        _check_disks(psi, trial, build_partial_product(trial), trial.stages_fixed)
     except VerificationFailed:
         return False
     return True
 
 
-def build_partial_product(plan: StagePlan, N: int) -> Poly:
-    """Exact expansion of prod_{k<=N} (1 + gamma(k) x)^d(k); N = 0 gives 1."""
-    if N > plan.stages_fixed:
-        raise ValueError(f"only {plan.stages_fixed} stages fixed, asked for {N}")
+def build_partial_product(plan: StagePlan) -> Poly:
+    """Exact expansion of prod_{k<=N} (1 + gamma(k) x)^d(k) over the plan's
+    N = stages_fixed stages; N = 0 gives 1."""
     acc = Poly([1])
-    for d, gamma in zip(plan.degrees[:N], plan.gammas):
+    for d, gamma in zip(plan.degrees, plan.gammas):
         acc = acc * Poly([1, gamma]) ** d
     return acc
 
@@ -273,35 +261,34 @@ def build_plan(
 
 
 def verify_counterexample(
-    phi: PowerSeries,
-    plan: StagePlan,
-    N: int,
-    M: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
+    phi: PowerSeries, plan: StagePlan, M: int | None = None
 ) -> CounterexampleReport:
     """Recompute everything from scratch and check every claim.
 
-    Independent of the gamma search's own checks: expands the product,
-    iterates the operator, finds roots, and re-verifies disk membership,
-    disjointness, off-axis placement, nonreal totals, coefficient
-    positivity and the identity f_N'(0) = sum d(k) gamma(k).  Raises
-    VerificationFailed naming the first violated clause.
+    Verifies the plan's N = stages_fixed stages for iterates m = 1..M (M
+    defaults to N), with roots found at the plan's precision.  Independent
+    of the gamma search's own checks: expands the product, iterates the
+    operator, finds roots, and re-verifies disk membership, disjointness,
+    off-axis placement, nonreal totals, coefficient positivity and the
+    identity f_N'(0) = sum d(k) gamma(k).  Raises
+    VerificationFailed naming the first violated clause; a plan that fixes
+    no stage, or M outside 1..N, is a ValueError.
     """
+    N = plan.stages_fixed
+    if not N:
+        raise ValueError("the plan fixes no stage (no gammas)")
+    M = N if M is None else M
     if not 1 <= M <= N:
         raise ValueError(f"need 1 <= M <= N, got M = {M}, N = {N}")
-    if N > plan.stages_fixed:
-        raise VerificationFailed("stages", f"only {plan.stages_fixed} fixed, need {N}")
     _mu, psi = factor_out_zero(phi)
-    f_n = build_partial_product(plan, N)
+    f_n = build_partial_product(plan)
     if not all(c > 0 for c in f_n.coeffs):
         raise VerificationFailed("positivity", "product has a nonpositive coefficient")
-    expected = sum(d * g for d, g in zip(plan.degrees[:N], plan.gammas[:N]))
+    expected = sum(d * g for d, g in zip(plan.degrees, plan.gammas))
     if derivative(f_n).coefficient(0) != expected:
         raise VerificationFailed("derivative-identity", "f_N'(0) != sum d(k)gamma(k)")
 
-    witnessed, nonreal_totals = _check_disks(
-        psi, plan, N, f_n, M, precision_bits, count_totals=True
-    )
+    witnessed, nonreal_totals = _check_disks(psi, plan, f_n, M, count_totals=True)
     return CounterexampleReport(
         plan=plan,
         witnessed=witnessed,

@@ -1,8 +1,8 @@
 """Text and JSON/CSV formats: parsing, serialization, presets.
 
-File formats are versioned by their first comment line, which reads
-exactly ``# zerodyn <kind> 1`` (a headerless file is read as the kind
-its reader expects):
+File formats are versioned by a header on their first non-blank line,
+which reads exactly ``# zerodyn <kind> 1`` (a headerless file is read as
+the kind its reader expects; later comment lines are skipped):
 
 * series file —   ``# zerodyn series 1`` then one exact rational per
   line ("num/den" or integer), line n giving the coefficient of x^n;
@@ -15,8 +15,9 @@ tail is known to be zero (``PowerSeries.polynomial``), written and read
 as a polynomial file.
 
 Inline polynomial shorthand accepts integer-coefficient expressions
-like ``x^3+6x`` or ``-2x^2+x-1``; the parser also takes rational
-coefficients ("1/2x^2"), so ``str`` of a ``Poly`` round-trips.
+like ``x^3+6x`` or ``-2x^2+x-1``, each term after the first starting
+with its sign (``2x3`` is an error, not 2x+3); the parser also takes
+rational coefficients ("1/2x^2"), so ``str`` of a ``Poly`` round-trips.
 
 JSON reports embed the run configuration; CSV emits one row per m or
 per root for direct plotting, after a versioned comment line.
@@ -93,22 +94,21 @@ def mpc_pair(z):
 
 
 def _read_coefficients(text: str, kinds):
-    """(kind, coefficients) of a file of one of ``kinds``: its first comment
-    line must read exactly ``# zerodyn <kind> 1``; a headerless file is of
-    kind ``kinds[0]``, and later comment lines are skipped."""
-    kind, values = None, []
-    for ln in text.splitlines():
-        s = ln.strip()
-        if s and not s.startswith("#"):
-            values.append(parse_fraction(s))
-        elif s and kind is None:
-            kind = next((k for k in kinds if s == HEADER.format(k)), None)
-            if kind is None:
-                raise ValueError(
-                    f"file header {s!r} does not declare a {' or '.join(kinds)} file: "
-                    f"want exactly {' or '.join(repr(HEADER.format(k)) for k in kinds)}"
-                )
-    kind = kind or kinds[0]
+    """(kind, coefficients) of a file of one of ``kinds``: a comment on its
+    first non-blank line is the header and must read exactly
+    ``# zerodyn <kind> 1``; a headerless file is of kind ``kinds[0]``, and
+    every later comment line is skipped."""
+    lines = [s for s in (ln.strip() for ln in text.splitlines()) if s]
+    kind = kinds[0]
+    if lines and lines[0].startswith("#"):
+        header = lines.pop(0)
+        kind = next((k for k in kinds if header == HEADER.format(k)), None)
+        if kind is None:
+            raise ValueError(
+                f"file header {header!r} does not declare a {' or '.join(kinds)} file: "
+                f"want exactly {' or '.join(repr(HEADER.format(k)) for k in kinds)}"
+            )
+    values = [parse_fraction(s) for s in lines if not s.startswith("#")]
     if not values:
         raise ValueError(f"no coefficients found in {kind} input")
     return kind, values
@@ -160,7 +160,7 @@ def parse_poly_inline(text: str) -> Poly:
     terms = {}
     while pos < len(s):
         mobj = _TERM_RE.match(s, pos)
-        if not mobj or mobj.end() == pos:
+        if not mobj or mobj.end() == pos or (pos and not mobj.group("sign")):
             raise ValueError(f"cannot parse polynomial at ...{s[pos:]!r}")
         sign = -1 if mobj.group("sign") == "-" else 1
         coeff = mobj.group("coeff")

@@ -37,16 +37,9 @@ def exp_dp_monomial(beta, p: int, d: int) -> Poly:
 
 
 def hermite(d: int) -> Poly:
-    """The d-th Hermite polynomial (physicists'), exact integer coefficients."""
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    coeffs = [Fraction(0)] * (d + 1)
-    for k in range(d // 2 + 1):
-        j = d - 2 * k
-        num = math.factorial(d) * 2**j
-        den = math.factorial(k) * math.factorial(j)
-        coeffs[j] = Fraction((-1) ** k * num, den)
-    return Poly(coeffs)
+    """The d-th Hermite polynomial (physicists'), exact integer coefficients:
+    H_d = 2^d exp(-D^2/4) x^d."""
+    return exp_dp_monomial(Fraction(-1, 4), 2, d).scale(2**d)
 
 
 def ml_partial(p: int, order: int) -> PowerSeries:
@@ -62,13 +55,7 @@ def ml_partial(p: int, order: int) -> PowerSeries:
 
 def jensen_ml(p: int, q: int) -> Poly:
     """q-th Jensen polynomial of E_p: sum_k q! x^k / ((q-k)! (pk)!)."""
-    if p < 1 or q < 1:
-        raise ValueError("need p >= 1 and q >= 1")
-    qf = math.factorial(q)
-    return Poly(
-        Fraction(qf, math.factorial(q - k) * math.factorial(p * k))
-        for k in range(q + 1)
-    )
+    return jensen_of_series(ml_partial(p, q), q)
 
 
 def jensen_of_series(phi: PowerSeries, q: int) -> Poly:

@@ -201,7 +201,7 @@ def test_criterion_10_construction_pipeline(tmp_path):
     with _gate("10 construction N=M=2 + negative control", 120.0):
         phi = zd.PowerSeries.polynomial([1, 1, 1])
         plan = zd.build_plan(phi, 2, d_cap=12)
-        report = zd.verify_counterexample(phi, plan, 2, 2)
+        report = zd.verify_counterexample(phi, plan)
         # m=1: zeros in two disjoint off-axis disks; m=2: at least one
         assert {(1, 1), (1, 2)} <= set(dict(report.witnessed))
         assert (2, 2) in dict(report.witnessed)

@@ -8,7 +8,7 @@ import shlex
 import pytest
 
 from zerodyn import Poly, PowerSeries, build_plan
-from zerodyn.cli import build_parser, main
+from zerodyn.cli import _SETTINGS, build_parser, main
 from zerodyn.scalars import DEFAULT_D_CAP, DEFAULT_M_MAX, DEFAULT_PRECISION_BITS
 from zerodyn.formats import dump_json, format_series_text, parse_poly_inline, plan_payload
 
@@ -467,6 +467,14 @@ class TestInputErrors:
         assert (code, out) == (2, "") and err.startswith("input error:")
         assert "m-list step must be >= 1" in err
 
+    @pytest.mark.parametrize("spec, chunk", [("1,5:1", "5:1"), ("5:1", "5:1"), ("3:2:1", "3:2:1")])
+    def test_m_list_range_running_backwards(self, capsys, spec, chunk):
+        code, out, err = run_cli(
+            capsys, "converge", "--series", "poly:1+x^2", "--poly", "x^2", "--m-list", spec
+        )
+        assert (code, out) == (2, "") and err.startswith("input error:")
+        assert f"m-list range '{chunk}' runs backwards" in err
+
     def test_bad_precision(self, capsys):
         code, _, err = run_cli(capsys, "zeros", "--poly", "x^2+1", "--precision-bits", "16")
         assert code == 2
@@ -531,7 +539,7 @@ BARE_RUNS = {
     "jensen": (["--p", "3", "--q", "2", "--roots"], ("precision_bits",)),
     "construct": (["--series", "poly:1+x+x^2", "--stages", "1"], ("precision_bits", "d_cap")),
     "verify-construct": (
-        ["--series", "poly:1+x+x^2", "--plan", "{plan}"], ("precision_bits", "d_cap")
+        ["--series", "poly:1+x+x^2", "--plan", "{plan}"], ("d_cap",)
     ),
 }
 # setting -> (flag, a valid value, its default)
@@ -580,6 +588,32 @@ class TestDeclaredOptions:
         doc = run_json(capsys, command, *(a.format(plan=plan_file) for a in argv))
         expected = {name: SETTINGS[name][2] for name in SETTINGS if name in declared}
         assert doc["config"] == {**expected, "output": None}
+
+
+def _declared_flags(parser):
+    """The option strings a subcommand parser declares, added or still stored."""
+    pending = [flag for args, _kw in vars(parser).get("_pending", ()) for flag in args]
+    return {*pending, *parser._option_string_actions}
+
+
+def test_readme_settings_table_matches_the_parser():
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line", 1)[1].split("```", 1)[0]
+    rows = [  # a cell's escaped \| is not a column break
+        ln.replace("\\|", "/").split("|")[1:-1]
+        for ln in section.splitlines()
+        if ln.startswith("| `--")
+    ]
+    subcommands = _subcommands()
+    documented = {}
+    for setting, _what, names in rows:
+        flag = setting.split("`")[1].split()[0]
+        documented[flag] = {n for n in names.split("`")[1::2] if not n.startswith("-")}
+    flags = {_SETTINGS[name][0] for name in _SETTINGS} - {"--output"}
+    assert set(documented) == flags
+    for flag, names in documented.items():
+        declaring = {c for c, p in subcommands.items() if flag in _declared_flags(p)}
+        assert names == declaring, flag
 
 
 def test_readme_examples_parse():

@@ -161,42 +161,47 @@ class TestChooseGamma:
 class TestPartialProduct:
     def test_single_stage(self):
         plan = StagePlan(degrees=(2,), targets=(), radii=(), gammas=(F(1),))
-        assert build_partial_product(plan, 1) == Poly([1, 1]) ** 2
+        assert build_partial_product(plan) == Poly([1, 1]) ** 2
 
     def test_two_stages(self):
         plan = StagePlan(
             degrees=(2, 3), targets=(), radii=(), gammas=(F(1), F(1, 2))
         )
         expected = Poly([1, 1]) ** 2 * Poly([1, F(1, 2)]) ** 3
-        got = build_partial_product(plan, 2)
+        got = build_partial_product(plan)
         assert got == expected and int(got.degree) == 5
 
     def test_empty_product(self):
         plan = StagePlan(degrees=(), targets=(), radii=())
-        assert build_partial_product(plan, 0) == Poly([1])
+        assert build_partial_product(plan) == Poly([1])
+
+    def test_expands_only_the_fixed_stages(self):
+        # the plan's stage count is its gammas: degree 3 has no stage yet
+        plan = StagePlan(degrees=(2, 3), targets=(), radii=(), gammas=(F(1),))
+        assert build_partial_product(plan) == Poly([1, 1]) ** 2
 
 
 class TestVerify:
     def test_end_to_end_single_stage(self):
         plan = build_plan(PHI, 1, d_cap=12)
-        rep = verify_counterexample(PHI, plan, 1, 1)
+        rep = verify_counterexample(PHI, plan)
         assert dict(rep.nonreal_totals)[1] >= 2
         assert (1, 1) in dict(rep.witnessed)
         assert rep.derivative_identity_ok
 
     def test_end_to_end_two_stages(self):
         plan = build_plan(PHI, 2, d_cap=12)
-        rep = verify_counterexample(PHI, plan, 2, 2)
+        rep = verify_counterexample(PHI, plan)
         # m = 1 keeps a zero in the k=1 and k=2 disks; m = 2 in the k=2 disk
         assert {(1, 1), (1, 2), (2, 2)} <= set(dict(rep.witnessed))
         totals = dict(rep.nonreal_totals)
         assert totals[1] >= 2 and totals[2] >= 1
-        f2 = build_partial_product(plan, 2)
+        f2 = build_partial_product(plan)
         assert all(c > 0 for c in f2.coeffs)
 
     def test_derivative_identity(self):
         plan = build_plan(PHI, 2, d_cap=12)
-        f2 = build_partial_product(plan, 2)
+        f2 = build_partial_product(plan)
         from zerodyn import derivative
 
         assert derivative(f2).coefficient(0) == sum(
@@ -206,26 +211,26 @@ class TestVerify:
     def test_stage_monotonicity(self):
         # a verified two-stage plan truncated to one stage still verifies
         plan = build_plan(PHI, 2, d_cap=12)
-        rep = verify_counterexample(PHI, plan, 1, 1)
+        rep = verify_counterexample(PHI, plan._replace(gammas=plan.gammas[:1]))
         assert (1, 1) in dict(rep.witnessed)
 
     def test_overlapping_disks_detected(self):
         bad = _overlapping(build_plan(PHI, 2, d_cap=12))
         with pytest.raises(VerificationFailed) as exc:
-            verify_counterexample(PHI, bad, 2, 1)
+            verify_counterexample(PHI, bad, 1)
         assert exc.value.clause in ("disjointness", "membership")
 
     def test_off_axis_violation_detected(self):
         bad = _touching_the_axis(build_plan(PHI, 1, d_cap=12))
         with pytest.raises(VerificationFailed) as exc:
-            verify_counterexample(PHI, bad, 1, 1)
+            verify_counterexample(PHI, bad)
         assert exc.value.clause == "off-axis"
 
     @pytest.mark.parametrize("outside", [0, F(1, 2**300)], ids=["on", "past"])
     def test_zero_on_or_just_past_a_disk_boundary_fails_membership(self, outside):
         # the iterate x^2 + 4x + 5 has zeros exactly -2 +- i
         plan = build_plan(PHI, 1, d_cap=12)
-        ((key, z),) = verify_counterexample(PHI, plan, 1, 1).witnessed
+        ((key, z),) = verify_counterexample(PHI, plan).witnessed
         assert key == (1, 1)
         assert z == Point(F(-2), F(1))
         r = F(1, 2) - outside
@@ -233,9 +238,9 @@ class TestVerify:
         a = Point(z.real + F(1, 2) + 1 / plan.gammas[0], z.imag)
         near = plan._replace(targets=(((1, 1), a),), radii=(((1, 1), r),))
         with pytest.raises(VerificationFailed, match="no zero certified inside") as exc:
-            verify_counterexample(PHI, near, 1, 1)
+            verify_counterexample(PHI, near)
         assert exc.value.clause == "membership"
-        iterate = apply_operator(PHI, build_partial_product(plan, 1))
+        iterate = apply_operator(PHI, build_partial_product(plan))
         center = Point(z.real + F(1, 2), z.imag)
         assert roots_in_disk(find_roots(iterate, plan.precision_bits), center, r) == 0
 
@@ -265,14 +270,39 @@ class TestVerify:
     def test_m_larger_than_n_rejected(self):
         plan = build_plan(PHI, 1, d_cap=12)
         with pytest.raises(ValueError):
-            verify_counterexample(PHI, plan, 1, 2)
+            verify_counterexample(PHI, plan, 2)
 
     @pytest.mark.parametrize("m", [0, -3])
     def test_m_below_one_rejected(self, m):
         # M < 1 would check no iterate at all and report success
         plan = build_plan(PHI, 1, d_cap=12)
         with pytest.raises(ValueError, match="1 <= M <= N"):
-            verify_counterexample(PHI, plan, 1, m)
+            verify_counterexample(PHI, plan, m)
+
+    def test_m_defaults_to_the_plan_stage_count(self):
+        plan = build_plan(PHI, 2, d_cap=12)
+        rep = verify_counterexample(PHI, plan)
+        assert rep == verify_counterexample(PHI, plan, 2)
+        assert [m for m, _n in rep.nonreal_totals] == [1, 2]
+        partial = verify_counterexample(PHI, plan, 1)
+        assert [key for key, _z in partial.witnessed] == [(1, 1), (1, 2)]
+
+    def test_plan_with_no_fixed_stage_rejected(self):
+        plan = pick_targets(PHI, [2])
+        with pytest.raises(ValueError, match="the plan fixes no stage"):
+            verify_counterexample(PHI, plan)
+
+    def test_verification_runs_at_the_plan_precision(self, monkeypatch):
+        plan = build_plan(PHI, 2, d_cap=12, precision_bits=128)
+        seen = []
+
+        def recording(f, precision_bits):
+            seen.append(precision_bits)
+            return find_roots(f, precision_bits)
+
+        monkeypatch.setattr(construct, "find_roots", recording)
+        verify_counterexample(PHI, plan)
+        assert seen and set(seen) == {128}
 
 
 class TestFrozenTables:
@@ -280,7 +310,7 @@ class TestFrozenTables:
 
     def test_built_plan_and_report_hash(self):
         plan = build_plan(PHI, 2, d_cap=12)
-        rep = verify_counterexample(PHI, plan, 2, 2)
+        rep = verify_counterexample(PHI, plan)
         assert hash(plan) == hash(copy.deepcopy(plan))
         assert hash(rep) == hash(copy.deepcopy(rep))
         keys = [(1, 1), (1, 2), (2, 2)]
@@ -303,9 +333,9 @@ class TestOneDiskChecker:
     """The gamma-search predicate and the verifier apply the same disk clauses."""
 
     @staticmethod
-    def _disk_clauses_pass(plan, n):
+    def _disk_clauses_pass(plan):
         try:
-            verify_counterexample(PHI, plan, n, n)
+            verify_counterexample(PHI, plan)
         except VerificationFailed as exc:
             if exc.clause in ("off-axis", "disjointness", "membership"):
                 return False
@@ -313,8 +343,9 @@ class TestOneDiskChecker:
 
     def _agree(self, plan, n):
         _mu, psi = factor_out_zero(PHI)
-        predicate = _stage_predicate(psi, plan._replace(gammas=plan.gammas[:n]))
-        assert predicate is self._disk_clauses_pass(plan, n)
+        trial = plan._replace(gammas=plan.gammas[:n])
+        predicate = _stage_predicate(psi, trial)
+        assert predicate is self._disk_clauses_pass(trial)
         return predicate
 
     def test_built_plan_passes_both(self):

@@ -59,6 +59,13 @@ class TestInlineShorthand:
         with pytest.raises(ValueError):
             parse_poly_inline("")
 
+    @pytest.mark.parametrize(
+        "text, rest", [("2x3", "'3'"), ("x^2x", "'x'"), ("x^2 x", "'x'"), ("x2", "'2'")]
+    )
+    def test_terms_after_the_first_need_a_sign(self, text, rest):
+        with pytest.raises(ValueError, match=f"cannot parse polynomial at ...{rest}"):
+            parse_poly_inline(text)
+
 
 class TestCoefficientFiles:
     def test_series_round_trip(self):
@@ -82,6 +89,12 @@ class TestCoefficientFiles:
         assert parse_series_text(text) == PowerSeries([1, F(1, 2)])
         text = "# zerodyn poly 1\n1\n# zerodyn poly 7\n2\n"
         assert parse_poly_text(text) == Poly([1, 2])
+
+    def test_header_is_the_first_non_blank_line(self):
+        # a comment after a coefficient is a note, even one that reads as a header
+        assert parse_series_text("1\n# note\n2\n") == PowerSeries([1, 2])
+        assert parse_series_text("1\n# zerodyn poly 1\n2\n") == PowerSeries([1, 2])
+        assert parse_series_text("\n\n# zerodyn poly 1\n1\n") == PowerSeries.polynomial([1])
 
     def test_wrong_kind_header_rejected(self):
         with pytest.raises(ValueError, match="does not declare a poly"):

@@ -67,6 +67,16 @@ class TestHermite:
         for d in range(0, 25):
             assert exp_dp_monomial(F(-1), 2, d) == dilate(hermite(d), F(1, 2))
 
+    def test_explicit_coefficients(self):
+        # H_d = sum_k (-1)^k d! / (k! (d-2k)!) (2x)^(d-2k)
+        for d in range(0, 30):
+            coeffs = [F(0)] * (d + 1)
+            for k in range(d // 2 + 1):
+                j = d - 2 * k
+                num = (-1) ** k * math.factorial(d) * 2**j
+                coeffs[j] = F(num, math.factorial(k) * math.factorial(j))
+            assert hermite(d) == Poly(coeffs), d
+
     def test_three_term_recurrence(self):
         # H_{d+1} = 2x H_d - 2d H_{d-1}
         for d in range(1, 20):
@@ -108,6 +118,16 @@ class TestJensen:
                     coeffs[p * k] = c * (-1) ** k
                 scale = F((-1) ** q * math.factorial(p * q), math.factorial(q))
                 assert exp_dp_monomial(F(-1), p, p * q) == Poly(coeffs).scale(scale)
+
+    def test_explicit_coefficients(self):
+        # J_{p,q}(x) = sum_k q! x^k / ((q-k)! (pk)!)
+        for p in range(1, 6):
+            for q in range(1, 25):
+                expected = Poly(
+                    F(math.factorial(q), math.factorial(q - k) * math.factorial(p * k))
+                    for k in range(q + 1)
+                )
+                assert jensen_ml(p, q) == expected, (p, q)
 
     def test_general_jensen_matches_ml_instance(self):
         # the generic constructor specializes to the Mittag-Leffler one
