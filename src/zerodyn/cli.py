@@ -32,6 +32,7 @@ from .scalars import (
     DEFAULT_GAMMA0,
     DEFAULT_M_MAX,
     DEFAULT_PRECISION_BITS,
+    MIN_PRECISION_BITS,
     _lazy_import,
     exact_nth_root,
     parse_fraction,
@@ -72,7 +73,7 @@ def _int_at_least(low):
 # and --d-cap by verify-construct too, whose saved command lines still pass it.
 _SETTINGS = {
     "precision_bits": ("--precision-bits", dict(
-        type=_int_at_least(64), default=DEFAULT_PRECISION_BITS,
+        type=_int_at_least(MIN_PRECISION_BITS), default=DEFAULT_PRECISION_BITS,
         help="binary precision of the certified roots and the m^(1/p) "
         "roundings (default %(default)s)",
     )),

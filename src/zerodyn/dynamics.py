@@ -27,7 +27,7 @@ from .errors import (
     ZeroConstantTerm,
 )
 from .exact import count_nonreal
-from .limits import exp_dp_monomial
+from .limits import exp_dp_monomial, exp_series
 from .poly import Poly, iterate_operator, rescale_iterate
 from .records import Record
 from .scalars import (
@@ -278,22 +278,14 @@ def operator_discrepancy(
     if d < 0 or m < 1:
         raise ValueError("need d >= 0 and m >= 1")
     p = cls.p
-    shift = _exp_monomial_series(-m * cls.alpha, 1, d)
+    shift = exp_series(-m * cls.alpha, 1, d)
     powered = truncated_power(cls.normalized_from, m, d)
     composite = truncated_product(shift, powered, d)
-    target = _exp_monomial_series(cls.beta, p, d)
+    target = exp_series(cls.beta, p, d)
     c = root_rounded(Fraction(1, m), p, precision_bits)
     diff = [c**n * e - t for n, (e, t) in enumerate(zip(composite.coeffs, target.coeffs))]
     gap = _max_monomial_image_norm(diff, d)
     return gap if c**p * m == 1 else dyadic_round(gap, precision_bits)
-
-
-def _exp_monomial_series(c, j: int, order: int) -> PowerSeries:
-    """exp(c * x^j) truncated at ``order``, for a Fraction c."""
-    coeffs = [Fraction(0)] * (order + 1)
-    for k in range(order // j + 1):
-        coeffs[j * k] = c**k / math.factorial(k)
-    return PowerSeries(coeffs)
 
 
 def _max_monomial_image_norm(diff_coeffs, d: int):

@@ -29,12 +29,13 @@ import io
 import json
 import math
 import re
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .limits import ml_partial
+from .limits import exp_series, ml_partial
 from .poly import Poly
-from .scalars import Point, fraction_str, parse_fraction
+from .scalars import MIN_PRECISION_BITS, Point, fraction_str, parse_fraction
 from .series import LPObstructionResult, OperatorClass, PowerSeries
 
 if TYPE_CHECKING:  # report classes: a payload reads them, a job may not need their modules
@@ -45,6 +46,7 @@ if TYPE_CHECKING:  # report classes: a payload reads them, a job may not need th
 HEADER = "# zerodyn {} 1"  # first line of every file: its kind, then the format version
 
 MP_DIGITS = 40  # serialized digits of roots and other floating values
+_DECIMAL = Context(prec=MP_DIGITS, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 # ---------------------------------------------------------------------------
@@ -53,31 +55,16 @@ MP_DIGITS = 40  # serialized digits of roots and other floating values
 
 def mpf_str(x) -> str:
     """The exact value of x (a Fraction, an int or a float) in decimal,
-    rounded to MP_DIGITS significant digits, half up on the exact
-    remainder; laid out as mpmath's ``nstr(x, MP_DIGITS, strip_zeros=True)``
-    lays out a value: fixed point for decimal exponents in
-    (-13, MP_DIGITS), else ``e±n``."""
+    rounded to MP_DIGITS significant digits by one correctly rounded
+    ``decimal`` division, half up (away from zero); laid out as mpmath's
+    ``nstr(x, MP_DIGITS, strip_zeros=True)`` lays out a value: fixed point
+    for decimal exponents in (-13, MP_DIGITS), else ``e±n``."""
     x = Fraction(x)
-    n, d = abs(x.numerator), x.denominator
-    if not n:
+    if not x:
         return "0.0"
-    # 10^exponent <= |x| < 10^(exponent + 1); the bit-length estimate is
-    # off by at most one
-    exponent = math.floor((n.bit_length() - d.bit_length()) * math.log10(2))
-    while True:
-        k = MP_DIGITS - 1 - exponent
-        num, den = (n * 10**k, d) if k >= 0 else (n, d * 10**-k)
-        q, rem = divmod(num, den)
-        if q >= 10**MP_DIGITS:
-            exponent += 1
-        elif q < 10 ** (MP_DIGITS - 1):
-            exponent -= 1
-        else:
-            break
-    q += 2 * rem >= den
-    if q == 10**MP_DIGITS:
-        q, exponent = q // 10, exponent + 1
-    digits, split = str(q), 1
+    q = _DECIMAL.divide(Decimal(x.numerator), x.denominator)
+    digits, _, exponent = format(q, "e").lstrip("-").replace(".", "").partition("e")
+    split, exponent = 1, int(exponent)
     if -13 < exponent < MP_DIGITS:
         digits, split, exponent = "0" * -exponent + digits, max(exponent, 0) + 1, 0
     body = "-" * (x < 0) + digits[:split] + "." + (digits[split:].rstrip("0") or "0")
@@ -195,8 +182,7 @@ def resolve_series(spec: str) -> PowerSeries:
                 "mittag-leffler:p:K with p >= 1, K >= 0")
             raise ValueError(f"{spec!r} is not a valid preset: use {form}")
         if preset[1] is not None:
-            k = int(preset[1])
-            return PowerSeries(Fraction(1, math.factorial(n)) for n in range(k + 1))
+            return exp_series(1, 1, int(preset[1]))
         return ml_partial(int(preset[2]), int(preset[3]))
     if spec.startswith("poly:"):
         f = parse_poly_inline(spec.split(":", 1)[1])
@@ -343,6 +329,13 @@ def _plan_field(data, name, parse):
         raise ValueError(msg) from None
 
 
+def _json_int(value):
+    """value if it is a JSON integer (not a boolean or a float), else TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _stage_key(key):
     m, k = key.split(",")
     return int(m), int(k)
@@ -353,16 +346,19 @@ def plan_from_payload(data) -> StagePlan:
 
     Targets and radii are exact rationals ("num/den"; a decimal string
     reads as the rational it spells), so the plan checks exactly the disks
-    the construction built.  A ``coefficient_bound_ok`` field, which older
-    plan files carry, is ignored: the verifier recomputes both its clauses.
+    the construction built; ``precision_bits`` (at least
+    ``MIN_PRECISION_BITS``) and ``degrees`` are JSON integers.  A
+    ``coefficient_bound_ok`` field, which older plan files carry, is
+    ignored: the verifier recomputes both its clauses.
     """
     from .construct import StagePlan
 
     if not isinstance(data, dict):
         raise ValueError(f"a plan is a JSON object, not {type(data).__name__}")
-    prec = _plan_field(data, "precision_bits", int)
-    if prec < 1:
-        raise ValueError(f"plan field 'precision_bits' must be positive, not {prec}")
+    prec = _plan_field(data, "precision_bits", _json_int)
+    if prec < MIN_PRECISION_BITS:
+        msg = f"plan field 'precision_bits' must be >= {MIN_PRECISION_BITS}, not {prec}"
+        raise ValueError(msg)
     targets = _plan_field(data, "targets", lambda v: {
         _stage_key(key): Point(parse_fraction(re_s), parse_fraction(im_s))
         for key, (re_s, im_s) in v.items()
@@ -370,7 +366,7 @@ def plan_from_payload(data) -> StagePlan:
     radii = _plan_field(data, "radii", lambda v: {
         _stage_key(key): parse_fraction(r_s) for key, r_s in v.items()
     })
-    degrees = _plan_field(data, "degrees", lambda v: tuple(int(d) for d in v))
+    degrees = _plan_field(data, "degrees", lambda v: tuple(map(_json_int, v)))
     gammas = _plan_field(data, "gammas", lambda v: tuple(parse_fraction(g) for g in v))
     for name, values, ok, what in (
         ("degrees", degrees, lambda d: d >= 1, "at least 1"),

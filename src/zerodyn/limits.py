@@ -7,8 +7,9 @@ to exp(beta*D^p) applied to x^d, a finite sum::
 
 For beta = -1, p = 2 this is the Hermite polynomial H_d(x/2); for
 d = p*q it is a rescaled Jensen polynomial of the Mittag-Leffler series
-E_p(x) = sum x^k/(pk)! evaluated at -x^p.  Everything here is exact;
-factorials are Python big ints, never floats.
+E_p(x) = sum x^k/(pk)! evaluated at -x^p; ``exp_series`` is the one
+truncated exp(c x^j).  Everything here is exact; factorials are Python
+big ints, never floats.
 """
 
 from __future__ import annotations
@@ -34,6 +35,15 @@ def exp_dp_monomial(beta, p: int, d: int) -> Poly:
         den = math.factorial(k) * math.factorial(d - p * k)
         coeffs[d - p * k] = Fraction(num, den) * beta**k
     return Poly(coeffs)
+
+
+def exp_series(c, j: int, order: int) -> PowerSeries:
+    """exp(c x^j) truncated at ``order``, for an exact c and j >= 1."""
+    c = as_fraction(c)
+    coeffs = [Fraction(0)] * (order + 1)
+    for k in range(order // j + 1):
+        coeffs[j * k] = c**k / math.factorial(k)
+    return PowerSeries(coeffs)
 
 
 def hermite(d: int) -> Poly:

@@ -8,7 +8,7 @@ a coefficient.  The only operation that meets an irrational scalar is
 :func:`rescale_iterate`, which rounds each rescaled coefficient of an
 exact iterate once and returns the dyadic rational it rounded to.
 
-The exact operator layer (:func:`apply_operator`, :func:`translate`,
+The exact layer (products, :func:`apply_operator`, :func:`translate`,
 ``series.truncated_power``) runs on integer numerator vectors over one
 common denominator and builds each output ``Fraction`` once.
 """
@@ -32,7 +32,7 @@ from .scalars import (
     exact_nth_root,
     fraction_str,
 )
-from .series import OperatorClass, PowerSeries
+from .series import OperatorClass, PowerSeries, _cauchy
 
 NEG_INF = float("-inf")
 ZERO = Fraction(0)
@@ -106,15 +106,10 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly(())
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ca in enumerate(self.coeffs):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(other.coeffs):
-                out[i + j] += ca * cb
-        return Poly(out)
+        a, den_a = common_denominator(self.coeffs)
+        b, den_b = common_denominator(other.coeffs)
+        den = den_a * den_b
+        return Poly(Fraction(x, den) for x in _cauchy(a, b, len(a) + len(b) - 2))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -218,8 +213,9 @@ def dilate(f: Poly, c) -> Poly:
 def translate(f: Poly, c) -> Poly:
     """(T^c f)(x) = f(x+c) by repeated synthetic division (Taylor shift).
 
-    For f = (1/L) sum F_k x^k and c = P/Q the shift runs on integers: g(y) = Q^n L f(y/Q) = sum F_k Q^(n-k) y^k is shifted by P,
-    and coefficient k of g(y+P) is divided by Q^(n-k) L.
+    For f = (1/L) sum F_k x^k and c = P/Q the shift runs on integers:
+    g(y) = Q^n L f(y/Q) = sum F_k Q^(n-k) y^k is shifted by P, and
+    coefficient k of g(y+P) is divided by Q^(n-k) L.
     """
     c = as_fraction(c)
     if f.is_zero or c == 0:
@@ -232,21 +228,19 @@ def translate(f: Poly, c) -> Poly:
 
 
 def _taylor_shift(b, c):
-    """Replace the coefficient list b of g(x) by that of g(x+c), in place.
+    """Replace the integer coefficient list b of g(x) by that of g(x+c), in place.
 
-    Pass i sets b[j] += c b[j+1] for j = n-2 down to i, so for c = 1 each
-    pass is one running sum over the reversed list, which runs in C.
+    g(x+c) = h(x/c + 1) for h(y) = g(cy): b is scaled by c^k, shifted by 1
+    in passes that are each one running sum over the reversed list (which
+    runs in C), and divided by c^k exactly.
     """
-    n = len(b)
-    if c == 1:
-        r = b[::-1]
-        for i in range(n - 1, 0, -1):
-            r[: i + 1] = accumulate(r[: i + 1])
-        b[:] = r[::-1]
+    if not c:
         return
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            b[j] += c * b[j + 1]
+    powers = list(accumulate([c] * (len(b) - 1), mul, initial=1))
+    r = list(map(mul, b, powers))[::-1]
+    for i in range(len(r) - 1, 0, -1):
+        r[: i + 1] = accumulate(r[: i + 1])
+    b[:] = [x // ck for x, ck in zip(reversed(r), powers)]
 
 
 def rescale_iterate(

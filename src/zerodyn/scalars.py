@@ -41,6 +41,7 @@ def _lazy_import(name):
 # The library's defaults, and the defaults of the CLI options that set them;
 # here, so the CLI reads them without executing the modules that use them.
 DEFAULT_PRECISION_BITS = 256
+MIN_PRECISION_BITS = 64  # the floor of --precision-bits and of a plan file's precision
 DEFAULT_M_MAX = 200  # onset scans: iterates swept
 DEFAULT_D_CAP = 40  # witness searches: degree cap
 DEFAULT_GAMMA0 = Fraction(1)  # the gamma search: first stage factor tried

@@ -129,9 +129,12 @@ def dilate_series(phi: PowerSeries, c) -> PowerSeries:
 
 
 def _cauchy(a, b, order):
-    """Coefficients 0..order of the product of two length order+1 lists."""
-    rb = b[::-1]
-    return [sum(map(mul, a[: n + 1], rb[order - n :])) for n in range(order + 1)]
+    """Coefficients 0..order of the product of the integer lists a and b."""
+    rb, top = b[::-1], len(b) - 1
+    return [
+        sum(map(mul, a[max(n - top, 0) : n + 1], rb[max(top - n, 0) :]))
+        for n in range(order + 1)
+    ]
 
 
 def truncated_product(phi: PowerSeries, psi: PowerSeries, order: int) -> PowerSeries:

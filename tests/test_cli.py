@@ -307,6 +307,14 @@ class TestConstructCLI:
                 "'targets' is missing or malformed",
             ),
             ("radii", {"1,1": "1", "1,2": "1/0", "2,2": "1"}, "'radii' is missing or malformed"),
+            # the plan's precision has the floor of --precision-bits, and
+            # integer fields are JSON integers, never truncated floats or booleans
+            ("precision_bits", 8, "'precision_bits' must be >= 64, not 8"),
+            ("precision_bits", 63, "'precision_bits' must be >= 64, not 63"),
+            ("precision_bits", 256.9, "'precision_bits' is missing or malformed"),
+            ("precision_bits", True, "'precision_bits' is missing or malformed"),
+            ("degrees", [2.5, 3.5], "'degrees' is missing or malformed"),
+            ("degrees", [2, 3.0], "'degrees' is missing or malformed"),
         ],
     )
     def test_disagreeing_plan_fields_are_an_input_error(
@@ -322,6 +330,17 @@ class TestConstructCLI:
         )
         assert (code, out) == (2, "") and err.startswith("input error:")
         assert named in err
+
+    def test_plan_at_the_precision_floor_verifies(self, capsys, tmp_path):
+        data = plan_payload(build_plan(PowerSeries.polynomial([1, 1, 1]), 2, d_cap=12))
+        data["precision_bits"] = 64
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(dump_json(data))
+        doc = run_json(
+            capsys, "verify-construct", "--series", "poly:1+x+x^2", "--plan", str(plan_path)
+        )
+        assert doc["plan"]["precision_bits"] == 64
+        assert set(doc["witnessed"]) == {"1,1", "1,2", "2,2"}
 
     @pytest.mark.parametrize("m", ["0", "-3"])
     def test_m_below_one_is_an_input_error(self, capsys, tmp_path, m):

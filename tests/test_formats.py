@@ -1,5 +1,6 @@
 """File formats, inline shorthand, presets, and serialization round-trips."""
 
+import decimal
 import json
 import math
 from fractions import Fraction as F
@@ -8,6 +9,9 @@ import mpmath as mp
 import pytest
 
 from conftest import make_rng, mpf_to_fraction, to_mp
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 from zerodyn import Point, Poly, PowerSeries, build_plan, classify, find_roots, pick_targets
 from zerodyn.cli import main
 from zerodyn.dynamics import AttractorRecord, AttractorReport
@@ -260,7 +264,64 @@ def _nstr(x):
     return mp.nstr(to_mp(x, bits), MP_DIGITS, strip_zeros=True)
 
 
+def digit_search_mpf_str(x):
+    """mpf_str as it was before it used ``decimal``: it searched for the
+    decimal exponent on integers and rounded half up on the exact remainder."""
+    x = F(x)
+    n, d = abs(x.numerator), x.denominator
+    if not n:
+        return "0.0"
+    exponent = math.floor((n.bit_length() - d.bit_length()) * math.log10(2))
+    while True:
+        k = MP_DIGITS - 1 - exponent
+        num, den = (n * 10**k, d) if k >= 0 else (n, d * 10**-k)
+        q, rem = divmod(num, den)
+        if q >= 10**MP_DIGITS:
+            exponent += 1
+        elif q < 10 ** (MP_DIGITS - 1):
+            exponent -= 1
+        else:
+            break
+    q += 2 * rem >= den
+    if q == 10**MP_DIGITS:
+        q, exponent = q // 10, exponent + 1
+    digits, split = str(q), 1
+    if -13 < exponent < MP_DIGITS:
+        digits, split, exponent = "0" * -exponent + digits, max(exponent, 0) + 1, 0
+    body = "-" * (x < 0) + digits[:split] + "." + (digits[split:].rstrip("0") or "0")
+    return f"{body}e{exponent:+d}" if exponent else body
+
+
+def _edge_values():
+    """The layout switch at 10^-13 and 10^MP_DIGITS, carries through nines
+    and exact midpoints, short exact quotients and the double range's ends."""
+    for j in range(-16, MP_DIGITS + 4):
+        for u in (1, 1 - F(1, 10**41), 1 - F(1, 10**40), 1 + F(5, 10**40), F(1, 3), F(7, 2)):
+            yield F(10) ** j * u
+    yield from (1e300, -1e300, 5e-324, 1.7976931348623157e308, 0.1, -2.5, 1e-13, 1e-12)
+    yield from (F(10**40 - 1), F(10**41 - 5), F(2) ** 200, F(-1, 2**300), 0)
+
+
 class TestDecimalFormatter:
+    def test_edge_values_match_the_digit_search(self):
+        for x in _edge_values():
+            for v in (x, -x):
+                assert mpf_str(v) == digit_search_mpf_str(v), v
+
+    def test_the_ambient_decimal_context_is_not_read(self):
+        values = (F(2, 3), F(10**45 + 7), 1e-20, F(-5, 2))
+        want = [digit_search_mpf_str(x) for x in values]
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.rounding, ctx.Emax, ctx.Emin = 3, decimal.ROUND_FLOOR, 10, -10
+            ctx.traps[decimal.Inexact] = True
+            assert [mpf_str(x) for x in values] == want
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.fractions() | st.floats(allow_nan=False, allow_infinity=False))
+    def test_fractions_and_floats_match_the_digit_search(self, x):
+        assert mpf_str(x) == digit_search_mpf_str(x)
+
+
     def test_random_dyadics_match_mpmath(self):
         rng = make_rng(40)
         for _ in range(10_000):

@@ -2,7 +2,9 @@
 
 The references below are the plain Fraction (or mpmath) formulas the
 kernels replaced: phi(D)f as a sum of repeated derivatives, the Taylor
-shift by synthetic division, and phi^m by repeated Cauchy products.  The
+shift by synthetic division (on rationals, and on the integer lists of
+``poly._taylor_shift`` for any integer shift), the product of two
+polynomials as a double loop, and phi^m by repeated Cauchy products.  The
 root finder's fixed-point Horner is checked against exact Gaussian-integer
 evaluation.
 """
@@ -52,6 +54,18 @@ def ref_translate(c, shift):
         for j in range(n - 2, i - 1, -1):
             b[j] = b[j] + shift * b[j + 1]
     return b
+
+
+def ref_product(a, b):
+    """The Fraction double loop that Poly.__mul__ ran before it used the
+    integer convolution of truncated series products."""
+    if not a or not b:
+        return []
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def ref_power(alpha, m, order):
@@ -122,6 +136,38 @@ class TestExactKernels:
         got = truncated_power(PowerSeries(alpha), m, order)
         assert all(type(c) is F for c in got.coeffs)
         assert list(got.coeffs) == ref_power(alpha, m, order)
+
+    @derandomized
+    @hypothesis.given(
+        st.lists(fractions, max_size=MAX_DEGREE + 1), st.lists(fractions, max_size=MAX_DEGREE + 1)
+    )
+    def test_product_is_the_fraction_double_loop(self, a, b):
+        # empty lists are the zero polynomial, one-entry lists constants
+        got = Poly(a) * Poly(b)
+        assert all(type(c) is F for c in got.coeffs)
+        assert list(got.coeffs) == _trim(ref_product(_trim(a), _trim(b)))
+
+    def test_product_powers_shaped_like_the_construction(self):
+        # build_partial_product multiplies powers (1 + gamma x)^d of stage factors
+        rng = make_rng(13)
+        for d in (1, 2, 3, 7, 16, 33):
+            base = Poly([1, random_fraction(rng, 9, 64, nonzero=True)])
+            want = [F(1)]
+            for _ in range(d):
+                want = ref_product(want, list(base.coeffs))
+            assert list((base**d).coeffs) == want
+            other = random_poly(rng, rng.randint(0, 20))
+            assert list((base**d * other).coeffs) == ref_product(want, list(other.coeffs))
+
+    @pytest.mark.parametrize("shift", [-100, -3, -1, 0, 1, 2, 27])
+    def test_taylor_shift_is_the_double_loop(self, shift):
+        # the integer kernel behind translate against the loop it replaced
+        rng = make_rng(17 + shift)
+        for n in range(1, 61):
+            b = [rng.randint(-(10**9), 10**9) for _ in range(n)]
+            got = list(b)
+            poly._taylor_shift(got, shift)
+            assert got == ref_translate(b, shift), n
 
     def test_truncated_power_at_benchmark_size(self):
         rng = make_rng(11)

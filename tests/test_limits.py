@@ -8,6 +8,8 @@ import pytest
 from zerodyn import (
     Poly,
     PowerSeries,
+    apply_operator,
+    classify,
     derivative,
     dilate,
     exp_dp_monomial,
@@ -15,7 +17,9 @@ from zerodyn import (
     jensen_ml,
     jensen_of_series,
     ml_partial,
+    monomial,
 )
+from zerodyn.limits import exp_series
 
 
 def P(*coeffs):
@@ -83,6 +87,47 @@ class TestHermite:
             lhs = hermite(d + 1)
             rhs = hermite(d) * P(0, 2) - hermite(d - 1).scale(2 * d)
             assert lhs == rhs
+
+
+def summed_exp_series(c, j, order):
+    """exp(c x^j) through x^order as operator_discrepancy summed it for
+    itself before ``exp_series`` served it: c^k / k! set at x^(jk)."""
+    coeffs = [F(0)] * (order + 1)
+    for k in range(order // j + 1):
+        coeffs[j * k] = c**k / math.factorial(k)
+    return PowerSeries(coeffs)
+
+
+# General-form operators whose -m alpha and beta the discrepancy exponentiates
+OPERATORS = [
+    PowerSeries.polynomial(c)
+    for c in ([1, 1, 1], [1, F(1, 2), F(1, 8), F(-1, 3)], [1, 0, 0, F(1, 2)], [1, -1, F(1, 4)])
+]
+
+
+class TestExpSeries:
+    def test_matches_the_summed_series(self):
+        for cls in map(classify, OPERATORS):
+            for m in (1, 7, 50):
+                for c, j in ((-m * cls.alpha, 1), (cls.beta, cls.p), (F(1), 1)):
+                    for order in range(31):
+                        assert exp_series(c, j, order) == summed_exp_series(c, j, order)
+
+    def test_solves_its_differential_equation(self):
+        # E = exp(c x^j) has E' = j c x^(j-1) E: (n+1) e_(n+1) = j c e_(n+1-j)
+        for c, j in ((F(-7, 3), 1), (F(1, 2), 2), (F(-5), 3), (F(2, 9), 5)):
+            e = exp_series(c, j, 40).coeffs
+            assert e[0] == 1
+            for n in range(40):
+                assert (n + 1) * e[n + 1] == (j * c * e[n + 1 - j] if n + 1 >= j else 0)
+
+    def test_limit_is_the_operator_image_of_the_series(self):
+        # the closed form exp(beta D^p) x^d is the series' own operator image
+        for beta in (F(-1, 4), F(1, 2), F(-7, 3)):
+            for p in range(1, 6):
+                for d in range(41):
+                    image = apply_operator(exp_series(beta, p, d), monomial(d))
+                    assert exp_dp_monomial(beta, p, d) == image, (beta, p, d)
 
 
 class TestMittagLeffler:
