@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         "construct", "build and verify a counterexample product", "precision_bits", "d_cap"
     )
     p.add_argument("--series", required=True)
-    p.add_argument("--stages", type=int, required=True, help="number of stages N")
+    p.add_argument("--stages", type=_int_at_least(1), required=True, help="number of stages N")
     p.add_argument("--m", type=int, help="verify iterates up to m (default N)")
     p.add_argument("--gamma0", default=str(DEFAULT_GAMMA0), help="initial stage factor (rational)")
     p.add_argument("--plan-out", help="also save the stage plan JSON here")

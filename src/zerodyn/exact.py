@@ -2,26 +2,26 @@
 
 The exact route answers "how many nonreal zeros, and are all zeros
 simple" (``count_nonreal``, ``ZeroCount.squarefree``) with no tolerance
-at every degree.  It strips the zero root and splits the rest into
-square-free factors once (``_zero_root_and_split``, through
-``_squarefree_split``: the modular certificate, else Yun's split, whose
-gcds are integer primitive remainder sequences, PRS).  Each factor's
-real zeros are counted on its primitive integer multiple F, by a route
-chosen by F's degree: below ``DESCARTES_MIN_DEGREE`` the PRS of F and
-F', a Sturm chain; from that degree up, where the PRS coefficients grow
-to thousands of bits, Descartes bisection.
+at every degree.  It builds the primitive integer multiple of its input
+once (``_integer_part``), strips the zero root and splits the rest into
+square-free primitive integer factors F (``_zero_root_and_split``,
+through ``_squarefree_split``: the modular certificate, else Yun's
+split, whose gcds are integer primitive remainder sequences, PRS).  The
+real zeros of each F are counted by a route chosen by its degree: below
+``DESCARTES_MIN_DEGREE`` the PRS of F and F', a Sturm chain; from that
+degree up, where the PRS coefficients grow to thousands of bits,
+Descartes bisection.
 
 This module is independent of the certified root finder in ``roots``,
-which takes its square-free split (``_zero_root_and_split``) and integer
-parts from here; ``roots`` binds ``count_nonreal``, ``all_real_simple``,
-``ZeroCount`` and ``_exact_profile`` under the same names.  A zero count
-never executes the root finder.
+which takes its integer part and square-free split
+(``_zero_root_and_split``) from here; ``roots`` binds ``count_nonreal``,
+``all_real_simple``, ``ZeroCount`` and ``_exact_profile`` under the same
+names.  A zero count never executes the root finder.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate
 
 from .poly import Poly, _taylor_shift
@@ -108,17 +108,17 @@ def _prs(a, b):
     return chain
 
 
-def _yun_squarefree(f):
+def _yun_squarefree(F):
     """Square-free decomposition: list of (factor, multiplicity).
 
-    ``f`` is a stripped rational coefficient list.  Only positive-degree factors
-    are returned; each factor is a monic ``Fraction`` list and square-free,
-    and f equals (leading coeff) times the product of factor^multiplicity.
-    The gcds are integer primitive remainder sequences; the monic factors
-    are unique, so they do not depend on how the gcds were scaled.
+    ``F`` is a primitive integer coefficient list.  Only positive-degree
+    factors are returned; each factor is a primitive integer list and
+    square-free, and F equals +-1 times the product of factor^multiplicity.
+    The gcds are integer primitive remainder sequences; the primitive
+    factors are unique up to sign, so they do not depend on how the gcds
+    were scaled.
     """
-    b = _integer_part(f)
-    c = _diff(b)
+    b, c = F, _diff(F)
     g = _primitive(_prs(b, c)[-1])
     b, c = _exact_quo(b, g), _exact_quo(c, g)
     out = []
@@ -127,23 +127,23 @@ def _yun_squarefree(f):
         d = _strip([x - y for x, y in zip(c, _diff(b), strict=True)])
         a = _primitive(_prs(b, d)[-1]) if d else b
         if len(a) > 1:
-            out.append(([Fraction(x, a[-1]) for x in a], i))
+            out.append((a, i))
         b, c = _exact_quo(b, a), _exact_quo(d, a)
         i += 1
     return out
 
 
-def _certified_squarefree(c):
-    """True only if the rational polynomial ``c`` is square-free.
+def _certified_squarefree(F):
+    """True only if the primitive integer polynomial ``F`` is square-free.
 
     Computes gcd(F, F') over GF(p), p = SQUAREFREE_PRIME, by reduced
-    pseudo-remainders of the primitive integer multiple F of ``c``.  When
-    p does not divide lc(F), a repeated factor g of F over Q reduces to a
-    repeated factor of F mod p of the same degree, so a constant gcd
-    certifies that ``c`` is square-free.  False decides nothing.
+    pseudo-remainders.  When p does not divide lc(F), a repeated factor g
+    of F over Q reduces to a repeated factor of F mod p of the same
+    degree, so a constant gcd certifies that F is square-free.  False
+    decides nothing.
     """
     p = SQUAREFREE_PRIME
-    a = [x % p for x in _integer_part(c)]
+    a = [x % p for x in F]
     if a[-1] == 0:
         return False
     b = _strip([x % p for x in _diff(a)])
@@ -153,23 +153,23 @@ def _certified_squarefree(c):
     return len(a) == 1
 
 
-def _squarefree_split(c):
-    """Pairwise coprime square-free factors of ``c`` with multiplicities.
+def _squarefree_split(F):
+    """Pairwise coprime square-free factors of ``F`` with multiplicities.
 
-    ``c`` itself when the modular certificate holds, the Yun
-    decomposition otherwise; a constant has no factors.
+    The primitive integer list ``F`` itself when the modular certificate
+    holds, its Yun decomposition otherwise; a constant has no factors.
     """
-    if len(c) < 2:
+    if len(F) < 2:
         return []
-    if _certified_squarefree(c):
-        return [(c, 1)]
-    return _yun_squarefree(c)
+    if _certified_squarefree(F):
+        return [(F, 1)]
+    return _yun_squarefree(F)
 
 
-def _zero_root_and_split(c):
-    """(multiplicity of the zero root of nonzero ``c``, ``_squarefree_split`` of the rest)."""
-    nzero = next(i for i, x in enumerate(c) if x)
-    return nzero, _squarefree_split(c[nzero:])
+def _zero_root_and_split(F):
+    """(multiplicity of the zero root of nonzero ``F``, ``_squarefree_split`` of the rest)."""
+    nzero = next(i for i, x in enumerate(F) if x)
+    return nzero, _squarefree_split(F[nzero:])
 
 
 def _sign_variations(values):
@@ -182,8 +182,8 @@ def _variations_01(q):
     """V, the sign variations of (x+1)^n q(1/(x+1)), or 2 if V >= 2.
 
     q's list holds x^n q(1/x) highest coefficient first, the order in
-    which ``poly._taylor_shift`` runs its running sums for a shift by 1,
-    so the same sums leave the transform, highest first.  The count is
+    which ``poly._taylor_shift`` runs its running sums, so the same sums
+    leave the transform, highest first.  The count is
     read as the shift runs: the pass over b[:i+1] leaves b[i] final, so
     it stops once it reaches 2, some 20 % sooner on the degree-32 to 48
     onset iterates than a full shift.  b[0] = q(0) never changes.
@@ -223,7 +223,7 @@ def _zeros_01(q):
         n = len(q) - 1
         left = [x << (n - k) for k, x in enumerate(q)]
         right = list(left)
-        _taylor_shift(right, 1)
+        _taylor_shift(right)
         count += right[0] == 0
         todo += [left, right]
     return count
@@ -276,14 +276,14 @@ def _exact_profile(f: Poly):
     """(real_count_with_mult, nonreal_count, is_squarefree) for rational f
     of degree >= 1.
 
-    A zero root counts with its multiplicity.  Each square-free factor
-    of the rest (``_zero_root_and_split``), as its primitive integer
-    multiple F, adds ``_real_zeros(F)`` times its multiplicity.
+    A zero root counts with its multiplicity.  Each square-free factor F
+    of the rest of f's integer part (``_zero_root_and_split``) adds
+    ``_real_zeros(F)`` times its multiplicity.
     """
-    nzero, factors = _zero_root_and_split(f.coeffs)
+    nzero, factors = _zero_root_and_split(_integer_part(f.coeffs))
     real, squarefree = nzero, nzero <= 1
     for factor, mult in factors:
-        real += mult * _real_zeros(_integer_part(factor))
+        real += mult * _real_zeros(factor)
         squarefree = squarefree and mult == 1
     return real, len(f.coeffs) - 1 - real, squarefree
 

@@ -214,33 +214,30 @@ def translate(f: Poly, c) -> Poly:
     """(T^c f)(x) = f(x+c) by repeated synthetic division (Taylor shift).
 
     For f = (1/L) sum F_k x^k and c = P/Q the shift runs on integers:
-    g(y) = Q^n L f(y/Q) = sum F_k Q^(n-k) y^k is shifted by P, and
-    coefficient k of g(y+P) is divided by Q^(n-k) L.
+    h(y) = Q^n L f(P y/Q) = sum F_k P^k Q^(n-k) y^k is shifted by 1, and
+    coefficient k of h(y+1), which P^k divides, is divided by P^k exactly
+    and then by Q^(n-k) L.
     """
     c = as_fraction(c)
     if f.is_zero or c == 0:
         return f
     b, den = common_denominator(f.coeffs)
-    q_pow = list(accumulate([c.denominator] * (len(b) - 1), mul, initial=1))[::-1]
-    b = list(map(mul, b, q_pow))
-    _taylor_shift(b, c.numerator)
-    return Poly(Fraction(x, den * qk) for x, qk in zip(b, q_pow))
+    n = len(b) - 1
+    p_pow = list(accumulate([c.numerator] * n, mul, initial=1))
+    q_pow = list(accumulate([c.denominator] * n, mul, initial=1))[::-1]
+    b = [x * pk * qk for x, pk, qk in zip(b, p_pow, q_pow)]
+    _taylor_shift(b)
+    return Poly(Fraction(x // pk, den * qk) for x, pk, qk in zip(b, p_pow, q_pow))
 
 
-def _taylor_shift(b, c):
-    """Replace the integer coefficient list b of g(x) by that of g(x+c), in place.
-
-    g(x+c) = h(x/c + 1) for h(y) = g(cy): b is scaled by c^k, shifted by 1
-    in passes that are each one running sum over the reversed list (which
-    runs in C), and divided by c^k exactly.
-    """
-    if not c:
-        return
-    powers = list(accumulate([c] * (len(b) - 1), mul, initial=1))
-    r = list(map(mul, b, powers))[::-1]
+def _taylor_shift(b):
+    """Replace the integer coefficient list b of g(x) by that of g(x+1), in
+    place, in passes that are each one running sum over the reversed list
+    (which runs in C)."""
+    r = b[::-1]
     for i in range(len(r) - 1, 0, -1):
         r[: i + 1] = accumulate(r[: i + 1])
-    b[:] = [x // ck for x, ck in zip(reversed(r), powers)]
+    b[:] = reversed(r)
 
 
 def rescale_iterate(

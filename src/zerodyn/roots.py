@@ -4,9 +4,9 @@ Every input is a polynomial with rational coefficients (a ``Poly``).
 Two routes, deliberately independent:
 
 * a certified root finder, in which doubles propose and Python ints
-  certify.  Each square-free factor (so multiplicities are exact) is
-  solved on its primitive integer multiple F.  Aberth-Ehrlich sweeps in
-  doubles from the circle |z| = 2^hi, hi from F's root bound, give seeds;
+  certify.  Each square-free factor (so multiplicities are exact) is a
+  primitive integer list F.  Aberth-Ehrlich sweeps in doubles on F / F_n
+  from the circle |z| = 2^hi, hi from F's root bound, give seeds;
   placed on a dyadic grid, each gets an inclusion disk computed on F, and
   when the disks are disjoint each holds one zero, refined by fixed-point
   Newton and certified in its disk (real zeros in the real form, nonreal
@@ -18,7 +18,7 @@ Two routes, deliberately independent:
   everything that reads roots compares integers;
 * an exact route, in ``zerodyn.exact``: zero counts on F by a Sturm
   chain or Descartes bisection, with no tolerance.  This module takes its
-  square-free split and integer parts from there, and binds its entry
+  integer part and square-free split from there, and binds its entry
   points (``count_nonreal``, ``all_real_simple``, ``ZeroCount``) under
   the same names; a zero count never executes the root finder.
 
@@ -91,11 +91,12 @@ def _circle_start(n, radius):
     return [radius * cmath.exp(1j * cmath.pi * (2 * k + 0.5) / n) for k in range(n)]
 
 
-def _double_seeds(source, hi):
+def _double_seeds(F, hi):
     """Positions that Aberth-Ehrlich sweeps in doubles reach from the circle
-    |z| = 2^hi, converged or not; None when a coefficient of ``source`` or
-    of its derivative is not a normal double, 2^hi not a double, or a
-    position not finite.
+    |z| = 2^hi, converged or not, on the monic F / F_n of the integer F
+    (each double one correctly rounded int division); None when a
+    coefficient of F / F_n or of its derivative is not a normal double,
+    2^hi not a double, or a position not finite.
 
     A position freezes when its value reaches the evaluation noise floor
     DOUBLE_EPS (4n+4) sum |c_i| |z|^i.  The sweeps stop once every position
@@ -103,10 +104,10 @@ def _double_seeds(source, hi):
     ``MAX_SWEEPS``, or once a sweep does not shrink the largest step below
     sqrt(DOUBLE_EPS): above that it can stay flat for a hundred sweeps.
     """
-    exact = [*source, *(k * c for k, c in enumerate(source) if k)]
-    n = len(source) - 1
+    exact = [*F, *(k * c for k, c in enumerate(F) if k)]
+    n = len(F) - 1
     try:
-        cs = [float(c) for c in exact]
+        cs = [c / F[-1] for c in exact]
         zs = _circle_start(n, math.ldexp(1.0, hi))
     except OverflowError:
         return None
@@ -424,31 +425,29 @@ def _newton_ladder(F, disks, g, start, cap, workprec):
     return out
 
 
-def _aberth(source, workprec):
+def _aberth(F, workprec):
     """All zeros of a square-free polynomial with nonzero constant term;
     (positions, certified).
 
-    ``source`` lists the ascending rational coefficients, of degree
-    n >= 1 with source[0] != 0 and source[-1] != 0; degree 1 gives its
-    exact zero.  All that certifies runs on F = ``_integer_part(source)``,
-    so a certified position lies within 2^(GUARD_BITS - workprec)
-    (1 + |z|) of its own zero of ``source``.  With 2^-lo <= |zero| <= 2^hi
-    (``_zero_bounds``) and lo floored at 0, rung 0 places the double seeds
-    on the grid k = min(106, workprec) + lo and climbs the Newton ladder
-    from min(106, workprec) bits to workprec.  Each later rung, at
-    wp = workprec, ..., 2^MAX_PRECISION_DOUBLINGS workprec, sweeps on the
-    grid k = wp + lo (first from the double seeds, or from the circle
-    |z| = 2^hi) and refines at start = cap = k: no center is floored, and
-    inside a tight cluster a lower start's noise over |F'| exceeds the
-    spacing of the zeros.  Past the last rung the positions come back
-    uncertified.
+    ``F`` lists the ascending primitive integer coefficients, of degree
+    n >= 1 with F[0] != 0; degree 1 gives its exact zero.  All that
+    certifies runs on F, so a certified position lies within
+    2^(GUARD_BITS - workprec) (1 + |z|) of its own zero of F.  With
+    2^-lo <= |zero| <= 2^hi (``_zero_bounds``) and lo floored at 0, rung 0
+    places the double seeds on the grid k = min(106, workprec) + lo and
+    climbs the Newton ladder from min(106, workprec) bits to workprec.
+    Each later rung, at wp = workprec, ..., 2^MAX_PRECISION_DOUBLINGS
+    workprec, sweeps on the grid k = wp + lo (first from the double seeds,
+    or from the circle |z| = 2^hi) and refines at start = cap = k: no
+    center is floored, and inside a tight cluster a lower start's noise
+    over |F'| exceeds the spacing of the zeros.  Past the last rung the
+    positions come back uncertified.
     """
-    if len(source) == 2:
-        return [Point(-source[0] / source[1], ZERO)], True
-    F = _integer_part(source)
+    if len(F) == 2:
+        return [Point(Fraction(-F[0], F[1]), ZERO)], True
     lo, hi = _zero_bounds(F)
     lo = max(lo, 0)
-    seeds = _double_seeds(source, hi)
+    seeds = _double_seeds(F, hi)
     if seeds is not None:
         start = min(106, workprec)
         pts = [_place(z, start + lo) for z in seeds]
@@ -543,7 +542,8 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
         raise DegreeZero("root finding needs degree >= 1")
     deg = int(f.degree)
     workprec = _work_precision(precision_bits)
-    nzero, factors = _zero_root_and_split(f.coeffs)
+    F = _integer_part(f.coeffs)
+    nzero, factors = _zero_root_and_split(F)
     located, certified = [], True
     for factor, mult in factors:
         positions, ok = _aberth(factor, workprec)
@@ -558,7 +558,6 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet
         located = _sort_located(located, precision_bits)
     if nzero:
         located.insert(0, (Point(ZERO, ZERO), nzero))
-    F = _integer_part(f.coeffs)
     sup = max(map(abs, F))
     roots = tuple(Root(z, mult, _residual(F, sup, z, workprec)) for z, mult in located)
     rs = RootSet(roots=roots, source_degree=deg, precision_bits=precision_bits)

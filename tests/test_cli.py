@@ -498,6 +498,15 @@ class TestInputErrors:
         code, _, err = run_cli(capsys, "zeros", "--poly", "x^2+1", "--precision-bits", "16")
         assert code == 2
 
+    @pytest.mark.parametrize("stages", ["0", "-2"])
+    def test_stages_below_one_names_the_flag(self, capsys, stages):
+        # argparse rejects it before the (here unreadable) series is read
+        code, out, err = run_cli(
+            capsys, "construct", "--series", "/nonexistent/x.txt", "--stages", stages
+        )
+        assert (code, out) == (2, "")
+        assert f"argument --stages: must be >= 1, got {stages}" in err
+
     def test_usage_error_exit_two(self, capsys):
         assert main(["no-such-command"]) == 2
 

@@ -22,15 +22,21 @@ def P(*coeffs):
     return Poly(coeffs)
 
 
+def _positive(g):
+    """The integer list g, negated if its leading coefficient is negative."""
+    return g if g[-1] > 0 else [-c for c in g]
+
+
 def _oracle(f):
-    """(real zeros with multiplicity, {multiplicity: monic factor}) by sympy."""
+    """(real zeros with multiplicity, {multiplicity: primitive factor with
+    positive leading coefficient}) by sympy."""
     cs = [sp.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
     _, factors = sp.Poly(cs, X, domain="QQ").sqf_list()
     real = sum(m * g.count_roots() for g, m in factors)
-    yun = {
-        m: [F(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs())]
-        for g, m in factors
-    }
+    yun = {}
+    for g, m in factors:
+        primitive = g.clear_denoms()[1].primitive()[1].all_coeffs()
+        yun[m] = _positive([int(c) for c in reversed(primitive)])
     return real, yun
 
 
@@ -41,7 +47,8 @@ def _check(f):
     assert zc.method == "exact"
     assert (zc.total, zc.real_count, zc.nonreal_count) == (deg, real, deg - real)
     assert zc.squarefree == (set(yun) == {1})
-    assert {m: g for g, m in exact._yun_squarefree(list(f.coeffs))} == yun
+    factors = exact._yun_squarefree(exact._integer_part(f.coeffs))
+    assert {m: _positive(g) for g, m in factors} == yun
 
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)

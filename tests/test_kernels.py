@@ -2,11 +2,10 @@
 
 The references below are the plain Fraction (or mpmath) formulas the
 kernels replaced: phi(D)f as a sum of repeated derivatives, the Taylor
-shift by synthetic division (on rationals, and on the integer lists of
-``poly._taylor_shift`` for any integer shift), the product of two
-polynomials as a double loop, and phi^m by repeated Cauchy products.  The
-root finder's fixed-point Horner is checked against exact Gaussian-integer
-evaluation.
+shift by synthetic division (on rationals, and on integer lists for
+integer shifts), the product of two polynomials as a double loop, and
+phi^m by repeated Cauchy products.  The root finder's fixed-point Horner
+is checked against exact Gaussian-integer evaluation.
 """
 
 from fractions import Fraction as F
@@ -161,13 +160,13 @@ class TestExactKernels:
 
     @pytest.mark.parametrize("shift", [-100, -3, -1, 0, 1, 2, 27])
     def test_taylor_shift_is_the_double_loop(self, shift):
-        # the integer kernel behind translate against the loop it replaced
+        # translate by an integer, one scaling and the running sums of
+        # poly._taylor_shift, against the loop it replaced
         rng = make_rng(17 + shift)
         for n in range(1, 61):
             b = [rng.randint(-(10**9), 10**9) for _ in range(n)]
-            got = list(b)
-            poly._taylor_shift(got, shift)
-            assert got == ref_translate(b, shift), n
+            got = translate(Poly(b), shift)
+            assert list(got.coeffs) == _trim(ref_translate(b, shift)), n
 
     def test_truncated_power_at_benchmark_size(self):
         rng = make_rng(11)

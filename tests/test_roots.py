@@ -16,6 +16,7 @@ from zerodyn import (
     all_real_simple,
     count_nonreal,
     derivative,
+    dilate,
     exp_dp_monomial,
     find_roots,
     iterate_operator,
@@ -263,20 +264,52 @@ class TestPrecisionLadder:
         seen = _record(monkeypatch, "_double_seeds")
         base = find_roots(f)
         assert seen[-1] is not None
-        for scale in (F(10) ** 400, F(1, 10**400)):
-            rs = find_roots(f.scale(scale))
-            assert seen[-1] is None
-            _same_roots(rs, base, 1e-70)
-        # the tight cluster, its coefficients or its zeros times 10^+-400:
-        # the integer sweep starts from the circle |z| = 2^hi, on a grid
-        # with bits for the smallest zero
         cluster = TestExactFallbackCertificate.CLUSTER
+        base_cluster = find_roots(Poly(_from_roots(cluster)), 64)
         for scale in (F(10) ** 400, F(1, 10**400)):
-            for zeros, g in ((cluster, Poly(_from_roots(cluster)).scale(scale)),
-                             ([z * scale for z in cluster], None)):
-                rs = find_roots(g or Poly(_from_roots(zeros)), 64)
-                assert seen[-1] is None
-                _certified_against(rs, zeros, 64)
+            # the coefficients times 10^+-400: the same integer F and monic
+            # doubles, so the same seeds and the same roots
+            rs = find_roots(f.scale(scale))
+            assert seen[-1] is not None
+            assert rs.locations() == base.locations()
+            rs = find_roots(Poly(_from_roots(cluster)).scale(scale), 64)
+            assert seen[-1] is not None
+            assert rs.locations() == base_cluster.locations()
+            _certified_against(rs, cluster, 64)
+            # the zeros times 10^+-400: the monic doubles leave the double
+            # range, and the integer sweep starts from the circle |z| = 2^hi,
+            # on a grid with bits for the smallest zero
+            rs = find_roots(dilate(f, 1 / scale))
+            assert seen[-1] is None
+            _certified_against(
+                rs, [(z.real * scale, z.imag * scale) for z in base.locations()], 100
+            )
+            zeros = [z * scale for z in cluster]
+            rs = find_roots(Poly(_from_roots(zeros)), 64)
+            assert seen[-1] is None
+            _certified_against(rs, zeros, 64)
+
+    @pytest.mark.parametrize(
+        "f",
+        [P(3, -1, 4, -1, 5, 9), P(F(1, 3), 0, 1) ** 2 * P(F(-2, 5), 1) ** 3 * P(1, 3)],
+        ids=["squarefree", "repeated"],
+    )
+    def test_one_integer_part_per_call(self, monkeypatch, f):
+        # each entry point builds the primitive integer multiple once, and
+        # the square-free split and the root finder take its factors as given
+        calls = []
+        for module in (exact, roots):
+            real = module._integer_part
+            monkeypatch.setattr(
+                module,
+                "_integer_part",
+                lambda c, m=module.__name__, real=real: calls.append(m) or real(c),
+            )
+        count_nonreal(f)
+        assert calls == ["zerodyn.exact"]
+        calls.clear()
+        find_roots(f)
+        assert calls == ["zerodyn.roots"]
 
     def test_stalled_double_rung_seeds_working_rung(self, monkeypatch):
         f = P(3, -1, 4, -1, 5, 9)
@@ -326,21 +359,22 @@ class TestPrecisionLadder:
             f = random_poly(rng, rng.randint(1, 8))
             if rng.random() < 0.5:
                 f = f * random_poly(rng, rng.randint(1, 3)) ** 2
-            cs = list(f.coeffs)
-            squarefree = [m for _, m in exact._yun_squarefree(cs)] == [1]
-            assert exact._certified_squarefree(cs) == squarefree
+            ints = exact._integer_part(f.coeffs)
+            squarefree = [m for _, m in exact._yun_squarefree(ints)] == [1]
+            assert exact._certified_squarefree(ints) == squarefree
 
     def test_yun_known_factors(self):
-        # (x^2 + 1/3)^2 (x - 2/5)^3 (3x + 1): the monic factors are unique,
-        # so find_roots solves the same Fraction lists however gcds scale
+        # (x^2 + 1/3)^2 (x - 2/5)^3 (3x + 1): the primitive factors are
+        # unique up to sign, so find_roots solves the same integer lists
+        # however gcds scale
         f = P(F(1, 3), 0, 1) ** 2 * P(F(-2, 5), 1) ** 3 * P(1, 3)
-        factors = exact._yun_squarefree(list(f.coeffs))
-        assert factors == [
-            ([F(1, 3), 1], 1),
-            ([F(1, 3), 0, 1], 2),
-            ([F(-2, 5), 1], 3),
+        factors = exact._yun_squarefree(exact._integer_part(f.coeffs))
+        assert [(g if g[-1] > 0 else [-c for c in g], m) for g, m in factors] == [
+            ([1, 3], 1),
+            ([1, 0, 3], 2),
+            ([-2, 5], 3),
         ]
-        assert all(type(c) is F for g, _ in factors for c in g)
+        assert all(type(c) is int for g, _ in factors for c in g)
 
     def test_agrees_with_mpmath_polyroots(self, monkeypatch):
         ladder = _record(monkeypatch, "_newton_ladder")
